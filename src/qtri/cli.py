@@ -1,8 +1,10 @@
 """Command-line front door: generate instances, run detection/bench/optimize/
 adversary jobs, and emit machine-readable JSON/CSV artifacts.
 
-Identical arguments and seed always produce byte-identical outputs; any
-invariant violation exits nonzero with a diagnostic on stderr.
+Identical arguments and seed always produce byte-identical outputs.  Bad
+input or an exhausted query budget exits 2 with a diagnostic on stderr; an
+internal invariant failure (such as `VerificationError`) is not caught and
+exits with a traceback.
 """
 
 from __future__ import annotations
@@ -271,7 +273,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, BudgetExceededError, AssertionError, ArithmeticError) as exc:
+    except (ValueError, OSError, BudgetExceededError, ArithmeticError) as exc:
         print(f"qtri: error: {exc}", file=sys.stderr)
         return 2
 

@@ -93,6 +93,7 @@ class Graph:
 
     def has_edge(self, a: int, b: int) -> bool:
         a, b = canon_pair(a, b)
+        _check_vertex(a, self.n)
         _check_vertex(b, self.n)
         return bool((self._rows[a] >> b) & 1)
 
@@ -114,14 +115,19 @@ class Graph:
                 row >>= 1
                 b += 1
 
+    def row(self, v: int) -> np.ndarray:
+        """v's adjacency row as a boolean array indexed 0..n (index 0 unused)."""
+        _check_vertex(v, self.n)
+        size = self.n + 1
+        raw = np.frombuffer(self._rows[v].to_bytes((size + 7) // 8, "little"), dtype=np.uint8)
+        return np.unpackbits(raw, count=size, bitorder="little").view(bool)
+
     def adjacency(self) -> np.ndarray:
         """Boolean adjacency matrix indexed 1..n (row/col 0 unused)."""
         size = self.n + 1
-        nbytes = (size + 7) // 8
         out = np.zeros((size, size), dtype=bool)
         for v in range(1, size):
-            raw = np.frombuffer(self._rows[v].to_bytes(nbytes, "little"), dtype=np.uint8)
-            out[v] = np.unpackbits(raw, bitorder="little")[:size]
+            out[v] = self.row(v)
         return out
 
     def __repr__(self) -> str:
@@ -333,6 +339,10 @@ def generate(kind: str, n: int, seed: int, p: float | None = None) -> Graph:
 # ---------------------------------------------------------------------------
 # Text format: first line "n", then one "u v" line per edge, 1-based.
 
+# Largest vertex count `load_graph` accepts.  The check runs before any
+# per-vertex allocation, so a corrupt or hostile header cannot exhaust memory.
+MAX_VERTICES = 1 << 16
+
 
 def save_graph(graph: Graph, path: str) -> None:
     with open(path, "w", encoding="ascii") as fh:
@@ -342,23 +352,29 @@ def save_graph(graph: Graph, path: str) -> None:
 
 
 def load_graph(path: str) -> Graph:
-    """Parse the text format, rejecting loops, duplicates and bad vertices."""
+    """Parse the text format, rejecting loops, duplicates, bad vertices and a
+    vertex count outside 1..MAX_VERTICES."""
     with open(path, "r", encoding="ascii") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+        lines = [(num, ln.strip()) for num, ln in enumerate(fh, 1) if ln.strip()]
     if not lines:
         raise ValueError(f"{path}: empty graph file")
     try:
-        n = int(lines[0])
+        n = int(lines[0][1])
     except ValueError as exc:
         raise ValueError(f"{path}: first line must be the vertex count") from exc
     if n < 1:
         raise ValueError(f"{path}: vertex count must be >= 1")
+    if n > MAX_VERTICES:
+        raise ValueError(f"{path}: vertex count {n} exceeds the maximum {MAX_VERTICES}")
     seen: set[tuple[int, int]] = set()
-    for ln in lines[1:]:
+    for num, ln in lines[1:]:
         parts = ln.split()
         if len(parts) != 2:
-            raise ValueError(f"{path}: malformed edge line {ln!r}")
-        a, b = int(parts[0]), int(parts[1])
+            raise ValueError(f"{path}:{num}: malformed edge line {ln!r}")
+        try:
+            a, b = int(parts[0]), int(parts[1])
+        except ValueError as exc:
+            raise ValueError(f"{path}:{num}: edge endpoints must be integers: {ln!r}") from exc
         pair = canon_pair(a, b)
         _check_vertex(pair[0], n)
         _check_vertex(pair[1], n)

@@ -15,7 +15,7 @@ from typing import Any, Callable, Iterable
 import numpy as np
 
 from .graphs import canon_pair, nth_set_bit
-from .oracle import QueryOracle, StepTag
+from .oracle import QueryOracle, StepTag, verify_triangle
 
 # Growth factor of the iteration-range ramp used when the number of marked
 # items is unknown, and the number of extra full-range rounds appended after
@@ -257,11 +257,6 @@ def edge_restricted_triangle_search(
             a, b, common = good[pick]
             c = nth_set_bit(common, int(rng.integers(common.bit_count())))
             tri = tuple(sorted((a, b, c)))
-            checks = [
-                oracle.query(tri[0], tri[1], StepTag.VERIFY),
-                oracle.query(tri[1], tri[2], StepTag.VERIFY),
-                oracle.query(tri[0], tri[2], StepTag.VERIFY),
-            ]
-            assert all(checks), "verified sampler returned a non-triangle"
+            verify_triangle(oracle, tri)  # type: ignore[arg-type]
             return tri  # type: ignore[return-value]
     return None

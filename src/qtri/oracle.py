@@ -1,7 +1,9 @@
 """Query accounting: the only billed gateway to the hidden graph.
 
-Algorithm code reads adjacency exclusively through `QueryOracle.query`, one
-unit per probe; modeled quantum subroutines bill their iteration counts via
+Algorithm code reads adjacency only through `QueryOracle.query` (one probe)
+or `QueryOracle.query_row` (the probes (v, u) for a batch of u in one
+vectorised read); both bill one classical unit per probed pair, duplicates
+included.  Modeled quantum subroutines bill their iteration counts via
 `charge`.  Simulator-privileged reads of the hidden graph (used to sample
 subroutine outcomes) never touch the counters.
 """
@@ -11,6 +13,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Sequence
+
+import numpy as np
 
 from .graphs import Graph
 
@@ -33,6 +38,14 @@ class BudgetExceededError(RuntimeError):
     """The run consumed more queries than its budget allows.
 
     This signals a malformed cost analysis, not bad luck; the run aborts.
+    """
+
+
+class VerificationError(RuntimeError):
+    """A reported triangle failed classical verification.
+
+    Every search model returns only genuinely marked items, so this is an
+    internal invariant failure, never a property of the input graph.
     """
 
 
@@ -82,9 +95,18 @@ class QueryLedger:
                 f"query budget exceeded: total={self.total} > budget={self.budget}"
             )
 
-    def record_query(self, tag: StepTag) -> None:
-        self.classical += 1
-        self.per_step[tag] += 1
+    def record_queries(self, count: int, tag: StepTag) -> None:
+        """Bill `count` classical probes, one unit each.
+
+        A batch that crosses the budget bills only up to the first probe over
+        it, then raises the same error as billing its probes one at a time.
+        """
+        if count < 0:
+            raise ValueError("query count must be >= 0")
+        if count and self.budget is not None:
+            count = min(count, max(1, self.budget + 1 - self.total))
+        self.classical += count
+        self.per_step[tag] += count
         self._check_budget()
 
     def record_charge(self, amount: int, tag: StepTag) -> None:
@@ -126,8 +148,30 @@ class QueryOracle:
     def query(self, a: int, b: int, tag: StepTag) -> int:
         """Billed read of one adjacency bit."""
         bit = 1 if self.hidden.has_edge(a, b) else 0
-        self.ledger.record_query(tag)
+        self.ledger.record_queries(1, tag)
         return bit
+
+    def query_row(self, v: int, targets: Sequence[int] | np.ndarray, tag: StepTag) -> np.ndarray:
+        """Billed read of the bits (v, u) for every u in `targets`, in order.
+
+        Bills one unit per entry of `targets`, duplicates included, so it is
+        the same cost as calling `query(v, u, tag)` for each u; a loop or an
+        out-of-range vertex raises ValueError before anything is billed.
+        """
+        targets = np.asarray(targets, dtype=np.intp)
+        if targets.ndim != 1:
+            raise ValueError("targets must be one-dimensional")
+        row = self.hidden.row(v)
+        if targets.size:
+            low, high = int(targets.min()), int(targets.max())
+            if low < 1 or high > self.n:
+                bad = low if low < 1 else high
+                raise ValueError(f"vertex {bad} out of range 1..{self.n}")
+            if (targets == v).any():
+                raise ValueError(f"loops are not allowed: ({v},{v})")
+        bits = row[targets]
+        self.ledger.record_queries(targets.size, tag)
+        return bits
 
     def charge(self, amount: int, tag: StepTag) -> None:
         """Bill a modeled quantum subroutine's oracle applications."""
@@ -135,3 +179,20 @@ class QueryOracle:
 
     def report(self) -> LedgerReport:
         return self.ledger.snapshot()
+
+
+def verify_triangle(oracle: QueryOracle, tri: tuple[int, int, int]) -> None:
+    """Bill the three classical probes (a,b), (b,c), (a,c) that confirm a
+    candidate triangle before it is reported.
+
+    Raises VerificationError (not an assert, so `python -O` keeps the run
+    one-sided) when any of the three pairs is not a hidden edge.
+    """
+    a, b, c = tri
+    hits = [
+        oracle.query(a, b, StepTag.VERIFY),
+        oracle.query(b, c, StepTag.VERIFY),
+        oracle.query(a, c, StepTag.VERIFY),
+    ]
+    if not all(hits):
+        raise VerificationError(f"candidate {tri} failed verification")

@@ -1,9 +1,12 @@
 """The staged triangle-detection run: build the candidate pair set, peel it,
 classify the remainder by degree hypotheses, then run the two final searches.
 
-All adjacency information flows through the oracle and is billed per step;
-the pair bookkeeping itself (the working candidate set, the peeled set T and
-the classified set E) is classical and free once built.
+All adjacency information flows through the oracle and is billed per step:
+steps 1, 5 and 7 read whole batches of pairs (v, u) with
+`QueryOracle.query_row`, one classical unit per probed pair, and verification
+probes single pairs with `QueryOracle.query`.  The pair bookkeeping itself
+(the working candidate set, the peeled set T and the classified set E) is
+classical and free once built.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import numpy as np
 
 from .graphs import Graph, nth_set_bit, triangle_count
 from .grover import SearchSpace, edge_restricted_triangle_search, safe_grover
-from .oracle import LedgerReport, QueryOracle, StepTag
+from .oracle import LedgerReport, QueryOracle, StepTag, verify_triangle
 from .rng import substream
 
 Pair = tuple[int, int]
@@ -228,14 +231,16 @@ def _triangle_space(hidden: Graph, pool: Graph) -> SearchSpace:
     return SearchSpace(size, marked, 3, draw)
 
 
-def _verify_triangle(oracle: QueryOracle, tri: Tri) -> None:
-    a, b, c = tri
-    hits = [
-        oracle.query(a, b, StepTag.VERIFY),
-        oracle.query(b, c, StepTag.VERIFY),
-        oracle.query(a, c, StepTag.VERIFY),
-    ]
-    assert all(hits), f"candidate {tri} failed verification"
+def _others(n: int, v: int) -> np.ndarray:
+    """Every vertex but v, ascending."""
+    others = np.arange(1, n + 1)
+    return others[others != v]
+
+
+def _read_neighborhood(oracle: QueryOracle, v: int, tag: StepTag) -> np.ndarray:
+    """Billed classical read of v's whole row: n - 1 probes, neighbors ascending."""
+    others = _others(oracle.n, v)
+    return others[oracle.query_row(v, others, tag)]
 
 
 # ---------------------------------------------------------------------------
@@ -249,13 +254,7 @@ def step1_sample(
     n = oracle.n
     k = sample_count(n, params.epsilon)
     sample = sorted(int(v) + 1 for v in rng.choice(n, size=k, replace=False))
-    neighborhoods: dict[int, list[int]] = {}
-    for v in sample:
-        nv = []
-        for u in range(1, n + 1):
-            if u != v and oracle.query(v, u, StepTag.STEP1):
-                nv.append(u)
-        neighborhoods[v] = nv
+    neighborhoods = {v: _read_neighborhood(oracle, v, StepTag.STEP1).tolist() for v in sample}
     return sample, neighborhoods
 
 
@@ -281,7 +280,7 @@ def step2_build_gprime(
         if out.found is not None:
             a, b = out.found
             tri = tuple(sorted((v, a, b)))
-            _verify_triangle(oracle, tri)  # type: ignore[arg-type]
+            verify_triangle(oracle, tri)  # type: ignore[arg-type]
             return tri, None, missed  # type: ignore[return-value]
         if space.marked_count > 0:
             missed = True
@@ -337,15 +336,11 @@ def step5_degree_hypothesis(
     n = oracle.n
     rounds = math.ceil(params.c0 * math.log(n))
     per_round = math.ceil(n**params.delta)
+    others = _others(n, v)
     hits = 0
-    others = np.arange(1, n + 1)
-    others = others[others != v]
     for _ in range(rounds):
-        found = False
-        for u in rng.choice(others, size=per_round, replace=True):
-            if oracle.query(v, int(u), StepTag.STEP5):
-                found = True
-        hits += int(found)
+        picks = rng.choice(others, size=per_round, replace=True)
+        hits += int(oracle.query_row(v, picks, StepTag.STEP5).any())
     return Hypothesis.LOW if hits < rounds / 2 else Hypothesis.HIGH
 
 
@@ -383,26 +378,24 @@ def step7_high_degree(
     implies none of them is a hidden edge, so the move costs the later
     intersection search nothing.
     """
-    n = oracle.n
-    hood = [u for u in range(1, n + 1) if u != v and oracle.query(v, u, StepTag.STEP7)]
-    space = _induced_pair_space(oracle.hidden, hood, q_test=1)
+    hood = _read_neighborhood(oracle, v, StepTag.STEP7)
+    space = _induced_pair_space(oracle.hidden, hood.tolist(), q_test=1)
     out = safe_grover(space, params.c_safe, oracle, StepTag.STEP7, rng)
     if out.found is not None:
         a, b = out.found
         tri = tuple(sorted((v, a, b)))
-        _verify_triangle(oracle, tri)  # type: ignore[arg-type]
+        verify_triangle(oracle, tri)  # type: ignore[arg-type]
         return tri, [], False, False  # type: ignore[return-value]
     missed = space.marked_count > 0
 
-    hood_arr = np.asarray(hood, dtype=np.intp)
     prime_arr = working.neighbors(v)
     moved: list[Pair] = []
-    if len(hood_arr) and len(prime_arr):
-        block = working.adj[np.ix_(hood_arr, prime_arr)]
+    if len(hood) and len(prime_arr):
+        block = working.adj[np.ix_(hood, prime_arr)]
         a_idx, b_idx = np.nonzero(block)
         moved = sorted(
             {
-                (min(int(hood_arr[i]), int(prime_arr[j])), max(int(hood_arr[i]), int(prime_arr[j])))
+                (min(int(hood[i]), int(prime_arr[j])), max(int(hood[i]), int(prime_arr[j])))
                 for i, j in zip(a_idx.tolist(), b_idx.tolist())
             }
         )
@@ -472,7 +465,7 @@ def step9_search_T(
         return None, 0, False
     out = safe_grover(space, params.c_safe, oracle, StepTag.STEP9, rng)
     if out.found is not None:
-        _verify_triangle(oracle, out.found)
+        verify_triangle(oracle, out.found)
         return out.found, space.size, False
     return None, space.size, space.marked_count > 0
 

@@ -7,9 +7,11 @@ import math
 import numpy as np
 import pytest
 
+import qtri.cli
 from qtri.adversary import or_star_instance
 from qtri.cli import main
 from qtri.graphs import load_graph, triangle_count
+from qtri.oracle import VerificationError
 
 
 def run(args):
@@ -171,3 +173,19 @@ def test_adversary_rejects_invalid_gamma(tmp_path):
 
 def test_unreadable_input_fails(tmp_path):
     assert run(["solve", "--graph", str(tmp_path / "missing.txt")]) == 2
+
+
+def test_oversized_graph_file_is_bad_input(tmp_path, capsys):
+    path = tmp_path / "huge.txt"
+    path.write_text("1000000000000\n")
+    assert run(["solve", "--graph", str(path)]) == 2
+    assert "exceeds the maximum" in capsys.readouterr().err
+
+
+def test_internal_invariant_failure_is_not_bad_input(monkeypatch):
+    def broken(*args, **kwargs):
+        raise VerificationError("candidate (1, 2, 3) failed verification")
+
+    monkeypatch.setattr(qtri.cli, "solve", broken)
+    with pytest.raises(VerificationError):
+        run(["solve", "--n", "16", "--gen", "complete"])

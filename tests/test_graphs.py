@@ -17,7 +17,7 @@ from qtri import (
     threshold_graph,
     triangle_count,
 )
-from qtri.graphs import canon_pair
+from qtri.graphs import MAX_VERTICES, canon_pair
 from qtri.rng import substream
 
 K3 = Graph(3, [(1, 2), (2, 3), (1, 3)])
@@ -206,6 +206,27 @@ def test_loader_rejects_bad_files(tmp_path):
         path.write_text(content)
         with pytest.raises(ValueError):
             load_graph(str(path))
+
+
+def test_loader_rejects_vertex_count_above_maximum(tmp_path):
+    path = tmp_path / "huge.txt"
+    path.write_text("1000000000000\n1 2\n")
+    with pytest.raises(ValueError, match="exceeds the maximum"):
+        load_graph(str(path))
+    path.write_text(f"{MAX_VERTICES + 1}\n")
+    with pytest.raises(ValueError, match="exceeds the maximum"):
+        load_graph(str(path))
+    path.write_text(f"{MAX_VERTICES}\n1 {MAX_VERTICES}\n")
+    assert load_graph(str(path)).edge_count == 1
+
+
+def test_loader_reports_path_and_line_of_non_integer_edges(tmp_path):
+    path = tmp_path / "words.txt"
+    path.write_text("4\n1 2\n\n2 x\n")
+    with pytest.raises(ValueError) as err:
+        load_graph(str(path))
+    assert str(err.value).startswith(f"{path}:4: ")
+    assert "'2 x'" in str(err.value)
 
 
 def test_sample_triangle_is_valid():
