@@ -27,19 +27,7 @@ from .analysis import (
     optimize_params,
     threshold_violation_rate,
 )
-from .graphs import (
-    EdgeSet,
-    Graph,
-    bipartite_edges,
-    enumerate_triangles,
-    generate,
-    load_graph,
-    neighborhood,
-    path2_count,
-    save_graph,
-    threshold_graph,
-    triangle_count,
-)
+from .graphs import Graph, generate, load_graph, save_graph, triangle_count
 from .grover import (
     GroverOutcome,
     SearchSpace,
@@ -65,7 +53,6 @@ from .solver import Hypothesis, Params, RunReport, solve
 __all__ = [
     "BudgetExceededError",
     "CostTerms",
-    "EdgeSet",
     "Graph",
     "GroverOutcome",
     "Hypothesis",
@@ -82,7 +69,6 @@ __all__ = [
     "adversary_value",
     "barrier_check",
     "baseline_scaling",
-    "bipartite_edges",
     "certificate_size",
     "cost_terms",
     "decomposition_diagnostic",
@@ -92,23 +78,19 @@ __all__ = [
     "disjointness_prob_exact",
     "edge_restricted_triangle_search",
     "empirical_scaling",
-    "enumerate_triangles",
     "folklore_baseline",
     "gamma_i",
     "generate",
     "grover_search",
     "grover_success_prob",
     "load_graph",
-    "neighborhood",
     "optimize_params",
-    "path2_count",
     "safe_grover",
     "save_graph",
     "schedule_success_prob",
     "solve",
     "spectral_norm",
     "substream",
-    "threshold_graph",
     "threshold_violation_rate",
     "triangle_count",
     "validate_gamma",

@@ -268,28 +268,30 @@ class ScalingFit:
         }
 
 
-def _fit(points: list[tuple[int, float]]) -> tuple[float, float]:
+def trial_seeds(seed: int, n: int, trial: int) -> tuple[int, int]:
+    """(graph seed, run seed) of one trial at one size of a seeded batch."""
+    return derive_seed(seed, n, trial, "graph"), derive_seed(seed, n, trial, "run")
+
+
+def fit_totals(per_size: list[tuple[int, list[int]]]) -> ScalingFit:
+    """Log-log fit of the mean total per size, one point per (n, totals) entry."""
+    points = [(n, float(np.mean(totals))) for n, totals in per_size]
     if len(points) < 3:
         raise ValueError("need at least 3 sizes for a fit")
     xs = np.log([n for n, _ in points])
     ys = np.log([mean for _, mean in points])
     slope, intercept = np.polyfit(xs, ys, 1)
-    return float(slope), float(intercept)
-
-
-def _normalized(points: list[tuple[int, float]]) -> list[float]:
-    return [mean / (n ** (10.0 / 7.0) * math.log(n) ** 2) for n, mean in points]
+    normalized = [mean / (n ** (10.0 / 7.0) * math.log(n) ** 2) for n, mean in points]
+    return ScalingFit(points, float(slope), float(intercept), normalized)
 
 
 def run_one(
     n: int, trial: int, seed: int, params: Params, kind: str = "erdos_renyi", p: float = 0.5
 ) -> RunReport:
     """One seeded solver run on a generated instance."""
-    graph_seed = derive_seed(seed, n, trial, "graph")
-    run_seed = derive_seed(seed, n, trial, "run")
+    graph_seed, run_seed = trial_seeds(seed, n, trial)
     graph = generate(kind, n, seed=graph_seed, p=p)
-    oracle = QueryOracle(graph)
-    return solve(oracle, params, seed=run_seed)
+    return solve(QueryOracle(graph), params, seed=run_seed)
 
 
 def empirical_scaling(
@@ -302,12 +304,10 @@ def empirical_scaling(
 ) -> ScalingFit:
     """Mean total ledger cost per size, fitted on the log-log scale."""
     params = params or Params()
-    points = []
-    for n in n_values:
-        totals = [run_one(n, t, seed, params, kind, p).cost.total for t in range(trials)]
-        points.append((n, float(np.mean(totals))))
-    slope, intercept = _fit(points)
-    return ScalingFit(points, slope, intercept, _normalized(points))
+    return fit_totals(
+        [(n, [run_one(n, t, seed, params, kind, p).cost.total for t in range(trials)])
+         for n in n_values]
+    )
 
 
 def baseline_scaling(
@@ -319,14 +319,12 @@ def baseline_scaling(
     c_safe: float = 2.0,
 ) -> ScalingFit:
     """Scaling fit of the folklore triple-search baseline on the same instances."""
-    points = []
+    per_size = []
     for n in n_values:
         totals = []
         for t in range(trials):
-            graph_seed = derive_seed(seed, n, t, "graph")
+            graph_seed, run_seed = trial_seeds(seed, n, t)
             graph = generate(kind, n, seed=graph_seed, p=p)
-            run_seed = derive_seed(seed, n, t, "run")
             totals.append(folklore_baseline(graph, run_seed, c_safe).total_queries)
-        points.append((n, float(np.mean(totals))))
-    slope, intercept = _fit(points)
-    return ScalingFit(points, slope, intercept, _normalized(points))
+        per_size.append((n, totals))
+    return fit_totals(per_size)

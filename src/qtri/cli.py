@@ -81,8 +81,18 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _bench_row(job: tuple) -> dict:
-    n, trial, seed, params_tuple, kind, p = job
+    algo, n, trial, seed, params_tuple, kind, p = job
     params = Params(*params_tuple)
+    if algo == "baseline":
+        graph_seed, run_seed = analysis.trial_seeds(seed, n, trial)
+        graph = generate(kind, n, graph_seed, p=p)
+        result = analysis.folklore_baseline(graph, run_seed, params.c_safe)
+        return {
+            "n": n,
+            "seed": run_seed,
+            "outcome": "triangle" if result.found else "no",
+            "total": result.total_queries,
+        }
     report = analysis.run_one(n, trial, seed, params, kind, p)
     row = {
         "n": n,
@@ -100,46 +110,28 @@ def _bench_row(job: tuple) -> dict:
 def _cmd_bench(args: argparse.Namespace) -> int:
     sizes = [int(s) for s in args.sizes.split(",") if s]
     params = _params_from(args)
-    if args.algo == "staged":
-        jobs = [
-            (n, t, args.seed, (params.epsilon, params.epsilon_prime, params.delta,
-                               params.c_safe, params.c0), args.gen, args.p)
-            for n in sizes
-            for t in range(args.trials)
-        ]
-        workers = int(os.environ.get("QTRI_WORKERS", "1"))
-        if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                rows = list(pool.map(_bench_row, jobs))
-        else:
-            rows = [_bench_row(job) for job in jobs]
-        rows.sort(key=lambda r: (r["n"], r["seed"]))
-        header = ["n", "seed", "outcome", "total", "classical", "charged"] + [
-            tag.value.lower() for tag in StepTag
-        ]
-        fit = None
-        if args.out_json:
-            fit = analysis.empirical_scaling(sizes, args.trials, params, args.seed, args.gen, args.p)
+    params_tuple = (params.epsilon, params.epsilon_prime, params.delta, params.c_safe, params.c0)
+    jobs = [
+        (args.algo, n, t, args.seed, params_tuple, args.gen, args.p)
+        for n in sizes
+        for t in range(args.trials)
+    ]
+    workers = int(os.environ.get("QTRI_WORKERS", "1"))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            rows = list(pool.map(_bench_row, jobs))
     else:
-        rows = []
-        for n in sizes:
-            for t in range(args.trials):
-                graph = generate(args.gen, n, derive_seed(args.seed, n, t, "graph"), p=args.p)
-                run_seed = derive_seed(args.seed, n, t, "run")
-                result = analysis.folklore_baseline(graph, run_seed, args.c_safe)
-                rows.append(
-                    {
-                        "n": n,
-                        "seed": run_seed,
-                        "outcome": "triangle" if result.found else "no",
-                        "total": result.total_queries,
-                    }
-                )
-        rows.sort(key=lambda r: (r["n"], r["seed"]))
-        header = ["n", "seed", "outcome", "total"]
-        fit = None
-        if args.out_json:
-            fit = analysis.baseline_scaling(sizes, args.trials, args.seed, args.gen, args.p, args.c_safe)
+        rows = [_bench_row(job) for job in jobs]
+    fit = None
+    if args.out_json:  # rows are in job order: args.trials consecutive rows per size
+        fit = analysis.fit_totals(
+            [(n, [row["total"] for row in rows[i * args.trials : (i + 1) * args.trials]])
+             for i, n in enumerate(sizes)]
+        )
+    rows.sort(key=lambda r: (r["n"], r["seed"]))
+    header = ["n", "seed", "outcome", "total"]
+    if args.algo == "staged":
+        header += ["classical", "charged"] + [tag.value.lower() for tag in StepTag]
 
     with open(args.out_csv, "w", encoding="ascii", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=header)

@@ -1,8 +1,11 @@
-"""Bitset graphs, pair sets, and reproducible instance generators.
+"""Graphs, triangle counting, reproducible instance generators and a plain
+text graph format.
 
 Vertices are the integers 1..n and unordered pairs are canonicalised to
-(min, max).  Each adjacency row is a single Python int used as a bitset, so
-a common-neighbor count is one AND plus a popcount.
+(min, max).  A `Graph` keeps its adjacency as one read-only packed bit
+matrix, and this module is the only one that knows that layout: every other
+module reads a graph through `has_edge`, `degree`, `edges`, `row` and
+`adjacency`, which return Python values or boolean numpy arrays.
 """
 
 from __future__ import annotations
@@ -34,57 +37,52 @@ def _check_vertex(v: int, n: int) -> None:
         raise ValueError(f"vertex {v} out of range 1..{n}")
 
 
-def bit_indices(x: int) -> Iterator[int]:
-    """Indices of the set bits of x, ascending."""
-    while x:
-        low = x & -x
-        yield low.bit_length() - 1
-        x ^= low
-
-
-def nth_set_bit(x: int, idx: int) -> int:
-    """Index of the idx-th (0-based) set bit of x."""
-    for _ in range(idx):
-        x &= x - 1
-    return (x & -x).bit_length() - 1
-
-
 class Graph:
-    """Immutable simple undirected graph on the vertex set {1..n}."""
+    """Immutable simple undirected graph on the vertex set {1..n}.
 
-    __slots__ = ("n", "_rows", "_edge_count")
+    The adjacency relation is one read-only packed bit matrix of shape
+    (n+1, ceil((n+1)/8)), laid out as `np.packbits(adj, axis=1,
+    bitorder="little")` lays out the boolean matrix `adj`: bit u of row v is
+    bit u & 7 of byte u >> 3.  Row 0, column 0 and the diagonal are clear.
+    """
+
+    __slots__ = ("n", "_bits", "_edge_count")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()) -> None:
         if n < 1:
             raise ValueError("n must be >= 1")
+        pairs = np.fromiter(edges, dtype=np.dtype((np.int64, 2)))
+        pairs.sort(axis=1)  # canonical (min, max) rows
+        lo, hi = pairs[:, 0], pairs[:, 1]
+        loops = lo[lo == hi]
+        if len(loops):
+            raise ValueError(f"loops are not allowed: ({loops[0]},{loops[0]})")
+        if len(pairs):
+            _check_vertex(int(lo.min()), n)
+            _check_vertex(int(hi.max()), n)
+        # bits are set in place: a dense (n+1)^2 matrix would not fit for large sparse n
+        bits = np.zeros((n + 1, (n + 8) // 8), dtype=np.uint8)
+        for row, col in ((lo, hi), (hi, lo)):
+            np.bitwise_or.at(bits, (row, col >> 3), np.left_shift(1, (col & 7).astype(np.uint8)))
+        keys = np.sort(lo * (n + 1) + hi)
+        self._set(n, bits, len(keys) - int(np.count_nonzero(keys[1:] == keys[:-1])))
+
+    def _set(self, n: int, bits: np.ndarray, edge_count: int) -> None:
+        bits.flags.writeable = False
         self.n = n
-        rows = [0] * (n + 1)
-        count = 0
-        for a, b in edges:
-            a, b = canon_pair(a, b)
-            _check_vertex(b, n)
-            if not (rows[a] >> b) & 1:
-                rows[a] |= 1 << b
-                rows[b] |= 1 << a
-                count += 1
-        self._rows = tuple(rows)
-        self._edge_count = count
+        self._bits = bits
+        self._edge_count = edge_count
 
     @classmethod
     def from_adjacency(cls, adj: np.ndarray) -> "Graph":
-        """Build from a symmetric boolean matrix indexed 1..n (row/col 0 ignored)."""
-        n = adj.shape[0] - 1
+        """Build from a symmetric boolean matrix indexed 1..n (row/col 0 and the
+        diagonal ignored)."""
+        adj = np.array(adj, dtype=bool)
+        adj[0, :] = adj[:, 0] = False
+        np.fill_diagonal(adj, False)
         g = cls.__new__(cls)
-        g.n = n
-        rows = [0]
-        for v in range(1, n + 1):
-            row = adj[v].copy()
-            row[0] = False
-            row[v] = False
-            packed = np.packbits(row, bitorder="little").tobytes()
-            rows.append(int.from_bytes(packed, "little"))
-        g._rows = tuple(rows)
-        g._edge_count = sum(r.bit_count() for r in rows) // 2
+        g._set(adj.shape[0] - 1, np.packbits(adj, axis=1, bitorder="little"),
+               int(np.count_nonzero(adj)) // 2)
         return g
 
     @property
@@ -95,180 +93,42 @@ class Graph:
         a, b = canon_pair(a, b)
         _check_vertex(a, self.n)
         _check_vertex(b, self.n)
-        return bool((self._rows[a] >> b) & 1)
-
-    def neighbors_bits(self, v: int) -> int:
-        _check_vertex(v, self.n)
-        return self._rows[v]
+        return bool(self._bits[a, b >> 3] >> (b & 7) & 1)
 
     def degree(self, v: int) -> int:
         _check_vertex(v, self.n)
-        return self._rows[v].bit_count()
+        return int(np.count_nonzero(self.row(v)))
 
     def edges(self) -> Iterator[tuple[int, int]]:
-        for a in range(1, self.n + 1):
-            row = self._rows[a] >> (a + 1)
-            b = a + 1
-            while row:
-                if row & 1:
-                    yield (a, b)
-                row >>= 1
-                b += 1
+        """Every edge once as (a, b) with a < b, in ascending order."""
+        rows, byte = np.nonzero(self._bits)  # only nonzero bytes are unpacked
+        bits = np.unpackbits(self._bits[rows, byte][:, None], axis=1, bitorder="little")
+        hit, shift = np.nonzero(bits)
+        a, b = rows[hit], byte[hit] * 8 + shift
+        upper = a < b
+        return zip(a[upper].tolist(), b[upper].tolist())
 
     def row(self, v: int) -> np.ndarray:
         """v's adjacency row as a boolean array indexed 0..n (index 0 unused)."""
         _check_vertex(v, self.n)
-        size = self.n + 1
-        raw = np.frombuffer(self._rows[v].to_bytes((size + 7) // 8, "little"), dtype=np.uint8)
-        return np.unpackbits(raw, count=size, bitorder="little").view(bool)
+        return np.unpackbits(self._bits[v], count=self.n + 1, bitorder="little").view(bool)
 
     def adjacency(self) -> np.ndarray:
         """Boolean adjacency matrix indexed 1..n (row/col 0 unused)."""
-        size = self.n + 1
-        out = np.zeros((size, size), dtype=bool)
-        for v in range(1, size):
-            out[v] = self.row(v)
-        return out
+        return np.unpackbits(self._bits, axis=1, count=self.n + 1, bitorder="little").view(bool)
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={self._edge_count})"
 
 
-class EdgeSet:
-    """Finite set of unordered vertex pairs over {1..n}; loops forbidden."""
-
-    __slots__ = ("n", "_pairs")
-
-    def __init__(self, n: int, pairs: Iterable[tuple[int, int]] = ()) -> None:
-        if n < 1:
-            raise ValueError("n must be >= 1")
-        self.n = n
-        self._pairs: set[tuple[int, int]] = set()
-        for a, b in pairs:
-            self.add(a, b)
-
-    def add(self, a: int, b: int) -> None:
-        pair = canon_pair(a, b)
-        _check_vertex(pair[1], self.n)
-        _check_vertex(pair[0], self.n)
-        self._pairs.add(pair)
-
-    def discard(self, a: int, b: int) -> None:
-        self._pairs.discard(canon_pair(a, b))
-
-    def __contains__(self, pair: tuple[int, int]) -> bool:
-        return canon_pair(*pair) in self._pairs
-
-    def __len__(self) -> int:
-        return len(self._pairs)
-
-    def __iter__(self) -> Iterator[tuple[int, int]]:
-        return iter(sorted(self._pairs))
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, EdgeSet) and self.n == other.n and self._pairs == other._pairs
-
-    def degree(self, v: int) -> int:
-        return sum(1 for p in self._pairs if v in p)
-
-    def incident(self, v: int) -> list[tuple[int, int]]:
-        return sorted(p for p in self._pairs if v in p)
-
-    def to_graph(self) -> Graph:
-        return Graph(self.n, self._pairs)
-
-    def __repr__(self) -> str:
-        return f"EdgeSet(n={self.n}, pairs={len(self._pairs)})"
-
-
-def as_triangle(a: int, b: int, c: int) -> tuple[int, int, int]:
-    """Canonical sorted form of a vertex triple; the three must be distinct."""
-    tri = tuple(sorted((a, b, c)))
-    if len(set(tri)) != 3:
-        raise ValueError(f"not a triangle: {(a, b, c)}")
-    return tri  # type: ignore[return-value]
-
-
-def neighborhood(graph: Graph, v: int) -> set[int]:
-    """All vertices adjacent to v."""
-    return set(bit_indices(graph.neighbors_bits(v)))
-
-
-def path2_count(graph: Graph, a: int, b: int) -> int:
-    """Number of common neighbors of a and b (paths of length two)."""
-    a, b = canon_pair(a, b)
-    _check_vertex(b, graph.n)
-    return (graph.neighbors_bits(a) & graph.neighbors_bits(b)).bit_count()
-
-
 def triangle_count(graph: Graph) -> int:
-    """Exact triangle count by scanning every edge's upper common neighbors."""
-    total = 0
-    for a, b in graph.edges():
-        above = ~((1 << (b + 1)) - 1)
-        total += (graph.neighbors_bits(a) & graph.neighbors_bits(b) & above).bit_count()
-    return total
-
-
-def enumerate_triangles(graph: Graph) -> list[tuple[int, int, int]]:
-    """Every triangle once, as sorted triples."""
-    out = []
-    for a, b in graph.edges():
-        above = ~((1 << (b + 1)) - 1)
-        common = graph.neighbors_bits(a) & graph.neighbors_bits(b) & above
-        for c in bit_indices(common):
-            out.append((a, b, c))
-    return out
-
-
-def threshold_graph(graph: Graph, t: int) -> EdgeSet:
-    """All unordered pairs (edges or not) with at most t common neighbors."""
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    out = EdgeSet(graph.n)
-    for a in range(1, graph.n + 1):
-        row_a = graph.neighbors_bits(a)
-        for b in range(a + 1, graph.n + 1):
-            if (row_a & graph.neighbors_bits(b)).bit_count() <= t:
-                out.add(a, b)
-    return out
-
-
-def bipartite_edges(graph: Graph, side_a: Iterable[int], side_b: Iterable[int]) -> EdgeSet:
-    """Edges of the graph with one endpoint in side_a and the other in side_b."""
-    out = EdgeSet(graph.n)
-    set_b = set(side_b)
-    bits_b = 0
-    for v in set_b:
-        _check_vertex(v, graph.n)
-        bits_b |= 1 << v
-    for a in set(side_a):
-        _check_vertex(a, graph.n)
-        for b in bit_indices(graph.neighbors_bits(a) & bits_b):
-            if a != b:
-                out.add(a, b)
-    return out
-
-
-def sample_triangle(graph: Graph, rng: np.random.Generator) -> tuple[int, int, int]:
-    """Uniformly random triangle of a graph that has at least one."""
-    edges = []
-    weights = []
-    for a, b in graph.edges():
-        above = ~((1 << (b + 1)) - 1)
-        w = (graph.neighbors_bits(a) & graph.neighbors_bits(b) & above).bit_count()
-        if w:
-            edges.append((a, b))
-            weights.append(w)
-    if not edges:
-        raise ValueError("graph has no triangle")
-    cum = np.cumsum(weights)
-    pick = int(np.searchsorted(cum, rng.integers(cum[-1]), side="right"))
-    a, b = edges[pick]
-    above = ~((1 << (b + 1)) - 1)
-    common = graph.neighbors_bits(a) & graph.neighbors_bits(b) & above
-    c = nth_set_bit(common, int(rng.integers(common.bit_count())))
-    return (a, b, c)
+    """Exact triangle count: summed over the ordered edges (a, b), the common
+    neighbor counts of A @ A count every triangle six times.  The float32
+    product is exact because no count exceeds n < 2**24."""
+    adj = graph.adjacency()
+    paths = adj.astype(np.float32)
+    paths = paths @ paths
+    return int(np.sum(paths, where=adj, dtype=np.int64)) // 6
 
 
 # ---------------------------------------------------------------------------
@@ -375,10 +235,13 @@ def load_graph(path: str) -> Graph:
             a, b = int(parts[0]), int(parts[1])
         except ValueError as exc:
             raise ValueError(f"{path}:{num}: edge endpoints must be integers: {ln!r}") from exc
-        pair = canon_pair(a, b)
-        _check_vertex(pair[0], n)
-        _check_vertex(pair[1], n)
+        try:
+            pair = canon_pair(a, b)
+            _check_vertex(pair[0], n)
+            _check_vertex(pair[1], n)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{num}: {exc}") from None
         if pair in seen:
-            raise ValueError(f"{path}: duplicate edge {pair}")
+            raise ValueError(f"{path}:{num}: duplicate edge {pair}")
         seen.add(pair)
     return Graph(n, seen)

@@ -14,7 +14,7 @@ from typing import Any, Callable, Iterable
 
 import numpy as np
 
-from .graphs import canon_pair, nth_set_bit
+from .graphs import Graph
 from .oracle import QueryOracle, StepTag, verify_triangle
 
 # Growth factor of the iteration-range ramp used when the number of marked
@@ -218,34 +218,32 @@ def edge_restricted_triangle_search(
     queries.  One-sided: a returned triangle is verified with 3 classical
     queries before being reported.
     """
-    pairs = sorted({canon_pair(a, b) for a, b in pool})
-    if not pairs:
+    pool_graph = Graph(oracle.n, pool)  # canonical, deduplicated and validated
+    size = pool_graph.edge_count
+    if not size:
         return None
-    hidden = oracle.hidden
-    n = hidden.n
-
-    g_edges = [(a, b) for a, b in pairs if hidden.has_edge(a, b)]
-    g = len(g_edges)
-    oracle.charge(math.ceil(math.sqrt(len(pairs))), tag)
+    n = oracle.n
+    adj = oracle.hidden.adjacency()
+    g_rows, g_cols = np.nonzero(np.triu(adj & pool_graph.adjacency(), 1))
+    g = len(g_rows)
+    oracle.charge(math.ceil(math.sqrt(size)), tag)
     guess = 1 << max(0, (g - 1).bit_length())  # power-of-two estimate, >= g
 
-    good = []
-    for a, b in g_edges:
-        common = hidden.neighbors_bits(a) & hidden.neighbors_bits(b)
-        if common:
-            good.append((a, b, common))
+    float_adj = adj.astype(np.float32)
+    common = (float_adj @ float_adj)[g_rows, g_cols]  # exact: counts never exceed n << 2**24
+    good = np.flatnonzero(common)
+    good_rows, good_cols = g_rows[good], g_cols[good]
+    good_counts = common[good].astype(np.int64).tolist()
 
-    k_edge = int(math.pi / 4.0 * math.sqrt(len(pairs) / guess))
-    p_edge = grover_success_prob(len(pairs), g, k_edge) if g else 0.0
+    k_edge = int(math.pi / 4.0 * math.sqrt(size / guess))
+    p_edge = grover_success_prob(size, g, k_edge) if g else 0.0
     cap_apex = iteration_cap(n)
     k_amp_range = max(1, math.ceil(math.pi / 2.0 * math.sqrt(guess)))
     runs = max(AA_RUNS_MIN, math.ceil(math.log(n)))
 
     for _ in range(runs):
         k_apex = int(rng.integers(cap_apex))
-        per_edge = [
-            grover_success_prob(n, common.bit_count(), k_apex) for _, _, common in good
-        ]
+        per_edge = [grover_success_prob(n, count, k_apex) for count in good_counts]
         p_base = p_edge * sum(per_edge) / g if g else 0.0
         k_amp = int(rng.integers(k_amp_range))
         base_cost = k_edge + 2 * k_apex
@@ -254,9 +252,9 @@ def edge_restricted_triangle_search(
             weights = np.asarray(per_edge)
             cum = np.cumsum(weights)
             pick = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
-            a, b, common = good[pick]
-            c = nth_set_bit(common, int(rng.integers(common.bit_count())))
-            tri = tuple(sorted((a, b, c)))
+            a, b = int(good_rows[pick]), int(good_cols[pick])
+            apexes = np.flatnonzero(adj[a] & adj[b])
+            tri = tuple(sorted((a, b, int(apexes[rng.integers(len(apexes))]))))
             verify_triangle(oracle, tri)  # type: ignore[arg-type]
             return tri  # type: ignore[return-value]
     return None

@@ -6,7 +6,10 @@ steps 1, 5 and 7 read whole batches of pairs (v, u) with
 `QueryOracle.query_row`, one classical unit per probed pair, and verification
 probes single pairs with `QueryOracle.query`.  The pair bookkeeping itself
 (the working candidate set, the peeled set T and the classified set E) is
-classical and free once built.
+classical and free once built.  The search-space builders read the hidden
+graph unbilled, as simulator privilege, through the boolean arrays of
+`Graph.row` and `Graph.adjacency`; the working set is a dense boolean
+matrix with int32 common-neighbor counts.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from enum import Enum
 
 import numpy as np
 
-from .graphs import Graph, nth_set_bit, triangle_count
+from .graphs import Graph, triangle_count
 from .grover import SearchSpace, edge_restricted_triangle_search, safe_grover
 from .oracle import LedgerReport, QueryOracle, StepTag, verify_triangle
 from .rng import substream
@@ -178,10 +181,10 @@ def _induced_pair_space(hidden: Graph, members: list[int], q_test: int = 1) -> S
     size = len(members) * (len(members) - 1) // 2
     if size == 0:
         return SearchSpace(0, 0, q_test)
-    bits = 0
-    for v in members:
-        bits |= 1 << v
-    weights = np.array([(hidden.neighbors_bits(v) & bits).bit_count() for v in members])
+    inside = np.zeros(hidden.n + 1, dtype=np.float32)
+    inside[members] = 1.0
+    # a member's weight is its number of hidden neighbors among the members
+    weights = (hidden.adjacency()[members] @ inside).astype(np.int64)
     marked = int(weights.sum()) // 2
     if marked == 0:
         return SearchSpace(size, 0, q_test)
@@ -190,8 +193,8 @@ def _induced_pair_space(hidden: Graph, members: list[int], q_test: int = 1) -> S
     def draw(rng: np.random.Generator) -> Pair:
         pick = int(np.searchsorted(cum, rng.integers(cum[-1]), side="right"))
         v = members[pick]
-        row = hidden.neighbors_bits(v) & bits
-        w = nth_set_bit(row, int(rng.integers(row.bit_count())))
+        hood = np.flatnonzero(hidden.row(v) * inside)
+        w = int(hood[rng.integers(len(hood))])
         return (min(v, w), max(v, w))
 
     return SearchSpace(size, marked, q_test, draw)
@@ -202,31 +205,23 @@ def _triangle_space(hidden: Graph, pool: Graph) -> SearchSpace:
     size = triangle_count(pool)
     if size == 0:
         return SearchSpace(0, 0, 3)
-    both_rows = [0] * (pool.n + 1)
-    for v in range(1, pool.n + 1):
-        both_rows[v] = hidden.neighbors_bits(v) & pool.neighbors_bits(v)
-    edges = []
-    weights = []
-    for a, b in pool.edges():
-        if not hidden.has_edge(a, b):
-            continue
-        above = ~((1 << (b + 1)) - 1)
-        w = (both_rows[a] & both_rows[b] & above).bit_count()
-        if w:
-            edges.append((a, b))
-            weights.append(w)
-    marked = sum(weights)
+    # upper[a, c]: (a, c) is a pair of both graphs with a < c, so row products
+    # count each marked triangle a < b < c once, at its pair (a, b)
+    upper = np.triu(hidden.adjacency() & pool.adjacency(), 1)
+    float_upper = upper.astype(np.float32)
+    common = float_upper @ float_upper.T  # exact: counts never exceed n << 2**24
+    rows, cols = np.nonzero(upper & (common > 0))
+    weights = common[rows, cols].astype(np.int64)
+    marked = int(weights.sum())
     if marked == 0:
         return SearchSpace(size, 0, 3)
     cum = np.cumsum(weights)
 
     def draw(rng: np.random.Generator) -> Tri:
         pick = int(np.searchsorted(cum, rng.integers(cum[-1]), side="right"))
-        a, b = edges[pick]
-        above = ~((1 << (b + 1)) - 1)
-        common = both_rows[a] & both_rows[b] & above
-        c = nth_set_bit(common, int(rng.integers(common.bit_count())))
-        return (a, b, c)
+        a, b = int(rows[pick]), int(cols[pick])
+        apexes = np.flatnonzero(upper[a] & upper[b])
+        return (a, b, int(apexes[rng.integers(len(apexes))]))
 
     return SearchSpace(size, marked, 3, draw)
 
@@ -526,7 +521,9 @@ def solve(oracle: QueryOracle, params: Params | None = None, seed: int = 0) -> R
     events |= loop_events
     measured["T_size"] = len(t_pairs)
     measured["E_size"] = len(e_pairs)
-    measured["G_cap_E"] = sum(1 for a, b in e_pairs if oracle.hidden.has_edge(a, b))
+    e_ends = np.array(e_pairs, dtype=np.intp).reshape(-1, 2).T
+    measured["G_cap_E"] = int(np.count_nonzero(hidden_adj[e_ends[0], e_ends[1]]))
+    del e_ends  # |E| reaches ~100k pairs; free it before the final searches
     if tri is not None:
         return report(tri)
 

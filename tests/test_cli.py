@@ -7,11 +7,13 @@ import math
 import numpy as np
 import pytest
 
+import qtri.analysis
 import qtri.cli
 from qtri.adversary import or_star_instance
 from qtri.cli import main
 from qtri.graphs import load_graph, triangle_count
 from qtri.oracle import VerificationError
+from qtri.solver import Params
 
 
 def run(args):
@@ -106,13 +108,42 @@ def test_bench_deterministic_output(tmp_path):
 
 
 def test_bench_worker_fanout_matches_serial(tmp_path, monkeypatch):
-    serial, fanned = tmp_path / "serial.csv", tmp_path / "fanned.csv"
-    run(["bench", "--sizes", "32,48", "--trials", "3", "--seed", "4",
-         "--out-csv", str(serial)])
+    def bench(name):
+        assert run(["bench", "--sizes", "32,40,48", "--trials", "3", "--seed", "4",
+                    "--out-csv", str(tmp_path / f"{name}.csv"),
+                    "--out-json", str(tmp_path / f"{name}.json")]) == 0
+        return [(tmp_path / f"{name}.{ext}").read_bytes() for ext in ("csv", "json")]
+
+    serial = bench("serial")
     monkeypatch.setenv("QTRI_WORKERS", "2")
-    run(["bench", "--sizes", "32,48", "--trials", "3", "--seed", "4",
-         "--out-csv", str(fanned)])
-    assert serial.read_bytes() == fanned.read_bytes()
+    assert bench("fanned") == serial
+
+
+@pytest.mark.parametrize("algo", ["staged", "baseline"])
+def test_bench_fits_the_rows_it_ran(tmp_path, monkeypatch, algo):
+    # every instance runs once: the fit comes from the CSV rows, not a second pass
+    name = "solve" if algo == "staged" else "folklore_baseline"
+    calls = []
+    original = getattr(qtri.analysis, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.delenv("QTRI_WORKERS", raising=False)
+    monkeypatch.setattr(qtri.analysis, name, counted)
+    sizes, trials, seed = [16, 24, 32], 2, 6
+    json_path = tmp_path / "fit.json"
+    assert run(["bench", "--algo", algo, "--sizes", ",".join(map(str, sizes)),
+                "--trials", str(trials), "--seed", str(seed),
+                "--out-csv", str(tmp_path / "runs.csv"), "--out-json", str(json_path)]) == 0
+    assert len(calls) == len(sizes) * trials
+    monkeypatch.setattr(qtri.analysis, name, original)
+    if algo == "staged":
+        fit = qtri.analysis.empirical_scaling(sizes, trials, Params(), seed, "erdos_renyi", 0.5)
+    else:
+        fit = qtri.analysis.baseline_scaling(sizes, trials, seed, "erdos_renyi", 0.5, 2.0)
+    assert json.loads(json_path.read_text()) == fit.to_json()
 
 
 def test_bench_baseline(tmp_path):

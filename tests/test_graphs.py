@@ -2,23 +2,13 @@
 
 import itertools
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qtri import (
-    EdgeSet,
-    Graph,
-    bipartite_edges,
-    enumerate_triangles,
-    generate,
-    load_graph,
-    neighborhood,
-    path2_count,
-    save_graph,
-    threshold_graph,
-    triangle_count,
-)
+from qtri import Graph, generate, load_graph, save_graph, triangle_count
 from qtri.graphs import MAX_VERTICES, canon_pair
-from qtri.rng import substream
 
 K3 = Graph(3, [(1, 2), (2, 3), (1, 3)])
 K4 = Graph(4, list(itertools.combinations(range(1, 5), 2)))
@@ -34,90 +24,59 @@ def brute_triangles(graph):
     return out
 
 
-def test_neighborhood_complete():
-    assert neighborhood(K3, 1) == {2, 3}
-
-
-def test_neighborhood_empty_graph():
-    g = Graph(5)
-    for v in range(1, 6):
-        assert neighborhood(g, v) == set()
-
-
-def test_neighborhood_c4_sides():
-    assert neighborhood(C4, 1) == {3, 4}
-
-
-def test_neighborhood_rejects_bad_vertex():
-    with pytest.raises(ValueError):
-        neighborhood(K3, 4)
-    with pytest.raises(ValueError):
-        neighborhood(K3, 0)
-
-
-def test_path2_examples():
-    assert path2_count(K3, 1, 2) == 1
-    assert path2_count(C4, 1, 2) == 2
-    assert path2_count(C4, 1, 3) == 0
-
-
-def test_path2_rejects_loop():
-    with pytest.raises(ValueError):
-        path2_count(K3, 2, 2)
-
-
 def test_triangle_counts():
     assert triangle_count(K3) == 1
     assert triangle_count(K4) == 4
     assert triangle_count(C4) == 0
 
 
-def test_threshold_graph_examples():
-    assert len(threshold_graph(K4, 2)) == 6
-    assert len(threshold_graph(K4, 1)) == 0
-    g = Graph(5)
-    assert len(threshold_graph(g, 0)) == 10
-
-
-def test_threshold_graph_monotone_and_saturating():
-    g = generate("erdos_renyi", 12, seed=3, p=0.4)
-    previous = set()
-    for t in range(0, 13):
-        current = set(threshold_graph(g, t))
-        assert previous <= current
-        previous = current
-    assert len(threshold_graph(g, g.n)) == g.n * (g.n - 1) // 2
-
-
-def test_bipartite_edges_examples():
-    got = bipartite_edges(K3, {1}, {2, 3})
-    assert set(got) == {(1, 2), (1, 3)}
-    assert len(bipartite_edges(K3, set(), {1, 2, 3})) == 0
-    got = bipartite_edges(C4, {1, 2}, {3, 4})
-    assert len(got) == 4
-
-
 def test_triangle_enumeration_matches_count():
     for n, seed in [(8, 0), (14, 1), (18, 2), (25, 3), (32, 4), (32, 5)]:
         g = generate("erdos_renyi", n, seed=seed, p=0.35)
-        triangles = enumerate_triangles(g)
-        assert len(triangles) == len(set(triangles)) == triangle_count(g)
-        assert sorted(triangles) == brute_triangles(g)
+        assert triangle_count(g) == len(brute_triangles(g))
 
 
 def test_handshake_identity():
     # summing common-neighbor counts over the edges triple-counts triangles
     for seed in range(10):
         g = generate("erdos_renyi", 24, seed=seed, p=0.3)
-        acc = sum(path2_count(g, a, b) for a, b in g.edges())
-        assert acc == 3 * triangle_count(g)
+        acc = sum(int(np.count_nonzero(g.row(a) & g.row(b))) for a, b in g.edges())
+        assert acc == 3 * triangle_count(g) == 3 * len(brute_triangles(g))
 
 
-def test_path2_symmetry():
-    g = generate("erdos_renyi", 16, seed=1, p=0.5)
-    for a in range(1, 17):
-        for b in range(a + 1, 17):
-            assert path2_count(g, a, b) == path2_count(g, b, a)
+edge_lists = st.integers(min_value=1, max_value=40).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.tuples(st.integers(1, n), st.integers(1, n)), max_size=120),
+    )
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(edge_lists)
+def test_graph_agrees_with_a_set_of_pairs(case):
+    n, edges = case
+    edges = [(a, b) for a, b in edges if a != b]
+    g = Graph(n, edges)
+    ref = {canon_pair(a, b) for a, b in edges}
+    adj = g.adjacency()
+    assert adj.shape == (n + 1, n + 1) and adj.dtype == bool
+    assert g.edge_count == len(ref)
+    assert list(g.edges()) == sorted(ref)
+    for v in range(1, n + 1):
+        hood = {u for u in range(1, n + 1) if u != v and canon_pair(u, v) in ref}
+        assert set(np.flatnonzero(g.row(v)).tolist()) == hood
+        assert g.degree(v) == len(hood)
+        assert np.array_equal(adj[v], g.row(v))
+        for u in range(1, n + 1):
+            if u != v:
+                assert g.has_edge(u, v) == (canon_pair(u, v) in ref)
+    assert not adj[0].any() and not adj[:, 0].any()
+    back = Graph.from_adjacency(adj)
+    assert back.edge_count == g.edge_count
+    assert list(back.edges()) == list(g.edges())
+    assert np.array_equal(back.adjacency(), adj)
+    assert triangle_count(g) == len(brute_triangles(g))
 
 
 def test_generate_complete_via_p_one():
@@ -172,16 +131,9 @@ def test_graph_rejects_loops_and_bad_vertices():
     with pytest.raises(ValueError):
         Graph(4, [(1, 5)])
     with pytest.raises(ValueError):
+        Graph(4, [(0, 2)])
+    with pytest.raises(ValueError):
         canon_pair(3, 3)
-
-
-def test_edge_set_canonicalisation():
-    es = EdgeSet(6, [(3, 1), (1, 3), (2, 5)])
-    assert len(es) == 2
-    assert (1, 3) in es and (3, 1) in es
-    es.discard(5, 2)
-    assert len(es) == 1
-    assert es.to_graph().edge_count == 1
 
 
 def test_text_format_roundtrip(tmp_path):
@@ -204,8 +156,12 @@ def test_loader_rejects_bad_files(tmp_path):
     for name, content in cases.items():
         path = tmp_path / name
         path.write_text(content)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as err:
             load_graph(str(path))
+        if name == "dup.txt":
+            assert str(err.value) == f"{path}:3: duplicate edge (1, 2)"
+        if name == "range.txt":
+            assert str(err.value) == f"{path}:2: vertex 4 out of range 1..3"
 
 
 def test_loader_rejects_vertex_count_above_maximum(tmp_path):
@@ -227,13 +183,3 @@ def test_loader_reports_path_and_line_of_non_integer_edges(tmp_path):
         load_graph(str(path))
     assert str(err.value).startswith(f"{path}:4: ")
     assert "'2 x'" in str(err.value)
-
-
-def test_sample_triangle_is_valid():
-    from qtri.graphs import sample_triangle
-
-    g = generate("erdos_renyi", 20, seed=7, p=0.5)
-    rng = substream(0, "tri")
-    for _ in range(50):
-        a, b, c = sample_triangle(g, rng)
-        assert g.has_edge(a, b) and g.has_edge(b, c) and g.has_edge(a, c)

@@ -6,11 +6,13 @@ import math
 import numpy as np
 import pytest
 
-from qtri import Graph, Params, QueryOracle, generate, solve
+from qtri import Graph, Params, QueryOracle, generate, solve, triangle_count
 from qtri.rng import substream
 from qtri.solver import (
     Hypothesis,
     WorkingGraph,
+    _induced_pair_space,
+    _triangle_space,
     degree_gap,
     hypothesis_mismatch,
     peel_threshold,
@@ -40,6 +42,41 @@ def complete_working(n):
     adj[0, :] = adj[:, 0] = False
     np.fill_diagonal(adj, False)
     return WorkingGraph(n, adj)
+
+
+def test_search_space_samplers_match_a_set_reference():
+    # samplers pick by cumulative weight in the order the members (or the
+    # ascending pairs) come, then an ascending neighbor or apex; reports stay
+    # byte-identical only while that order holds
+    for seed in range(12):
+        n = 18 + seed
+        hidden = generate("erdos_renyi", n, seed=seed, p=0.5)
+        rng = np.random.default_rng(seed)
+        pool = Graph(n, [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)
+                         if rng.random() < 0.6])
+        both = {pair for pair in pool.edges() if hidden.has_edge(*pair)}
+        apexes = {(a, b): [c for c in range(b + 1, n + 1) if (a, c) in both and (b, c) in both]
+                  for a, b in sorted(both)}
+        picks = [(pair, cs) for pair, cs in apexes.items() if cs]
+        space = _triangle_space(hidden, pool)
+        assert space.size == triangle_count(pool)
+        assert space.marked_count == sum(len(cs) for _, cs in picks)
+        cum = np.cumsum([len(cs) for _, cs in picks])
+        ref, rng_space = substream(seed, "tri"), substream(seed, "tri")
+        for _ in range(20):
+            pair, cs = picks[int(np.searchsorted(cum, ref.integers(cum[-1]), side="right"))]
+            assert space.draw_marked(rng_space) == (*pair, cs[int(ref.integers(len(cs)))])
+
+        members = [int(v) + 1 for v in rng.permutation(n)[: n // 2]]  # not sorted
+        hoods = [[u for u in sorted(members) if u != v and hidden.has_edge(u, v)] for v in members]
+        space = _induced_pair_space(hidden, members)
+        cum = np.cumsum([len(hood) for hood in hoods])
+        assert space.marked_count == cum[-1] // 2 > 0
+        ref, rng_space = substream(seed, "pair"), substream(seed, "pair")
+        for _ in range(20):
+            pick = int(np.searchsorted(cum, ref.integers(cum[-1]), side="right"))
+            w = hoods[pick][int(ref.integers(len(hoods[pick])))]
+            assert space.draw_marked(rng_space) == (min(members[pick], w), max(members[pick], w))
 
 
 def test_sample_count_values():
