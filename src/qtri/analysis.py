@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graphs import Graph, generate, triangle_count
+from .graphs import Graph, common_neighbors, generate, triangle_count
 from .grover import grover_success_prob, iteration_cap
 from .oracle import QueryOracle
 from .rng import derive_seed, substream
@@ -195,6 +195,8 @@ def threshold_violation_rate(
     """
     if n < 8:
         raise ValueError("n must be >= 8")
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     violations = 0
     thresh = n ** (1.0 - epsilon)
     for trial in range(trials):
@@ -208,8 +210,7 @@ def threshold_violation_rate(
             nv = np.flatnonzero(adj[int(v)])
             if len(nv):
                 cover[np.ix_(nv, nv)] = True
-        float_adj = adj.astype(np.float32)
-        common = float_adj @ float_adj
+        common = common_neighbors(adj)
         candidate = ~cover
         candidate[np.tril_indices(n + 1)] = False
         candidate[0, :] = False
@@ -275,9 +276,9 @@ def trial_seeds(seed: int, n: int, trial: int) -> tuple[int, int]:
 
 def fit_totals(per_size: list[tuple[int, list[int]]]) -> ScalingFit:
     """Log-log fit of the mean total per size, one point per (n, totals) entry."""
+    if any(not totals for _, totals in per_size) or len({n for n, _ in per_size}) < 3:
+        raise ValueError("need at least 3 distinct sizes, each with some totals, for a fit")
     points = [(n, float(np.mean(totals))) for n, totals in per_size]
-    if len(points) < 3:
-        raise ValueError("need at least 3 sizes for a fit")
     xs = np.log([n for n, _ in points])
     ys = np.log([mean for _, mean in points])
     slope, intercept = np.polyfit(xs, ys, 1)

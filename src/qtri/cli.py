@@ -109,6 +109,12 @@ def _bench_row(job: tuple) -> dict:
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     sizes = [int(s) for s in args.sizes.split(",") if s]
+    if args.trials < 1:
+        raise ValueError(f"--trials must be >= 1, got {args.trials}")
+    if len(set(sizes)) < len(sizes):
+        raise ValueError(f"--sizes must be distinct, got {args.sizes}")
+    if args.out_json and len(sizes) < 3:
+        raise ValueError("--out-json needs at least 3 --sizes for a fit")
     params = _params_from(args)
     params_tuple = (params.epsilon, params.epsilon_prime, params.delta, params.c_safe, params.c0)
     jobs = [
@@ -157,10 +163,11 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
 
 
 def _cmd_lemma_checks(args: argparse.Namespace) -> int:
-    sweep = analysis.disjointness_sweep()
+    # the rate goes first: it rejects a bad --n or --trials before the long sweep
     rate = analysis.threshold_violation_rate(
         args.n, args.epsilon, args.trials, args.seed, kind=args.gen, p=args.p
     )
+    sweep = analysis.disjointness_sweep()
     payload = {
         "disjointness_sweep": {
             "points": sweep["points"],

@@ -121,14 +121,23 @@ class Graph:
         return f"Graph(n={self.n}, edges={self._edge_count})"
 
 
+def common_neighbors(rows: np.ndarray) -> np.ndarray:
+    """counts[i, j] = |{k : rows[i, k] and rows[j, k]}| for a boolean matrix,
+    as int32.  This is the one place that multiplies adjacency matrices: a
+    single float32 product `x @ x.T`, which is exact because every partial
+    sum is an integer no larger than the row length, and float32 holds every
+    integer below 2**24 (a dense boolean matrix with rows that long would
+    need terabytes)."""
+    x = rows.astype(np.float32)
+    x = x @ x.T  # drops the float copy of `rows` before the cast
+    return x.astype(np.int32)
+
+
 def triangle_count(graph: Graph) -> int:
     """Exact triangle count: summed over the ordered edges (a, b), the common
-    neighbor counts of A @ A count every triangle six times.  The float32
-    product is exact because no count exceeds n < 2**24."""
+    neighbor counts count every triangle six times."""
     adj = graph.adjacency()
-    paths = adj.astype(np.float32)
-    paths = paths @ paths
-    return int(np.sum(paths, where=adj, dtype=np.int64)) // 6
+    return int(np.sum(common_neighbors(adj), where=adj, dtype=np.int64)) // 6
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from typing import Any, Callable, Iterable
 
 import numpy as np
 
-from .graphs import Graph
+from .graphs import Graph, common_neighbors
 from .oracle import QueryOracle, StepTag, verify_triangle
 
 # Growth factor of the iteration-range ramp used when the number of marked
@@ -229,11 +229,10 @@ def edge_restricted_triangle_search(
     oracle.charge(math.ceil(math.sqrt(size)), tag)
     guess = 1 << max(0, (g - 1).bit_length())  # power-of-two estimate, >= g
 
-    float_adj = adj.astype(np.float32)
-    common = (float_adj @ float_adj)[g_rows, g_cols]  # exact: counts never exceed n << 2**24
+    common = common_neighbors(adj)[g_rows, g_cols]
     good = np.flatnonzero(common)
     good_rows, good_cols = g_rows[good], g_cols[good]
-    good_counts = common[good].astype(np.int64).tolist()
+    good_counts = common[good].tolist()
 
     k_edge = int(math.pi / 4.0 * math.sqrt(size / guess))
     p_edge = grover_success_prob(size, g, k_edge) if g else 0.0

@@ -9,19 +9,20 @@ probes single pairs with `QueryOracle.query`.  The pair bookkeeping itself
 classical and free once built.  The search-space builders read the hidden
 graph unbilled, as simulator privilege, through the boolean arrays of
 `Graph.row` and `Graph.adjacency`; the working set is a dense boolean
-matrix with int32 common-neighbor counts.
+matrix with int32 common-neighbor counts.  Every count matrix comes from
+`graphs.common_neighbors`.  The step-4 peel works in rounds, and it and
+step 7 drop batches of pairs through the one `WorkingGraph.remove_pairs`.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .graphs import Graph, triangle_count
+from .graphs import Graph, common_neighbors, triangle_count
 from .grover import SearchSpace, edge_restricted_triangle_search, safe_grover
 from .oracle import LedgerReport, QueryOracle, StepTag, verify_triangle
 from .rng import substream
@@ -113,9 +114,7 @@ class WorkingGraph:
     def __init__(self, n: int, adj: np.ndarray) -> None:
         self.n = n
         self.adj = adj
-        float_adj = adj.astype(np.float32)
-        # float32 matmul is exact here: counts never exceed n << 2**24
-        self.t = (float_adj @ float_adj).astype(np.int32)
+        self.t = common_neighbors(adj)
         self.pair_count = int(adj.sum()) // 2
 
     def has(self, a: int, b: int) -> bool:
@@ -160,15 +159,17 @@ class WorkingGraph:
         self.t[:, v] = 0
         return moved
 
-    def remove_pairs(self, pairs: list[Pair]) -> None:
+    def remove_pairs(self, pairs: np.ndarray | list[Pair]) -> None:
+        """Remove distinct working pairs, one (a, b) per row: one by one for a
+        small batch, else clear them at once and recount `t` in place."""
+        pairs = np.asarray(pairs, dtype=np.intp)
         if len(pairs) * self.n > self.n**3 // 16:
-            for a, b in pairs:
-                self.adj[a, b] = self.adj[b, a] = False
+            a, b = pairs.T
+            self.adj[a, b] = self.adj[b, a] = False
             self.pair_count -= len(pairs)
-            float_adj = self.adj.astype(np.float32)
-            self.t = (float_adj @ float_adj).astype(np.int32)
+            self.t[...] = common_neighbors(self.adj)
         else:
-            for a, b in pairs:
+            for a, b in pairs.tolist():
                 self.remove_pair(a, b)
 
 
@@ -181,19 +182,19 @@ def _induced_pair_space(hidden: Graph, members: list[int], q_test: int = 1) -> S
     size = len(members) * (len(members) - 1) // 2
     if size == 0:
         return SearchSpace(0, 0, q_test)
-    inside = np.zeros(hidden.n + 1, dtype=np.float32)
-    inside[members] = 1.0
     # a member's weight is its number of hidden neighbors among the members
-    weights = (hidden.adjacency()[members] @ inside).astype(np.int64)
+    weights = hidden.adjacency()[members][:, members].sum(axis=1, dtype=np.int64)
     marked = int(weights.sum()) // 2
     if marked == 0:
         return SearchSpace(size, 0, q_test)
     cum = np.cumsum(weights)
+    inside = np.zeros(hidden.n + 1, dtype=bool)
+    inside[members] = True
 
     def draw(rng: np.random.Generator) -> Pair:
         pick = int(np.searchsorted(cum, rng.integers(cum[-1]), side="right"))
         v = members[pick]
-        hood = np.flatnonzero(hidden.row(v) * inside)
+        hood = np.flatnonzero(hidden.row(v) & inside)
         w = int(hood[rng.integers(len(hood))])
         return (min(v, w), max(v, w))
 
@@ -208,8 +209,7 @@ def _triangle_space(hidden: Graph, pool: Graph) -> SearchSpace:
     # upper[a, c]: (a, c) is a pair of both graphs with a < c, so row products
     # count each marked triangle a < b < c once, at its pair (a, b)
     upper = np.triu(hidden.adjacency() & pool.adjacency(), 1)
-    float_upper = upper.astype(np.float32)
-    common = float_upper @ float_upper.T  # exact: counts never exceed n << 2**24
+    common = common_neighbors(upper)
     rows, cols = np.nonzero(upper & (common > 0))
     weights = common[rows, cols].astype(np.int64)
     marked = int(weights.sum())
@@ -296,27 +296,20 @@ def _spawn(rng: np.random.Generator, index: int) -> np.random.Generator:
 
 
 def step4_peel(working: WorkingGraph, tau: int) -> list[Pair]:
-    """Repeatedly move pairs whose current common-neighbor count is below tau.
+    """Move pairs whose common-neighbor count is below tau until none is left.
 
-    Worklist in canonical pair order; counts are maintained incrementally so
-    cascading removals are found without rescans.  Costs no queries.
+    Works in rounds: each round removes every working pair below tau at once,
+    and the peel stops when a round finds none.  Counts only fall as pairs
+    leave, so any removal order ends at the same set, the largest subset in
+    which every pair keeps at least tau common neighbors.  Costs no queries.
     """
-    adj, t = working.adj, working.t
-    rows, cols = np.nonzero(np.triu(adj, 1) & (t < tau))
-    heap: list[Pair] = list(zip(rows.tolist(), cols.tolist()))
-    heapq.heapify(heap)
     moved: list[Pair] = []
-    while heap:
-        a, b = heapq.heappop(heap)
-        if not adj[a, b]:
-            continue
-        working.remove_pair(a, b)
-        moved.append((a, b))
-        for u, row in ((a, working.adj[b]), (b, working.adj[a])):
-            crossed = np.flatnonzero(row & adj[u] & (t[u] == tau - 1))
-            for x in crossed.tolist():
-                heapq.heappush(heap, (min(u, x), max(u, x)))
-    return moved
+    while True:
+        batch = np.argwhere(np.triu(working.adj, 1) & (working.t < tau))
+        if not len(batch):
+            return moved
+        working.remove_pairs(batch)
+        moved.extend(zip(batch[:, 0].tolist(), batch[:, 1].tolist()))
 
 
 def step5_degree_hypothesis(
@@ -512,9 +505,8 @@ def solve(oracle: QueryOracle, params: Params | None = None, seed: int = 0) -> R
     measured["gprime_size"] = working.pair_count
 
     # privileged structural check of the candidate set against the hidden counts
-    hidden_adj = oracle.hidden.adjacency().astype(np.float32)
-    hidden_t = hidden_adj @ hidden_adj
-    if bool((hidden_t[np.triu(working.adj, 1)] > n ** (1.0 - params.epsilon)).any()):
+    limit = n ** (1.0 - params.epsilon)
+    if bool((common_neighbors(oracle.hidden.adjacency())[np.triu(working.adj, 1)] > limit).any()):
         events.add("gprime_violation")
 
     tri, t_pairs, e_pairs, loop_events = step8_loop(oracle, working, params, seed)
@@ -522,7 +514,7 @@ def solve(oracle: QueryOracle, params: Params | None = None, seed: int = 0) -> R
     measured["T_size"] = len(t_pairs)
     measured["E_size"] = len(e_pairs)
     e_ends = np.array(e_pairs, dtype=np.intp).reshape(-1, 2).T
-    measured["G_cap_E"] = int(np.count_nonzero(hidden_adj[e_ends[0], e_ends[1]]))
+    measured["G_cap_E"] = int(np.count_nonzero(oracle.hidden.adjacency()[e_ends[0], e_ends[1]]))
     del e_ends  # |E| reaches ~100k pairs; free it before the final searches
     if tri is not None:
         return report(tri)

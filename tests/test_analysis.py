@@ -17,7 +17,7 @@ from qtri import (
     threshold_violation_rate,
     triangle_count,
 )
-from qtri.analysis import disjointness_exponent_dev, disjointness_sweep
+from qtri.analysis import disjointness_exponent_dev, disjointness_sweep, fit_totals
 
 
 def test_cost_terms_default_triple():
@@ -137,6 +137,21 @@ def test_containment_full_sample_on_bipartite():
     # with every vertex sampled, any pair with a common neighbor is excluded
     rate = threshold_violation_rate(8, 3 / 7, trials=20, seed=2, kind="bipartite_blowup", p=None)
     assert rate == 0.0
+
+
+def test_containment_rejects_no_trials():
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        threshold_violation_rate(16, 3 / 7, trials=0, seed=0)
+
+
+@pytest.mark.parametrize("per_size", [
+    [(16, [5]), (24, [7])],
+    [(16, [5]), (16, [6]), (24, [7])],
+    [(16, [5]), (24, []), (32, [9])],
+], ids=["two-sizes", "repeated-size", "empty-totals"])
+def test_fit_totals_needs_three_distinct_sizes_with_totals(per_size):
+    with pytest.raises(ValueError, match="3 distinct sizes"):
+        fit_totals(per_size)
 
 
 def test_baseline_always_verifies():

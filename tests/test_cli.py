@@ -177,6 +177,26 @@ def test_lemma_checks_runs(tmp_path):
     assert "containment_violation_rate" in obj
 
 
+@pytest.mark.parametrize("args, message", [
+    (["bench", "--sizes", "16,24,32", "--trials", "0"], "--trials must be >= 1"),
+    (["bench", "--sizes", "16,16,24"], "--sizes must be distinct"),
+    (["bench", "--sizes", "16,24"], "at least 3 --sizes"),
+    (["lemma-checks", "--trials", "0"], "trials must be >= 1"),
+], ids=["bench-no-trials", "bench-repeated-size", "bench-two-sizes", "lemma-no-trials"])
+def test_bad_counts_exit_2_before_any_work(tmp_path, monkeypatch, capsys, args, message):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started on bad input")
+
+    for name in ("run_one", "folklore_baseline", "disjointness_sweep"):
+        monkeypatch.setattr(qtri.analysis, name, no_work)
+    outs = {"bench": ["--out-csv", str(tmp_path / "rows.csv"),
+                      "--out-json", str(tmp_path / "fit.json")],
+            "lemma-checks": ["--out", str(tmp_path / "checks.json")]}
+    assert run(args + outs[args[0]]) == 2
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_adversary_command(tmp_path):
     f, gamma = or_star_instance(2)
     fpath = tmp_path / "or2.json"

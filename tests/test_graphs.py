@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qtri import Graph, generate, load_graph, save_graph, triangle_count
-from qtri.graphs import MAX_VERTICES, canon_pair
+from qtri.graphs import MAX_VERTICES, canon_pair, common_neighbors
 
 K3 = Graph(3, [(1, 2), (2, 3), (1, 3)])
 K4 = Graph(4, list(itertools.combinations(range(1, 5), 2)))
@@ -77,6 +77,10 @@ def test_graph_agrees_with_a_set_of_pairs(case):
     assert list(back.edges()) == list(g.edges())
     assert np.array_equal(back.adjacency(), adj)
     assert triangle_count(g) == len(brute_triangles(g))
+    for rows in (adj, np.triu(adj, 1)):
+        brute = (rows[:, None, :] & rows[None, :, :]).sum(axis=2, dtype=np.int64)
+        counts = common_neighbors(rows)
+        assert counts.dtype == np.int32 and np.array_equal(counts, brute)
 
 
 def test_generate_complete_via_p_one():

@@ -5,8 +5,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qtri import Graph, Params, QueryOracle, generate, solve, triangle_count
+from qtri.graphs import canon_pair
 from qtri.rng import substream
 from qtri.solver import (
     Hypothesis,
@@ -156,19 +159,74 @@ def test_step4_postcondition():
         assert t[a, b] >= tau
 
 
-def test_step4_counts_stay_consistent():
-    rng = substream(3, "peel")
-    for trial in range(10):
-        g = generate("erdos_renyi", 14, seed=trial, p=0.5)
-        working = working_from_pairs(14, list(g.edges()))
-        step4_peel(working, tau=2)
-        adj = working.adj.astype(np.int32)
-        ref = adj @ adj
-        np.fill_diagonal(ref, 0)  # diagonal is never read; the live matrix keeps junk there
-        live = working.t.copy()
-        np.fill_diagonal(live, 0)
-        assert np.array_equal(ref, live)
-        assert int(rng.integers(10)) >= 0  # keep the stream alive across trials
+def assert_counts_consistent(working):
+    adj = working.adj
+    assert np.array_equal(adj, adj.T) and not adj[0].any() and not np.diag(adj).any()
+    assert working.pair_count == int(np.count_nonzero(adj)) // 2
+    ints = adj.astype(np.int64)
+    ref = ints @ ints
+    off = ~np.eye(working.n + 1, dtype=bool)  # the diagonal is never read
+    assert np.array_equal(working.t[off], ref[off])
+
+
+def random_working(data, n_max=16):
+    n = data.draw(st.integers(4, n_max), label="n")
+    everything = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
+    keep = data.draw(st.lists(st.booleans(), min_size=len(everything),
+                              max_size=len(everything)), label="keep")
+    return working_from_pairs(n, [pair for pair, k in zip(everything, keep) if k])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_removals_keep_counts_consistent(data):
+    # batches of every size up to the whole set fall on both sides of
+    # remove_pairs' switch between pair-by-pair updates and a recount
+    working = random_working(data)
+    held_t = working.t  # a caller holding the count matrix must see every update
+    for _ in range(data.draw(st.integers(1, 6), label="ops")):
+        live = working.pairs()
+        op = data.draw(st.sampled_from(["pair", "incident", "pairs"]), label="op")
+        if op == "incident":
+            v = data.draw(st.integers(1, working.n), label="v")
+            moved = working.remove_incident(v)
+            assert sorted(moved) == [pair for pair in live if v in pair]
+        elif live and op == "pair":
+            working.remove_pair(*data.draw(st.sampled_from(live), label="pair"))
+        elif live:
+            size = data.draw(st.integers(0, len(live)), label="size")
+            batch = data.draw(st.permutations(live), label="batch")[:size]
+            working.remove_pairs(batch)
+            assert not any(working.has(a, b) for a, b in batch)
+        assert working.t is held_t
+        assert_counts_consistent(working)
+
+
+def peel_reference(n, pairs, tau):
+    """Brute-force fixpoint: drop one pair below tau at a time, the largest
+    first, recounting every common neighborhood from scratch each time."""
+    live = set(pairs)
+    while True:
+        low = [(a, b) for a, b in live
+               if sum((canon_pair(a, c) in live) and (canon_pair(b, c) in live)
+                      for c in range(1, n + 1) if c not in (a, b)) < tau]
+        if not low:
+            return set(pairs) - live
+        live.remove(max(low))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_step4_counts_stay_consistent(data):
+    working = random_working(data, n_max=12)
+    tau = data.draw(st.integers(1, working.n), label="tau")
+    before = working.pairs()
+    moved = step4_peel(working, tau)
+    assert len(moved) == len(set(moved))
+    assert set(moved) == peel_reference(working.n, before, tau)
+    assert set(working.pairs()) == set(before) - set(moved)
+    assert all(working.t[a, b] >= tau for a, b in working.pairs())
+    assert_counts_consistent(working)
 
 
 def test_step5_zero_degree_is_low():
