@@ -26,10 +26,10 @@ from .adversary import (
     load_matrix,
     validate_gamma,
 )
-from .graphs import GENERATOR_KINDS, generate, load_graph, save_graph
+from .graphs import GENERATOR_KINDS, MIN_GRAPH_N, generate, load_graph, save_graph
 from .oracle import BudgetExceededError, QueryOracle, StepTag
 from .rng import derive_seed
-from .solver import Params, solve
+from .solver import MIN_N, Params, solve
 
 _GEN_CHOICES = sorted(GENERATOR_KINDS)
 
@@ -115,6 +115,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         raise ValueError(f"--sizes must be distinct, got {args.sizes}")
     if args.out_json and len(sizes) < 3:
         raise ValueError("--out-json needs at least 3 --sizes for a fit")
+    least = MIN_N if args.algo == "staged" else MIN_GRAPH_N
+    if min(sizes, default=least) < least:
+        raise ValueError(f"--algo {args.algo} needs --sizes >= {least}, got {args.sizes}")
     params = _params_from(args)
     params_tuple = (params.epsilon, params.epsilon_prime, params.delta, params.c_safe, params.c0)
     jobs = [

@@ -23,6 +23,7 @@ GENERATOR_KINDS = (
     "bipartite_blowup",
     "triangle_free_dense",
 )
+MIN_GRAPH_N = 3  # the smallest vertex count `generate` accepts
 
 
 def canon_pair(a: int, b: int) -> tuple[int, int]:
@@ -170,8 +171,8 @@ def generate(kind: str, n: int, seed: int, p: float | None = None) -> Graph:
     """
     if kind not in GENERATOR_KINDS:
         raise ValueError(f"unknown generator kind {kind!r}")
-    if n < 3:
-        raise ValueError("n must be >= 3")
+    if n < MIN_GRAPH_N:
+        raise ValueError(f"n must be >= {MIN_GRAPH_N}")
     needs_p = kind in ("erdos_renyi", "planted_triangle")
     if needs_p:
         if p is None or not 0.0 <= p <= 1.0:

@@ -203,12 +203,12 @@ def safe_grover(
 
 
 def edge_restricted_triangle_search(
-    pool: Iterable[tuple[int, int]],
+    pool: Graph,
     oracle: QueryOracle,
     tag: StepTag,
     rng: np.random.Generator,
 ) -> tuple[int, int, int] | None:
-    """Find a hidden-graph triangle having at least one pair in `pool`.
+    """Find a hidden-graph triangle having at least one pair in the `Graph` `pool`.
 
     Models the amplified two-level search: the base procedure picks a
     hidden-graph edge inside the pool (1 query per candidate round), then an
@@ -218,13 +218,14 @@ def edge_restricted_triangle_search(
     queries.  One-sided: a returned triangle is verified with 3 classical
     queries before being reported.
     """
-    pool_graph = Graph(oracle.n, pool)  # canonical, deduplicated and validated
-    size = pool_graph.edge_count
+    if pool.n != oracle.n:
+        raise ValueError(f"pool has n={pool.n}, but the oracle has n={oracle.n}")
+    size = pool.edge_count
     if not size:
         return None
     n = oracle.n
     adj = oracle.hidden.adjacency()
-    g_rows, g_cols = np.nonzero(np.triu(adj & pool_graph.adjacency(), 1))
+    g_rows, g_cols = np.nonzero(np.triu(adj & pool.adjacency(), 1))
     g = len(g_rows)
     oracle.charge(math.ceil(math.sqrt(size)), tag)
     guess = 1 << max(0, (g - 1).bit_length())  # power-of-two estimate, >= g

@@ -5,11 +5,12 @@ All adjacency information flows through the oracle and is billed per step:
 steps 1, 5 and 7 read whole batches of pairs (v, u) with
 `QueryOracle.query_row`, one classical unit per probed pair, and verification
 probes single pairs with `QueryOracle.query`.  The pair bookkeeping itself
-(the working candidate set, the peeled set T and the classified set E) is
-classical and free once built.  The search-space builders read the hidden
-graph unbilled, as simulator privilege, through the boolean arrays of
-`Graph.row` and `Graph.adjacency`; the working set is a dense boolean
-matrix with int32 common-neighbor counts.  Every count matrix comes from
+is classical and free once built: the working candidate set is a dense
+boolean matrix with int32 common-neighbor counts, and each removal marks the
+pair's fate, the peeled set T or the classified set E, in one int8 matrix
+that steps 9 and 10 read as two `Graph`s.  The search-space builders read the
+hidden graph unbilled, as simulator privilege, through the boolean arrays of
+`Graph.row` and `Graph.adjacency`.  Every count matrix comes from
 `graphs.common_neighbors`.  The step-4 peel works in rounds, and it and
 step 7 drop batches of pairs through the one `WorkingGraph.remove_pairs`.
 """
@@ -29,6 +30,9 @@ from .rng import substream
 
 Pair = tuple[int, int]
 Tri = tuple[int, int, int]
+
+MIN_N = 8  # the smallest vertex count `solve` accepts
+FATE_T, FATE_E = 1, 2  # `WorkingGraph.fate` of a peeled and of a classified pair
 
 
 @dataclass(frozen=True)
@@ -107,15 +111,17 @@ def peel_threshold(n: int, epsilon_prime: float) -> int:
 
 class WorkingGraph:
     """Mutable candidate pair set with incrementally maintained common-neighbor
-    counts.  Indexing is 1-based; row/col 0 are dead."""
+    counts and a symmetric `fate` per pair: 0 while working or never a candidate,
+    else what a batch removal gave it.  Indexing is 1-based; row/col 0 are dead."""
 
-    __slots__ = ("n", "adj", "t", "pair_count")
+    __slots__ = ("n", "adj", "t", "pair_count", "fate")
 
     def __init__(self, n: int, adj: np.ndarray) -> None:
         self.n = n
         self.adj = adj
         self.t = common_neighbors(adj)
         self.pair_count = int(adj.sum()) // 2
+        self.fate = np.zeros(adj.shape, dtype=np.int8)
 
     def has(self, a: int, b: int) -> bool:
         return bool(self.adj[a, b])
@@ -126,16 +132,13 @@ class WorkingGraph:
     def neighbors(self, v: int) -> np.ndarray:
         return np.flatnonzero(self.adj[v])
 
-    def pairs(self) -> list[Pair]:
-        rows, cols = np.nonzero(np.triu(self.adj, 1))
-        return list(zip(rows.tolist(), cols.tolist()))
-
     def first_active_vertex(self) -> int | None:
         degs = self.adj.sum(axis=1)
         hits = np.flatnonzero(degs > 0)
         return int(hits[0]) if len(hits) else None
 
     def remove_pair(self, a: int, b: int) -> None:
+        """Remove one working pair; unlike the batch removals, leave `fate` alone."""
         self.adj[a, b] = self.adj[b, a] = False
         self.pair_count -= 1
         nb = self.adj[b]  # post-removal rows: the removed pair is not a path leg
@@ -145,11 +148,11 @@ class WorkingGraph:
         self.t[b, :] -= na
         self.t[:, b] -= na
 
-    def remove_incident(self, v: int) -> list[Pair]:
+    def remove_incident(self, v: int, fate: int) -> None:
         nv = np.flatnonzero(self.adj[v])
         if not len(nv):
-            return []
-        moved = [(min(v, int(x)), max(v, int(x))) for x in nv]
+            return
+        self.fate[v, nv] = self.fate[nv, v] = fate
         self.adj[v, :] = False
         self.adj[:, v] = False
         self.pair_count -= len(nv)
@@ -157,14 +160,14 @@ class WorkingGraph:
         self.t[np.ix_(nv, nv)] -= 1
         self.t[v, :] = 0
         self.t[:, v] = 0
-        return moved
 
-    def remove_pairs(self, pairs: np.ndarray | list[Pair]) -> None:
-        """Remove distinct working pairs, one (a, b) per row: one by one for a
-        small batch, else clear them at once and recount `t` in place."""
-        pairs = np.asarray(pairs, dtype=np.intp)
+    def remove_pairs(self, pairs: np.ndarray | list[Pair], fate: int) -> None:
+        """Remove distinct working pairs, one (a, b) per row, as `fate`: one by
+        one for a small batch, else clear them at once and recount `t` in place."""
+        pairs = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
+        a, b = pairs.T
+        self.fate[a, b] = self.fate[b, a] = fate
         if len(pairs) * self.n > self.n**3 // 16:
-            a, b = pairs.T
             self.adj[a, b] = self.adj[b, a] = False
             self.pair_count -= len(pairs)
             self.t[...] = common_neighbors(self.adj)
@@ -295,21 +298,22 @@ def _spawn(rng: np.random.Generator, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence([key, index])))
 
 
-def step4_peel(working: WorkingGraph, tau: int) -> list[Pair]:
-    """Move pairs whose common-neighbor count is below tau until none is left.
+def step4_peel(working: WorkingGraph, tau: int) -> np.ndarray:
+    """Move pairs whose common-neighbor count is below tau to T until none is
+    left, and return the moved pairs as (a, b) rows with a < b.
 
     Works in rounds: each round removes every working pair below tau at once,
     and the peel stops when a round finds none.  Counts only fall as pairs
     leave, so any removal order ends at the same set, the largest subset in
     which every pair keeps at least tau common neighbors.  Costs no queries.
     """
-    moved: list[Pair] = []
+    batches = [np.empty((0, 2), dtype=np.intp)]
     while True:
         batch = np.argwhere(np.triu(working.adj, 1) & (working.t < tau))
         if not len(batch):
-            return moved
-        working.remove_pairs(batch)
-        moved.extend(zip(batch[:, 0].tolist(), batch[:, 1].tolist()))
+            return np.concatenate(batches)
+        working.remove_pairs(batch, FATE_T)
+        batches.append(batch)
 
 
 def step5_degree_hypothesis(
@@ -346,9 +350,9 @@ def hypothesis_mismatch(n: int, delta: float, true_degree: int, verdict: Hypothe
     return verdict is Hypothesis.HIGH and true_degree < low
 
 
-def step6_low_degree(working: WorkingGraph, v: int) -> list[Pair]:
-    """Move every candidate pair incident to v out of the working set."""
-    return working.remove_incident(v)
+def step6_low_degree(working: WorkingGraph, v: int) -> None:
+    """Move every candidate pair incident to v from the working set to E."""
+    working.remove_incident(v, FATE_E)
 
 
 def step7_high_degree(
@@ -357,14 +361,14 @@ def step7_high_degree(
     v: int,
     params: Params,
     rng: np.random.Generator,
-) -> tuple[Tri | None, list[Pair], bool, bool]:
-    """Reveal v's hidden neighborhood, search it for an edge, else classify.
+) -> tuple[Tri | None, bool, bool]:
+    """Reveal v's hidden neighborhood, search it for an edge, else move the
+    working pairs between it and v's candidate neighbors to E.
 
-    Returns (triangle, moved pairs, search-missed flag, no-progress flag).
-    When no pair lies between the two neighborhoods the candidate pairs
-    incident to v are moved instead; after a completed peel that situation
-    implies none of them is a hidden edge, so the move costs the later
-    intersection search nothing.
+    Returns (triangle, search-missed flag, no-progress flag).  When no pair
+    lies between the two neighborhoods the candidate pairs incident to v are
+    moved instead; after a completed peel that situation implies none of them
+    is a hidden edge, so the move costs the later intersection search nothing.
     """
     hood = _read_neighborhood(oracle, v, StepTag.STEP7)
     space = _induced_pair_space(oracle.hidden, hood.tolist(), q_test=1)
@@ -373,24 +377,18 @@ def step7_high_degree(
         a, b = out.found
         tri = tuple(sorted((v, a, b)))
         verify_triangle(oracle, tri)  # type: ignore[arg-type]
-        return tri, [], False, False  # type: ignore[return-value]
+        return tri, False, False  # type: ignore[return-value]
     missed = space.marked_count > 0
 
-    prime_arr = working.neighbors(v)
-    moved: list[Pair] = []
-    if len(hood) and len(prime_arr):
-        block = working.adj[np.ix_(hood, prime_arr)]
-        a_idx, b_idx = np.nonzero(block)
-        moved = sorted(
-            {
-                (min(int(hood[i]), int(prime_arr[j])), max(int(hood[i]), int(prime_arr[j])))
-                for i, j in zip(a_idx.tolist(), b_idx.tolist())
-            }
-        )
-    if moved:
-        working.remove_pairs(moved)
-        return None, moved, missed, False
-    return None, working.remove_incident(v), missed, True
+    # the neighborhoods can overlap: the symmetric mask names each pair once, a < b
+    between = np.zeros_like(working.adj)
+    between[np.ix_(hood, working.neighbors(v))] = True
+    batch = np.argwhere(np.triu(working.adj & (between | between.T), 1))
+    if len(batch):
+        working.remove_pairs(batch, FATE_E)
+        return None, missed, False
+    working.remove_incident(v, FATE_E)
+    return None, missed, True
 
 
 def step8_loop(
@@ -398,20 +396,18 @@ def step8_loop(
     working: WorkingGraph,
     params: Params,
     seed: int,
-) -> tuple[Tri | None, list[Pair], list[Pair], set[str]]:
+) -> tuple[Tri | None, set[str]]:
     """Alternate peeling and degree classification until no candidate remains.
 
     Every cycle strictly shrinks the working set, so the loop terminates and
-    each original candidate pair ends up in exactly one of T or E.
+    each original candidate pair ends up with exactly one fate, T or E.
     """
     n = oracle.n
     tau = peel_threshold(n, params.epsilon_prime)
-    t_pairs: list[Pair] = []
-    e_pairs: list[Pair] = []
     events: set[str] = set()
     invocation = 0
     while True:
-        t_pairs.extend(step4_peel(working, tau))
+        step4_peel(working, tau)
         v = working.first_active_vertex()
         if v is None:
             break
@@ -421,9 +417,9 @@ def step8_loop(
         if hypothesis_mismatch(n, params.delta, oracle.hidden.degree(v), verdict):
             events.add("hypothesis_mismatch")
         if verdict is Hypothesis.LOW:
-            e_pairs.extend(step6_low_degree(working, v))
+            step6_low_degree(working, v)
         else:
-            tri, moved, missed, stalled = step7_high_degree(
+            tri, missed, stalled = step7_high_degree(
                 oracle, working, v, params, substream(seed, "step7", invocation)
             )
             if missed:
@@ -431,23 +427,21 @@ def step8_loop(
             if stalled:
                 events.add("step7_no_progress")
             if tri is not None:
-                return tri, t_pairs, e_pairs, events
-            e_pairs.extend(moved)
+                return tri, events
         invocation += 1
-    return None, t_pairs, e_pairs, events
+    return None, events
 
 
 def step9_search_T(
     oracle: QueryOracle,
-    t_pairs: list[Pair],
+    pool: Graph,
     params: Params,
     rng: np.random.Generator,
 ) -> tuple[Tri | None, int, bool]:
-    """Search the triangles spanned by the peeled pair set.
+    """Search the triangles spanned by the peeled pair set `pool`.
 
     Returns (triangle, number of spanned triangles, search-missed flag).
     """
-    pool = Graph(oracle.n, t_pairs)
     space = _triangle_space(oracle.hidden, pool)
     if space.size == 0:
         return None, 0, False
@@ -460,12 +454,12 @@ def step9_search_T(
 
 def step10_search_E(
     oracle: QueryOracle,
-    e_pairs: list[Pair],
+    pool: Graph,
     params: Params,
     rng: np.random.Generator,
 ) -> Tri | None:
     """Search for a hidden triangle with at least one pair in the classified set."""
-    return edge_restricted_triangle_search(e_pairs, oracle, StepTag.STEP10, rng)
+    return edge_restricted_triangle_search(pool, oracle, StepTag.STEP10, rng)
 
 
 def solve(oracle: QueryOracle, params: Params | None = None, seed: int = 0) -> RunReport:
@@ -477,8 +471,8 @@ def solve(oracle: QueryOracle, params: Params | None = None, seed: int = 0) -> R
     """
     params = params or Params()
     n = oracle.n
-    if n < 8:
-        raise ValueError("solver needs n >= 8")
+    if n < MIN_N:
+        raise ValueError(f"solver needs n >= {MIN_N}")
     events: set[str] = set()
     measured = {"gprime_size": 0, "T_size": 0, "E_size": 0, "G_cap_E": 0, "t_of_T": 0}
 
@@ -509,22 +503,22 @@ def solve(oracle: QueryOracle, params: Params | None = None, seed: int = 0) -> R
     if bool((common_neighbors(oracle.hidden.adjacency())[np.triu(working.adj, 1)] > limit).any()):
         events.add("gprime_violation")
 
-    tri, t_pairs, e_pairs, loop_events = step8_loop(oracle, working, params, seed)
+    tri, loop_events = step8_loop(oracle, working, params, seed)
     events |= loop_events
-    measured["T_size"] = len(t_pairs)
-    measured["E_size"] = len(e_pairs)
-    e_ends = np.array(e_pairs, dtype=np.intp).reshape(-1, 2).T
-    measured["G_cap_E"] = int(np.count_nonzero(oracle.hidden.adjacency()[e_ends[0], e_ends[1]]))
-    del e_ends  # |E| reaches ~100k pairs; free it before the final searches
+    in_e = working.fate == FATE_E
+    measured["G_cap_E"] = int(np.count_nonzero(oracle.hidden.adjacency() & in_e)) // 2
+    t_pool, e_pool = Graph.from_adjacency(working.fate == FATE_T), Graph.from_adjacency(in_e)
+    del working, in_e  # free the (n+1)^2 matrices before the final searches
+    measured["T_size"], measured["E_size"] = t_pool.edge_count, e_pool.edge_count
     if tri is not None:
         return report(tri)
 
-    tri, t_of_t, missed9 = step9_search_T(oracle, t_pairs, params, substream(seed, "step9"))
+    tri, t_of_t, missed9 = step9_search_T(oracle, t_pool, params, substream(seed, "step9"))
     measured["t_of_T"] = t_of_t
     if missed9:
         events.add("safe_grover_miss")
     if tri is not None:
         return report(tri)
 
-    tri = step10_search_E(oracle, e_pairs, params, substream(seed, "step10"))
+    tri = step10_search_E(oracle, e_pool, params, substream(seed, "step10"))
     return report(tri)

@@ -181,8 +181,12 @@ def test_lemma_checks_runs(tmp_path):
     (["bench", "--sizes", "16,24,32", "--trials", "0"], "--trials must be >= 1"),
     (["bench", "--sizes", "16,16,24"], "--sizes must be distinct"),
     (["bench", "--sizes", "16,24"], "at least 3 --sizes"),
+    (["bench", "--sizes", "16,24,4"], "--algo staged needs --sizes >= 8"),
+    (["bench", "--sizes", "16,24,7"], "--algo staged needs --sizes >= 8"),
+    (["bench", "--algo", "baseline", "--sizes", "2,16,24"], "--algo baseline needs --sizes >= 3"),
     (["lemma-checks", "--trials", "0"], "trials must be >= 1"),
-], ids=["bench-no-trials", "bench-repeated-size", "bench-two-sizes", "lemma-no-trials"])
+], ids=["bench-no-trials", "bench-repeated-size", "bench-two-sizes", "bench-staged-too-small",
+        "bench-staged-just-below", "bench-baseline-too-small", "lemma-no-trials"])
 def test_bad_counts_exit_2_before_any_work(tmp_path, monkeypatch, capsys, args, message):
     def no_work(*args, **kwargs):
         raise AssertionError("work started on bad input")

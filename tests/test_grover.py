@@ -175,8 +175,19 @@ def test_safe_grover_single_item_space():
 
 def test_edge_restricted_empty_pool_is_free():
     oracle = fresh_oracle()
-    got = edge_restricted_triangle_search([], oracle, StepTag.STEP10, substream(0, "j"))
+    pool = Graph(oracle.n)
+    got = edge_restricted_triangle_search(pool, oracle, StepTag.STEP10, substream(0, "j"))
     assert got is None
+    assert oracle.report().total == 0
+
+
+def test_edge_restricted_pool_on_another_vertex_set_is_rejected_before_billing():
+    g = Graph(8, [(1, 2), (2, 3), (1, 3)])
+    oracle = QueryOracle(g, budget=10**9)
+    for n in (7, 9):
+        with pytest.raises(ValueError, match="pool has n="):
+            edge_restricted_triangle_search(Graph(n, [(1, 2)]), oracle, StepTag.STEP10,
+                                            substream(0, "p"))
     assert oracle.report().total == 0
 
 
@@ -185,7 +196,8 @@ def test_edge_restricted_single_edge_triangle():
     wins = 0
     for seed in range(300):
         oracle = QueryOracle(g, budget=10**9)
-        tri = edge_restricted_triangle_search([(1, 2)], oracle, StepTag.STEP10, substream(seed, "k"))
+        pool = Graph(3, [(1, 2)])
+        tri = edge_restricted_triangle_search(pool, oracle, StepTag.STEP10, substream(seed, "k"))
         if tri is not None:
             assert tri == (1, 2, 3)
             wins += 1
@@ -194,10 +206,9 @@ def test_edge_restricted_single_edge_triangle():
 
 def test_edge_restricted_triangle_free_never_finds():
     g = Graph(8, [(a, b) for a in (1, 2, 3, 4) for b in (5, 6, 7, 8)])
-    pool = list(g.edges())
     for seed in range(100):
-        oracle = QueryOracle(g, budget=10**9)
-        assert edge_restricted_triangle_search(pool, oracle, StepTag.STEP10, substream(seed, "l")) is None
+        oracle = QueryOracle(g, budget=10**9)  # the pool is every hidden edge
+        assert edge_restricted_triangle_search(g, oracle, StepTag.STEP10, substream(seed, "l")) is None
 
 
 def test_edge_restricted_no_false_positives_fuzz():
@@ -207,7 +218,8 @@ def test_edge_restricted_no_false_positives_fuzz():
         g = generate("erdos_renyi", 16, seed=seed, p=0.25)
         pool = [(a, b) for a in range(1, 17) for b in range(a + 1, 17) if (a + b + seed) % 3 == 0]
         oracle = QueryOracle(g, budget=10**9)
-        tri = edge_restricted_triangle_search(pool, oracle, StepTag.STEP10, substream(seed, "m"))
+        tri = edge_restricted_triangle_search(Graph(16, pool), oracle, StepTag.STEP10,
+                                              substream(seed, "m"))
         if tri is not None:
             a, b, c = tri
             assert g.has_edge(a, b) and g.has_edge(b, c) and g.has_edge(a, c)
@@ -223,7 +235,8 @@ def test_edge_restricted_cost_cap():
         if not pool:
             continue
         oracle = QueryOracle(g, budget=10**9)
-        edge_restricted_triangle_search(pool, oracle, StepTag.STEP10, substream(seed, "n"))
+        edge_restricted_triangle_search(Graph(24, pool), oracle, StepTag.STEP10,
+                                        substream(seed, "n"))
         g_cap = sum(1 for a, b in pool if g.has_edge(a, b))
         cap = AA_COST_CONSTANT * (
             math.sqrt(len(pool)) + math.sqrt(g.n * max(1, g_cap))

@@ -12,6 +12,9 @@ from qtri import Graph, Params, QueryOracle, generate, solve, triangle_count
 from qtri.graphs import canon_pair
 from qtri.rng import substream
 from qtri.solver import (
+    FATE_E,
+    FATE_T,
+    MIN_N,
     Hypothesis,
     WorkingGraph,
     _induced_pair_space,
@@ -26,6 +29,7 @@ from qtri.solver import (
     step5_degree_hypothesis,
     step6_low_degree,
     step7_high_degree,
+    step8_loop,
     step9_search_T,
     step10_search_E,
 )
@@ -45,6 +49,28 @@ def complete_working(n):
     adj[0, :] = adj[:, 0] = False
     np.fill_diagonal(adj, False)
     return WorkingGraph(n, adj)
+
+
+def upper_pairs(mask):
+    """The (a, b) pairs with a < b where a square matrix is set, ascending."""
+    rows, cols = np.nonzero(np.triu(mask, 1))
+    return list(zip(rows.tolist(), cols.tolist()))
+
+
+def live_pairs(working):
+    return upper_pairs(working.adj)
+
+
+def fate_pairs(working, fate):
+    return upper_pairs(working.fate == fate)
+
+
+def fate_after(fate, pairs, value):
+    """`fate` with every pair of `pairs` set to `value`, both ways round."""
+    expected = fate.copy()
+    for a, b in pairs:
+        expected[a, b] = expected[b, a] = value
+    return expected
 
 
 def test_search_space_samplers_match_a_set_reference():
@@ -107,7 +133,7 @@ def test_step2_c5_all_vertices():
     hoods = {v: sorted({u for u in range(1, 6) if u != v and g.has_edge(u, v)}) for v in sample}
     tri, working, _ = step2_build_gprime(oracle, sample, hoods, DEFAULTS, substream(0, "s2"))
     assert tri is None
-    kept = {(a, b) for a, b in working.pairs()}
+    kept = set(live_pairs(working))
     diagonals = {(2, 5), (1, 3), (2, 4), (3, 5), (1, 4)}
     assert kept == {(a, b) for a in range(1, 6) for b in range(a + 1, 6)} - diagonals
     assert all(pair in kept for pair in g.edges())  # hidden edges survive
@@ -143,11 +169,13 @@ def test_step4_peel_complete_candidates():
     moved = step4_peel(working, tau=8)  # every pair has 6 common candidates
     assert len(moved) == 28
     assert working.pair_count == 0
+    assert len(fate_pairs(working, FATE_T)) == 28 and not (working.fate == FATE_E).any()
 
 
 def test_step4_peel_empty():
     working = working_from_pairs(8, [])
-    assert step4_peel(working, tau=5) == []
+    assert len(step4_peel(working, tau=5)) == 0
+    assert not working.fate.any()
 
 
 def test_step4_postcondition():
@@ -155,7 +183,7 @@ def test_step4_postcondition():
     tau = peel_threshold(8, DEFAULTS.epsilon_prime)  # 6: all counts are 6, none below
     step4_peel(working, tau)
     t = working.t
-    for a, b in working.pairs():
+    for a, b in live_pairs(working):
         assert t[a, b] >= tau
 
 
@@ -185,19 +213,24 @@ def test_removals_keep_counts_consistent(data):
     working = random_working(data)
     held_t = working.t  # a caller holding the count matrix must see every update
     for _ in range(data.draw(st.integers(1, 6), label="ops")):
-        live = working.pairs()
+        live = live_pairs(working)
+        before = working.fate.copy()
         op = data.draw(st.sampled_from(["pair", "incident", "pairs"]), label="op")
+        fate = data.draw(st.sampled_from([FATE_T, FATE_E]), label="fate")
+        removed = []  # the pairs a batch removal must mark with `fate`
         if op == "incident":
             v = data.draw(st.integers(1, working.n), label="v")
-            moved = working.remove_incident(v)
-            assert sorted(moved) == [pair for pair in live if v in pair]
+            working.remove_incident(v, fate)
+            removed = [pair for pair in live if v in pair]
+            assert not working.adj[v].any()
         elif live and op == "pair":
             working.remove_pair(*data.draw(st.sampled_from(live), label="pair"))
         elif live:
             size = data.draw(st.integers(0, len(live)), label="size")
-            batch = data.draw(st.permutations(live), label="batch")[:size]
-            working.remove_pairs(batch)
-            assert not any(working.has(a, b) for a, b in batch)
+            removed = data.draw(st.permutations(live), label="batch")[:size]
+            working.remove_pairs(removed, fate)
+            assert not any(working.has(a, b) for a, b in removed)
+        assert np.array_equal(working.fate, fate_after(before, removed, fate))
         assert working.t is held_t
         assert_counts_consistent(working)
 
@@ -220,12 +253,50 @@ def peel_reference(n, pairs, tau):
 def test_step4_counts_stay_consistent(data):
     working = random_working(data, n_max=12)
     tau = data.draw(st.integers(1, working.n), label="tau")
-    before = working.pairs()
-    moved = step4_peel(working, tau)
+    before = live_pairs(working)
+    fate_before = working.fate.copy()
+    moved = [tuple(pair) for pair in step4_peel(working, tau).tolist()]
     assert len(moved) == len(set(moved))
+    assert all(a < b for a, b in moved)
     assert set(moved) == peel_reference(working.n, before, tau)
-    assert set(working.pairs()) == set(before) - set(moved)
-    assert all(working.t[a, b] >= tau for a, b in working.pairs())
+    assert set(live_pairs(working)) == set(before) - set(moved)
+    assert np.array_equal(working.fate, fate_after(fate_before, moved, FATE_T))
+    assert all(working.t[a, b] >= tau for a, b in live_pairs(working))
+    assert_counts_consistent(working)
+
+
+def random_pairs(rng, n, density, sides=None):
+    """Each pair of 1..n with the given probability; with `sides`, only pairs
+    across the two sides, so the graph is bipartite and triangle-free."""
+    return [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)
+            if (sides is None or sides[a] != sides[b]) and rng.random() < density]
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(4, 12), working_density=st.sampled_from([0.5, 0.8, 1.0]),
+       hidden_density=st.sampled_from([0.1, 0.5, 0.9]), bipartite=st.booleans(),
+       eps_prime=st.sampled_from([1 / 7, 0.5, 0.9]), graph_seed=st.integers(0, 2**32 - 1),
+       seed=st.integers(0, 2**16))
+def test_step8_gives_every_candidate_one_fate(
+    n, working_density, hidden_density, bipartite, eps_prime, graph_seed, seed
+):
+    rng = np.random.default_rng(graph_seed)
+    working = working_from_pairs(n, random_pairs(rng, n, working_density))
+    sides = rng.random(n + 1) < 0.5 if bipartite else None
+    hidden = Graph(n, random_pairs(rng, n, hidden_density, sides))
+    params = Params(epsilon_prime=eps_prime)  # a low tau lets steps 5-7 run too
+    initial = working.adj.copy()
+    tri, _ = step8_loop(QueryOracle(hidden, budget=10**9), working, params, seed)
+    fate = working.fate
+    assert np.array_equal(fate, fate.T)
+    assert set(np.unique(fate).tolist()) <= {0, FATE_T, FATE_E}
+    assert not (working.adj & (fate != 0)).any()  # a pair with a fate has left
+    assert np.array_equal(working.adj | (fate != 0), initial)
+    if bipartite:
+        assert tri is None
+    if tri is None:  # the loop ran to its end: every candidate pair got a fate
+        assert not working.adj.any() and working.pair_count == 0
+        assert np.array_equal(fate != 0, initial)
     assert_counts_consistent(working)
 
 
@@ -266,10 +337,13 @@ def test_hypothesis_mismatch_logic():
 
 def test_step6_moves_incident_pairs():
     working = working_from_pairs(8, [(1, 2), (1, 3), (1, 7), (2, 3)])
-    moved = step6_low_degree(working, 1)
-    assert sorted(moved) == [(1, 2), (1, 3), (1, 7)]
+    step6_low_degree(working, 1)
+    assert fate_pairs(working, FATE_E) == [(1, 2), (1, 3), (1, 7)]
+    assert not (working.fate == FATE_T).any()
     assert working.degree(1) == 0
-    assert step6_low_degree(working, 1) == []  # idempotent
+    held = working.fate.copy()
+    step6_low_degree(working, 1)  # idempotent
+    assert np.array_equal(working.fate, held)
     assert working.pair_count == 1
 
 
@@ -279,8 +353,9 @@ def test_step7_k4_finds_triangle():
         g = generate("complete", 4, seed=0)
         oracle = QueryOracle(g, budget=10**6)
         working = complete_working(4)
-        tri, moved, _, _ = step7_high_degree(oracle, working, 1, DEFAULTS, substream(seed, "s7"))
+        tri, _, _ = step7_high_degree(oracle, working, 1, DEFAULTS, substream(seed, "s7"))
         if tri is not None:
+            assert not working.fate.any()  # nothing moves when a triangle is found
             wins += 1
     assert wins >= 0.99 * 120
 
@@ -291,10 +366,25 @@ def test_step7_bipartite_classifies():
     g = Graph(8, [(1, 2), (1, 3)])
     oracle = QueryOracle(g, budget=10**6)
     working = working_from_pairs(8, [(1, 5), (2, 5), (2, 3)])
-    tri, moved, missed, stalled = step7_high_degree(oracle, working, 1, DEFAULTS, substream(0, "s7"))
+    tri, missed, stalled = step7_high_degree(oracle, working, 1, DEFAULTS, substream(0, "s7"))
     assert tri is None and not missed and not stalled
-    assert sorted(moved) == [(2, 5)]
+    assert fate_pairs(working, FATE_E) == [(2, 5)]
+    assert not (working.fate == FATE_T).any()
     assert working.has(1, 5) and working.has(2, 3)
+
+
+def test_step7_overlapping_neighborhoods_move_each_pair_once():
+    # hidden neighbors 2, 3, 4 of v=1 are also among its candidate neighbors
+    # 2..5, so the pairs inside {2, 3, 4} lie between the two sets both ways round
+    g = Graph(8, [(1, 2), (1, 3), (1, 4)])
+    oracle = QueryOracle(g, budget=10**6)
+    v_pairs = [(1, 2), (1, 3), (1, 4), (1, 5)]
+    working = working_from_pairs(8, v_pairs + [(2, 3), (2, 4), (3, 4), (2, 5), (2, 6)])
+    tri, missed, stalled = step7_high_degree(oracle, working, 1, DEFAULTS, substream(0, "s7"))
+    assert tri is None and not missed and not stalled
+    assert fate_pairs(working, FATE_E) == [(2, 3), (2, 4), (2, 5), (3, 4)]
+    assert live_pairs(working) == v_pairs + [(2, 6)]
+    assert_counts_consistent(working)
 
 
 def test_step7_query_accounting():
@@ -315,16 +405,17 @@ def test_step7_no_progress_fallback():
     g = Graph(6, [(1, 2), (1, 3)])
     oracle = QueryOracle(g, budget=10**6)
     working = working_from_pairs(6, [(1, 5), (1, 6)])
-    tri, moved, _, stalled = step7_high_degree(oracle, working, 1, DEFAULTS, substream(0, "s7"))
+    tri, _, stalled = step7_high_degree(oracle, working, 1, DEFAULTS, substream(0, "s7"))
     assert tri is None and stalled
-    assert sorted(moved) == [(1, 5), (1, 6)]
+    moved = fate_pairs(working, FATE_E)
+    assert moved == [(1, 5), (1, 6)]
     assert all(not g.has_edge(a, b) for a, b in moved)
     assert working.pair_count == 0
 
 
 def test_step9_trivial_cases():
     oracle = QueryOracle(Graph(8))
-    tri, count, _ = step9_search_T(oracle, [(1, 2), (3, 4)], DEFAULTS, substream(0, "s9"))
+    tri, count, _ = step9_search_T(oracle, Graph(8, [(1, 2), (3, 4)]), DEFAULTS, substream(0, "s9"))
     assert tri is None and count == 0
     assert oracle.report().total == 0
 
@@ -335,7 +426,7 @@ def test_step9_finds_spanned_triangle():
     for seed in range(100):
         oracle = QueryOracle(g, budget=10**6)
         tri, count, _ = step9_search_T(
-            oracle, [(1, 2), (2, 3), (1, 3), (4, 5)], DEFAULTS, substream(seed, "s9")
+            oracle, Graph(8, [(1, 2), (2, 3), (1, 3), (4, 5)]), DEFAULTS, substream(seed, "s9")
         )
         assert count == 1
         if tri == (1, 2, 3):
@@ -345,16 +436,16 @@ def test_step9_finds_spanned_triangle():
 
 def test_step9_triangle_free_hidden_graph():
     g = Graph(8, [(a, b) for a in (1, 2, 3, 4) for b in (5, 6, 7, 8)])
-    pairs = [(1, 2), (2, 3), (1, 3)]  # spans a triangle, but not in the hidden graph
+    pool = Graph(8, [(1, 2), (2, 3), (1, 3)])  # spans a triangle, not in the hidden graph
     for seed in range(50):
         oracle = QueryOracle(g, budget=10**6)
-        tri, count, _ = step9_search_T(oracle, pairs, DEFAULTS, substream(seed, "s9"))
+        tri, count, _ = step9_search_T(oracle, pool, DEFAULTS, substream(seed, "s9"))
         assert tri is None and count == 1
 
 
 def test_step10_empty():
     oracle = QueryOracle(Graph(8))
-    assert step10_search_E(oracle, [], DEFAULTS, substream(0, "s10")) is None
+    assert step10_search_E(oracle, Graph(8), DEFAULTS, substream(0, "s10")) is None
 
 
 def test_step10_planted_edge_in_pool():
@@ -362,7 +453,8 @@ def test_step10_planted_edge_in_pool():
     wins = 0
     for seed in range(200):
         oracle = QueryOracle(g, budget=10**6)
-        tri = step10_search_E(oracle, [(1, 2), (4, 5), (6, 7)], DEFAULTS, substream(seed, "s10"))
+        pool = Graph(8, [(1, 2), (4, 5), (6, 7)])
+        tri = step10_search_E(oracle, pool, DEFAULTS, substream(seed, "s10"))
         if tri == (1, 2, 3):
             wins += 1
     assert wins / 200 >= 2 / 3
@@ -373,8 +465,10 @@ def test_step10_planted_edge_in_pool():
 
 
 def test_solve_requires_n_at_least_8():
-    with pytest.raises(ValueError):
-        solve(QueryOracle(Graph(5)), DEFAULTS, seed=0)
+    assert MIN_N == 8
+    with pytest.raises(ValueError, match="solver needs n >= 8"):
+        solve(QueryOracle(Graph(MIN_N - 1)), DEFAULTS, seed=0)
+    solve(QueryOracle(Graph(MIN_N)), DEFAULTS, seed=0)
 
 
 def test_one_sided_on_triangle_free_families():
@@ -387,6 +481,21 @@ def test_one_sided_on_triangle_free_families():
         for seed in range(25):
             report = solve(QueryOracle(g), DEFAULTS, seed=seed)
             assert report.outcome is None
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(MIN_N, 40), density=st.sampled_from([0.05, 0.2, 0.5, 1.0]),
+       graph_seed=st.integers(0, 2**32 - 1), seed=st.integers(0, 2**16))
+def test_solve_on_random_bipartite_hosts(n, density, graph_seed, seed):
+    rng = np.random.default_rng(graph_seed)
+    host = Graph(n, random_pairs(rng, n, density, sides=rng.random(n + 1) < 0.5))
+    report = solve(QueryOracle(host), DEFAULTS, seed=seed)
+    assert report.outcome is None  # one-sided: a triangle-free graph yields "no"
+    cost = report.cost
+    assert cost.total == cost.classical + cost.charged == sum(cost.per_step.values())
+    m = report.measured
+    assert m["T_size"] + m["E_size"] == m["gprime_size"]
+    assert m["G_cap_E"] <= m["E_size"]
 
 
 def test_small_planted_triangle_found():
