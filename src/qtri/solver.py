@@ -12,7 +12,8 @@ that steps 9 and 10 read as two `Graph`s.  The search-space builders read the
 hidden graph unbilled, as simulator privilege, through the boolean arrays of
 `Graph.row` and `Graph.adjacency`.  Every count matrix comes from
 `graphs.common_neighbors`.  The step-4 peel works in rounds, and it and
-step 7 drop batches of pairs through the one `WorkingGraph.remove_pairs`.
+step 7 drop batches of pairs through the one `WorkingGraph.remove_pairs`, so
+each loop iteration is a few whole-matrix numpy passes and no per-pair loop.
 """
 
 from __future__ import annotations
@@ -33,6 +34,9 @@ Tri = tuple[int, int, int]
 
 MIN_N = 8  # the smallest vertex count `solve` accepts
 FATE_T, FATE_E = 1, 2  # `WorkingGraph.fate` of a peeled and of a classified pair
+# Measured crossover: a recount of `t` takes 1, 35 and 196 ms at n = 512, 2048 and 4096
+# on a 2-core x86_64 host, a `remove_pair` 8-49 us, so batches over n^2 / 2048 recount.
+RECOUNT_DIVISOR = 2048
 
 
 @dataclass(frozen=True)
@@ -112,9 +116,10 @@ def peel_threshold(n: int, epsilon_prime: float) -> int:
 class WorkingGraph:
     """Mutable candidate pair set with incrementally maintained common-neighbor
     counts and a symmetric `fate` per pair: 0 while working or never a candidate,
-    else what a batch removal gave it.  Indexing is 1-based; row/col 0 are dead."""
+    else what a batch removal gave it.  Indexing is 1-based; row/col 0 are dead.
+    `upper` masks the pairs (a, b) with a < b."""
 
-    __slots__ = ("n", "adj", "t", "pair_count", "fate")
+    __slots__ = ("n", "adj", "t", "pair_count", "fate", "upper")
 
     def __init__(self, n: int, adj: np.ndarray) -> None:
         self.n = n
@@ -122,6 +127,7 @@ class WorkingGraph:
         self.t = common_neighbors(adj)
         self.pair_count = int(adj.sum()) // 2
         self.fate = np.zeros(adj.shape, dtype=np.int8)
+        self.upper = np.triu(np.ones(adj.shape, dtype=bool), 1)
 
     def has(self, a: int, b: int) -> bool:
         return bool(self.adj[a, b])
@@ -133,9 +139,9 @@ class WorkingGraph:
         return np.flatnonzero(self.adj[v])
 
     def first_active_vertex(self) -> int | None:
-        degs = self.adj.sum(axis=1)
-        hits = np.flatnonzero(degs > 0)
-        return int(hits[0]) if len(hits) else None
+        active = self.adj.any(axis=1)
+        v = int(active.argmax())
+        return v if active[v] else None
 
     def remove_pair(self, a: int, b: int) -> None:
         """Remove one working pair; unlike the batch removals, leave `fate` alone."""
@@ -153,21 +159,22 @@ class WorkingGraph:
         if not len(nv):
             return
         self.fate[v, nv] = self.fate[nv, v] = fate
+        # dropping all pairs (v, x) kills one v-midpoint path for each pair in nv^2
+        self.t[nv] -= self.adj[v]
         self.adj[v, :] = False
         self.adj[:, v] = False
         self.pair_count -= len(nv)
-        # dropping all pairs (v, x) kills one v-midpoint path for each pair in nv^2
-        self.t[np.ix_(nv, nv)] -= 1
         self.t[v, :] = 0
         self.t[:, v] = 0
 
     def remove_pairs(self, pairs: np.ndarray | list[Pair], fate: int) -> None:
         """Remove distinct working pairs, one (a, b) per row, as `fate`: one by
-        one for a small batch, else clear them at once and recount `t` in place."""
+        one for a batch of at most n^2 / RECOUNT_DIVISOR pairs, else clear them
+        at once and recount `t` in place."""
         pairs = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
         a, b = pairs.T
         self.fate[a, b] = self.fate[b, a] = fate
-        if len(pairs) * self.n > self.n**3 // 16:
+        if len(pairs) * RECOUNT_DIVISOR > self.n**2:
             self.adj[a, b] = self.adj[b, a] = False
             self.pair_count -= len(pairs)
             self.t[...] = common_neighbors(self.adj)
@@ -309,7 +316,10 @@ def step4_peel(working: WorkingGraph, tau: int) -> np.ndarray:
     """
     batches = [np.empty((0, 2), dtype=np.intp)]
     while True:
-        batch = np.argwhere(np.triu(working.adj, 1) & (working.t < tau))
+        low = working.t < tau
+        low &= working.adj
+        low &= working.upper  # row-major flat indices give the pairs a < b in order
+        batch = np.stack(np.divmod(np.flatnonzero(low), working.n + 1), axis=1)
         if not len(batch):
             return np.concatenate(batches)
         working.remove_pairs(batch, FATE_T)
@@ -323,16 +333,15 @@ def step5_degree_hypothesis(
 
     Runs ceil(c0 * ln n) rounds of ceil(n^delta) sampled candidates each and
     accepts LOW when fewer than half the rounds saw an edge.  Always issues
-    exactly rounds * per_round queries.
+    exactly rounds * per_round queries, drawn and billed as one batch: the
+    draws are the same numbers as one `rng.choice` per round.
     """
     n = oracle.n
     rounds = math.ceil(params.c0 * math.log(n))
     per_round = math.ceil(n**params.delta)
-    others = _others(n, v)
-    hits = 0
-    for _ in range(rounds):
-        picks = rng.choice(others, size=per_round, replace=True)
-        hits += int(oracle.query_row(v, picks, StepTag.STEP5).any())
+    picks = rng.choice(_others(n, v), size=rounds * per_round, replace=True)
+    seen = oracle.query_row(v, picks, StepTag.STEP5).reshape(rounds, per_round)
+    hits = int(seen.any(axis=1).sum())
     return Hypothesis.LOW if hits < rounds / 2 else Hypothesis.HIGH
 
 
@@ -383,7 +392,7 @@ def step7_high_degree(
     # the neighborhoods can overlap: the symmetric mask names each pair once, a < b
     between = np.zeros_like(working.adj)
     between[np.ix_(hood, working.neighbors(v))] = True
-    batch = np.argwhere(np.triu(working.adj & (between | between.T), 1))
+    batch = np.argwhere(working.adj & (between | between.T) & working.upper)
     if len(batch):
         working.remove_pairs(batch, FATE_E)
         return None, missed, False

@@ -2,19 +2,22 @@
 
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qtri import Graph, Params, QueryOracle, generate, solve, triangle_count
+from qtri import BudgetExceededError, Graph, Params, QueryOracle, generate, solve, triangle_count
 from qtri.graphs import canon_pair
+from qtri.oracle import StepTag
 from qtri.rng import substream
 from qtri.solver import (
     FATE_E,
     FATE_T,
     MIN_N,
+    RECOUNT_DIVISOR,
     Hypothesis,
     WorkingGraph,
     _induced_pair_space,
@@ -208,31 +211,75 @@ def random_working(data, n_max=16):
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_removals_keep_counts_consistent(data):
-    # batches of every size up to the whole set fall on both sides of
+    # at n <= 16 every nonempty batch passes the real switch point, so the
+    # divisor is drawn small enough that batches fall on both sides of
     # remove_pairs' switch between pair-by-pair updates and a recount
     working = random_working(data)
+    divisor = data.draw(st.integers(1, 64), label="divisor")
     held_t = working.t  # a caller holding the count matrix must see every update
-    for _ in range(data.draw(st.integers(1, 6), label="ops")):
+    with mock.patch("qtri.solver.RECOUNT_DIVISOR", divisor):
+        for _ in range(data.draw(st.integers(1, 6), label="ops")):
+            live = live_pairs(working)
+            before = working.fate.copy()
+            op = data.draw(st.sampled_from(["pair", "incident", "pairs"]), label="op")
+            fate = data.draw(st.sampled_from([FATE_T, FATE_E]), label="fate")
+            removed = []  # the pairs a batch removal must mark with `fate`
+            if op == "incident":
+                v = data.draw(st.integers(1, working.n), label="v")
+                working.remove_incident(v, fate)
+                removed = [pair for pair in live if v in pair]
+                assert not working.adj[v].any()
+            elif live and op == "pair":
+                working.remove_pair(*data.draw(st.sampled_from(live), label="pair"))
+            elif live:
+                size = data.draw(st.integers(0, len(live)), label="size")
+                removed = data.draw(st.permutations(live), label="batch")[:size]
+                working.remove_pairs(removed, fate)
+                assert not any(working.has(a, b) for a, b in removed)
+            assert np.array_equal(working.fate, fate_after(before, removed, fate))
+            assert working.t is held_t
+            assert_counts_consistent(working)
+
+
+def test_remove_pairs_takes_both_branches_at_the_real_switch(monkeypatch):
+    # n = 128: a batch of n^2 / RECOUNT_DIVISOR pairs goes pair by pair, one
+    # more pair recounts `t` in one product
+    n = 128
+    limit = n * n // RECOUNT_DIVISOR
+    assert limit * RECOUNT_DIVISOR == n * n and limit > 1
+    calls = []
+    original = WorkingGraph.remove_pair
+
+    def counted(self, a, b):
+        calls.append((a, b))
+        original(self, a, b)
+
+    monkeypatch.setattr(WorkingGraph, "remove_pair", counted)
+    rng = np.random.default_rng(7)
+    working = working_from_pairs(n, random_pairs(rng, n, 0.3))
+    for size, per_pair in ((limit, True), (limit + 1, False)):
         live = live_pairs(working)
+        batch = [live[i] for i in rng.choice(len(live), size=size, replace=False)]
         before = working.fate.copy()
-        op = data.draw(st.sampled_from(["pair", "incident", "pairs"]), label="op")
-        fate = data.draw(st.sampled_from([FATE_T, FATE_E]), label="fate")
-        removed = []  # the pairs a batch removal must mark with `fate`
-        if op == "incident":
-            v = data.draw(st.integers(1, working.n), label="v")
-            working.remove_incident(v, fate)
-            removed = [pair for pair in live if v in pair]
-            assert not working.adj[v].any()
-        elif live and op == "pair":
-            working.remove_pair(*data.draw(st.sampled_from(live), label="pair"))
-        elif live:
-            size = data.draw(st.integers(0, len(live)), label="size")
-            removed = data.draw(st.permutations(live), label="batch")[:size]
-            working.remove_pairs(removed, fate)
-            assert not any(working.has(a, b) for a, b in removed)
-        assert np.array_equal(working.fate, fate_after(before, removed, fate))
-        assert working.t is held_t
+        calls.clear()
+        working.remove_pairs(batch, FATE_E)
+        assert calls == (batch if per_pair else [])
+        assert np.array_equal(working.fate, fate_after(before, batch, FATE_E))
         assert_counts_consistent(working)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_first_active_vertex_is_the_smallest_with_a_live_pair(data):
+    working = random_working(data)
+    for _ in range(data.draw(st.integers(0, 4), label="clears")):
+        working.remove_incident(data.draw(st.integers(1, working.n), label="v"), FATE_E)
+    live = live_pairs(working)
+    expected = min((a for a, _ in live), default=None)
+    assert working.first_active_vertex() == expected
+    for v in range(1, working.n + 1):
+        working.remove_incident(v, FATE_T)
+    assert working.first_active_vertex() is None
 
 
 def peel_reference(n, pairs, tau):
@@ -316,6 +363,50 @@ def test_step5_full_degree_is_high():
         if step5_degree_hypothesis(oracle, 1, DEFAULTS, substream(seed, "s5")) is Hypothesis.HIGH:
             highs += 1
     assert highs / trials >= 0.999
+
+
+def step5_reference(oracle, v, params, rng):
+    """Step 5 as one draw and one billed read per round."""
+    n = oracle.n
+    rounds = math.ceil(params.c0 * math.log(n))
+    per_round = math.ceil(n**params.delta)
+    others = np.array([u for u in range(1, n + 1) if u != v])
+    hits = 0
+    for _ in range(rounds):
+        picks = rng.choice(others, size=per_round, replace=True)
+        hits += int(oracle.query_row(v, picks, StepTag.STEP5).any())
+    return Hypothesis.LOW if hits < rounds / 2 else Hypothesis.HIGH
+
+
+def star(n, v, degree, seed):
+    rng = np.random.default_rng(seed)
+    others = [u for u in range(1, n + 1) if u != v]
+    return Graph(n, [(v, int(u)) for u in rng.choice(others, size=degree, replace=False)])
+
+
+def test_step5_batch_matches_the_per_round_reference():
+    for n in (64, 200):
+        v = n // 3
+        for degree in (0, round(n ** (6 / 7)), n - 1):
+            hidden = star(n, v, degree, seed=degree)
+            for seed in range(8):
+                fast, slow = substream(seed, "s5"), substream(seed, "s5")
+                ours, ref = QueryOracle(hidden, budget=10**9), QueryOracle(hidden, budget=10**9)
+                verdict = step5_degree_hypothesis(ours, v, DEFAULTS, fast)
+                assert verdict is step5_reference(ref, v, DEFAULTS, slow)
+                assert ours.report().per_step["Step5"] == ref.report().per_step["Step5"]
+                assert repr(fast.bit_generator.state) == repr(slow.bit_generator.state)
+            # a budget that runs out inside a round, part way through the batch
+            rounds = math.ceil(DEFAULTS.c0 * math.log(n))
+            per_round = math.ceil(n**DEFAULTS.delta)
+            budget = rounds // 2 * per_round + per_round // 2
+            totals = []
+            for step5 in (step5_degree_hypothesis, step5_reference):
+                oracle = QueryOracle(hidden, budget=budget)
+                with pytest.raises(BudgetExceededError):
+                    step5(oracle, v, DEFAULTS, substream(0, "s5"))
+                totals.append(oracle.report().total)
+            assert totals == [budget + 1, budget + 1]
 
 
 def test_step5_charges_exactly():
@@ -519,6 +610,45 @@ def test_planted_dense_found():
             assert g.has_edge(a, b) and g.has_edge(b, c) and g.has_edge(a, c)
             wins += 1
     assert wins / 60 >= 2 / 3
+
+
+def host_with_unseen_triangle(n, params, graph_seed, seed):
+    """A random bipartite host of mean degree 3 plus one triangle on vertices
+    that step 1 of `solve(..., params, seed)` does not sample, so step 2
+    cannot see it.  Returns the graph and the triangle, its only one."""
+    rng = np.random.default_rng(graph_seed)
+    pairs = random_pairs(rng, n, 6 / n, sides=rng.random(n + 1) < 0.5)
+    host = Graph(n, pairs)
+    sample, _ = step1_sample(QueryOracle(Graph(n)), params, substream(seed, "step1"))
+    unseen = np.setdiff1d(np.arange(1, n + 1), sample)
+    while True:  # no two triangle vertices may share a host neighbour
+        tri = tuple(sorted(int(x) for x in rng.choice(unseen, size=3, replace=False)))
+        hoods = [set(np.flatnonzero(host.row(x)).tolist()) for x in tri]
+        if not (hoods[0] & hoods[1] or hoods[0] & hoods[2] or hoods[1] & hoods[2]):
+            a, b, c = tri
+            return Graph(n, pairs + [(a, b), (b, c), (a, c)]), tri
+
+
+def deciding_step(cost):
+    """The last step before verification that billed anything."""
+    return [step for step, count in cost.per_step.items() if count and step != "Verify"][-1]
+
+
+@pytest.mark.parametrize("n", [128, 256])
+def test_unseen_planted_triangle_is_found_by_the_late_steps(n):
+    # a cut epsilon keeps the sample far below n, so the triangle is left to
+    # the peel, the degree classification and the searches over T and E
+    late = []
+    for params in (Params(epsilon=0.1), Params(epsilon=0.1, epsilon_prime=0.3, delta=0.4)):
+        for seed in range(6):
+            g, tri = host_with_unseen_triangle(n, params, graph_seed=seed, seed=seed)
+            assert triangle_count(g) == 1
+            report = solve(QueryOracle(g), params, seed=seed)
+            assert report.outcome == tri
+            assert report.cost.per_step["Verify"] >= 3
+            assert report.measured["gprime_size"] > 0  # step 2 saw nothing
+            late.append(deciding_step(report.cost))
+    assert set(late) & {"Step7", "Step9", "Step10"}
 
 
 def test_run_is_deterministic_per_seed():
