@@ -13,9 +13,9 @@ import numpy as np
 
 from .graphs import Graph, common_neighbors, generate, triangle_count
 from .grover import grover_success_prob, iteration_cap
-from .oracle import QueryOracle
+from .oracle import QueryOracle, StepTag
 from .rng import derive_seed, substream
-from .solver import Params, RunReport, sample_count, solve
+from .solver import Params, RunReport, sample_count, solve, uncovered_pairs
 
 
 @dataclass(frozen=True)
@@ -205,16 +205,8 @@ def threshold_violation_rate(
         k = sample_count(n, epsilon)
         sample = rng.choice(n, size=k, replace=False) + 1
         adj = graph.adjacency()
-        cover = np.zeros_like(adj)
-        for v in sample:
-            nv = np.flatnonzero(adj[int(v)])
-            if len(nv):
-                cover[np.ix_(nv, nv)] = True
+        candidate = uncovered_pairs(adj[sample])
         common = common_neighbors(adj)
-        candidate = ~cover
-        candidate[np.tril_indices(n + 1)] = False
-        candidate[0, :] = False
-        candidate[:, 0] = False
         if bool((common[candidate] > thresh).any()):
             violations += 1
     return violations / trials
@@ -239,7 +231,7 @@ def folklore_baseline(graph: Graph, seed: int, c_safe: float = 2.0) -> BaselineR
     n = graph.n
     size = n * (n - 1) * (n - 2) // 6
     marked = triangle_count(graph)
-    reps = math.ceil(c_safe * math.log2(size))
+    reps = max(1, math.ceil(c_safe * math.log2(size)))  # n = 3 has one triple, log2 1 = 0
     cap = iteration_cap(size)
     rng = substream(seed, "baseline", n)
     total = 0
@@ -295,6 +287,44 @@ def run_one(
     return solve(QueryOracle(graph), params, seed=run_seed)
 
 
+def trial_rows(
+    algo: str,
+    n_values: list[int],
+    trials: int,
+    params: Params,
+    seed: int = 0,
+    kind: str = "erdos_renyi",
+    p: float = 0.5,
+) -> list[dict]:
+    """One `qtri bench` CSV row per (n, trial), in that order: a `run_one`
+    report for `algo` "staged", else a `folklore_baseline` on the same instance."""
+    rows = []
+    for n in n_values:
+        for trial in range(trials):
+            if algo == "baseline":
+                graph_seed, run_seed = trial_seeds(seed, n, trial)
+                graph = generate(kind, n, seed=graph_seed, p=p)
+                result = folklore_baseline(graph, run_seed, params.c_safe)
+                found = result.found
+                rows.append({"n": n, "seed": run_seed, "total": result.total_queries})
+            else:
+                report = run_one(n, trial, seed, params, kind, p)
+                found, cost = report.outcome is not None, report.cost
+                rows.append({"n": n, "seed": report.seed, "total": cost.total,
+                             "classical": cost.classical, "charged": cost.charged})
+                rows[-1].update((tag.value.lower(), cost.per_step[tag.value]) for tag in StepTag)
+            rows[-1]["outcome"] = "triangle" if found else "no"
+    return rows
+
+
+def fit_rows(rows: list[dict]) -> ScalingFit:
+    """`fit_totals` over the rows' totals, one point per distinct n."""
+    per_size: dict[int, list[int]] = {}
+    for row in rows:
+        per_size.setdefault(row["n"], []).append(row["total"])
+    return fit_totals(list(per_size.items()))
+
+
 def empirical_scaling(
     n_values: list[int],
     trials: int,
@@ -304,11 +334,7 @@ def empirical_scaling(
     p: float = 0.5,
 ) -> ScalingFit:
     """Mean total ledger cost per size, fitted on the log-log scale."""
-    params = params or Params()
-    return fit_totals(
-        [(n, [run_one(n, t, seed, params, kind, p).cost.total for t in range(trials)])
-         for n in n_values]
-    )
+    return fit_rows(trial_rows("staged", n_values, trials, params or Params(), seed, kind, p))
 
 
 def baseline_scaling(
@@ -320,12 +346,4 @@ def baseline_scaling(
     c_safe: float = 2.0,
 ) -> ScalingFit:
     """Scaling fit of the folklore triple-search baseline on the same instances."""
-    per_size = []
-    for n in n_values:
-        totals = []
-        for t in range(trials):
-            graph_seed, run_seed = trial_seeds(seed, n, t)
-            graph = generate(kind, n, seed=graph_seed, p=p)
-            totals.append(folklore_baseline(graph, run_seed, c_safe).total_queries)
-        per_size.append((n, totals))
-    return fit_totals(per_size)
+    return fit_rows(trial_rows("baseline", n_values, trials, Params(c_safe=c_safe), seed, kind, p))

@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
-import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from . import analysis
 from .adversary import (
@@ -44,21 +43,12 @@ def _write_json(path: str | None, obj: dict) -> None:
 
 
 def _add_param_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--epsilon", type=float, default=3.0 / 7.0)
-    parser.add_argument("--epsilon-prime", type=float, default=1.0 / 7.0)
-    parser.add_argument("--delta", type=float, default=1.0 / 7.0)
-    parser.add_argument("--c-safe", type=float, default=2.0)
-    parser.add_argument("--c0", type=float, default=6.0)
+    for field in dataclasses.fields(Params):
+        parser.add_argument("--" + field.name.replace("_", "-"), type=float, default=field.default)
 
 
 def _params_from(args: argparse.Namespace) -> Params:
-    return Params(
-        epsilon=args.epsilon,
-        epsilon_prime=args.epsilon_prime,
-        delta=args.delta,
-        c_safe=args.c_safe,
-        c0=args.c0,
-    )
+    return Params(**{field.name: getattr(args, field.name) for field in dataclasses.fields(Params)})
 
 
 def _cmd_gen_graph(args: argparse.Namespace) -> int:
@@ -80,33 +70,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _bench_row(job: tuple) -> dict:
-    algo, n, trial, seed, params_tuple, kind, p = job
-    params = Params(*params_tuple)
-    if algo == "baseline":
-        graph_seed, run_seed = analysis.trial_seeds(seed, n, trial)
-        graph = generate(kind, n, graph_seed, p=p)
-        result = analysis.folklore_baseline(graph, run_seed, params.c_safe)
-        return {
-            "n": n,
-            "seed": run_seed,
-            "outcome": "triangle" if result.found else "no",
-            "total": result.total_queries,
-        }
-    report = analysis.run_one(n, trial, seed, params, kind, p)
-    row = {
-        "n": n,
-        "seed": report.seed,
-        "outcome": "triangle" if report.outcome else "no",
-        "total": report.cost.total,
-        "classical": report.cost.classical,
-        "charged": report.cost.charged,
-    }
-    for tag in StepTag:
-        row[tag.value.lower()] = report.cost.per_step[tag.value]
-    return row
-
-
 def _cmd_bench(args: argparse.Namespace) -> int:
     sizes = [int(s) for s in args.sizes.split(",") if s]
     if args.trials < 1:
@@ -118,25 +81,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     least = MIN_N if args.algo == "staged" else MIN_GRAPH_N
     if min(sizes, default=least) < least:
         raise ValueError(f"--algo {args.algo} needs --sizes >= {least}, got {args.sizes}")
-    params = _params_from(args)
-    params_tuple = (params.epsilon, params.epsilon_prime, params.delta, params.c_safe, params.c0)
-    jobs = [
-        (args.algo, n, t, args.seed, params_tuple, args.gen, args.p)
-        for n in sizes
-        for t in range(args.trials)
-    ]
-    workers = int(os.environ.get("QTRI_WORKERS", "1"))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_bench_row, jobs))
-    else:
-        rows = [_bench_row(job) for job in jobs]
-    fit = None
-    if args.out_json:  # rows are in job order: args.trials consecutive rows per size
-        fit = analysis.fit_totals(
-            [(n, [row["total"] for row in rows[i * args.trials : (i + 1) * args.trials]])
-             for i, n in enumerate(sizes)]
-        )
+    rows = analysis.trial_rows(args.algo, sizes, args.trials, _params_from(args), args.seed,
+                               args.gen, args.p)
+    fit = analysis.fit_rows(rows) if args.out_json else None
     rows.sort(key=lambda r: (r["n"], r["seed"]))
     header = ["n", "seed", "outcome", "total"]
     if args.algo == "staged":
@@ -255,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=50)
     p.add_argument("--gen", choices=_GEN_CHOICES, default="erdos_renyi")
     p.add_argument("--p", type=float, default=0.5)
-    p.add_argument("--epsilon", type=float, default=3.0 / 7.0)
+    p.add_argument("--epsilon", type=float, default=Params().epsilon)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_lemma_checks)

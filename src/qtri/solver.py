@@ -11,9 +11,11 @@ pair's fate, the peeled set T or the classified set E, in one int8 matrix
 that steps 9 and 10 read as two `Graph`s.  The search-space builders read the
 hidden graph unbilled, as simulator privilege, through the boolean arrays of
 `Graph.row` and `Graph.adjacency`.  Every count matrix comes from
-`graphs.common_neighbors`.  The step-4 peel works in rounds, and it and
-step 7 drop batches of pairs through the one `WorkingGraph.remove_pairs`, so
-each loop iteration is a few whole-matrix numpy passes and no per-pair loop.
+`graphs.common_neighbors`, and step 2 builds its candidate set, the pairs
+that share no sampled neighborhood, in one such product.  The step-4 peel
+works in rounds, and it and step 7 drop batches of pairs through the one
+`WorkingGraph.remove_pairs`, so each loop iteration is a few whole-matrix
+numpy passes and no per-pair loop.
 """
 
 from __future__ import annotations
@@ -183,6 +185,17 @@ class WorkingGraph:
                 self.remove_pair(a, b)
 
 
+def uncovered_pairs(hoods: np.ndarray) -> np.ndarray:
+    """The (n+1) x (n+1) mask of vertex pairs that share no sampled
+    neighborhood, from the k x (n+1) boolean matrix of the sampled rows:
+    one `common_neighbors` product, with row 0, column 0 and the diagonal
+    cleared."""
+    free = common_neighbors(hoods.T) == 0
+    free[0, :] = free[:, 0] = False
+    np.fill_diagonal(free, False)
+    return free
+
+
 # ---------------------------------------------------------------------------
 # Search-space builders (simulator privilege: exact marked counts + samplers)
 
@@ -289,14 +302,10 @@ def step2_build_gprime(
             return tri, None, missed  # type: ignore[return-value]
         if space.marked_count > 0:
             missed = True
-    adj = np.ones((n + 1, n + 1), dtype=bool)
-    adj[0, :] = adj[:, 0] = False
-    np.fill_diagonal(adj, False)
-    for v in sample:
-        nv = np.asarray(neighborhoods[v], dtype=np.intp)
-        if len(nv):
-            adj[np.ix_(nv, nv)] = False
-    return None, WorkingGraph(n, adj), missed
+    hoods = np.zeros((len(sample), n + 1), dtype=bool)
+    for i, v in enumerate(sample):
+        hoods[i, neighborhoods[v]] = True
+    return None, WorkingGraph(n, uncovered_pairs(hoods)), missed
 
 
 def _spawn(rng: np.random.Generator, index: int) -> np.random.Generator:

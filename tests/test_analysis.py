@@ -17,7 +17,7 @@ from qtri import (
     threshold_violation_rate,
     triangle_count,
 )
-from qtri.analysis import disjointness_exponent_dev, disjointness_sweep, fit_totals
+from qtri.analysis import BaselineResult, disjointness_exponent_dev, disjointness_sweep, fit_totals
 
 
 def test_cost_terms_default_triple():
@@ -160,6 +160,15 @@ def test_baseline_always_verifies():
     for seed in range(20):
         result = folklore_baseline(g, seed)
         assert not result.found
+
+
+@pytest.mark.parametrize("p, found", [(1.0, True), (0.0, False)], ids=["K3", "empty"])
+def test_baseline_takes_one_shot_on_three_vertices(p, found):
+    # one triple: log2(1) = 0 would give no shot, so it takes one, like safe_grover's one item
+    g = generate("erdos_renyi", 3, seed=0, p=p)
+    assert triangle_count(g) == found
+    for seed in range(5):
+        assert folklore_baseline(g, seed) == BaselineResult(found, 3, 1)
 
 
 def test_baseline_slope_near_three_halves():

@@ -97,6 +97,15 @@ def test_bench_paper_csv_and_fit(tmp_path):
     assert set(fit) == {"points", "slope", "intercept", "normalized_constants"}
 
 
+@pytest.mark.parametrize("args", [["solve"], ["bench", "--sizes", "8", "--out-csv", "x.csv"]],
+                         ids=["solve", "bench"])
+def test_param_flags_default_to_params(args):
+    parser = qtri.cli.build_parser()
+    assert qtri.cli._params_from(parser.parse_args(args)) == Params()
+    tuned = parser.parse_args(args + ["--epsilon-prime", "0.2", "--c-safe", "3"])
+    assert qtri.cli._params_from(tuned) == Params(epsilon_prime=0.2, c_safe=3.0)
+
+
 def test_bench_deterministic_output(tmp_path):
     outs = []
     for name in ("one.csv", "two.csv"):
@@ -105,18 +114,6 @@ def test_bench_deterministic_output(tmp_path):
              "--out-csv", str(path)])
         outs.append(path.read_bytes())
     assert outs[0] == outs[1]
-
-
-def test_bench_worker_fanout_matches_serial(tmp_path, monkeypatch):
-    def bench(name):
-        assert run(["bench", "--sizes", "32,40,48", "--trials", "3", "--seed", "4",
-                    "--out-csv", str(tmp_path / f"{name}.csv"),
-                    "--out-json", str(tmp_path / f"{name}.json")]) == 0
-        return [(tmp_path / f"{name}.{ext}").read_bytes() for ext in ("csv", "json")]
-
-    serial = bench("serial")
-    monkeypatch.setenv("QTRI_WORKERS", "2")
-    assert bench("fanned") == serial
 
 
 @pytest.mark.parametrize("algo", ["staged", "baseline"])

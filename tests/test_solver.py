@@ -35,6 +35,7 @@ from qtri.solver import (
     step8_loop,
     step9_search_T,
     step10_search_E,
+    uncovered_pairs,
 )
 
 DEFAULTS = Params()
@@ -150,6 +151,20 @@ def test_step2_empty_graph_keeps_everything():
     tri, working, missed = step2_build_gprime(oracle, sample, hoods, DEFAULTS, substream(1, "s2"))
     assert tri is None and not missed
     assert working.pair_count == 28
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(3, 14), density=st.sampled_from([0.0, 0.2, 0.5, 1.0]),
+       graph_seed=st.integers(0, 10**6), data=st.data())
+def test_uncovered_pairs_is_the_complement_of_the_sampled_squares(n, density, graph_seed, data):
+    g = generate("erdos_renyi", n, seed=graph_seed, p=density)
+    sample = data.draw(st.lists(st.integers(1, n), unique=True, max_size=n), label="sample")
+    hoods = [np.flatnonzero(g.row(v)).tolist() for v in sample]
+    covered = {(a, b) for hood in hoods for a in hood for b in hood}
+    expected = {(a, b) for a in range(1, n + 1) for b in range(1, n + 1) if a != b} - covered
+    free = uncovered_pairs(g.adjacency()[sample])
+    assert free.shape == (n + 1, n + 1)
+    assert set(map(tuple, np.argwhere(free).tolist())) == expected
 
 
 def test_step2_dense_finds_triangle():
