@@ -4,13 +4,14 @@ text graph format.
 Vertices are the integers 1..n and unordered pairs are canonicalised to
 (min, max).  A `Graph` keeps its adjacency as one read-only packed bit
 matrix, and this module is the only one that knows that layout: every other
-module reads a graph through `has_edge`, `degree`, `edges`, `row` and
-`adjacency`, which return Python values or boolean numpy arrays.
+module reads a graph through `has_edge`, `degree`, `edges`, `rows` (with its
+wrappers `row` and `adjacency`) and `induced_edge_count`, which return Python
+values or boolean numpy arrays.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -97,7 +98,6 @@ class Graph:
         return bool(self._bits[a, b >> 3] >> (b & 7) & 1)
 
     def degree(self, v: int) -> int:
-        _check_vertex(v, self.n)
         return int(np.count_nonzero(self.row(v)))
 
     def edges(self) -> Iterator[tuple[int, int]]:
@@ -109,14 +109,43 @@ class Graph:
         upper = a < b
         return zip(a[upper].tolist(), b[upper].tolist())
 
+    def _vertices(self, vertices: Sequence[int] | np.ndarray) -> np.ndarray:
+        """`vertices` as a one-dimensional index array, every entry in 1..n."""
+        vertices = np.asarray(vertices, dtype=np.intp)
+        if vertices.ndim != 1:
+            raise ValueError("vertices must be one-dimensional")
+        if vertices.size:
+            _check_vertex(int(vertices.min()), self.n)
+            _check_vertex(int(vertices.max()), self.n)
+        return vertices
+
+    def rows(self, vertices: Sequence[int] | np.ndarray | None = None) -> np.ndarray:
+        """The adjacency rows of `vertices`, in order and duplicates included,
+        as a boolean matrix with columns indexed 0..n (column 0 unused); with
+        no argument, every row 0..n (row 0 unused).  Only the packed rows
+        asked for are unpacked."""
+        bits = self._bits if vertices is None else self._bits[self._vertices(vertices)]
+        return np.unpackbits(bits, axis=1, count=self.n + 1, bitorder="little").view(bool)
+
     def row(self, v: int) -> np.ndarray:
         """v's adjacency row as a boolean array indexed 0..n (index 0 unused)."""
-        _check_vertex(v, self.n)
-        return np.unpackbits(self._bits[v], count=self.n + 1, bitorder="little").view(bool)
+        return self.rows([v])[0]
 
     def adjacency(self) -> np.ndarray:
         """Boolean adjacency matrix indexed 1..n (row/col 0 unused)."""
-        return np.unpackbits(self._bits, axis=1, count=self.n + 1, bitorder="little").view(bool)
+        return self.rows()
+
+    def induced_edge_count(self, vertices: Sequence[int] | np.ndarray) -> int:
+        """Number of edges with both ends among the distinct `vertices`.
+
+        Counted on the packed rows of `vertices` alone, each ANDed with a
+        packed membership mask, so no other row is read or unpacked.
+        """
+        vertices = self._vertices(vertices)
+        inside = np.zeros(self.n + 1, dtype=bool)
+        inside[vertices] = True
+        block = self._bits[vertices] & np.packbits(inside, bitorder="little")
+        return int(np.count_nonzero(np.unpackbits(block))) // 2
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={self._edge_count})"

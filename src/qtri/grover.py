@@ -3,14 +3,17 @@
 Nothing here manipulates state vectors.  Outcomes are sampled from the exact
 rotation-angle success probabilities while every modeled oracle application
 is billed to the ledger, which keeps both the distribution and the query
-count faithful at any instance size.
+count faithful at any instance size.  Every search runs its attempts through
+the one loop `_attempt_loop`, which makes each attempt's draws in a fixed
+order, stops at the first success and then bills all the attempts' charges
+in one ledger call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -136,15 +139,53 @@ class GroverOutcome:
     queries_charged: int
 
 
-def _attempt(
-    space: SearchSpace, k_range: int, oracle: QueryOracle, tag: StepTag, rng: np.random.Generator
-) -> tuple[int, Any | None]:
-    """One run: draw k, bill k iterations plus the measured-item test, flip."""
-    k = int(rng.integers(k_range))
-    oracle.charge((k + 1) * space.q_test, tag)
-    if rng.random() < grover_success_prob(space.size, space.marked_count, k):
-        return k, space.draw_marked(rng)
-    return k, None
+Attempt = tuple[int, int, Any]  # (iterations, charge, hit) of one modeled run
+
+
+def _attempt_loop(
+    attempts: Iterable[Attempt], oracle: QueryOracle, tag: StepTag
+) -> tuple[int, list[int], Any]:
+    """The one loop over a search's attempts.
+
+    `attempts` yields (iterations, charge, hit) per attempt and makes that
+    attempt's random draws as it is advanced; a truthy hit ends the search.
+    The charges of every attempt taken are billed in one ledger call, which
+    stops at the first charge that crosses the budget exactly as billing
+    each attempt in turn would.  Returns the summed iterations, the charges
+    and the last hit.
+    """
+    iters, charges, hit = 0, [], None
+    for k, charge, hit in attempts:
+        iters += k
+        charges.append(charge)
+        if hit:
+            break
+    oracle.charge_batch(charges, tag)
+    return iters, charges, hit
+
+
+def _capped_runs(
+    space: SearchSpace, ranges: Iterable[int], rng: np.random.Generator
+) -> Iterator[Attempt]:
+    """One attempt per iteration range: draw k below the range, then measure
+    after k iterations; costs k iterations plus the measured-item test."""
+    for k_range in ranges:
+        k = int(rng.integers(k_range))
+        hit = rng.random() < grover_success_prob(space.size, space.marked_count, k)
+        yield k, (k + 1) * space.q_test, hit
+
+
+def _search(
+    space: SearchSpace,
+    attempts: Iterable[Attempt],
+    oracle: QueryOracle,
+    tag: StepTag,
+    rng: np.random.Generator,
+) -> GroverOutcome:
+    """Run the attempts; after a hit, sample the found item from the marked ones."""
+    iters, charges, hit = _attempt_loop(attempts, oracle, tag)
+    found = space.draw_marked(rng) if hit else None
+    return GroverOutcome(found, iters, len(charges), sum(charges))
 
 
 def grover_search(
@@ -157,15 +198,7 @@ def grover_search(
     """
     if space.size == 0:
         return GroverOutcome(None, 0, 0, 0)
-    iters = attempts = charged = 0
-    for k_range in attempt_ranges(space.size):
-        k, hit = _attempt(space, k_range, oracle, tag, rng)
-        iters += k
-        attempts += 1
-        charged += (k + 1) * space.q_test
-        if hit is not None:
-            return GroverOutcome(hit, iters, attempts, charged)
-    return GroverOutcome(None, iters, attempts, charged)
+    return _search(space, _capped_runs(space, attempt_ranges(space.size), rng), oracle, tag, rng)
 
 
 def safe_grover(
@@ -179,27 +212,19 @@ def safe_grover(
 
     Each repetition draws its iteration count uniformly below the cap, so the
     whole call costs at most ceil(c * log2(N)) * iteration_cap(N) * q_test and
-    misses a nonempty target with probability at most N**(-c).
+    misses a nonempty target with probability at most N**(-c).  A one-item
+    space is settled by one test of its item, with no draw.
     """
     if c < 1:
         raise ValueError("c must be >= 1")
     if space.size == 0:
         return GroverOutcome(None, 0, 0, 0)
     if space.size == 1:
-        oracle.charge(space.q_test, tag)
-        found = space.draw_marked(rng) if space.marked_count == 1 else None
-        return GroverOutcome(found, 0, 1, space.q_test)
-    reps = math.ceil(c * math.log2(space.size))
-    cap = iteration_cap(space.size)
-    iters = attempts = charged = 0
-    for _ in range(reps):
-        k, hit = _attempt(space, cap, oracle, tag, rng)
-        iters += k
-        attempts += 1
-        charged += (k + 1) * space.q_test
-        if hit is not None:
-            return GroverOutcome(hit, iters, attempts, charged)
-    return GroverOutcome(None, iters, attempts, charged)
+        attempts: Iterable[Attempt] = [(0, space.q_test, space.marked_count == 1)]
+    else:
+        reps = math.ceil(c * math.log2(space.size))
+        attempts = _capped_runs(space, [iteration_cap(space.size)] * reps, rng)
+    return _search(space, attempts, oracle, tag, rng)
 
 
 def edge_restricted_triangle_search(
@@ -241,20 +266,24 @@ def edge_restricted_triangle_search(
     k_amp_range = max(1, math.ceil(math.pi / 2.0 * math.sqrt(guess)))
     runs = max(AA_RUNS_MIN, math.ceil(math.log(n)))
 
-    for _ in range(runs):
-        k_apex = int(rng.integers(cap_apex))
-        per_edge = [grover_success_prob(n, count, k_apex) for count in good_counts]
-        p_base = p_edge * sum(per_edge) / g if g else 0.0
-        k_amp = int(rng.integers(k_amp_range))
-        base_cost = k_edge + 2 * k_apex
-        oracle.charge(k_amp * (2 * base_cost + 3) + base_cost + 3, tag)
-        if p_base > 0.0 and rng.random() < amplified_prob(p_base, k_amp):
-            weights = np.asarray(per_edge)
-            cum = np.cumsum(weights)
-            pick = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
-            a, b = int(good_rows[pick]), int(good_cols[pick])
-            apexes = np.flatnonzero(adj[a] & adj[b])
-            tri = tuple(sorted((a, b, int(apexes[rng.integers(len(apexes))]))))
-            verify_triangle(oracle, tri)  # type: ignore[arg-type]
-            return tri  # type: ignore[return-value]
-    return None
+    def rounds() -> Iterator[Attempt]:
+        """One amplified run per round; a hit carries its per-edge apex odds."""
+        for _ in range(runs):
+            k_apex = int(rng.integers(cap_apex))
+            per_edge = [grover_success_prob(n, count, k_apex) for count in good_counts]
+            p_base = p_edge * sum(per_edge) / g if g else 0.0
+            k_amp = int(rng.integers(k_amp_range))
+            base_cost = k_edge + 2 * k_apex
+            hit = p_base > 0.0 and rng.random() < amplified_prob(p_base, k_amp)
+            yield k_amp, k_amp * (2 * base_cost + 3) + base_cost + 3, per_edge if hit else None
+
+    _, _, per_edge = _attempt_loop(rounds(), oracle, tag)
+    if per_edge is None:
+        return None
+    cum = np.cumsum(np.asarray(per_edge))
+    pick = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
+    a, b = int(good_rows[pick]), int(good_cols[pick])
+    apexes = np.flatnonzero(adj[a] & adj[b])
+    tri = tuple(sorted((a, b, int(apexes[rng.integers(len(apexes))]))))
+    verify_triangle(oracle, tri)  # type: ignore[arg-type]
+    return tri  # type: ignore[return-value]

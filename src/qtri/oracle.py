@@ -1,15 +1,20 @@
 """Query accounting: the only billed gateway to the hidden graph.
 
-Algorithm code reads adjacency only through `QueryOracle.query` (one probe)
-or `QueryOracle.query_row` (the probes (v, u) for a batch of u in one
-vectorised read); both bill one classical unit per probed pair, duplicates
-included.  Modeled quantum subroutines bill their iteration counts via
-`charge`.  Simulator-privileged reads of the hidden graph (used to sample
-subroutine outcomes) never touch the counters.
+Algorithm code reads adjacency only through `QueryOracle.query` (one probe),
+`QueryOracle.query_row` (the probes (v, u) for a batch of u in one
+vectorised read) or `QueryOracle.read_rows` (the whole rows of a batch of
+vertices in one block read); each bills one classical unit per probed pair,
+duplicates included.  Modeled quantum subroutines bill their iteration counts
+via `charge`, or via `charge_batch` for all the attempts of one search in one
+ledger call.  A batch that crosses the budget bills and raises exactly as its
+items billed one at a time would.  Simulator-privileged reads of the hidden
+graph (used to sample subroutine outcomes) never touch the counters.
 """
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -109,9 +114,22 @@ class QueryLedger:
         self.per_step[tag] += count
         self._check_budget()
 
-    def record_charge(self, amount: int, tag: StepTag) -> None:
-        if amount < 0:
+    def record_charges(self, amounts: Sequence[int], tag: StepTag) -> None:
+        """Bill a run of charges in one call.
+
+        The counters and the error are those of billing each amount in turn:
+        a run that crosses the budget bills through its first amount that
+        leaves the total over it, then raises.  A negative amount raises
+        ValueError before anything is billed.
+        """
+        if not amounts:
+            return
+        if min(amounts) < 0:
             raise ValueError("charge amount must be >= 0")
+        amount = sum(amounts)
+        if self.budget is not None and self.total + amount > self.budget:
+            running = list(itertools.accumulate(amounts))
+            amount = running[bisect.bisect_right(running, self.budget - self.total)]
         self.charged += amount
         self.per_step[tag] += amount
         self._check_budget()
@@ -173,9 +191,27 @@ class QueryOracle:
         self.ledger.record_queries(targets.size, tag)
         return bits
 
+    def read_rows(self, vertices: Sequence[int] | np.ndarray, tag: StepTag) -> np.ndarray:
+        """Billed block read of the whole rows of `vertices`, in order.
+
+        Bills n - 1 units per entry of `vertices`, duplicates included, so it
+        is the same cost as reading each row with `query_row`; an
+        out-of-range vertex raises ValueError before anything is billed.
+        Returns the len(vertices) x (n+1) boolean matrix of the rows, columns
+        indexed 0..n (column 0 unused).
+        """
+        rows = self.hidden.rows(vertices)
+        self.ledger.record_queries(len(rows) * (self.n - 1), tag)
+        return rows
+
     def charge(self, amount: int, tag: StepTag) -> None:
         """Bill a modeled quantum subroutine's oracle applications."""
-        self.ledger.record_charge(amount, tag)
+        self.ledger.record_charges((amount,), tag)
+
+    def charge_batch(self, amounts: Sequence[int], tag: StepTag) -> None:
+        """Bill consecutive modeled runs in one ledger call, stopping at the
+        first that crosses the budget as billing each with `charge` would."""
+        self.ledger.record_charges(amounts, tag)
 
     def report(self) -> LedgerReport:
         return self.ledger.snapshot()

@@ -1,16 +1,19 @@
 """The staged triangle-detection run: build the candidate pair set, peel it,
 classify the remainder by degree hypotheses, then run the two final searches.
 
-All adjacency information flows through the oracle and is billed per step:
-steps 1, 5 and 7 read whole batches of pairs (v, u) with
-`QueryOracle.query_row`, one classical unit per probed pair, and verification
-probes single pairs with `QueryOracle.query`.  The pair bookkeeping itself
-is classical and free once built: the working candidate set is a dense
-boolean matrix with int32 common-neighbor counts, and each removal marks the
-pair's fate, the peeled set T or the classified set E, in one int8 matrix
-that steps 9 and 10 read as two `Graph`s.  The search-space builders read the
-hidden graph unbilled, as simulator privilege, through the boolean arrays of
-`Graph.row` and `Graph.adjacency`.  Every count matrix comes from
+All adjacency information flows through the oracle and is billed per step,
+one classical unit per probed pair: steps 1 and 7 read whole rows with one
+`QueryOracle.read_rows` block read, step 5 reads a batch of pairs (v, u) with
+`QueryOracle.query_row`, and verification probes single pairs with
+`QueryOracle.query`.  Step 1 hands step 2 the k x (n+1) boolean matrix of the
+sampled rows, which step 2 searches row by row and then turns into its
+candidate set.  The pair bookkeeping itself is classical and free once built:
+the working candidate set is a dense boolean matrix with int32
+common-neighbor counts, and each removal marks the pair's fate, the peeled
+set T or the classified set E, in one int8 matrix that steps 9 and 10 read as
+two `Graph`s.  The search-space builders read the hidden graph unbilled, as
+simulator privilege, through `Graph.rows` and its wrappers and the packed
+`Graph.induced_edge_count`.  Every count matrix comes from
 `graphs.common_neighbors`, and step 2 builds its candidate set, the pairs
 that share no sampled neighborhood, in one such product.  The step-4 peel
 works in rounds, and it and step 7 drop batches of pairs through the one
@@ -200,23 +203,25 @@ def uncovered_pairs(hoods: np.ndarray) -> np.ndarray:
 # Search-space builders (simulator privilege: exact marked counts + samplers)
 
 
-def _induced_pair_space(hidden: Graph, members: list[int], q_test: int = 1) -> SearchSpace:
-    """Pairs inside `members`; marked = pairs that are hidden edges."""
+def _induced_pair_space(
+    hidden: Graph, members: list[int] | np.ndarray, q_test: int = 1
+) -> SearchSpace:
+    """Pairs inside the distinct `members`; marked = pairs that are hidden edges."""
     size = len(members) * (len(members) - 1) // 2
     if size == 0:
         return SearchSpace(0, 0, q_test)
-    # a member's weight is its number of hidden neighbors among the members
-    weights = hidden.adjacency()[members][:, members].sum(axis=1, dtype=np.int64)
-    marked = int(weights.sum()) // 2
+    marked = hidden.induced_edge_count(members)
     if marked == 0:
         return SearchSpace(size, 0, q_test)
+    # a member's weight is its number of hidden neighbors among the members
+    weights = hidden.rows(members)[:, members].sum(axis=1, dtype=np.int64)
     cum = np.cumsum(weights)
     inside = np.zeros(hidden.n + 1, dtype=bool)
     inside[members] = True
 
     def draw(rng: np.random.Generator) -> Pair:
         pick = int(np.searchsorted(cum, rng.integers(cum[-1]), side="right"))
-        v = members[pick]
+        v = int(members[pick])
         hood = np.flatnonzero(hidden.row(v) & inside)
         w = int(hood[rng.integers(len(hood))])
         return (min(v, w), max(v, w))
@@ -255,45 +260,39 @@ def _others(n: int, v: int) -> np.ndarray:
     return others[others != v]
 
 
-def _read_neighborhood(oracle: QueryOracle, v: int, tag: StepTag) -> np.ndarray:
-    """Billed classical read of v's whole row: n - 1 probes, neighbors ascending."""
-    others = _others(oracle.n, v)
-    return others[oracle.query_row(v, others, tag)]
-
-
 # ---------------------------------------------------------------------------
 # The ten steps
 
 
 def step1_sample(
     oracle: QueryOracle, params: Params, rng: np.random.Generator
-) -> tuple[list[int], dict[int, list[int]]]:
-    """Sample start vertices and query their full neighborhoods classically."""
+) -> tuple[list[int], np.ndarray]:
+    """Sample start vertices, ascending, and read their full neighborhoods
+    classically in one block read: row i of the returned k x (n+1) boolean
+    matrix is the hidden row of sample[i]."""
     n = oracle.n
     k = sample_count(n, params.epsilon)
-    sample = sorted(int(v) + 1 for v in rng.choice(n, size=k, replace=False))
-    neighborhoods = {v: _read_neighborhood(oracle, v, StepTag.STEP1).tolist() for v in sample}
-    return sample, neighborhoods
+    sample = (np.sort(rng.choice(n, size=k, replace=False)) + 1).tolist()
+    return sample, oracle.read_rows(sample, StepTag.STEP1)
 
 
 def step2_build_gprime(
     oracle: QueryOracle,
     sample: list[int],
-    neighborhoods: dict[int, list[int]],
+    hoods: np.ndarray,
     params: Params,
     rng: np.random.Generator,
 ) -> tuple[Tri | None, WorkingGraph | None, bool]:
     """Search each sampled neighborhood square for an edge; on a miss for all,
     return the complement of their union as the working candidate set.
 
-    The third return value flags a safety failure: some search missed a
+    `hoods` is step 1's matrix: row i is the neighborhood of sample[i].  The
+    third return value flags a safety failure: some search missed a
     genuinely nonempty target.
     """
-    n = oracle.n
     missed = False
     for i, v in enumerate(sample):
-        members = neighborhoods[v]
-        space = _induced_pair_space(oracle.hidden, members, q_test=1)
+        space = _induced_pair_space(oracle.hidden, np.flatnonzero(hoods[i]), q_test=1)
         out = safe_grover(space, params.c_safe, oracle, StepTag.STEP2, _spawn(rng, i))
         if out.found is not None:
             a, b = out.found
@@ -302,10 +301,7 @@ def step2_build_gprime(
             return tri, None, missed  # type: ignore[return-value]
         if space.marked_count > 0:
             missed = True
-    hoods = np.zeros((len(sample), n + 1), dtype=bool)
-    for i, v in enumerate(sample):
-        hoods[i, neighborhoods[v]] = True
-    return None, WorkingGraph(n, uncovered_pairs(hoods)), missed
+    return None, WorkingGraph(oracle.n, uncovered_pairs(hoods)), missed
 
 
 def _spawn(rng: np.random.Generator, index: int) -> np.random.Generator:
@@ -388,8 +384,8 @@ def step7_high_degree(
     moved instead; after a completed peel that situation implies none of them
     is a hidden edge, so the move costs the later intersection search nothing.
     """
-    hood = _read_neighborhood(oracle, v, StepTag.STEP7)
-    space = _induced_pair_space(oracle.hidden, hood.tolist(), q_test=1)
+    hood = np.flatnonzero(oracle.read_rows([v], StepTag.STEP7)[0])
+    space = _induced_pair_space(oracle.hidden, hood, q_test=1)
     out = safe_grover(space, params.c_safe, oracle, StepTag.STEP7, rng)
     if out.found is not None:
         a, b = out.found
@@ -505,10 +501,11 @@ def solve(oracle: QueryOracle, params: Params | None = None, seed: int = 0) -> R
             measured=measured,
         )
 
-    sample, neighborhoods = step1_sample(oracle, params, substream(seed, "step1"))
+    sample, hoods = step1_sample(oracle, params, substream(seed, "step1"))
     tri, working, missed = step2_build_gprime(
-        oracle, sample, neighborhoods, params, substream(seed, "step2")
+        oracle, sample, hoods, params, substream(seed, "step2")
     )
+    del hoods  # the sampled rows are not needed past step 2; free them before step 8
     if missed:
         events.add("safe_grover_miss")
     if tri is not None:

@@ -127,7 +127,6 @@ def test_bench_fits_the_rows_it_ran(tmp_path, monkeypatch, algo):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.delenv("QTRI_WORKERS", raising=False)
     monkeypatch.setattr(qtri.analysis, name, counted)
     sizes, trials, seed = [16, 24, 32], 2, 6
     json_path = tmp_path / "fit.json"

@@ -53,8 +53,8 @@ edge_lists = st.integers(min_value=1, max_value=40).flatmap(
 
 
 @settings(max_examples=60, deadline=None)
-@given(edge_lists)
-def test_graph_agrees_with_a_set_of_pairs(case):
+@given(edge_lists, st.data())
+def test_graph_agrees_with_a_set_of_pairs(case, data):
     n, edges = case
     edges = [(a, b) for a, b in edges if a != b]
     g = Graph(n, edges)
@@ -72,6 +72,14 @@ def test_graph_agrees_with_a_set_of_pairs(case):
             if u != v:
                 assert g.has_edge(u, v) == (canon_pair(u, v) in ref)
     assert not adj[0].any() and not adj[:, 0].any()
+    picks = data.draw(st.lists(st.integers(1, n), max_size=2 * n), label="rows")
+    rows = g.rows(picks)
+    assert rows.shape == (len(picks), n + 1) and rows.dtype == bool
+    assert np.array_equal(rows, adj[picks])
+    members = data.draw(st.permutations(range(1, n + 1)), label="members")[: n // 2 + 1]
+    assert g.induced_edge_count(members) == sum(
+        canon_pair(a, b) in ref for a, b in itertools.combinations(members, 2)
+    )
     back = Graph.from_adjacency(adj)
     assert back.edge_count == g.edge_count
     assert list(back.edges()) == list(g.edges())
@@ -127,6 +135,17 @@ def test_generate_validates():
         generate("erdos_renyi", 10, seed=0, p=1.5)
     with pytest.raises(ValueError):
         generate("nonsense", 10, seed=0)
+
+
+def test_rows_reject_bad_vertices():
+    for picks in ([0], [4], [1, -2], [[1, 2]]):
+        with pytest.raises(ValueError):
+            K3.rows(picks)
+    with pytest.raises(ValueError):
+        K3.induced_edge_count([1, 4])
+    for v in (0, 4):
+        with pytest.raises(ValueError):
+            K3.row(v)
 
 
 def test_graph_rejects_loops_and_bad_vertices():

@@ -5,8 +5,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qtri import (
+    BudgetExceededError,
     Graph,
     QueryOracle,
     SearchSpace,
@@ -19,6 +22,7 @@ from qtri import (
 )
 from qtri.grover import (
     AA_COST_CONSTANT,
+    GroverOutcome,
     attempt_ranges,
     iteration_cap,
     mean_success_prob,
@@ -171,6 +175,84 @@ def test_safe_grover_single_item_space():
     out = safe_grover(space, 2.0, oracle, StepTag.STEP2, substream(0, "i"))
     assert out.found == 0
     assert oracle.report().charged == 3
+
+
+# Per-attempt reference: each attempt billed with its own `charge` call, as
+# the searches did before their attempts were billed in one ledger call.
+
+
+def reference_attempt(space, k_range, oracle, tag, rng):
+    k = int(rng.integers(k_range))
+    oracle.charge((k + 1) * space.q_test, tag)
+    if rng.random() < grover_success_prob(space.size, space.marked_count, k):
+        return k, space.draw_marked(rng)
+    return k, None
+
+
+def reference_runs(space, ranges, oracle, tag, rng):
+    iters = attempts = charged = 0
+    for k_range in ranges:
+        k, hit = reference_attempt(space, k_range, oracle, tag, rng)
+        iters += k
+        attempts += 1
+        charged += (k + 1) * space.q_test
+        if hit is not None:
+            return GroverOutcome(hit, iters, attempts, charged)
+    return GroverOutcome(None, iters, attempts, charged)
+
+
+def reference_grover_search(space, oracle, tag, rng):
+    if space.size == 0:
+        return GroverOutcome(None, 0, 0, 0)
+    return reference_runs(space, attempt_ranges(space.size), oracle, tag, rng)
+
+
+def reference_safe_grover(space, c, oracle, tag, rng):
+    if space.size == 0:
+        return GroverOutcome(None, 0, 0, 0)
+    if space.size == 1:
+        oracle.charge(space.q_test, tag)
+        found = space.draw_marked(rng) if space.marked_count == 1 else None
+        return GroverOutcome(found, 0, 1, space.q_test)
+    reps = math.ceil(c * math.log2(space.size))
+    return reference_runs(space, [iteration_cap(space.size)] * reps, oracle, tag, rng)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    size=st.sampled_from([0, 1, 2, 3, 16, 100, 1000]),
+    marked_share=st.sampled_from([0.0, 0.01, 0.3, 1.0]),
+    q_test=st.integers(1, 4),
+    c=st.sampled_from([1.0, 2.0, 3.5]),
+    budget=st.one_of(st.none(), st.integers(0, 400)),
+    spent=st.integers(0, 60),
+    seed=st.integers(0, 2**32 - 1),
+    safe=st.booleans(),
+)
+def test_searches_match_the_per_attempt_reference(
+    size, marked_share, q_test, c, budget, spent, seed, safe
+):
+    marked = min(size, math.ceil(marked_share * size))
+    space = SearchSpace.explicit(size, range(marked), q_test=q_test)
+    results = []
+    for search in ((safe_grover, reference_safe_grover) if safe
+                   else (grover_search, reference_grover_search)):
+        oracle = QueryOracle(DUMMY)
+        oracle.ledger.budget = budget
+        try:
+            oracle.charge(spent, StepTag.STEP7)
+        except BudgetExceededError:
+            pass
+        rng = substream(seed, "ref")
+        args = (space, c) if safe else (space,)
+        try:
+            out = search(*args, oracle, StepTag.STEP2, rng)
+        except BudgetExceededError as err:
+            results.append(("raised", str(err), oracle.report()))
+        else:
+            # the same draws in the same order leave the stream in the same place
+            results.append((out, oracle.report(), rng.random()))
+    assert results[0] == results[1]
 
 
 def test_edge_restricted_empty_pool_is_free():

@@ -213,6 +213,107 @@ def test_query_row_over_an_exceeded_budget_bills_one_probe():
 
 
 # ---------------------------------------------------------------------------
+# read_rows and charge_batch: one ledger call per batch
+
+
+def test_read_rows_matches_graph_row_and_bills_every_row():
+    g = generate("erdos_renyi", 30, seed=3, p=0.5)
+    o = QueryOracle(g)
+    o.query(1, 2, StepTag.STEP7)
+    vertices = [5, 30, 1, 5, 12]  # unsorted, with a duplicate
+    rows = o.read_rows(vertices, StepTag.STEP1)
+    assert rows.dtype == bool and rows.shape == (5, 31)
+    for v, row in zip(vertices, rows):
+        assert row.tolist() == g.row(v).tolist()
+    rep = o.report()
+    assert rep.per_step["Step1"] == 5 * 29  # duplicates billed
+    assert rep.classical == 5 * 29 + 1
+    assert o.read_rows([], StepTag.STEP1).shape == (0, 31)
+    assert o.report() == rep
+
+
+@pytest.mark.parametrize("vertices", [[1, 0], [4], [-1, 2], [[1, 2]]])
+def test_read_rows_rejects_bad_vertices_before_billing(vertices):
+    o = QueryOracle(K3)
+    with pytest.raises(ValueError):
+        o.read_rows(vertices, StepTag.STEP1)
+    assert o.report().total == 0
+
+
+def spend(oracle, amount):
+    """Charge `amount` to Step2, letting it go over the budget."""
+    try:
+        oracle.charge(amount, StepTag.STEP2)
+    except BudgetExceededError:
+        pass
+
+
+@pytest.mark.parametrize("budget, spent", [(40, 0), (20, 3), (3, 5)])
+def test_read_rows_budget_crossing_matches_per_row_reads(budget, spent):
+    g = Graph(8, [(1, 2), (1, 5)])
+    bulk, single = QueryOracle(g, budget=budget), QueryOracle(g, budget=budget)
+    errors = []
+    for o, read in ((bulk, lambda o, vs: o.read_rows(vs, StepTag.STEP1)),
+                    (single, lambda o, vs: [o.query_row(v, [u for u in range(1, 9) if u != v],
+                                                        StepTag.STEP1) for v in vs])):
+        spend(o, spent)
+        try:
+            read(o, [1, 2, 3, 4])
+        except BudgetExceededError as err:
+            errors.append(str(err))
+    assert len(errors) == (0 if budget >= spent + 4 * 7 else 2)
+    assert len(set(errors)) <= 1
+    assert bulk.report() == single.report()
+
+
+def per_charge(oracle, amounts, tag):
+    """Reference: bill the amounts one at a time, checking the budget after each."""
+    ledger = oracle.ledger
+    for amount in amounts:
+        ledger.charged += amount
+        ledger.per_step[tag] += amount
+        ledger._check_budget()
+
+
+@pytest.mark.parametrize(
+    "budget, spent, amounts",
+    [
+        (100, 7, [5, 0, 12, 30]),  # fits
+        (100, 7, [40, 40, 40, 40]),  # crosses at the third charge
+        (100, 7, [93, 1, 2]),  # reaches the budget exactly, then crosses
+        (100, 7, [0, 0, 94, 5]),  # crosses at the third charge after free ones
+        (10, 15, [4, 4]),  # issued over an already-exceeded budget
+        (10, 15, [0, 4]),  # a free first charge still meets the exceeded budget
+        (10, 15, []),  # an empty batch bills nothing and raises nothing
+        (None, 7, [10**9, 5]),  # no budget
+    ],
+)
+def test_charge_batch_matches_per_charge_billing(budget, spent, amounts):
+    g = Graph(8)
+    batched, single = QueryOracle(g), QueryOracle(g)
+    errors = []
+    for o, bill in ((batched, QueryOracle.charge_batch), (single, per_charge)):
+        o.ledger.budget = budget
+        spend(o, spent)
+        try:
+            bill(o, amounts, StepTag.STEP9)
+        except BudgetExceededError as err:
+            errors.append(str(err))
+    assert len(errors) in (0, 2)
+    assert len(set(errors)) <= 1
+    assert batched.report() == single.report()
+    rep = batched.report()
+    assert rep.total == rep.classical + rep.charged == sum(rep.per_step.values())
+
+
+def test_charge_batch_rejects_a_negative_amount_before_billing():
+    o = QueryOracle(K3)
+    with pytest.raises(ValueError):
+        o.charge_batch([3, -1, 2], StepTag.STEP2)
+    assert o.report().total == 0
+
+
+# ---------------------------------------------------------------------------
 # Triangle verification
 
 

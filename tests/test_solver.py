@@ -112,10 +112,35 @@ def test_search_space_samplers_match_a_set_reference():
             assert space.draw_marked(rng_space) == (min(members[pick], w), max(members[pick], w))
 
 
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(3, 30), density=st.sampled_from([0.0, 0.3, 1.0]),
+       graph_seed=st.integers(0, 10**6), data=st.data())
+def test_induced_pair_space_counts_the_member_edges(n, density, graph_seed, data):
+    hidden = generate("erdos_renyi", n, seed=graph_seed, p=density)
+    members = data.draw(st.lists(st.integers(1, n), unique=True, max_size=n), label="members")
+    space = _induced_pair_space(hidden, members)  # members in drawn order, not sorted
+    pairs = [(a, b) for i, a in enumerate(members) for b in members[i + 1:]]
+    assert space.size == len(pairs)
+    assert space.marked_count == sum(hidden.has_edge(a, b) for a, b in pairs)
+    # the right side of a complete bipartite host, descending: no edge among the members
+    right = list(range(n, (n + 1) // 2, -1))
+    space = _induced_pair_space(generate("bipartite_blowup", n, seed=graph_seed), right)
+    assert space.size == len(right) * (len(right) - 1) // 2
+    assert space.marked_count == 0
+
+
 def test_sample_count_values():
     assert sample_count(1024, 3 / 7) == 541
     assert math.ceil(4 * 16 ** (3 / 7) * math.log(16)) == 37
     assert sample_count(16, 3 / 7) == 16
+
+
+def neighborhood_matrix(n, hoods):
+    """The k x (n+1) boolean matrix whose row i marks the vertices of hoods[i]."""
+    rows = np.zeros((len(hoods), n + 1), dtype=bool)
+    for i, hood in enumerate(hoods):
+        rows[i, list(hood)] = True
+    return rows
 
 
 def test_step1_charges_exactly():
@@ -123,10 +148,14 @@ def test_step1_charges_exactly():
     sample, hoods = step1_sample(oracle, DEFAULTS, substream(0, "s1"))
     k = sample_count(64, DEFAULTS.epsilon)
     assert len(sample) == len(set(sample)) == k
+    assert sample == sorted(sample)
     assert oracle.report().per_step["Step1"] == k * 63
     assert oracle.report().total == k * 63
-    for v, hood in hoods.items():
-        assert set(hood) == {u for u in range(1, 65) if u != v and oracle.hidden.has_edge(u, v)}
+    assert hoods.dtype == bool and hoods.shape == (k, 65)
+    for v, hood in zip(sample, hoods):
+        assert set(np.flatnonzero(hood).tolist()) == {
+            u for u in range(1, 65) if u != v and oracle.hidden.has_edge(u, v)
+        }
 
 
 def test_step2_c5_all_vertices():
@@ -134,7 +163,9 @@ def test_step2_c5_all_vertices():
     g = Graph(5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)])
     oracle = QueryOracle(g, budget=10**6)
     sample = [1, 2, 3, 4, 5]
-    hoods = {v: sorted({u for u in range(1, 6) if u != v and g.has_edge(u, v)}) for v in sample}
+    hoods = neighborhood_matrix(
+        5, [{u for u in range(1, 6) if u != v and g.has_edge(u, v)} for v in sample]
+    )
     tri, working, _ = step2_build_gprime(oracle, sample, hoods, DEFAULTS, substream(0, "s2"))
     assert tri is None
     kept = set(live_pairs(working))
@@ -147,7 +178,7 @@ def test_step2_empty_graph_keeps_everything():
     g = Graph(8)
     oracle = QueryOracle(g)
     sample = list(range(1, 9))
-    hoods = {v: [] for v in sample}
+    hoods = neighborhood_matrix(8, [[] for _ in sample])
     tri, working, missed = step2_build_gprime(oracle, sample, hoods, DEFAULTS, substream(1, "s2"))
     assert tri is None and not missed
     assert working.pair_count == 28
@@ -173,7 +204,7 @@ def test_step2_dense_finds_triangle():
         g = generate("erdos_renyi", 10, seed=seed, p=1.0)
         oracle = QueryOracle(g, budget=10**6)
         sample = [1]
-        hoods = {1: list(range(2, 11))}
+        hoods = neighborhood_matrix(10, [range(2, 11)])
         tri, _, _ = step2_build_gprime(oracle, sample, hoods, DEFAULTS, substream(seed, "s2"))
         if tri is not None:
             a, b, c = tri
