@@ -4,6 +4,11 @@ Computes the weighted-adversary ratio lambda(G) / max_i lambda(G_i) for an
 explicit domain, the 1-certificate size by exhaustive subset search, and the
 certificate ceiling 2*sqrt(n*k) that the ratio can never exceed, together
 with a numeric check of the vector decomposition behind that ceiling.
+
+Every spectral norm here comes from one shifted power iteration over a stack
+of matrices.  The shift is there because a valid matrix is nonzero only
+between 0-inputs and 1-inputs: its spectrum comes in +/- pairs, so plain
+power iteration would oscillate between the two ends instead of settling.
 """
 
 from __future__ import annotations
@@ -14,9 +19,6 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
-
-_PLAIN_BUDGET = 400
-
 
 @dataclass(frozen=True)
 class PartialBooleanFunction:
@@ -117,35 +119,45 @@ def gamma_i(f: PartialBooleanFunction, gamma: np.ndarray, position: int) -> np.n
     return np.where(differ, gamma, 0.0)
 
 
-def _power_iteration(mat: np.ndarray, tol: float, max_iter: int) -> tuple[float, np.ndarray]:
-    """Dominant eigenpair of a symmetric nonnegative matrix.
+def _dominant_eigenpairs(
+    mats: np.ndarray, tol: float, max_iter: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Dominant eigenvalue and unit eigenvector of each symmetric nonnegative
+    matrix in a stack, by one shifted power iteration.
 
-    Starts with plain iteration from the all-ones vector; symmetric +/- pairs
-    in the spectrum stall that loop, so after a short budget it restarts on a
-    positively shifted copy, which makes the top eigenvalue strictly dominant
-    and keeps the iterate entrywise nonnegative.
+    A valid adversary matrix joins 0-inputs only to 1-inputs, so its spectrum
+    comes in +/- pairs and plain iteration oscillates between the two ends.
+    Iterating on M + shift*I with shift > 0 makes the top eigenvalue strictly
+    dominant and keeps the iterate entrywise nonnegative.  Each matrix stops
+    at its own convergence; an all-zero matrix gives exactly 0.0 with the
+    uniform vector.  Raises `ArithmeticError` when any matrix misses
+    `max_iter`.
     """
-    dim = mat.shape[0]
-    x = np.full(dim, 1.0 / math.sqrt(dim))
-    if not mat.any():
-        return 0.0, x
-    for _ in range(min(max_iter, _PLAIN_BUDGET)):
-        y = mat @ x
-        lam = float(x @ y)
-        if float(np.linalg.norm(y - lam * x)) <= tol * max(abs(lam), 1e-30):
-            return lam, x
-        norm_y = float(np.linalg.norm(y))
-        x = y / norm_y
-    shift = 0.05 * float(np.abs(mat).sum(axis=1).max()) + tol
-    shifted = mat + shift * np.eye(dim)
-    x = np.full(dim, 1.0 / math.sqrt(dim))
+    batch, dim, _ = mats.shape
+    lam = np.zeros(batch)
+    vecs = np.full((batch, dim), 1.0 / math.sqrt(dim))
+    todo = np.flatnonzero(mats.any(axis=(1, 2)))
+    work = mats[todo]
+    shifts = 0.05 * np.abs(work).sum(axis=2).max(axis=1) + tol
+    diag = np.arange(dim)
+    work[:, diag, diag] += shifts[:, None]
+    x = vecs[todo, :, None]  # one column vector per matrix still iterating
     for _ in range(max_iter):
-        y = shifted @ x
-        lam = float(x @ y)
-        if float(np.linalg.norm(y - lam * x)) <= tol * max(abs(lam), 1e-30):
-            return lam - shift, x
-        x = y / float(np.linalg.norm(y))
-    raise ArithmeticError("power iteration did not converge within the cap")
+        if not todo.size:
+            break
+        y = work @ x
+        rayleigh = x.transpose(0, 2, 1) @ y
+        resid = y - rayleigh * x
+        done = (resid.transpose(0, 2, 1) @ resid <= (tol * rayleigh) ** 2).ravel()
+        if done.any():
+            lam[todo[done]] = rayleigh[done, 0, 0] - shifts[done]
+            vecs[todo[done]] = x[done, :, 0]
+            keep = ~done
+            todo, shifts, work, x, y = todo[keep], shifts[keep], work[keep], x[keep], y[keep]
+        x = y / np.sqrt(y.transpose(0, 2, 1) @ y)
+    if todo.size:
+        raise ArithmeticError("power iteration did not converge within the cap")
+    return lam, vecs
 
 
 def spectral_norm(mat: np.ndarray, tol: float = 1e-10, max_iter: int = 10**5) -> float:
@@ -155,30 +167,21 @@ def spectral_norm(mat: np.ndarray, tol: float = 1e-10, max_iter: int = 10**5) ->
         raise ValueError("matrix must be square")
     if mat.shape[0] > 4096:
         raise ValueError("dimension above 4096 not supported")
-    return _power_iteration(mat, tol, max_iter)[0]
+    return float(_dominant_eigenpairs(mat[None], tol, max_iter)[0][0])
 
 
 def spectral_norm_batch(mats: np.ndarray, tol: float = 1e-8, max_iter: int = 4000) -> np.ndarray:
-    """Vectorised shifted power iteration over a stack of matrices."""
-    mats = np.asarray(mats, dtype=float)
-    batch, dim, _ = mats.shape
-    shifts = 0.05 * np.abs(mats).sum(axis=2).max(axis=1) + tol
-    zero = shifts <= tol  # all-zero matrices stay at eigenvalue 0
-    work = mats + shifts[:, None, None] * np.eye(dim)
-    x = np.full((batch, dim), 1.0 / math.sqrt(dim))
-    lam = np.zeros(batch)
-    for it in range(max_iter):
-        y = np.einsum("bij,bj->bi", work, x)
-        lam = np.einsum("bi,bi->b", x, y)
-        if it % 25 == 24:
-            resid = np.linalg.norm(y - lam[:, None] * x, axis=1)
-            if (resid <= tol * np.maximum(np.abs(lam), 1e-30)).all():
-                break
-        norms = np.linalg.norm(y, axis=1)
-        x = y / np.maximum(norms, 1e-300)[:, None]
-    out = lam - shifts
-    out[zero] = 0.0
-    return out
+    """Largest eigenvalue of each matrix in a stack, as `spectral_norm` gives it."""
+    return _dominant_eigenpairs(np.asarray(mats, dtype=float), tol, max_iter)[0]
+
+
+def _norms(f: PartialBooleanFunction, gamma: np.ndarray) -> tuple[float, float]:
+    """(lambda(G), max_i lambda(G_i)) for a valid matrix, one kernel call per matrix."""
+    problem = validate_gamma(f, gamma)
+    if problem is not None:
+        raise ValueError(problem)
+    lam = spectral_norm(gamma)
+    return lam, max(spectral_norm(gamma_i(f, gamma, i)) for i in range(1, f.n + 1))
 
 
 def adversary_value(
@@ -187,12 +190,7 @@ def adversary_value(
     """(spectral ratio, error-adjusted query lower bound) for a valid matrix."""
     if not 0.0 <= epsilon < 0.5:
         raise ValueError("epsilon must lie in [0, 1/2)")
-    problem = validate_gamma(f, gamma)
-    if problem is not None:
-        raise ValueError(problem)
-    lam = spectral_norm(gamma)
-    lam_parts = [spectral_norm(gamma_i(f, gamma, i)) for i in range(1, f.n + 1)]
-    denom = max(lam_parts)
+    lam, denom = _norms(f, gamma)
     if denom <= 0.0:
         raise ValueError("all restricted matrices are zero; the ratio is undefined")
     raw_ratio = lam / denom
@@ -230,17 +228,19 @@ def certificate_size(f: PartialBooleanFunction) -> int:
     return max(len(min_certificate(f, i)) for i in ones)
 
 
+def ceiling_check(n: int, k: int, raw_ratio: float) -> tuple[float, bool, float]:
+    """(ceiling 2*sqrt(n*k), raw_ratio <= ceiling up to 1e-8, slack ceiling - raw_ratio)."""
+    ceiling = 2.0 * math.sqrt(n * k)
+    return ceiling, raw_ratio <= ceiling + 1e-8, ceiling - raw_ratio
+
+
 def barrier_check(f: PartialBooleanFunction, gamma: np.ndarray) -> tuple[bool, float]:
     """Check raw_ratio <= 2*sqrt(n*k) and return (ok, slack)."""
     k = certificate_size(f)
-    ceiling = 2.0 * math.sqrt(f.n * k)
-    try:
-        raw_ratio, _ = adversary_value(f, gamma)
-    except ValueError as exc:
-        if "undefined" not in str(exc):
-            raise
-        raw_ratio = 0.0
-    return raw_ratio <= ceiling + 1e-8, ceiling - raw_ratio
+    lam, denom = _norms(f, gamma)
+    raw_ratio = lam / denom if denom > 0.0 else 0.0  # an all-zero matrix has no ratio
+    _, ok, slack = ceiling_check(f.n, k, raw_ratio)
+    return ok, slack
 
 
 def random_valid_gamma(f: PartialBooleanFunction, rng: np.random.Generator) -> np.ndarray:
@@ -266,8 +266,9 @@ def decomposition_diagnostic(f: PartialBooleanFunction, gamma: np.ndarray, tol: 
     problem = validate_gamma(f, gamma)
     if problem is not None:
         raise ValueError(problem)
-    lam, v = _power_iteration(np.asarray(gamma, dtype=float), 1e-12, 10**5)
-    v = np.abs(v)  # shifted iteration keeps it nonnegative; guard the sign anyway
+    lams, vecs = _dominant_eigenpairs(np.asarray(gamma, dtype=float)[None], 1e-12, 10**5)
+    lam = float(lams[0])
+    v = np.abs(vecs[0])  # shifted iteration keeps it nonnegative; guard the sign anyway
     certs = {i: set(min_certificate(f, i)) for i in f.ones()}
     k = max((len(c) for c in certs.values()), default=0)
 

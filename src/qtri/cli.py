@@ -18,8 +18,8 @@ import sys
 from . import analysis
 from .adversary import (
     adversary_value,
-    barrier_check,
     certificate_size,
+    ceiling_check,
     decomposition_diagnostic,
     load_function,
     load_matrix,
@@ -142,12 +142,12 @@ def _cmd_adversary(args: argparse.Namespace) -> int:
         raise ValueError(f"invalid adversary matrix: {problem}")
     raw_ratio, qqc = adversary_value(f, gamma, args.epsilon)
     k = certificate_size(f)
-    ok, slack = barrier_check(f, gamma)
+    barrier, ok, slack = ceiling_check(f.n, k, raw_ratio)
     payload = {
         "raw_ratio": raw_ratio,
         "qqc_lower_bound": qqc,
         "certificate_size": k,
-        "barrier": 2.0 * (f.n * k) ** 0.5,
+        "barrier": barrier,
         "slack": slack,
         "within_barrier": ok,
     }

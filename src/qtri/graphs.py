@@ -174,21 +174,6 @@ def triangle_count(graph: Graph) -> int:
 # Instance generators
 
 
-def _empty_adj(n: int) -> np.ndarray:
-    return np.zeros((n + 1, n + 1), dtype=bool)
-
-
-def _blocks(n: int, parts: int) -> list[np.ndarray]:
-    sizes = [n // parts + (1 if i < n % parts else 0) for i in range(parts)]
-    verts = np.arange(1, n + 1)
-    out = []
-    start = 0
-    for s in sizes:
-        out.append(verts[start : start + s])
-        start += s
-    return out
-
-
 def generate(kind: str, n: int, seed: int, p: float | None = None) -> Graph:
     """Deterministic test instance of the given kind.
 
@@ -207,31 +192,21 @@ def generate(kind: str, n: int, seed: int, p: float | None = None) -> Graph:
         if p is None or not 0.0 <= p <= 1.0:
             raise ValueError("p must be in [0, 1]")
     rng = substream(seed, "graph", kind, n, None if p is None else float(p))
-    adj = _empty_adj(n)
+    adj = np.zeros((n + 1, n + 1), dtype=bool)
 
-    if kind in ("erdos_renyi", "planted_triangle"):
-        iu = np.triu_indices(n, k=1)
-        hits = rng.random(len(iu[0])) < p
-        adj[iu[0] + 1, iu[1] + 1] = hits
-        adj |= adj.T
+    if needs_p:
+        # one draw per pair i < j, in row-major order over the strict upper triangle
+        adj[1:, 1:][np.triu(np.ones((n, n), dtype=bool), 1)] = rng.random(n * (n - 1) // 2) < p
         if kind == "planted_triangle":
             a, b, c = (int(v) + 1 for v in rng.choice(n, size=3, replace=False))
-            for x, y in ((a, b), (b, c), (a, c)):
-                adj[x, y] = adj[y, x] = True
+            adj[[a, b, a], [b, c, c]] = True
     elif kind == "complete":
         adj[1:, 1:] = True
-        np.fill_diagonal(adj, False)
-    elif kind == "bipartite_blowup":
-        left, right = _blocks(n, 2)
-        adj[np.ix_(left, right)] = True
-        adj |= adj.T
-    else:  # triangle_free_dense: 5-cycle blowup
-        blocks = _blocks(n, 5)
-        for i in range(5):
-            a, b = blocks[i], blocks[(i + 1) % 5]
-            if len(a) and len(b):
-                adj[np.ix_(a, b)] = True
-        adj |= adj.T
+    else:  # balanced blowup of a 2-cycle (complete bipartite) or of a 5-cycle
+        blocks = np.array_split(np.arange(1, n + 1), 2 if kind == "bipartite_blowup" else 5)
+        for a, b in zip(blocks, blocks[1:] + blocks[:1]):
+            adj[np.ix_(a, b)] = True
+    adj |= adj.T
     return Graph.from_adjacency(adj)
 
 

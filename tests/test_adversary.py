@@ -17,6 +17,7 @@ from qtri import (
     validate_gamma,
 )
 from qtri.adversary import (
+    _dominant_eigenpairs,
     and_function,
     load_function,
     load_matrix,
@@ -120,6 +121,52 @@ def test_spectral_norm_batch_matches_scalar():
     got = spectral_norm_batch(np.stack(mats))
     for m, lam in zip(mats, got):
         assert lam == pytest.approx(spectral_norm(m), rel=1e-6, abs=1e-8)
+
+
+def valid_stack(f, count, rng):
+    """`count` random valid matrices for f, each followed by its n restrictions."""
+    mats = []
+    for _ in range(count):
+        gamma = random_valid_gamma(f, rng)
+        mats += [gamma] + [gamma_i(f, gamma, i) for i in range(1, f.n + 1)]
+    return np.stack(mats)
+
+
+@pytest.mark.parametrize("label", ["or3", "and2", "triangle"])
+def test_spectral_norms_match_dense_solver_on_plus_minus_spectra(label):
+    f = {"or3": or_function(3), "and2": and_function(2),
+         "triangle": triangle_property_function()}[label]
+    mats = valid_stack(f, 20, substream(5, "pm", label))
+    spectra = np.linalg.eigvalsh(mats)
+    # a valid matrix is bipartite between 0- and 1-inputs: its spectrum is symmetric
+    assert np.allclose(spectra, -spectra[:, ::-1], atol=1e-12)
+    want = spectra[:, -1]
+    # a residual of tol * (lambda + shift) bounds the eigenvalue error by that residual
+    batch = spectral_norm_batch(mats)
+    for m, top, lam in zip(mats, want, batch):
+        assert spectral_norm(m) == pytest.approx(top, rel=1e-9, abs=1e-12)
+        assert lam == pytest.approx(top, rel=1e-7, abs=1e-12)
+    lams, vecs = _dominant_eigenpairs(mats, 1e-10, 10**5)
+    assert np.allclose(np.linalg.norm(vecs, axis=1), 1.0)
+    assert np.allclose(np.einsum("bij,bj->bi", mats, vecs), lams[:, None] * vecs, atol=1e-8)
+
+
+def test_spectral_norms_raise_when_the_cap_is_too_small():
+    star = or2_star()
+    with pytest.raises(ArithmeticError):
+        spectral_norm(star, max_iter=2)
+    with pytest.raises(ArithmeticError):
+        spectral_norm_batch(np.stack([star, star]), max_iter=2)
+    assert spectral_norm(star) == pytest.approx(math.sqrt(2.0), abs=1e-9)
+
+
+def test_spectral_norm_batch_all_zero_member_is_exactly_zero():
+    star = or2_star()
+    got = spectral_norm_batch(np.stack([star, np.zeros((4, 4)), 2.0 * star]))
+    assert got[1] == 0.0
+    assert got[0] == pytest.approx(math.sqrt(2.0), abs=1e-7)
+    assert got[2] == pytest.approx(2.0 * math.sqrt(2.0), abs=1e-7)
+    assert np.array_equal(spectral_norm_batch(np.zeros((3, 5, 5)), max_iter=0), np.zeros(3))
 
 
 def test_adversary_value_or2():

@@ -7,9 +7,10 @@ import math
 import numpy as np
 import pytest
 
+import qtri.adversary
 import qtri.analysis
 import qtri.cli
-from qtri.adversary import or_star_instance
+from qtri.adversary import or_star_instance, random_valid_gamma, triangle_property_function
 from qtri.cli import main
 from qtri.graphs import load_graph, triangle_count
 from qtri.oracle import VerificationError
@@ -212,6 +213,33 @@ def test_adversary_command(tmp_path):
     assert obj["barrier"] == pytest.approx(2 * math.sqrt(2), abs=1e-9)
     assert obj["within_barrier"] is True
     assert obj["decomposition"]["ok"] is True
+
+
+def test_adversary_command_computes_each_quantity_once(tmp_path, monkeypatch):
+    f = triangle_property_function()
+    gamma = random_valid_gamma(f, np.random.default_rng(0))
+    fpath, gpath = tmp_path / "tri.json", tmp_path / "gamma.json"
+    fpath.write_text(json.dumps(f.to_json()))
+    gpath.write_text(json.dumps(gamma.tolist()))
+    certificates, stacks = [], []
+    real_certificate_size = qtri.adversary.certificate_size
+    real_kernel = qtri.adversary._dominant_eigenpairs
+
+    def counting_certificate_size(g):
+        certificates.append(g)
+        return real_certificate_size(g)
+
+    def counting_kernel(mats, tol, max_iter):
+        stacks.append(len(mats))
+        return real_kernel(mats, tol, max_iter)
+
+    monkeypatch.setattr(qtri.adversary, "certificate_size", counting_certificate_size)
+    monkeypatch.setattr(qtri.cli, "certificate_size", counting_certificate_size)
+    monkeypatch.setattr(qtri.adversary, "_dominant_eigenpairs", counting_kernel)
+    assert run(["adversary", "--function", str(fpath), "--gamma", str(gpath),
+                "--out", str(tmp_path / "adv.json")]) == 0
+    assert len(certificates) == 1
+    assert stacks == [1] * (f.n + 1)  # gamma and its n restrictions, one kernel call each
 
 
 def test_adversary_rejects_invalid_gamma(tmp_path):

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qtri import Graph, generate, load_graph, save_graph, triangle_count
-from qtri.graphs import MAX_VERTICES, canon_pair, common_neighbors
+from qtri.graphs import GENERATOR_KINDS, MAX_VERTICES, canon_pair, common_neighbors
+from qtri.rng import substream
 
 K3 = Graph(3, [(1, 2), (2, 3), (1, 3)])
 K4 = Graph(4, list(itertools.combinations(range(1, 5), 2)))
@@ -126,6 +127,57 @@ def test_generate_deterministic():
     assert list(a.edges()) == list(b.edges())
     c = generate("erdos_renyi", 20, seed=6, p=0.5)
     assert list(a.edges()) != list(c.edges())
+
+
+def reference_adjacency(kind, n, seed, p):
+    """The generators as first written, over `np.triu_indices` and explicit
+    vertex blocks: the reference that `generate` must reproduce."""
+    rng = substream(seed, "graph", kind, n, None if p is None else float(p))
+    adj = np.zeros((n + 1, n + 1), dtype=bool)
+
+    def blocks(parts):
+        sizes = [n // parts + (1 if i < n % parts else 0) for i in range(parts)]
+        verts = np.arange(1, n + 1)
+        out = []
+        start = 0
+        for s in sizes:
+            out.append(verts[start : start + s])
+            start += s
+        return out
+
+    if kind in ("erdos_renyi", "planted_triangle"):
+        iu = np.triu_indices(n, k=1)
+        hits = rng.random(len(iu[0])) < p
+        adj[iu[0] + 1, iu[1] + 1] = hits
+        adj |= adj.T
+        if kind == "planted_triangle":
+            a, b, c = (int(v) + 1 for v in rng.choice(n, size=3, replace=False))
+            for x, y in ((a, b), (b, c), (a, c)):
+                adj[x, y] = adj[y, x] = True
+    elif kind == "complete":
+        adj[1:, 1:] = True
+        np.fill_diagonal(adj, False)
+    elif kind == "bipartite_blowup":
+        left, right = blocks(2)
+        adj[np.ix_(left, right)] = True
+        adj |= adj.T
+    else:
+        parts = blocks(5)
+        for i in range(5):
+            a, b = parts[i], parts[(i + 1) % 5]
+            if len(a) and len(b):
+                adj[np.ix_(a, b)] = True
+        adj |= adj.T
+    return adj
+
+
+@pytest.mark.parametrize("kind", GENERATOR_KINDS)
+def test_generate_matches_the_reference_generator(kind):
+    for n in range(3, 70):
+        for seed in range(3):
+            p = 0.3 if kind in ("erdos_renyi", "planted_triangle") else None
+            want = reference_adjacency(kind, n, seed, p)
+            assert np.array_equal(generate(kind, n, seed, p=p).adjacency(), want), (n, seed)
 
 
 def test_generate_validates():
