@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -60,6 +61,11 @@ class PartialBooleanFunction:
 
     def zeros(self) -> list[int]:
         return [i for i, v in enumerate(self.values) if v == 0]
+
+    @cached_property
+    def _certificates(self) -> dict[int, tuple[int, ...]]:
+        """`min_certificate` of each 1-input, searched once per function."""
+        return {i: min_certificate(self, i) for i in self.ones()}
 
     @classmethod
     def from_json(cls, obj: dict) -> "PartialBooleanFunction":
@@ -175,6 +181,9 @@ def spectral_norm_batch(mats: np.ndarray, tol: float = 1e-8, max_iter: int = 400
     return _dominant_eigenpairs(np.asarray(mats, dtype=float), tol, max_iter)[0]
 
 
+_ZERO_RATIO = "all restricted matrices are zero; the ratio is undefined"
+
+
 def _norms(f: PartialBooleanFunction, gamma: np.ndarray) -> tuple[float, float]:
     """(lambda(G), max_i lambda(G_i)) for a valid matrix, one kernel call per matrix."""
     problem = validate_gamma(f, gamma)
@@ -192,7 +201,7 @@ def adversary_value(
         raise ValueError("epsilon must lie in [0, 1/2)")
     lam, denom = _norms(f, gamma)
     if denom <= 0.0:
-        raise ValueError("all restricted matrices are zero; the ratio is undefined")
+        raise ValueError(_ZERO_RATIO)
     raw_ratio = lam / denom
     factor = 1.0 - 2.0 * math.sqrt(epsilon * (1.0 - epsilon))
     return raw_ratio, factor * raw_ratio / 2.0
@@ -222,10 +231,9 @@ def certificate_size(f: PartialBooleanFunction) -> int:
     """Largest minimal 1-certificate over all 1-inputs."""
     if f.n > 20:
         raise ValueError("exhaustive certificate search is limited to n <= 20")
-    ones = f.ones()
-    if not ones:
+    if not f.ones():
         raise ValueError("function has no 1-input")
-    return max(len(min_certificate(f, i)) for i in ones)
+    return max(map(len, f._certificates.values()))
 
 
 def ceiling_check(n: int, k: int, raw_ratio: float) -> tuple[float, bool, float]:
@@ -266,11 +274,14 @@ def decomposition_diagnostic(f: PartialBooleanFunction, gamma: np.ndarray, tol: 
     problem = validate_gamma(f, gamma)
     if problem is not None:
         raise ValueError(problem)
+    denom = max(spectral_norm(gamma_i(f, gamma, i)) for i in range(1, f.n + 1))
+    if denom <= 0.0:
+        raise ValueError(_ZERO_RATIO)
     lams, vecs = _dominant_eigenpairs(np.asarray(gamma, dtype=float)[None], 1e-12, 10**5)
     lam = float(lams[0])
     v = np.abs(vecs[0])  # shifted iteration keeps it nonnegative; guard the sign anyway
-    certs = {i: set(min_certificate(f, i)) for i in f.ones()}
-    k = max((len(c) for c in certs.values()), default=0)
+    certs = f._certificates
+    k = max(map(len, certs.values()), default=0)
 
     vs = []
     for pos in range(1, f.n + 1):
@@ -287,8 +298,7 @@ def decomposition_diagnostic(f: PartialBooleanFunction, gamma: np.ndarray, tol: 
     half_pattern = (vals[:, None] == 1) & (vals[None, :] == 0)
     half = float(v @ np.where(half_pattern, gamma, 0.0) @ v)
     norm_sum = sum(float(np.linalg.norm(vi)) for vi in vs)
-    lam_parts = [spectral_norm(gamma_i(f, gamma, i)) for i in range(1, f.n + 1)]
-    ratio = lam / max(lam_parts)
+    ratio = lam / denom
 
     checks = {
         "identity_error": identity_err,

@@ -1,6 +1,10 @@
 """Numeric side of the cost analysis: the total-cost exponents, their grid
 optimization, the sampling disjointness probabilities, structural failure
 rates, and empirical scaling fits with a folklore search baseline.
+
+The baseline is the solver's `safe_grover` over the C(n, 3) vertex triples
+with a 3-query membership test, and the containment failure rate draws its
+sample with the solver's `step1_sample`.
 """
 
 from __future__ import annotations
@@ -12,10 +16,10 @@ from fractions import Fraction
 import numpy as np
 
 from .graphs import Graph, common_neighbors, generate, triangle_count
-from .grover import grover_success_prob, iteration_cap
+from .grover import SearchSpace, safe_grover
 from .oracle import QueryOracle, StepTag
 from .rng import derive_seed, substream
-from .solver import Params, RunReport, sample_count, solve, uncovered_pairs
+from .solver import Params, solve, step1_sample, uncovered_pairs
 
 
 @dataclass(frozen=True)
@@ -190,23 +194,22 @@ def threshold_violation_rate(
     """Frequency with which the sampled-neighborhood complement keeps a pair
     whose hidden common-neighbor count exceeds n^(1-epsilon).
 
-    Builds the candidate set directly from the sample (no searches), so the
-    purely combinatorial containment property is what gets measured.
+    Draws the sample with the solver's `step1_sample` and builds the candidate
+    set directly from its rows (no searches), so the purely combinatorial
+    containment property is what gets measured.
     """
     if n < 8:
         raise ValueError("n must be >= 8")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    params = Params(epsilon=epsilon)
     violations = 0
     thresh = n ** (1.0 - epsilon)
     for trial in range(trials):
         graph = generate(kind, n, seed=derive_seed(seed, "containment", trial), p=p)
-        rng = substream(seed, "containment", trial)
-        k = sample_count(n, epsilon)
-        sample = rng.choice(n, size=k, replace=False) + 1
-        adj = graph.adjacency()
-        candidate = uncovered_pairs(adj[sample])
-        common = common_neighbors(adj)
+        _, hoods = step1_sample(QueryOracle(graph), params, substream(seed, "containment", trial))
+        candidate = uncovered_pairs(hoods)
+        common = common_neighbors(graph.adjacency())
         if bool((common[candidate] > thresh).any()):
             violations += 1
     return violations / trials
@@ -224,23 +227,19 @@ class BaselineResult:
 
 
 def folklore_baseline(graph: Graph, seed: int, c_safe: float = 2.0) -> BaselineResult:
-    """Plain search over all vertex triples, modeled like the safe search:
-    independent full-range shots of 3 queries per candidate round, stopping
-    at the first verified triangle.
+    """Plain safe search over all C(n, 3) vertex triples with a 3-query test,
+    stopping at the first hit.
+
+    The search names no triple, so nothing is verified.  It bills a fresh
+    ledger under the step-9 tag, the solver's own search over triangles.  At
+    the default c_safe its worst-case charge stays below 6% of the default
+    budget for every n up to `MAX_VERTICES`, so the budget never aborts it.
     """
     n = graph.n
-    size = n * (n - 1) * (n - 2) // 6
-    marked = triangle_count(graph)
-    reps = max(1, math.ceil(c_safe * math.log2(size)))  # n = 3 has one triple, log2 1 = 0
-    cap = iteration_cap(size)
+    space = SearchSpace(math.comb(n, 3), triangle_count(graph), 3, lambda _rng: True)
     rng = substream(seed, "baseline", n)
-    total = 0
-    for shot in range(1, reps + 1):
-        k = int(rng.integers(cap))
-        total += (k + 1) * 3
-        if rng.random() < grover_success_prob(size, marked, k):
-            return BaselineResult(True, total, shot)
-    return BaselineResult(False, total, reps)
+    out = safe_grover(space, c_safe, QueryOracle(graph), StepTag.STEP9, rng)
+    return BaselineResult(out.found is not None, out.queries_charged, out.attempts)
 
 
 @dataclass(frozen=True)
@@ -261,11 +260,6 @@ class ScalingFit:
         }
 
 
-def trial_seeds(seed: int, n: int, trial: int) -> tuple[int, int]:
-    """(graph seed, run seed) of one trial at one size of a seeded batch."""
-    return derive_seed(seed, n, trial, "graph"), derive_seed(seed, n, trial, "run")
-
-
 def fit_totals(per_size: list[tuple[int, list[int]]]) -> ScalingFit:
     """Log-log fit of the mean total per size, one point per (n, totals) entry."""
     if any(not totals for _, totals in per_size) or len({n for n, _ in per_size}) < 3:
@@ -278,15 +272,6 @@ def fit_totals(per_size: list[tuple[int, list[int]]]) -> ScalingFit:
     return ScalingFit(points, float(slope), float(intercept), normalized)
 
 
-def run_one(
-    n: int, trial: int, seed: int, params: Params, kind: str = "erdos_renyi", p: float = 0.5
-) -> RunReport:
-    """One seeded solver run on a generated instance."""
-    graph_seed, run_seed = trial_seeds(seed, n, trial)
-    graph = generate(kind, n, seed=graph_seed, p=p)
-    return solve(QueryOracle(graph), params, seed=run_seed)
-
-
 def trial_rows(
     algo: str,
     n_values: list[int],
@@ -296,21 +281,22 @@ def trial_rows(
     kind: str = "erdos_renyi",
     p: float = 0.5,
 ) -> list[dict]:
-    """One `qtri bench` CSV row per (n, trial), in that order: a `run_one`
-    report for `algo` "staged", else a `folklore_baseline` on the same instance."""
+    """One `qtri bench` CSV row per (n, trial), in that order: a `solve`
+    report for `algo` "staged", else a `folklore_baseline`, on the same
+    generated instance."""
     rows = []
     for n in n_values:
         for trial in range(trials):
+            run_seed = derive_seed(seed, n, trial, "run")
+            graph = generate(kind, n, seed=derive_seed(seed, n, trial, "graph"), p=p)
             if algo == "baseline":
-                graph_seed, run_seed = trial_seeds(seed, n, trial)
-                graph = generate(kind, n, seed=graph_seed, p=p)
                 result = folklore_baseline(graph, run_seed, params.c_safe)
                 found = result.found
                 rows.append({"n": n, "seed": run_seed, "total": result.total_queries})
             else:
-                report = run_one(n, trial, seed, params, kind, p)
+                report = solve(QueryOracle(graph), params, seed=run_seed)
                 found, cost = report.outcome is not None, report.cost
-                rows.append({"n": n, "seed": report.seed, "total": cost.total,
+                rows.append({"n": n, "seed": run_seed, "total": cost.total,
                              "classical": cost.classical, "charged": cost.charged})
                 rows[-1].update((tag.value.lower(), cost.per_step[tag.value]) for tag in StepTag)
             rows[-1]["outcome"] = "triangle" if found else "no"

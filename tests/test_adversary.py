@@ -247,6 +247,15 @@ def test_decomposition_diagnostic_or4_star():
     assert out["ratio"] <= out["ratio_ceiling"] + 1e-9
 
 
+def test_all_zero_gamma_has_no_ratio_in_the_diagnostic():
+    f = triangle_property_function()
+    gamma = np.zeros((8, 8))
+    with pytest.raises(ValueError, match="ratio is undefined"):
+        adversary_value(f, gamma)
+    with pytest.raises(ValueError, match="ratio is undefined"):
+        decomposition_diagnostic(f, gamma)
+
+
 def test_function_json_roundtrip(tmp_path):
     import json
 

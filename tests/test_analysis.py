@@ -1,5 +1,6 @@
 """Cost-exponent, disjointness, and scaling-fit tests."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,9 @@ from qtri import (
     triangle_count,
 )
 from qtri.analysis import BaselineResult, disjointness_exponent_dev, disjointness_sweep, fit_totals
+from qtri.graphs import MAX_VERTICES
+from qtri.grover import iteration_cap
+from qtri.oracle import default_budget
 
 
 def test_cost_terms_default_triple():
@@ -144,6 +148,12 @@ def test_containment_rejects_no_trials():
         threshold_violation_rate(16, 3 / 7, trials=0, seed=0)
 
 
+@pytest.mark.parametrize("epsilon", [0.0, 1.0, -0.5, 1.5])
+def test_containment_rejects_epsilon_outside_the_unit_interval(epsilon):
+    with pytest.raises(ValueError, match="epsilon must lie in"):
+        threshold_violation_rate(16, epsilon, trials=1, seed=0)
+
+
 @pytest.mark.parametrize("per_size", [
     [(16, [5]), (24, [7])],
     [(16, [5]), (16, [6]), (24, [7])],
@@ -164,11 +174,61 @@ def test_baseline_always_verifies():
 
 @pytest.mark.parametrize("p, found", [(1.0, True), (0.0, False)], ids=["K3", "empty"])
 def test_baseline_takes_one_shot_on_three_vertices(p, found):
-    # one triple: log2(1) = 0 would give no shot, so it takes one, like safe_grover's one item
+    # one triple: log2(1) = 0 would give no shot; safe_grover settles one item with one test
     g = generate("erdos_renyi", 3, seed=0, p=p)
     assert triangle_count(g) == found
     for seed in range(5):
         assert folklore_baseline(g, seed) == BaselineResult(found, 3, 1)
+
+
+def test_baseline_rejects_c_safe_below_one():
+    with pytest.raises(ValueError, match="c must be >= 1"):
+        folklore_baseline(generate("complete", 4, seed=0), 0, c_safe=0.5)
+
+
+def test_baseline_worst_case_charge_fits_the_default_budget():
+    # the baseline bills a default-budget ledger: its largest possible charge, every shot
+    # missing at the top iteration count, must stay below that budget at every size
+    worst = 0.0
+    for n in range(3, MAX_VERTICES + 1):
+        size = math.comb(n, 3)
+        charge = max(1, math.ceil(2 * math.log2(size))) * iteration_cap(size) * 3
+        worst = max(worst, charge / default_budget(n))
+    assert worst < 0.06
+
+
+# (found, total_queries, shots) per n for graph and baseline seeds 0, 1, 2
+BASELINE_OUTPUTS = {
+    ("erdos_renyi", 0.5): {
+        3: [(False, 3, 1), (False, 3, 1), (True, 3, 1)],
+        4: [(True, 6, 1), (False, 21, 4), (False, 21, 4)],
+        5: [(True, 15, 3), (False, 30, 7), (False, 51, 7)],
+        11: [(True, 36, 2), (True, 21, 1), (True, 60, 5)],
+        64: [(True, 870, 2), (True, 1173, 4), (True, 111, 1)],
+    },
+    ("erdos_renyi", 0.02): {
+        3: [(False, 3, 1), (False, 3, 1), (False, 3, 1)],
+        4: [(False, 18, 4), (False, 21, 4), (False, 21, 4)],
+        5: [(False, 51, 7), (False, 30, 7), (False, 51, 7)],
+        11: [(False, 309, 15), (False, 291, 15), (False, 222, 15)],
+        64: [(True, 420, 1), (False, 7014, 31), (False, 7863, 31)],
+    },
+    ("bipartite_blowup", None): {
+        3: [(False, 3, 1), (False, 3, 1), (False, 3, 1)],
+        4: [(False, 18, 4), (False, 21, 4), (False, 21, 4)],
+        5: [(False, 51, 7), (False, 30, 7), (False, 51, 7)],
+        11: [(False, 309, 15), (False, 291, 15), (False, 222, 15)],
+        64: [(False, 6966, 31), (False, 7014, 31), (False, 7863, 31)],
+    },
+}
+
+
+@pytest.mark.parametrize("kind, p", list(BASELINE_OUTPUTS))
+def test_baseline_outputs_are_pinned(kind, p):
+    for n, expected in BASELINE_OUTPUTS[kind, p].items():
+        for seed, (found, total, shots) in enumerate(expected):
+            g = generate(kind, n, seed=seed, p=p)
+            assert folklore_baseline(g, seed) == BaselineResult(found, total, shots), (n, seed)
 
 
 def test_baseline_slope_near_three_halves():

@@ -182,13 +182,16 @@ def test_lemma_checks_runs(tmp_path):
     (["bench", "--sizes", "16,24,7"], "--algo staged needs --sizes >= 8"),
     (["bench", "--algo", "baseline", "--sizes", "2,16,24"], "--algo baseline needs --sizes >= 3"),
     (["lemma-checks", "--trials", "0"], "trials must be >= 1"),
+    (["lemma-checks", "--epsilon", "0"], "epsilon must lie in (0, 1)"),
+    (["lemma-checks", "--epsilon", "1"], "epsilon must lie in (0, 1)"),
 ], ids=["bench-no-trials", "bench-repeated-size", "bench-two-sizes", "bench-staged-too-small",
-        "bench-staged-just-below", "bench-baseline-too-small", "lemma-no-trials"])
+        "bench-staged-just-below", "bench-baseline-too-small", "lemma-no-trials",
+        "lemma-epsilon-zero", "lemma-epsilon-one"])
 def test_bad_counts_exit_2_before_any_work(tmp_path, monkeypatch, capsys, args, message):
     def no_work(*args, **kwargs):
         raise AssertionError("work started on bad input")
 
-    for name in ("run_one", "folklore_baseline", "disjointness_sweep"):
+    for name in ("solve", "folklore_baseline", "disjointness_sweep"):
         monkeypatch.setattr(qtri.analysis, name, no_work)
     outs = {"bench": ["--out-csv", str(tmp_path / "rows.csv"),
                       "--out-json", str(tmp_path / "fit.json")],
@@ -240,6 +243,27 @@ def test_adversary_command_computes_each_quantity_once(tmp_path, monkeypatch):
                 "--out", str(tmp_path / "adv.json")]) == 0
     assert len(certificates) == 1
     assert stacks == [1] * (f.n + 1)  # gamma and its n restrictions, one kernel call each
+
+
+def test_adversary_diagnostic_searches_each_certificate_once(tmp_path, monkeypatch):
+    f, gamma = or_star_instance(4)
+    fpath, gpath = tmp_path / "or4.json", tmp_path / "star.json"
+    fpath.write_text(json.dumps(f.to_json()))
+    gpath.write_text(json.dumps(gamma.tolist()))
+    searched = []
+    real_min_certificate = qtri.adversary.min_certificate
+
+    def counting_min_certificate(g, index):
+        searched.append(index)
+        return real_min_certificate(g, index)
+
+    monkeypatch.setattr(qtri.adversary, "min_certificate", counting_min_certificate)
+    assert run(["adversary", "--function", str(fpath), "--gamma", str(gpath), "--diagnostic",
+                "--out", str(tmp_path / "adv.json")]) == 0
+    assert sorted(searched) == f.ones()
+    obj = json.loads((tmp_path / "adv.json").read_text())
+    assert obj["certificate_size"] == 1
+    assert obj["decomposition"]["norm_sum_ceiling"] == pytest.approx(2.0, abs=1e-12)
 
 
 def test_adversary_rejects_invalid_gamma(tmp_path):
