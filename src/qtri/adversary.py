@@ -69,9 +69,16 @@ class PartialBooleanFunction:
 
     @classmethod
     def from_json(cls, obj: dict) -> "PartialBooleanFunction":
-        domain = tuple(obj["domain"])
-        values = tuple(int(obj["values"][w]) for w in domain)
-        return cls(int(obj["n"]), domain, values, int(obj.get("alphabet", 2)))
+        """Parse the `to_json` form; a missing key or a field of the wrong type
+        raises ValueError."""
+        try:
+            domain, values = obj["domain"], obj["values"]
+            return cls(int(obj["n"]), tuple(domain), tuple(int(values[w]) for w in domain),
+                       int(obj.get("alphabet", 2)))
+        except KeyError as exc:
+            raise ValueError(f"function JSON has no key {exc}") from None
+        except TypeError as exc:
+            raise ValueError(f"function JSON has a field of the wrong type: {exc}") from None
 
     def to_json(self) -> dict:
         return {
@@ -91,9 +98,12 @@ def load_matrix(path: str) -> np.ndarray:
     """Row-major matrix with index order matching the function's domain list."""
     with open(path, "r", encoding="ascii") as fh:
         obj = json.load(fh)
-    if isinstance(obj, dict):
-        obj = obj["matrix"]
-    return np.asarray(obj, dtype=float)
+    try:
+        return np.asarray(obj["matrix"] if isinstance(obj, dict) else obj, dtype=float)
+    except KeyError as exc:
+        raise ValueError(f"matrix JSON has no key {exc}") from None
+    except TypeError as exc:
+        raise ValueError(f"matrix JSON is not a numeric matrix: {exc}") from None
 
 
 def validate_gamma(f: PartialBooleanFunction, gamma: np.ndarray) -> str | None:

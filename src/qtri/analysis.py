@@ -15,11 +15,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graphs import Graph, common_neighbors, generate, triangle_count
+from .graphs import Graph, generate, triangle_count
 from .grover import SearchSpace, safe_grover
 from .oracle import QueryOracle, StepTag
 from .rng import derive_seed, substream
-from .solver import Params, solve, step1_sample, uncovered_pairs
+from .solver import Params, containment_violated, solve, step1_sample, uncovered_pairs
 
 
 @dataclass(frozen=True)
@@ -204,14 +204,10 @@ def threshold_violation_rate(
         raise ValueError(f"trials must be >= 1, got {trials}")
     params = Params(epsilon=epsilon)
     violations = 0
-    thresh = n ** (1.0 - epsilon)
     for trial in range(trials):
         graph = generate(kind, n, seed=derive_seed(seed, "containment", trial), p=p)
         _, hoods = step1_sample(QueryOracle(graph), params, substream(seed, "containment", trial))
-        candidate = uncovered_pairs(hoods)
-        common = common_neighbors(graph.adjacency())
-        if bool((common[candidate] > thresh).any()):
-            violations += 1
+        violations += containment_violated(graph, uncovered_pairs(hoods), epsilon)
     return violations / trials
 
 

@@ -8,10 +8,10 @@ one classical unit per probed pair: steps 1 and 7 read whole rows with one
 `QueryOracle.query`.  Step 1 hands step 2 the k x (n+1) boolean matrix of the
 sampled rows, which step 2 searches row by row and then turns into its
 candidate set.  The pair bookkeeping itself is classical and free once built:
-the working candidate set is a dense boolean matrix with int32
-common-neighbor counts, and each removal marks the pair's fate, the peeled
-set T or the classified set E, in one int8 matrix that steps 9 and 10 read as
-two `Graph`s.  The search-space builders read the hidden graph unbilled, as
+the working set is `adj` (the pairs still working), `t` (their int32
+common-neighbor counts) and `fate` (the int8 mark of each removed pair, the
+peeled set T or the classified set E, which steps 9 and 10 read as two
+`Graph`s).  The search-space builders read the hidden graph unbilled, as
 simulator privilege, through `Graph.rows` and its wrappers and the packed
 `Graph.induced_edge_count`.  Every count matrix comes from
 `graphs.common_neighbors`, and step 2 builds its candidate set, the pairs
@@ -121,27 +121,15 @@ def peel_threshold(n: int, epsilon_prime: float) -> int:
 class WorkingGraph:
     """Mutable candidate pair set with incrementally maintained common-neighbor
     counts and a symmetric `fate` per pair: 0 while working or never a candidate,
-    else what a batch removal gave it.  Indexing is 1-based; row/col 0 are dead.
-    `upper` masks the pairs (a, b) with a < b."""
+    else what a batch removal gave it.  Indexing is 1-based; row/col 0 are dead."""
 
-    __slots__ = ("n", "adj", "t", "pair_count", "fate", "upper")
+    __slots__ = ("n", "adj", "t", "fate")
 
     def __init__(self, n: int, adj: np.ndarray) -> None:
         self.n = n
         self.adj = adj
         self.t = common_neighbors(adj)
-        self.pair_count = int(adj.sum()) // 2
         self.fate = np.zeros(adj.shape, dtype=np.int8)
-        self.upper = np.triu(np.ones(adj.shape, dtype=bool), 1)
-
-    def has(self, a: int, b: int) -> bool:
-        return bool(self.adj[a, b])
-
-    def degree(self, v: int) -> int:
-        return int(self.adj[v].sum())
-
-    def neighbors(self, v: int) -> np.ndarray:
-        return np.flatnonzero(self.adj[v])
 
     def first_active_vertex(self) -> int | None:
         active = self.adj.any(axis=1)
@@ -151,7 +139,6 @@ class WorkingGraph:
     def remove_pair(self, a: int, b: int) -> None:
         """Remove one working pair; unlike the batch removals, leave `fate` alone."""
         self.adj[a, b] = self.adj[b, a] = False
-        self.pair_count -= 1
         nb = self.adj[b]  # post-removal rows: the removed pair is not a path leg
         na = self.adj[a]
         self.t[a, :] -= nb
@@ -168,7 +155,6 @@ class WorkingGraph:
         self.t[nv] -= self.adj[v]
         self.adj[v, :] = False
         self.adj[:, v] = False
-        self.pair_count -= len(nv)
         self.t[v, :] = 0
         self.t[:, v] = 0
 
@@ -181,7 +167,6 @@ class WorkingGraph:
         self.fate[a, b] = self.fate[b, a] = fate
         if len(pairs) * RECOUNT_DIVISOR > self.n**2:
             self.adj[a, b] = self.adj[b, a] = False
-            self.pair_count -= len(pairs)
             self.t[...] = common_neighbors(self.adj)
         else:
             for a, b in pairs.tolist():
@@ -304,6 +289,13 @@ def step2_build_gprime(
     return None, WorkingGraph(oracle.n, uncovered_pairs(hoods)), missed
 
 
+def containment_violated(hidden: Graph, candidate: np.ndarray, epsilon: float) -> bool:
+    """Privileged structural check: True when the symmetric candidate mask
+    keeps a pair whose hidden common-neighbor count exceeds n^(1 - epsilon)."""
+    common = common_neighbors(hidden.adjacency())
+    return bool((common[candidate] > hidden.n ** (1.0 - epsilon)).any())
+
+
 def _spawn(rng: np.random.Generator, index: int) -> np.random.Generator:
     """Deterministic child stream for the index-th inner call."""
     key = int(rng.integers(0, 2**63 - 1))
@@ -323,8 +315,11 @@ def step4_peel(working: WorkingGraph, tau: int) -> np.ndarray:
     while True:
         low = working.t < tau
         low &= working.adj
-        low &= working.upper  # row-major flat indices give the pairs a < b in order
-        batch = np.stack(np.divmod(np.flatnonzero(low), working.n + 1), axis=1)
+        # keep a < b on the symmetric mask's flat indices, then divmod: row-major pairs
+        flat = np.flatnonzero(low)
+        flat = flat[flat // (working.n + 1) < flat % (working.n + 1)]
+        batch = np.stack(np.divmod(flat, working.n + 1), axis=1)
+        del low, flat  # not kept alive through the recount in `remove_pairs`
         if not len(batch):
             return np.concatenate(batches)
         working.remove_pairs(batch, FATE_T)
@@ -394,10 +389,11 @@ def step7_high_degree(
         return tri, False, False  # type: ignore[return-value]
     missed = space.marked_count > 0
 
-    # the neighborhoods can overlap: the symmetric mask names each pair once, a < b
-    between = np.zeros_like(working.adj)
-    between[np.ix_(hood, working.neighbors(v))] = True
-    batch = np.argwhere(working.adj & (between | between.T) & working.upper)
+    # the working pairs (h, x) of hidden neighbor h and candidate neighbor x; the
+    # neighborhoods can overlap, so each pair is named once, as (min, max)
+    nbrs = np.flatnonzero(working.adj[v])
+    h, x = np.nonzero(working.adj[np.ix_(hood, nbrs)])
+    batch = np.unique(np.sort(np.stack((hood[h], nbrs[x]), axis=1), axis=1), axis=0)
     if len(batch):
         working.remove_pairs(batch, FATE_E)
         return None, missed, False
@@ -511,11 +507,8 @@ def solve(oracle: QueryOracle, params: Params | None = None, seed: int = 0) -> R
     if tri is not None:
         return report(tri)
     assert working is not None
-    measured["gprime_size"] = working.pair_count
-
-    # privileged structural check of the candidate set against the hidden counts
-    limit = n ** (1.0 - params.epsilon)
-    if bool((common_neighbors(oracle.hidden.adjacency())[np.triu(working.adj, 1)] > limit).any()):
+    measured["gprime_size"] = int(np.count_nonzero(working.adj)) // 2
+    if containment_violated(oracle.hidden, working.adj, params.epsilon):
         events.add("gprime_violation")
 
     tri, loop_events = step8_loop(oracle, working, params, seed)

@@ -275,6 +275,25 @@ def test_adversary_rejects_invalid_gamma(tmp_path):
     assert run(["adversary", "--function", str(fpath), "--gamma", str(gpath)]) == 2
 
 
+OR2 = or_star_instance(2)[0].to_json()
+
+
+@pytest.mark.parametrize("function, gamma, message", [
+    ({key: value for key, value in OR2.items() if key != "n"}, [[0.0]], "no key 'n'"),
+    ({**OR2, "values": {"00": 0}}, [[0.0]], "no key '10'"),
+    ({**OR2, "domain": "001001", "values": [0, 1, 1]}, [[0.0]], "wrong type"),
+    (OR2, {"mat": [[0.0]]}, "no key 'matrix'"),
+], ids=["function-without-n", "values-miss-a-word", "domain-string-values-list",
+        "matrix-under-wrong-key"])
+def test_malformed_adversary_json_exits_2(tmp_path, capsys, function, gamma, message):
+    fpath, gpath = tmp_path / "f.json", tmp_path / "gamma.json"
+    fpath.write_text(json.dumps(function))
+    gpath.write_text(json.dumps(gamma))
+    assert run(["adversary", "--function", str(fpath), "--gamma", str(gpath)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("qtri: error:") and message in err
+
+
 def test_unreadable_input_fails(tmp_path):
     assert run(["solve", "--graph", str(tmp_path / "missing.txt")]) == 2
 

@@ -181,7 +181,7 @@ def test_step2_empty_graph_keeps_everything():
     hoods = neighborhood_matrix(8, [[] for _ in sample])
     tri, working, missed = step2_build_gprime(oracle, sample, hoods, DEFAULTS, substream(1, "s2"))
     assert tri is None and not missed
-    assert working.pair_count == 28
+    assert np.count_nonzero(working.adj) // 2 == 28
 
 
 @settings(max_examples=80, deadline=None)
@@ -217,7 +217,7 @@ def test_step4_peel_complete_candidates():
     working = complete_working(8)
     moved = step4_peel(working, tau=8)  # every pair has 6 common candidates
     assert len(moved) == 28
-    assert working.pair_count == 0
+    assert np.count_nonzero(working.adj) // 2 == 0
     assert len(fate_pairs(working, FATE_T)) == 28 and not (working.fate == FATE_E).any()
 
 
@@ -239,7 +239,6 @@ def test_step4_postcondition():
 def assert_counts_consistent(working):
     adj = working.adj
     assert np.array_equal(adj, adj.T) and not adj[0].any() and not np.diag(adj).any()
-    assert working.pair_count == int(np.count_nonzero(adj)) // 2
     ints = adj.astype(np.int64)
     ref = ints @ ints
     off = ~np.eye(working.n + 1, dtype=bool)  # the diagonal is never read
@@ -281,7 +280,7 @@ def test_removals_keep_counts_consistent(data):
                 size = data.draw(st.integers(0, len(live)), label="size")
                 removed = data.draw(st.permutations(live), label="batch")[:size]
                 working.remove_pairs(removed, fate)
-                assert not any(working.has(a, b) for a, b in removed)
+                assert not any(working.adj[a, b] for a, b in removed)
             assert np.array_equal(working.fate, fate_after(before, removed, fate))
             assert working.t is held_t
             assert_counts_consistent(working)
@@ -328,6 +327,19 @@ def test_first_active_vertex_is_the_smallest_with_a_live_pair(data):
     assert working.first_active_vertex() is None
 
 
+def peel_rounds_reference(n, pairs, tau):
+    """The peel's return value round by round, each round's batch in the
+    row-major order of `np.argwhere` over the strict upper triangle."""
+    working = working_from_pairs(n, pairs)
+    moved = []
+    while True:
+        batch = np.argwhere(np.triu((working.t < tau) & working.adj, 1))
+        if not len(batch):
+            return moved
+        working.remove_pairs(batch, FATE_T)
+        moved += [tuple(pair) for pair in batch.tolist()]
+
+
 def peel_reference(n, pairs, tau):
     """Brute-force fixpoint: drop one pair below tau at a time, the largest
     first, recounting every common neighborhood from scratch each time."""
@@ -349,6 +361,7 @@ def test_step4_counts_stay_consistent(data):
     before = live_pairs(working)
     fate_before = working.fate.copy()
     moved = [tuple(pair) for pair in step4_peel(working, tau).tolist()]
+    assert moved == peel_rounds_reference(working.n, before, tau)  # order included
     assert len(moved) == len(set(moved))
     assert all(a < b for a, b in moved)
     assert set(moved) == peel_reference(working.n, before, tau)
@@ -388,7 +401,7 @@ def test_step8_gives_every_candidate_one_fate(
     if bipartite:
         assert tri is None
     if tri is None:  # the loop ran to its end: every candidate pair got a fate
-        assert not working.adj.any() and working.pair_count == 0
+        assert not working.adj.any() and np.count_nonzero(working.adj) // 2 == 0
         assert np.array_equal(fate != 0, initial)
     assert_counts_consistent(working)
 
@@ -477,11 +490,11 @@ def test_step6_moves_incident_pairs():
     step6_low_degree(working, 1)
     assert fate_pairs(working, FATE_E) == [(1, 2), (1, 3), (1, 7)]
     assert not (working.fate == FATE_T).any()
-    assert working.degree(1) == 0
+    assert not working.adj[1].any()
     held = working.fate.copy()
     step6_low_degree(working, 1)  # idempotent
     assert np.array_equal(working.fate, held)
-    assert working.pair_count == 1
+    assert np.count_nonzero(working.adj) // 2 == 1
 
 
 def test_step7_k4_finds_triangle():
@@ -507,7 +520,7 @@ def test_step7_bipartite_classifies():
     assert tri is None and not missed and not stalled
     assert fate_pairs(working, FATE_E) == [(2, 5)]
     assert not (working.fate == FATE_T).any()
-    assert working.has(1, 5) and working.has(2, 3)
+    assert working.adj[1, 5] and working.adj[2, 3]
 
 
 def test_step7_overlapping_neighborhoods_move_each_pair_once():
@@ -517,8 +530,14 @@ def test_step7_overlapping_neighborhoods_move_each_pair_once():
     oracle = QueryOracle(g, budget=10**6)
     v_pairs = [(1, 2), (1, 3), (1, 4), (1, 5)]
     working = working_from_pairs(8, v_pairs + [(2, 3), (2, 4), (3, 4), (2, 5), (2, 6)])
-    tri, missed, stalled = step7_high_degree(oracle, working, 1, DEFAULTS, substream(0, "s7"))
+    with mock.patch.object(WorkingGraph, "remove_pairs", autospec=True,
+                           side_effect=WorkingGraph.remove_pairs) as spy:
+        tri, missed, stalled = step7_high_degree(oracle, working, 1, DEFAULTS, substream(0, "s7"))
     assert tri is None and not missed and not stalled
+    (_, batch, fate), = [call.args for call in spy.call_args_list]
+    rows = [tuple(pair) for pair in np.asarray(batch).tolist()]
+    assert fate == FATE_E and all(a < b for a, b in rows)
+    assert rows == sorted(set(rows))  # distinct and ascending
     assert fate_pairs(working, FATE_E) == [(2, 3), (2, 4), (2, 5), (3, 4)]
     assert live_pairs(working) == v_pairs + [(2, 6)]
     assert_counts_consistent(working)
@@ -547,7 +566,7 @@ def test_step7_no_progress_fallback():
     moved = fate_pairs(working, FATE_E)
     assert moved == [(1, 5), (1, 6)]
     assert all(not g.has_edge(a, b) for a, b in moved)
-    assert working.pair_count == 0
+    assert np.count_nonzero(working.adj) // 2 == 0
 
 
 def test_step9_trivial_cases():
