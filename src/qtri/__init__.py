@@ -8,7 +8,6 @@ analysis, and spectral adversary diagnostics.
 from .adversary import (
     PartialBooleanFunction,
     adversary_value,
-    barrier_check,
     certificate_size,
     decomposition_diagnostic,
     gamma_i,
@@ -67,7 +66,6 @@ __all__ = [
     "StepTag",
     "VerificationError",
     "adversary_value",
-    "barrier_check",
     "baseline_scaling",
     "certificate_size",
     "cost_terms",

@@ -5,10 +5,10 @@ explicit domain, the 1-certificate size by exhaustive subset search, and the
 certificate ceiling 2*sqrt(n*k) that the ratio can never exceed, together
 with a numeric check of the vector decomposition behind that ceiling.
 
-Every spectral norm here comes from one shifted power iteration over a stack
-of matrices.  The shift is there because a valid matrix is nonzero only
-between 0-inputs and 1-inputs: its spectrum comes in +/- pairs, so plain
-power iteration would oscillate between the two ends instead of settling.
+Every spectral norm and the diagnostic's eigenvector come from LAPACK's
+symmetric eigensolver (`np.linalg.eigvalsh` / `eigh`), which is exact to
+rounding at the small dimensions these functions have and has no iteration
+cap to miss.
 """
 
 from __future__ import annotations
@@ -53,14 +53,8 @@ class PartialBooleanFunction:
     def size(self) -> int:
         return len(self.domain)
 
-    def value(self, word: str) -> int:
-        return self.values[self.domain.index(word)]
-
     def ones(self) -> list[int]:
         return [i for i, v in enumerate(self.values) if v == 1]
-
-    def zeros(self) -> list[int]:
-        return [i for i, v in enumerate(self.values) if v == 0]
 
     @cached_property
     def _certificates(self) -> dict[int, tuple[int, ...]]:
@@ -111,6 +105,9 @@ def validate_gamma(f: PartialBooleanFunction, gamma: np.ndarray) -> str | None:
     d = f.size
     if gamma.shape != (d, d):
         return f"matrix shape {gamma.shape} does not match domain size {d}"
+    if not np.isfinite(gamma).all():
+        i, j = map(int, np.argwhere(~np.isfinite(gamma))[0])
+        return f"non-finite entry at ({i},{j})"
     if (gamma < 0).any():
         i, j = map(int, np.argwhere(gamma < 0)[0])
         return f"negative entry at ({i},{j})"
@@ -135,72 +132,46 @@ def gamma_i(f: PartialBooleanFunction, gamma: np.ndarray, position: int) -> np.n
     return np.where(differ, gamma, 0.0)
 
 
-def _dominant_eigenpairs(
-    mats: np.ndarray, tol: float, max_iter: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Dominant eigenvalue and unit eigenvector of each symmetric nonnegative
-    matrix in a stack, by one shifted power iteration.
-
-    A valid adversary matrix joins 0-inputs only to 1-inputs, so its spectrum
-    comes in +/- pairs and plain iteration oscillates between the two ends.
-    Iterating on M + shift*I with shift > 0 makes the top eigenvalue strictly
-    dominant and keeps the iterate entrywise nonnegative.  Each matrix stops
-    at its own convergence; an all-zero matrix gives exactly 0.0 with the
-    uniform vector.  Raises `ArithmeticError` when any matrix misses
-    `max_iter`.
-    """
-    batch, dim, _ = mats.shape
-    lam = np.zeros(batch)
-    vecs = np.full((batch, dim), 1.0 / math.sqrt(dim))
-    todo = np.flatnonzero(mats.any(axis=(1, 2)))
-    work = mats[todo]
-    shifts = 0.05 * np.abs(work).sum(axis=2).max(axis=1) + tol
-    diag = np.arange(dim)
-    work[:, diag, diag] += shifts[:, None]
-    x = vecs[todo, :, None]  # one column vector per matrix still iterating
-    for _ in range(max_iter):
-        if not todo.size:
-            break
-        y = work @ x
-        rayleigh = x.transpose(0, 2, 1) @ y
-        resid = y - rayleigh * x
-        done = (resid.transpose(0, 2, 1) @ resid <= (tol * rayleigh) ** 2).ravel()
-        if done.any():
-            lam[todo[done]] = rayleigh[done, 0, 0] - shifts[done]
-            vecs[todo[done]] = x[done, :, 0]
-            keep = ~done
-            todo, shifts, work, x, y = todo[keep], shifts[keep], work[keep], x[keep], y[keep]
-        x = y / np.sqrt(y.transpose(0, 2, 1) @ y)
-    if todo.size:
-        raise ArithmeticError("power iteration did not converge within the cap")
-    return lam, vecs
-
-
-def spectral_norm(mat: np.ndarray, tol: float = 1e-10, max_iter: int = 10**5) -> float:
-    """Largest eigenvalue of a symmetric nonnegative matrix via power iteration."""
-    mat = np.asarray(mat, dtype=float)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+def _symmetric_nonnegative(mats: np.ndarray, ndim: int) -> np.ndarray:
+    """The input as a float array of square, finite, symmetric, nonnegative
+    matrices in its last two axes.  The eigensolver reads one triangle only, so anything
+    else raises ValueError here instead of giving a wrong eigenvalue."""
+    mats = np.asarray(mats, dtype=float)
+    if mats.ndim != ndim or mats.shape[-1] != mats.shape[-2]:
         raise ValueError("matrix must be square")
-    if mat.shape[0] > 4096:
+    if mats.shape[-1] > 4096:
         raise ValueError("dimension above 4096 not supported")
-    return float(_dominant_eigenpairs(mat[None], tol, max_iter)[0][0])
+    if not np.isfinite(mats).all():
+        raise ValueError("matrix must be finite")
+    if not np.array_equal(mats, np.swapaxes(mats, -1, -2)):
+        raise ValueError("matrix must be symmetric")
+    if (mats < 0).any():
+        raise ValueError("matrix must be nonnegative")
+    return mats
 
 
-def spectral_norm_batch(mats: np.ndarray, tol: float = 1e-8, max_iter: int = 4000) -> np.ndarray:
+def spectral_norm(mat: np.ndarray) -> float:
+    """Largest eigenvalue of a symmetric nonnegative matrix."""
+    return float(np.linalg.eigvalsh(_symmetric_nonnegative(mat, 2))[-1])
+
+
+def spectral_norm_batch(mats: np.ndarray) -> np.ndarray:
     """Largest eigenvalue of each matrix in a stack, as `spectral_norm` gives it."""
-    return _dominant_eigenpairs(np.asarray(mats, dtype=float), tol, max_iter)[0]
+    return np.linalg.eigvalsh(_symmetric_nonnegative(mats, 3))[:, -1]
 
 
 _ZERO_RATIO = "all restricted matrices are zero; the ratio is undefined"
 
 
-def _norms(f: PartialBooleanFunction, gamma: np.ndarray) -> tuple[float, float]:
-    """(lambda(G), max_i lambda(G_i)) for a valid matrix, one kernel call per matrix."""
+def _restricted_norm(f: PartialBooleanFunction, gamma: np.ndarray) -> float:
+    """max_i lambda(G_i); ValueError when the matrix is invalid or every G_i is zero."""
     problem = validate_gamma(f, gamma)
     if problem is not None:
-        raise ValueError(problem)
-    lam = spectral_norm(gamma)
-    return lam, max(spectral_norm(gamma_i(f, gamma, i)) for i in range(1, f.n + 1))
+        raise ValueError(f"invalid adversary matrix: {problem}")
+    denom = max(spectral_norm(gamma_i(f, gamma, i)) for i in range(1, f.n + 1))
+    if denom <= 0.0:
+        raise ValueError(_ZERO_RATIO)
+    return denom
 
 
 def adversary_value(
@@ -209,10 +180,8 @@ def adversary_value(
     """(spectral ratio, error-adjusted query lower bound) for a valid matrix."""
     if not 0.0 <= epsilon < 0.5:
         raise ValueError("epsilon must lie in [0, 1/2)")
-    lam, denom = _norms(f, gamma)
-    if denom <= 0.0:
-        raise ValueError(_ZERO_RATIO)
-    raw_ratio = lam / denom
+    denom = _restricted_norm(f, gamma)
+    raw_ratio = spectral_norm(gamma) / denom
     factor = 1.0 - 2.0 * math.sqrt(epsilon * (1.0 - epsilon))
     return raw_ratio, factor * raw_ratio / 2.0
 
@@ -252,15 +221,6 @@ def ceiling_check(n: int, k: int, raw_ratio: float) -> tuple[float, bool, float]
     return ceiling, raw_ratio <= ceiling + 1e-8, ceiling - raw_ratio
 
 
-def barrier_check(f: PartialBooleanFunction, gamma: np.ndarray) -> tuple[bool, float]:
-    """Check raw_ratio <= 2*sqrt(n*k) and return (ok, slack)."""
-    k = certificate_size(f)
-    lam, denom = _norms(f, gamma)
-    raw_ratio = lam / denom if denom > 0.0 else 0.0  # an all-zero matrix has no ratio
-    _, ok, slack = ceiling_check(f.n, k, raw_ratio)
-    return ok, slack
-
-
 def random_valid_gamma(f: PartialBooleanFunction, rng: np.random.Generator) -> np.ndarray:
     """Uniform entries on the allowed zero pattern, symmetrized."""
     d = f.size
@@ -281,15 +241,13 @@ def decomposition_diagnostic(f: PartialBooleanFunction, gamma: np.ndarray, tol: 
     chain ratio <= 2*sum|v_i| with sum|v_i| <= sqrt(n*k).  Reducible matrices
     may give v zero entries; the checks then apply on the support.
     """
-    problem = validate_gamma(f, gamma)
-    if problem is not None:
-        raise ValueError(problem)
-    denom = max(spectral_norm(gamma_i(f, gamma, i)) for i in range(1, f.n + 1))
-    if denom <= 0.0:
-        raise ValueError(_ZERO_RATIO)
-    lams, vecs = _dominant_eigenpairs(np.asarray(gamma, dtype=float)[None], 1e-12, 10**5)
-    lam = float(lams[0])
-    v = np.abs(vecs[0])  # shifted iteration keeps it nonnegative; guard the sign anyway
+    denom = _restricted_norm(f, gamma)
+    w, vecs = np.linalg.eigh(gamma)
+    lam = float(w[-1])
+    # A nonnegative matrix's top eigenspace is spanned by the Perron vectors of
+    # its irreducible blocks, which are nonnegative with disjoint supports, so
+    # taking absolute values keeps a unit top eigenvector.
+    v = np.abs(vecs[:, -1])
     certs = f._certificates
     k = max(map(len, certs.values()), default=0)
 

@@ -19,7 +19,7 @@ from .graphs import Graph, generate, triangle_count
 from .grover import SearchSpace, safe_grover
 from .oracle import QueryOracle, StepTag
 from .rng import derive_seed, substream
-from .solver import Params, containment_violated, solve, step1_sample, uncovered_pairs
+from .solver import MIN_N, Params, containment_violated, solve, step1_sample, uncovered_pairs
 
 
 @dataclass(frozen=True)
@@ -198,8 +198,8 @@ def threshold_violation_rate(
     set directly from its rows (no searches), so the purely combinatorial
     containment property is what gets measured.
     """
-    if n < 8:
-        raise ValueError("n must be >= 8")
+    if n < MIN_N:
+        raise ValueError(f"n must be >= {MIN_N}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     params = Params(epsilon=epsilon)

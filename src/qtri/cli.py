@@ -23,7 +23,6 @@ from .adversary import (
     decomposition_diagnostic,
     load_function,
     load_matrix,
-    validate_gamma,
 )
 from .graphs import GENERATOR_KINDS, MIN_GRAPH_N, generate, load_graph, save_graph
 from .oracle import BudgetExceededError, QueryOracle, StepTag
@@ -137,9 +136,6 @@ def _cmd_lemma_checks(args: argparse.Namespace) -> int:
 def _cmd_adversary(args: argparse.Namespace) -> int:
     f = load_function(args.function)
     gamma = load_matrix(args.gamma)
-    problem = validate_gamma(f, gamma)
-    if problem is not None:
-        raise ValueError(f"invalid adversary matrix: {problem}")
     raw_ratio, qqc = adversary_value(f, gamma, args.epsilon)
     k = certificate_size(f)
     barrier, ok, slack = ceiling_check(f.n, k, raw_ratio)

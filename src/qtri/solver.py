@@ -188,16 +188,15 @@ def uncovered_pairs(hoods: np.ndarray) -> np.ndarray:
 # Search-space builders (simulator privilege: exact marked counts + samplers)
 
 
-def _induced_pair_space(
-    hidden: Graph, members: list[int] | np.ndarray, q_test: int = 1
-) -> SearchSpace:
-    """Pairs inside the distinct `members`; marked = pairs that are hidden edges."""
+def _induced_pair_space(hidden: Graph, members: list[int] | np.ndarray) -> SearchSpace:
+    """Pairs inside the distinct `members`; marked = pairs that are hidden edges.
+    Each membership test is one pair query."""
     size = len(members) * (len(members) - 1) // 2
     if size == 0:
-        return SearchSpace(0, 0, q_test)
+        return SearchSpace(0, 0, 1)
     marked = hidden.induced_edge_count(members)
     if marked == 0:
-        return SearchSpace(size, 0, q_test)
+        return SearchSpace(size, 0, 1)
     # a member's weight is its number of hidden neighbors among the members
     weights = hidden.rows(members)[:, members].sum(axis=1, dtype=np.int64)
     cum = np.cumsum(weights)
@@ -211,7 +210,7 @@ def _induced_pair_space(
         w = int(hood[rng.integers(len(hood))])
         return (min(v, w), max(v, w))
 
-    return SearchSpace(size, marked, q_test, draw)
+    return SearchSpace(size, marked, 1, draw)
 
 
 def _triangle_space(hidden: Graph, pool: Graph) -> SearchSpace:
@@ -277,7 +276,7 @@ def step2_build_gprime(
     """
     missed = False
     for i, v in enumerate(sample):
-        space = _induced_pair_space(oracle.hidden, np.flatnonzero(hoods[i]), q_test=1)
+        space = _induced_pair_space(oracle.hidden, np.flatnonzero(hoods[i]))
         out = safe_grover(space, params.c_safe, oracle, StepTag.STEP2, _spawn(rng, i))
         if out.found is not None:
             a, b = out.found
@@ -291,9 +290,17 @@ def step2_build_gprime(
 
 def containment_violated(hidden: Graph, candidate: np.ndarray, epsilon: float) -> bool:
     """Privileged structural check: True when the symmetric candidate mask
-    keeps a pair whose hidden common-neighbor count exceeds n^(1 - epsilon)."""
-    common = common_neighbors(hidden.adjacency())
-    return bool((common[candidate] > hidden.n ** (1.0 - epsilon)).any())
+    keeps a pair whose hidden common-neighbor count exceeds n^(1 - epsilon).
+
+    Two vertices share no more neighbors than either has, so only pairs of
+    vertices with hidden degree above the threshold can exceed it."""
+    thr = hidden.n ** (1.0 - epsilon)
+    adj = hidden.adjacency()
+    heavy = np.count_nonzero(adj, axis=1) > thr
+    if not heavy.any():
+        return False
+    common = common_neighbors(adj[heavy])
+    return bool((common[candidate[heavy][:, heavy]] > thr).any())
 
 
 def _spawn(rng: np.random.Generator, index: int) -> np.random.Generator:
@@ -380,7 +387,7 @@ def step7_high_degree(
     is a hidden edge, so the move costs the later intersection search nothing.
     """
     hood = np.flatnonzero(oracle.read_rows([v], StepTag.STEP7)[0])
-    space = _induced_pair_space(oracle.hidden, hood, q_test=1)
+    space = _induced_pair_space(oracle.hidden, hood)
     out = safe_grover(space, params.c_safe, oracle, StepTag.STEP7, rng)
     if out.found is not None:
         a, b = out.found
@@ -462,12 +469,7 @@ def step9_search_T(
     return None, space.size, space.marked_count > 0
 
 
-def step10_search_E(
-    oracle: QueryOracle,
-    pool: Graph,
-    params: Params,
-    rng: np.random.Generator,
-) -> Tri | None:
+def step10_search_E(oracle: QueryOracle, pool: Graph, rng: np.random.Generator) -> Tri | None:
     """Search for a hidden triangle with at least one pair in the classified set."""
     return edge_restricted_triangle_search(pool, oracle, StepTag.STEP10, rng)
 
@@ -528,5 +530,5 @@ def solve(oracle: QueryOracle, params: Params | None = None, seed: int = 0) -> R
     if tri is not None:
         return report(tri)
 
-    tri = step10_search_E(oracle, e_pool, params, substream(seed, "step10"))
+    tri = step10_search_E(oracle, e_pool, substream(seed, "step10"))
     return report(tri)

@@ -1,7 +1,8 @@
-"""Spectral adversary tests: matrix validation, eigenvalues against a dense
-solver, certificate sizes, and the ceiling on the ratio."""
+"""Spectral adversary tests: matrix validation, eigenvalues against an
+SVD-based norm, certificate sizes, and the ceiling on the ratio."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ import pytest
 from qtri import (
     PartialBooleanFunction,
     adversary_value,
-    barrier_check,
     certificate_size,
     decomposition_diagnostic,
     gamma_i,
@@ -17,8 +17,8 @@ from qtri import (
     validate_gamma,
 )
 from qtri.adversary import (
-    _dominant_eigenpairs,
     and_function,
+    ceiling_check,
     load_function,
     load_matrix,
     min_certificate,
@@ -108,8 +108,9 @@ def test_spectral_norm_matches_dense_solver():
         m = rng.random((dim, dim))
         m = np.triu(m, 1)
         m = m + m.T
-        want = float(np.linalg.eigvalsh(m)[-1])
-        assert spectral_norm(m) == pytest.approx(want, rel=1e-8, abs=1e-9)
+        # the top eigenvalue of a symmetric nonnegative matrix is its spectral norm
+        want = float(np.linalg.norm(m, 2))
+        assert spectral_norm(m) == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 def test_spectral_norm_batch_matches_scalar():
@@ -120,7 +121,7 @@ def test_spectral_norm_batch_matches_scalar():
         mats.append(m + m.T)
     got = spectral_norm_batch(np.stack(mats))
     for m, lam in zip(mats, got):
-        assert lam == pytest.approx(spectral_norm(m), rel=1e-6, abs=1e-8)
+        assert lam == pytest.approx(spectral_norm(m), rel=1e-12, abs=1e-12)
 
 
 def valid_stack(f, count, rng):
@@ -140,24 +141,25 @@ def test_spectral_norms_match_dense_solver_on_plus_minus_spectra(label):
     spectra = np.linalg.eigvalsh(mats)
     # a valid matrix is bipartite between 0- and 1-inputs: its spectrum is symmetric
     assert np.allclose(spectra, -spectra[:, ::-1], atol=1e-12)
-    want = spectra[:, -1]
-    # a residual of tol * (lambda + shift) bounds the eigenvalue error by that residual
+    want = np.linalg.norm(mats, 2, axis=(1, 2))
     batch = spectral_norm_batch(mats)
     for m, top, lam in zip(mats, want, batch):
-        assert spectral_norm(m) == pytest.approx(top, rel=1e-9, abs=1e-12)
-        assert lam == pytest.approx(top, rel=1e-7, abs=1e-12)
-    lams, vecs = _dominant_eigenpairs(mats, 1e-10, 10**5)
-    assert np.allclose(np.linalg.norm(vecs, axis=1), 1.0)
-    assert np.allclose(np.einsum("bij,bj->bi", mats, vecs), lams[:, None] * vecs, atol=1e-8)
+        assert spectral_norm(m) == pytest.approx(top, rel=1e-12, abs=1e-12)
+        assert lam == pytest.approx(top, rel=1e-12, abs=1e-12)
 
 
-def test_spectral_norms_raise_when_the_cap_is_too_small():
-    star = or2_star()
-    with pytest.raises(ArithmeticError):
-        spectral_norm(star, max_iter=2)
-    with pytest.raises(ArithmeticError):
-        spectral_norm_batch(np.stack([star, star]), max_iter=2)
-    assert spectral_norm(star) == pytest.approx(math.sqrt(2.0), abs=1e-9)
+@pytest.mark.parametrize("bad, message", [
+    (np.ones((2, 3)), "square"),
+    (np.ones(4), "square"),
+    (np.array([[np.nan, 1.0], [1.0, 0.0]]), "finite"),
+    (np.array([[0.0, 1.0], [0.5, 0.0]]), "symmetric"),
+    (np.array([[0.0, -1.0], [-1.0, 0.0]]), "nonnegative"),
+], ids=["non-square", "vector", "nan", "asymmetric", "negative"])
+def test_spectral_norms_reject_what_the_eigensolver_would_misread(bad, message):
+    with pytest.raises(ValueError, match=message):
+        spectral_norm(bad)
+    with pytest.raises(ValueError, match=message):
+        spectral_norm_batch(bad[None])
 
 
 def test_spectral_norm_batch_all_zero_member_is_exactly_zero():
@@ -166,7 +168,7 @@ def test_spectral_norm_batch_all_zero_member_is_exactly_zero():
     assert got[1] == 0.0
     assert got[0] == pytest.approx(math.sqrt(2.0), abs=1e-7)
     assert got[2] == pytest.approx(2.0 * math.sqrt(2.0), abs=1e-7)
-    assert np.array_equal(spectral_norm_batch(np.zeros((3, 5, 5)), max_iter=0), np.zeros(3))
+    assert np.array_equal(spectral_norm_batch(np.zeros((3, 5, 5))), np.zeros(3))
 
 
 def test_adversary_value_or2():
@@ -180,8 +182,20 @@ def test_adversary_value_or2():
 
 
 def test_adversary_value_rejects_invalid_matrix():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="invalid adversary matrix: nonzero entry"):
         adversary_value(OR2, np.ones((4, 4)))
+    with pytest.raises(ValueError, match="invalid adversary matrix: non-finite entry at"):
+        decomposition_diagnostic(OR2, np.full((4, 4), np.nan))
+
+
+def test_validate_gamma_names_non_finite_entries_first():
+    for bad in (np.nan, np.inf, -np.inf):
+        gamma = or2_star()
+        gamma[1, 1] = bad
+        assert validate_gamma(OR2, gamma) == "non-finite entry at (1,1)"
+        gamma = or2_star()
+        gamma[0, 2] = gamma[2, 0] = bad
+        assert validate_gamma(OR2, gamma) == "non-finite entry at (0,2)"
 
 
 def test_certificate_sizes():
@@ -200,9 +214,11 @@ def test_min_certificate_contents():
         min_certificate(f, f.domain.index("000"))
 
 
-def test_barrier_check_or2():
-    ok, slack = barrier_check(OR2, or2_star())
+def test_ceiling_check_or2():
+    raw, _ = adversary_value(OR2, or2_star())
+    ceiling, ok, slack = ceiling_check(OR2.n, certificate_size(OR2), raw)
     assert ok
+    assert ceiling == pytest.approx(2 * math.sqrt(2), abs=1e-12)
     assert slack == pytest.approx(2 * math.sqrt(2) - math.sqrt(2), abs=1e-9)
 
 
@@ -245,6 +261,29 @@ def test_decomposition_diagnostic_or4_star():
     assert out["pairing_lhs"] >= out["pairing_rhs"] - 1e-9
     assert out["norm_sum"] <= out["norm_sum_ceiling"] + 1e-9
     assert out["ratio"] <= out["ratio_ceiling"] + 1e-9
+
+
+@pytest.mark.parametrize("mix", [(1.0, 0.0), (-1.0, 0.0), (0.6, -0.8), (-0.8, -0.6)])
+def test_decomposition_diagnostic_on_a_degenerate_top_eigenspace(mix):
+    # parity on two bits with Gamma joining 00-01 and 11-10 only: two blocks with
+    # the same top eigenvalue, so an eigensolver may return any unit mix of the
+    # two Perron vectors, signs included; each must pass once made nonnegative
+    f = PartialBooleanFunction(2, ("00", "01", "10", "11"), (0, 1, 1, 0))
+    gamma = np.zeros((4, 4))
+    gamma[0, 1] = gamma[1, 0] = gamma[3, 2] = gamma[2, 3] = 1.0
+    top = np.array([mix[0], mix[0], mix[1], mix[1]]) / math.sqrt(2.0)
+    real_eigh = np.linalg.eigh
+
+    def eigh_returning_the_mix(mat):
+        w, vecs = real_eigh(mat)
+        vecs[:, -1] = top
+        return w, vecs
+
+    with mock.patch.object(np.linalg, "eigh", eigh_returning_the_mix):
+        out = decomposition_diagnostic(f, gamma)
+    assert out["ok"]
+    assert out["ratio"] == pytest.approx(1.0, abs=1e-12)
+    assert out["half_split_error"] <= 1e-12
 
 
 def test_all_zero_gamma_has_no_ratio_in_the_diagnostic():

@@ -224,25 +224,26 @@ def test_adversary_command_computes_each_quantity_once(tmp_path, monkeypatch):
     fpath, gpath = tmp_path / "tri.json", tmp_path / "gamma.json"
     fpath.write_text(json.dumps(f.to_json()))
     gpath.write_text(json.dumps(gamma.tolist()))
-    certificates, stacks = [], []
-    real_certificate_size = qtri.adversary.certificate_size
-    real_kernel = qtri.adversary._dominant_eigenpairs
+    calls = {"certificate_size": 0, "spectral_norm": 0, "validate_gamma": 0}
 
-    def counting_certificate_size(g):
-        certificates.append(g)
-        return real_certificate_size(g)
+    def counting(name):
+        real = getattr(qtri.adversary, name)
 
-    def counting_kernel(mats, tol, max_iter):
-        stacks.append(len(mats))
-        return real_kernel(mats, tol, max_iter)
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
 
-    monkeypatch.setattr(qtri.adversary, "certificate_size", counting_certificate_size)
-    monkeypatch.setattr(qtri.cli, "certificate_size", counting_certificate_size)
-    monkeypatch.setattr(qtri.adversary, "_dominant_eigenpairs", counting_kernel)
+        return wrapper
+
+    for name in calls:
+        wrapper = counting(name)
+        for module in (qtri.adversary, qtri.cli):  # the CLI's own imports count too
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, wrapper)
     assert run(["adversary", "--function", str(fpath), "--gamma", str(gpath),
                 "--out", str(tmp_path / "adv.json")]) == 0
-    assert len(certificates) == 1
-    assert stacks == [1] * (f.n + 1)  # gamma and its n restrictions, one kernel call each
+    # gamma and its n restrictions, one norm each, after one validation
+    assert calls == {"certificate_size": 1, "spectral_norm": f.n + 1, "validate_gamma": 1}
 
 
 def test_adversary_diagnostic_searches_each_certificate_once(tmp_path, monkeypatch):
@@ -292,6 +293,23 @@ def test_malformed_adversary_json_exits_2(tmp_path, capsys, function, gamma, mes
     assert run(["adversary", "--function", str(fpath), "--gamma", str(gpath)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("qtri: error:") and message in err
+
+
+@pytest.mark.parametrize("entries, message", [
+    ({(0, 0): "null"}, "non-finite entry at (0,0)"),
+    ({(0, 1): "null", (1, 0): "null"}, "non-finite entry at (0,1)"),
+    ({(0, 2): "Infinity", (2, 0): "Infinity"}, "non-finite entry at (0,2)"),
+], ids=["null-on-the-diagonal", "symmetric-null-pair", "infinity"])
+def test_non_finite_gamma_entries_exit_2(tmp_path, capsys, entries, message):
+    f, gamma = or_star_instance(2)
+    rows = [[repr(float(x)) for x in row] for row in gamma]
+    for (i, j), text in entries.items():
+        rows[i][j] = text  # JSON literals that load as NaN or infinity
+    fpath, gpath = tmp_path / "f.json", tmp_path / "gamma.json"
+    fpath.write_text(json.dumps(f.to_json()))
+    gpath.write_text("[" + ", ".join("[" + ", ".join(row) + "]" for row in rows) + "]")
+    assert run(["adversary", "--function", str(fpath), "--gamma", str(gpath)]) == 2
+    assert f"invalid adversary matrix: {message}" in capsys.readouterr().err
 
 
 def test_unreadable_input_fails(tmp_path):

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qtri import BudgetExceededError, Graph, Params, QueryOracle, generate, solve, triangle_count
-from qtri.graphs import canon_pair
+from qtri.graphs import canon_pair, common_neighbors
 from qtri.oracle import StepTag
 from qtri.rng import substream
 from qtri.solver import (
@@ -22,6 +22,7 @@ from qtri.solver import (
     WorkingGraph,
     _induced_pair_space,
     _triangle_space,
+    containment_violated,
     degree_gap,
     hypothesis_mismatch,
     peel_threshold,
@@ -211,6 +212,23 @@ def test_step2_dense_finds_triangle():
             assert g.has_edge(a, b) and g.has_edge(b, c) and g.has_edge(a, c)
             wins += 1
     assert wins >= 0.99 * 120
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 40), hidden_density=st.sampled_from([0.05, 0.3, 0.7, 1.0]),
+       candidate_density=st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+       epsilon=st.floats(0.01, 0.99), graph_seed=st.integers(0, 2**32 - 1))
+def test_containment_check_matches_the_full_product(
+    n, hidden_density, candidate_density, epsilon, graph_seed
+):
+    rng = np.random.default_rng(graph_seed)
+    hidden = Graph(n, random_pairs(rng, n, hidden_density))
+    candidate = np.zeros((n + 1, n + 1), dtype=bool)
+    for a, b in random_pairs(rng, n, candidate_density):
+        candidate[a, b] = candidate[b, a] = True
+    common = common_neighbors(hidden.adjacency())
+    want = bool((common[candidate] > n ** (1.0 - epsilon)).any())
+    assert containment_violated(hidden, candidate, epsilon) is want
 
 
 def test_step4_peel_complete_candidates():
@@ -601,7 +619,7 @@ def test_step9_triangle_free_hidden_graph():
 
 def test_step10_empty():
     oracle = QueryOracle(Graph(8))
-    assert step10_search_E(oracle, Graph(8), DEFAULTS, substream(0, "s10")) is None
+    assert step10_search_E(oracle, Graph(8), substream(0, "s10")) is None
 
 
 def test_step10_planted_edge_in_pool():
@@ -610,7 +628,7 @@ def test_step10_planted_edge_in_pool():
     for seed in range(200):
         oracle = QueryOracle(g, budget=10**6)
         pool = Graph(8, [(1, 2), (4, 5), (6, 7)])
-        tri = step10_search_E(oracle, pool, DEFAULTS, substream(seed, "s10"))
+        tri = step10_search_E(oracle, pool, substream(seed, "s10"))
         if tri == (1, 2, 3):
             wins += 1
     assert wins / 200 >= 2 / 3
