@@ -219,7 +219,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, BudgetExceededError, ArithmeticError) as exc:
+    except (ValueError, OSError, BudgetExceededError) as exc:
         print(f"qtri: error: {exc}", file=sys.stderr)
         return 2
 

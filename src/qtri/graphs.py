@@ -151,16 +151,24 @@ class Graph:
         return f"Graph(n={self.n}, edges={self._edge_count})"
 
 
-def common_neighbors(rows: np.ndarray) -> np.ndarray:
+def count_dtype(n: int) -> np.dtype:
+    """The integer dtype of common-neighbor counts on n vertices: int16 below
+    2**15, else int32.  No count exceeds n - 1, so int16 holds every count
+    there and halves the memory traffic of the (n+1)^2 count matrices."""
+    return np.dtype(np.int16 if n < 1 << 15 else np.int32)
+
+
+def common_neighbors(rows: np.ndarray, dtype: np.dtype | type = np.int32) -> np.ndarray:
     """counts[i, j] = |{k : rows[i, k] and rows[j, k]}| for a boolean matrix,
-    as int32.  This is the one place that multiplies adjacency matrices: a
-    single float32 product `x @ x.T`, which is exact because every partial
-    sum is an integer no larger than the row length, and float32 holds every
-    integer below 2**24 (a dense boolean matrix with rows that long would
-    need terabytes)."""
+    as `dtype`, which must hold the row length.  This is the one place that
+    multiplies adjacency matrices: a single float32 product `x @ x.T`, cast
+    straight to `dtype`, which is exact because every partial sum is an
+    integer no larger than the row length, and float32 holds every integer
+    below 2**24 (a dense boolean matrix with rows that long would need
+    terabytes)."""
     x = rows.astype(np.float32)
     x = x @ x.T  # drops the float copy of `rows` before the cast
-    return x.astype(np.int32)
+    return x.astype(dtype)
 
 
 def triangle_count(graph: Graph) -> int:

@@ -8,8 +8,9 @@ one classical unit per probed pair: steps 1 and 7 read whole rows with one
 `QueryOracle.query`.  Step 1 hands step 2 the k x (n+1) boolean matrix of the
 sampled rows, which step 2 searches row by row and then turns into its
 candidate set.  The pair bookkeeping itself is classical and free once built:
-the working set is `adj` (the pairs still working), `t` (their int32
-common-neighbor counts) and `fate` (the int8 mark of each removed pair, the
+the working set is `adj` (the pairs still working), `t` (their
+common-neighbor counts, as `graphs.count_dtype(n)`: int16 below 2**15
+vertices) and `fate` (the int8 mark of each removed pair, the
 peeled set T or the classified set E, which steps 9 and 10 read as two
 `Graph`s).  The search-space builders read the hidden graph unbilled, as
 simulator privilege, through `Graph.rows` and its wrappers and the packed
@@ -29,7 +30,7 @@ from enum import Enum
 
 import numpy as np
 
-from .graphs import Graph, common_neighbors, triangle_count
+from .graphs import Graph, common_neighbors, count_dtype, triangle_count
 from .grover import SearchSpace, edge_restricted_triangle_search, safe_grover
 from .oracle import LedgerReport, QueryOracle, StepTag, verify_triangle
 from .rng import substream
@@ -128,13 +129,16 @@ class WorkingGraph:
     def __init__(self, n: int, adj: np.ndarray) -> None:
         self.n = n
         self.adj = adj
-        self.t = common_neighbors(adj)
+        self.t = common_neighbors(adj, count_dtype(n))
         self.fate = np.zeros(adj.shape, dtype=np.int8)
 
-    def first_active_vertex(self) -> int | None:
-        active = self.adj.any(axis=1)
-        v = int(active.argmax())
-        return v if active[v] else None
+    def first_active_vertex(self, start: int = 1) -> int | None:
+        """The smallest vertex v in start..n with a working pair, or None.
+        Rows only ever empty, so a caller that saw every row below `start`
+        empty may skip them.  The scan stops at the first working pair."""
+        cells = self.adj[start:].reshape(-1)  # a view: the rows are contiguous
+        i = int(cells.argmax())  # a boolean argmax returns at the first True
+        return start + i // (self.n + 1) if cells[i] else None
 
     def remove_pair(self, a: int, b: int) -> None:
         """Remove one working pair; unlike the batch removals, leave `fate` alone."""
@@ -167,7 +171,7 @@ class WorkingGraph:
         self.fate[a, b] = self.fate[b, a] = fate
         if len(pairs) * RECOUNT_DIVISOR > self.n**2:
             self.adj[a, b] = self.adj[b, a] = False
-            self.t[...] = common_neighbors(self.adj)
+            self.t[...] = common_neighbors(self.adj, self.t.dtype)
         else:
             for a, b in pairs.tolist():
                 self.remove_pair(a, b)
@@ -236,12 +240,6 @@ def _triangle_space(hidden: Graph, pool: Graph) -> SearchSpace:
         return (a, b, int(apexes[rng.integers(len(apexes))]))
 
     return SearchSpace(size, marked, 3, draw)
-
-
-def _others(n: int, v: int) -> np.ndarray:
-    """Every vertex but v, ascending."""
-    others = np.arange(1, n + 1)
-    return others[others != v]
 
 
 # ---------------------------------------------------------------------------
@@ -341,12 +339,15 @@ def step5_degree_hypothesis(
     Runs ceil(c0 * ln n) rounds of ceil(n^delta) sampled candidates each and
     accepts LOW when fewer than half the rounds saw an edge.  Always issues
     exactly rounds * per_round queries, drawn and billed as one batch: the
-    draws are the same numbers as one `rng.choice` per round.
+    draws are the same numbers, and leave the generator in the same state,
+    as one `rng.choice` per round over every vertex but v.
     """
     n = oracle.n
     rounds = math.ceil(params.c0 * math.log(n))
     per_round = math.ceil(n**params.delta)
-    picks = rng.choice(_others(n, v), size=rounds * per_round, replace=True)
+    # index i of the ascending vertices other than v is vertex i + 1, or i + 2 from v on
+    picks = rng.integers(0, n - 1, size=rounds * per_round)
+    picks += 1 + (picks + 1 >= v)
     seen = oracle.query_row(v, picks, StepTag.STEP5).reshape(rounds, per_round)
     hits = int(seen.any(axis=1).sum())
     return Hypothesis.LOW if hits < rounds / 2 else Hypothesis.HIGH
@@ -423,9 +424,10 @@ def step8_loop(
     tau = peel_threshold(n, params.epsilon_prime)
     events: set[str] = set()
     invocation = 0
+    v = 1
     while True:
         step4_peel(working, tau)
-        v = working.first_active_vertex()
+        v = working.first_active_vertex(v)  # rows below the last v are empty
         if v is None:
             break
         verdict = step5_degree_hypothesis(

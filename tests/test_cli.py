@@ -330,3 +330,17 @@ def test_internal_invariant_failure_is_not_bad_input(monkeypatch):
     monkeypatch.setattr(qtri.cli, "solve", broken)
     with pytest.raises(VerificationError):
         run(["solve", "--n", "16", "--gen", "complete"])
+
+
+def test_internal_arithmetic_fault_is_not_bad_input(tmp_path, monkeypatch):
+    f, gamma = or_star_instance(2)
+    fpath, gpath = tmp_path / "or2.json", tmp_path / "star.json"
+    fpath.write_text(json.dumps(f.to_json()))
+    gpath.write_text(json.dumps(gamma.tolist()))
+
+    def broken(*args):
+        raise ZeroDivisionError("float division by zero")
+
+    monkeypatch.setattr(qtri.adversary, "spectral_norm", broken)  # reached from adversary_value
+    with pytest.raises(ZeroDivisionError):
+        run(["adversary", "--function", str(fpath), "--gamma", str(gpath)])

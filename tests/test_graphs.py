@@ -8,7 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qtri import Graph, generate, load_graph, save_graph, triangle_count
-from qtri.graphs import GENERATOR_KINDS, MAX_VERTICES, canon_pair, common_neighbors
+from qtri.graphs import (
+    GENERATOR_KINDS,
+    MAX_VERTICES,
+    canon_pair,
+    common_neighbors,
+    count_dtype,
+)
 from qtri.rng import substream
 
 K3 = Graph(3, [(1, 2), (2, 3), (1, 3)])
@@ -88,8 +94,19 @@ def test_graph_agrees_with_a_set_of_pairs(case, data):
     assert triangle_count(g) == len(brute_triangles(g))
     for rows in (adj, np.triu(adj, 1)):
         brute = (rows[:, None, :] & rows[None, :, :]).sum(axis=2, dtype=np.int64)
-        counts = common_neighbors(rows)
-        assert counts.dtype == np.int32 and np.array_equal(counts, brute)
+        assert common_neighbors(rows).dtype == np.int32
+        for dtype in (np.int16, np.int32):
+            counts = common_neighbors(rows, dtype)
+            assert counts.dtype == dtype and np.array_equal(counts, brute)
+
+
+@pytest.mark.parametrize("n, dtype", [
+    (3, np.int16), ((1 << 15) - 1, np.int16), (1 << 15, np.int32), (MAX_VERTICES, np.int32),
+])
+def test_count_dtype_holds_every_count(n, dtype):
+    # a count is at most n - 1, the degree on the diagonal
+    assert count_dtype(n) == dtype
+    assert np.iinfo(count_dtype(n)).max >= n - 1
 
 
 def test_generate_complete_via_p_one():

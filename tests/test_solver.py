@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qtri import BudgetExceededError, Graph, Params, QueryOracle, generate, solve, triangle_count
-from qtri.graphs import canon_pair, common_neighbors
+from qtri.graphs import canon_pair, common_neighbors, count_dtype
 from qtri.oracle import StepTag
 from qtri.rng import substream
 from qtri.solver import (
@@ -255,6 +255,7 @@ def test_step4_postcondition():
 
 
 def assert_counts_consistent(working):
+    assert working.t.dtype == count_dtype(working.n) == np.int16  # at every tier-1 size
     adj = working.adj
     assert np.array_equal(adj, adj.T) and not adj[0].any() and not np.diag(adj).any()
     ints = adj.astype(np.int64)
@@ -340,9 +341,13 @@ def test_first_active_vertex_is_the_smallest_with_a_live_pair(data):
     live = live_pairs(working)
     expected = min((a for a, _ in live), default=None)
     assert working.first_active_vertex() == expected
+    # any start at or below the first active vertex finds it
+    for start in range(1, (working.n if expected is None else expected) + 1):
+        assert working.first_active_vertex(start) == expected
     for v in range(1, working.n + 1):
         working.remove_incident(v, FATE_T)
-    assert working.first_active_vertex() is None
+    for start in range(1, working.n + 1):
+        assert working.first_active_vertex(start) is None
 
 
 def peel_rounds_reference(n, pairs, tau):
@@ -484,6 +489,28 @@ def test_step5_batch_matches_the_per_round_reference():
                     step5(oracle, v, DEFAULTS, substream(0, "s5"))
                 totals.append(oracle.report().total)
             assert totals == [budget + 1, budget + 1]
+
+
+@pytest.mark.parametrize("n, v", [(8, 1), (8, 4), (8, 8), (9, 2), (64, 1), (64, 32), (64, 63),
+                                  (64, 64), (513, 1), (513, 257), (513, 513)])
+def test_step5_draws_are_a_choice_over_the_other_vertices(n, v, monkeypatch):
+    drawn = []
+    real_query_row = QueryOracle.query_row
+
+    def recording(self, u, targets, tag):
+        drawn.append(np.array(targets))
+        return real_query_row(self, u, targets, tag)
+
+    monkeypatch.setattr(QueryOracle, "query_row", recording)
+    size = math.ceil(DEFAULTS.c0 * math.log(n)) * math.ceil(n**DEFAULTS.delta)
+    others = np.array([u for u in range(1, n + 1) if u != v])
+    for seed in range(5):
+        ours, ref = substream(seed, "s5", n, v), substream(seed, "s5", n, v)
+        drawn.clear()
+        step5_degree_hypothesis(QueryOracle(Graph(n), budget=10**9), v, DEFAULTS, ours)
+        expected = ref.choice(others, size=size, replace=True)
+        assert len(drawn) == 1 and np.array_equal(drawn[0], expected)
+        assert repr(ours.bit_generator.state) == repr(ref.bit_generator.state)
 
 
 def test_step5_charges_exactly():
