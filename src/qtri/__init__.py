@@ -39,7 +39,6 @@ from .grover import (
 from .oracle import (
     BudgetExceededError,
     LedgerReport,
-    QueryLedger,
     QueryOracle,
     StepTag,
     VerificationError,
@@ -58,7 +57,6 @@ __all__ = [
     "LedgerReport",
     "Params",
     "PartialBooleanFunction",
-    "QueryLedger",
     "QueryOracle",
     "RunReport",
     "ScalingFit",

@@ -53,6 +53,11 @@ class Graph:
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()) -> None:
         if n < 1:
             raise ValueError("n must be >= 1")
+        edges = list(edges)
+        bad = [v for pair in edges for v in pair
+               if isinstance(v, (bool, np.bool_)) or not isinstance(v, (int, np.integer))]
+        if bad:
+            raise ValueError(f"vertex labels must be integers, got {bad[0]!r}")
         pairs = np.fromiter(edges, dtype=np.dtype((np.int64, 2)))
         pairs.sort(axis=1)  # canonical (min, max) rows
         lo, hi = pairs[:, 0], pairs[:, 1]

@@ -6,7 +6,7 @@ is billed to the ledger, which keeps both the distribution and the query
 count faithful at any instance size.  Every search runs its attempts through
 the one loop `_attempt_loop`, which makes each attempt's draws in a fixed
 order, stops at the first success and then bills all the attempts' charges
-in one ledger call.
+in one `charge_batch` call.
 """
 
 from __future__ import annotations
@@ -48,12 +48,7 @@ def grover_success_prob(size: int, marked: int, iterations: int) -> float:
         raise ValueError("marked must be in [0, size]")
     if iterations < 0:
         raise ValueError("iterations must be >= 0")
-    if marked == 0:
-        return 0.0
-    if marked == size:
-        return 1.0
-    theta = math.asin(math.sqrt(marked / size))
-    return math.sin((2 * iterations + 1) * theta) ** 2
+    return amplified_prob(marked / size, iterations)
 
 
 def mean_success_prob(size: int, marked: int, k_range: int) -> float:
@@ -149,10 +144,10 @@ def _attempt_loop(
 
     `attempts` yields (iterations, charge, hit) per attempt and makes that
     attempt's random draws as it is advanced; a truthy hit ends the search.
-    The charges of every attempt taken are billed in one ledger call, which
-    stops at the first charge that crosses the budget exactly as billing
-    each attempt in turn would.  Returns the summed iterations, the charges
-    and the last hit.
+    The charges of every attempt taken are billed in one `charge_batch`
+    call, which stops at the first charge that crosses the budget exactly
+    as billing each attempt in turn would.  Returns the summed iterations,
+    the charges and the last hit.
     """
     iters, charges, hit = 0, [], None
     for k, charge, hit in attempts:

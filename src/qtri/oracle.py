@@ -1,13 +1,15 @@
 """Query accounting: the only billed gateway to the hidden graph.
 
+`QueryOracle` holds the hidden graph, the query counters and the budget.
 Algorithm code reads adjacency only through `QueryOracle.query` (one probe),
 `QueryOracle.query_row` (the probes (v, u) for a batch of u in one
 vectorised read) or `QueryOracle.read_rows` (the whole rows of a batch of
 vertices in one block read); each bills one classical unit per probed pair,
 duplicates included.  Modeled quantum subroutines bill their iteration counts
 via `charge`, or via `charge_batch` for all the attempts of one search in one
-ledger call.  A batch that crosses the budget bills and raises exactly as its
-items billed one at a time would.  Simulator-privileged reads of the hidden
+call.  Reads and charges share one crossing rule: a batch that crosses the
+budget bills and raises exactly as its items billed one at a time would, and
+an empty batch bills nothing.  Simulator-privileged reads of the hidden
 graph (used to sample subroutine outcomes) never touch the counters.
 """
 
@@ -79,94 +81,59 @@ class LedgerReport:
         }
 
 
-class QueryLedger:
-    """Monotone query-cost accumulator with a per-step breakdown."""
-
-    __slots__ = ("classical", "charged", "per_step", "budget")
-
-    def __init__(self, budget: int | None = None) -> None:
-        self.classical = 0
-        self.charged = 0
-        self.per_step: dict[StepTag, int] = {tag: 0 for tag in StepTag}
-        self.budget = budget
-
-    @property
-    def total(self) -> int:
-        return self.classical + self.charged
-
-    def _check_budget(self) -> None:
-        if self.budget is not None and self.total > self.budget:
-            raise BudgetExceededError(
-                f"query budget exceeded: total={self.total} > budget={self.budget}"
-            )
-
-    def record_queries(self, count: int, tag: StepTag) -> None:
-        """Bill `count` classical probes, one unit each.
-
-        A batch that crosses the budget bills only up to the first probe over
-        it, then raises the same error as billing its probes one at a time.
-        """
-        if count < 0:
-            raise ValueError("query count must be >= 0")
-        if count and self.budget is not None:
-            count = min(count, max(1, self.budget + 1 - self.total))
-        self.classical += count
-        self.per_step[tag] += count
-        self._check_budget()
-
-    def record_charges(self, amounts: Sequence[int], tag: StepTag) -> None:
-        """Bill a run of charges in one call.
-
-        The counters and the error are those of billing each amount in turn:
-        a run that crosses the budget bills through its first amount that
-        leaves the total over it, then raises.  A negative amount raises
-        ValueError before anything is billed.
-        """
-        if not amounts:
-            return
-        if min(amounts) < 0:
-            raise ValueError("charge amount must be >= 0")
-        amount = sum(amounts)
-        if self.budget is not None and self.total + amount > self.budget:
-            running = list(itertools.accumulate(amounts))
-            amount = running[bisect.bisect_right(running, self.budget - self.total)]
-        self.charged += amount
-        self.per_step[tag] += amount
-        self._check_budget()
-
-    def snapshot(self) -> LedgerReport:
-        return LedgerReport(
-            classical=self.classical,
-            charged=self.charged,
-            total=self.total,
-            per_step={tag.value: count for tag, count in self.per_step.items()},
-            budget=self.budget,
-        )
-
-
 class QueryOracle:
-    """Hidden graph plus its ledger.
+    """Hidden graph plus the query counters and the budget.
 
     `hidden` is simulator privilege: outcome samplers and report code may
-    read it, the algorithm under test must not.
+    read it, the algorithm under test must not.  `classical` and `charged`
+    count billed probes and modeled oracle applications, `per_step` splits
+    their sum by step.
     """
 
-    __slots__ = ("hidden", "ledger")
+    __slots__ = ("hidden", "classical", "charged", "per_step", "budget")
 
     def __init__(self, graph: Graph, budget: int | None = None) -> None:
         self.hidden = graph
-        if budget is None:
-            budget = default_budget(graph.n)
-        self.ledger = QueryLedger(budget)
+        self.classical = 0
+        self.charged = 0
+        self.per_step: dict[StepTag, int] = {tag: 0 for tag in StepTag}
+        self.budget = default_budget(graph.n) if budget is None else budget
 
     @property
     def n(self) -> int:
         return self.hidden.n
 
+    def _check_budget(self) -> None:
+        total = self.classical + self.charged
+        if self.budget is not None and total > self.budget:
+            raise BudgetExceededError(f"query budget exceeded: total={total} > budget={self.budget}")
+
+    def _bill(self, running: Sequence[int], tag: StepTag, charged: bool) -> None:
+        """Bill a batch given the running totals of its items.
+
+        Bills the whole batch or, if it crosses the budget, everything through
+        its first item that takes the total over it, then raises: the counters
+        and the error of billing the items one at a time.  An empty batch
+        bills nothing and raises nothing.
+        """
+        if not running:
+            return
+        amount = running[-1]
+        if self.budget is not None:
+            room = self.budget - self.classical - self.charged
+            if amount > room:
+                amount = running[bisect.bisect_right(running, room)]
+        if charged:
+            self.charged += amount
+        else:
+            self.classical += amount
+        self.per_step[tag] += amount
+        self._check_budget()
+
     def query(self, a: int, b: int, tag: StepTag) -> int:
         """Billed read of one adjacency bit."""
         bit = 1 if self.hidden.has_edge(a, b) else 0
-        self.ledger.record_queries(1, tag)
+        self._bill(range(1, 2), tag, charged=False)
         return bit
 
     def query_row(self, v: int, targets: Sequence[int] | np.ndarray, tag: StepTag) -> np.ndarray:
@@ -188,7 +155,7 @@ class QueryOracle:
             if (targets == v).any():
                 raise ValueError(f"loops are not allowed: ({v},{v})")
         bits = row[targets]
-        self.ledger.record_queries(targets.size, tag)
+        self._bill(range(1, targets.size + 1), tag, charged=False)
         return bits
 
     def read_rows(self, vertices: Sequence[int] | np.ndarray, tag: StepTag) -> np.ndarray:
@@ -201,20 +168,29 @@ class QueryOracle:
         indexed 0..n (column 0 unused).
         """
         rows = self.hidden.rows(vertices)
-        self.ledger.record_queries(len(rows) * (self.n - 1), tag)
+        self._bill(range(1, len(rows) * (self.n - 1) + 1), tag, charged=False)
         return rows
 
     def charge(self, amount: int, tag: StepTag) -> None:
         """Bill a modeled quantum subroutine's oracle applications."""
-        self.ledger.record_charges((amount,), tag)
+        self.charge_batch((amount,), tag)
 
     def charge_batch(self, amounts: Sequence[int], tag: StepTag) -> None:
-        """Bill consecutive modeled runs in one ledger call, stopping at the
-        first that crosses the budget as billing each with `charge` would."""
-        self.ledger.record_charges(amounts, tag)
+        """Bill consecutive modeled runs in one call, stopping at the first
+        that crosses the budget as billing each with `charge` would; a
+        negative amount raises ValueError before anything is billed."""
+        if amounts and min(amounts) < 0:
+            raise ValueError("charge amount must be >= 0")
+        self._bill(list(itertools.accumulate(amounts)), tag, charged=True)
 
     def report(self) -> LedgerReport:
-        return self.ledger.snapshot()
+        return LedgerReport(
+            classical=self.classical,
+            charged=self.charged,
+            total=self.classical + self.charged,
+            per_step={tag.value: count for tag, count in self.per_step.items()},
+            budget=self.budget,
+        )
 
 
 def verify_triangle(oracle: QueryOracle, tri: tuple[int, int, int]) -> None:

@@ -63,11 +63,6 @@ class Params:
         if self.c_safe < 1 or self.c0 < 1:
             raise ValueError("c_safe and c0 must be >= 1")
 
-    @property
-    def degenerate(self) -> bool:
-        """True when the exponent combination gives no useful bound."""
-        return min(self.delta, self.epsilon - self.delta - self.epsilon_prime) <= 0
-
     def to_json(self) -> dict:
         return {
             "epsilon": self.epsilon,

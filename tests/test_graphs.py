@@ -228,6 +228,14 @@ def test_graph_rejects_loops_and_bad_vertices():
         canon_pair(3, 3)
 
 
+@pytest.mark.parametrize("label", [1.5, "1", True])
+def test_graph_rejects_non_integer_labels(label):
+    for pair in ((label, 2), (3, label)):
+        with pytest.raises(ValueError, match="vertex labels must be integers"):
+            Graph(3, [(1, 3), pair])
+    assert Graph(3, [(np.int64(1), np.int32(2)), (2, 3)]).edge_count == 2
+
+
 def test_text_format_roundtrip(tmp_path):
     g = generate("erdos_renyi", 15, seed=2, p=0.4)
     path = tmp_path / "g.txt"

@@ -238,7 +238,7 @@ def test_searches_match_the_per_attempt_reference(
     for search in ((safe_grover, reference_safe_grover) if safe
                    else (grover_search, reference_grover_search)):
         oracle = QueryOracle(DUMMY)
-        oracle.ledger.budget = budget
+        oracle.budget = budget
         try:
             oracle.charge(spent, StepTag.STEP7)
         except BudgetExceededError:

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qtri import BudgetExceededError, Graph, Params, QueryOracle, generate, solve, triangle_count
+from qtri.analysis import cost_terms
 from qtri.graphs import canon_pair, common_neighbors, count_dtype
 from qtri.oracle import StepTag
 from qtri.rng import substream
@@ -820,5 +821,5 @@ def test_params_validation():
         Params(epsilon=0.0)
     with pytest.raises(ValueError):
         Params(c_safe=0.5)
-    assert Params(epsilon=0.1, epsilon_prime=0.05, delta=0.06).degenerate
-    assert not Params().degenerate
+    assert cost_terms(Params(epsilon=0.1, epsilon_prime=0.05, delta=0.06)).degenerate
+    assert not cost_terms(Params()).degenerate
