@@ -8,18 +8,18 @@ one classical unit per probed pair: steps 1 and 7 read whole rows with one
 `QueryOracle.query`.  Step 1 hands step 2 the k x (n+1) boolean matrix of the
 sampled rows, which step 2 searches row by row and then turns into its
 candidate set.  The pair bookkeeping itself is classical and free once built:
-the working set is `adj` (the pairs still working), `t` (their
-common-neighbor counts, as `graphs.count_dtype(n)`: int16 below 2**15
-vertices) and `fate` (the int8 mark of each removed pair, the
-peeled set T or the classified set E, which steps 9 and 10 read as two
-`Graph`s).  The search-space builders read the hidden graph unbilled, as
-simulator privilege, through `Graph.rows` and its wrappers and the packed
-`Graph.induced_edge_count`.  Every count matrix comes from
-`graphs.common_neighbors`, and step 2 builds its candidate set, the pairs
-that share no sampled neighborhood, in one such product.  The step-4 peel
-works in rounds, and it and step 7 drop batches of pairs through the one
-`WorkingGraph.remove_pairs`, so each loop iteration is a few whole-matrix
-numpy passes and no per-pair loop.
+the working set is `adj` (the pairs still working) and `fate` (the int8 mark
+of each removed pair, the peeled set T or the classified set E, which steps 9
+and 10 read as two `Graph`s).  Common-neighbor counts exist only inside a
+step-4 peel round; between peels `WorkingGraph.floor` keeps a lower bound on
+them, so a peel that cannot find a pair skips its count.  The search-space
+builders read the hidden graph unbilled, as simulator privilege, through
+`Graph.rows` and its wrappers and the packed `Graph.induced_edge_count`.
+Every count matrix comes from `graphs.common_neighbors`, and step 2 builds
+its candidate set, the pairs that share no sampled neighborhood, in one such
+product.  The step-4 peel works in rounds, and it and step 7 drop batches of
+pairs through the one `WorkingGraph.remove_pairs`, so each loop iteration is
+a few whole-matrix numpy passes and no per-pair loop.
 """
 
 from __future__ import annotations
@@ -40,9 +40,6 @@ Tri = tuple[int, int, int]
 
 MIN_N = 8  # the smallest vertex count `solve` accepts
 FATE_T, FATE_E = 1, 2  # `WorkingGraph.fate` of a peeled and of a classified pair
-# Measured crossover: a recount of `t` takes 1, 35 and 196 ms at n = 512, 2048 and 4096
-# on a 2-core x86_64 host, a `remove_pair` 8-49 us, so batches over n^2 / 2048 recount.
-RECOUNT_DIVISOR = 2048
 
 
 @dataclass(frozen=True)
@@ -60,8 +57,8 @@ class Params:
             value = getattr(self, name)
             if not 0.0 < value < 1.0:
                 raise ValueError(f"{name} must lie in (0, 1)")
-        if self.c_safe < 1 or self.c0 < 1:
-            raise ValueError("c_safe and c0 must be >= 1")
+        if not (1 <= self.c_safe < math.inf and 1 <= self.c0 < math.inf):
+            raise ValueError("c_safe and c0 must be finite and >= 1")
 
     def to_json(self) -> dict:
         return {
@@ -115,17 +112,20 @@ def peel_threshold(n: int, epsilon_prime: float) -> int:
 
 
 class WorkingGraph:
-    """Mutable candidate pair set with incrementally maintained common-neighbor
-    counts and a symmetric `fate` per pair: 0 while working or never a candidate,
-    else what a batch removal gave it.  Indexing is 1-based; row/col 0 are dead."""
+    """Mutable candidate pair set with a symmetric `fate` per pair: 0 while
+    working or never a candidate, else what a batch removal gave it.  `floor`
+    is a lower bound on the common-neighbor count of every working pair; a
+    removal of one pair, or of all pairs at one vertex, costs each surviving
+    pair at most one path, and a batch drops the bound to 0.  Indexing is
+    1-based; row/col 0 are dead."""
 
-    __slots__ = ("n", "adj", "t", "fate")
+    __slots__ = ("n", "adj", "fate", "floor")
 
     def __init__(self, n: int, adj: np.ndarray) -> None:
         self.n = n
         self.adj = adj
-        self.t = common_neighbors(adj, count_dtype(n))
         self.fate = np.zeros(adj.shape, dtype=np.int8)
+        self.floor = 0
 
     def first_active_vertex(self, start: int = 1) -> int | None:
         """The smallest vertex v in start..n with a working pair, or None.
@@ -138,38 +138,24 @@ class WorkingGraph:
     def remove_pair(self, a: int, b: int) -> None:
         """Remove one working pair; unlike the batch removals, leave `fate` alone."""
         self.adj[a, b] = self.adj[b, a] = False
-        nb = self.adj[b]  # post-removal rows: the removed pair is not a path leg
-        na = self.adj[a]
-        self.t[a, :] -= nb
-        self.t[:, a] -= nb
-        self.t[b, :] -= na
-        self.t[:, b] -= na
+        self.floor -= 1
 
     def remove_incident(self, v: int, fate: int) -> None:
         nv = np.flatnonzero(self.adj[v])
         if not len(nv):
             return
         self.fate[v, nv] = self.fate[nv, v] = fate
-        # dropping all pairs (v, x) kills one v-midpoint path for each pair in nv^2
-        self.t[nv] -= self.adj[v]
         self.adj[v, :] = False
         self.adj[:, v] = False
-        self.t[v, :] = 0
-        self.t[:, v] = 0
+        self.floor -= 1
 
     def remove_pairs(self, pairs: np.ndarray | list[Pair], fate: int) -> None:
-        """Remove distinct working pairs, one (a, b) per row, as `fate`: one by
-        one for a batch of at most n^2 / RECOUNT_DIVISOR pairs, else clear them
-        at once and recount `t` in place."""
+        """Remove distinct working pairs, one (a, b) per row, as `fate`."""
         pairs = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
         a, b = pairs.T
         self.fate[a, b] = self.fate[b, a] = fate
-        if len(pairs) * RECOUNT_DIVISOR > self.n**2:
-            self.adj[a, b] = self.adj[b, a] = False
-            self.t[...] = common_neighbors(self.adj, self.t.dtype)
-        else:
-            for a, b in pairs.tolist():
-                self.remove_pair(a, b)
+        self.adj[a, b] = self.adj[b, a] = False
+        self.floor = 0
 
 
 def uncovered_pairs(hoods: np.ndarray) -> np.ndarray:
@@ -306,24 +292,31 @@ def step4_peel(working: WorkingGraph, tau: int) -> np.ndarray:
     """Move pairs whose common-neighbor count is below tau to T until none is
     left, and return the moved pairs as (a, b) rows with a < b.
 
-    Works in rounds: each round removes every working pair below tau at once,
-    and the peel stops when a round finds none.  Counts only fall as pairs
-    leave, so any removal order ends at the same set, the largest subset in
-    which every pair keeps at least tau common neighbors.  Costs no queries.
+    Works in rounds: each round counts common neighbors once, removes every
+    working pair below tau at once, and the peel stops when a round finds
+    none, leaving the smallest count it saw in `working.floor`.  While that
+    bound is at least tau no pair can be low, so the peel returns without
+    counting.  Counts only fall as pairs leave, so any removal order ends at
+    the same set, the largest subset in which every pair keeps at least tau
+    common neighbors.  Costs no queries.
     """
+    n = working.n
     batches = [np.empty((0, 2), dtype=np.intp)]
-    while True:
-        low = working.t < tau
+    while working.floor < tau:
+        t = common_neighbors(working.adj, count_dtype(n))
+        low = t < tau
         low &= working.adj
         # keep a < b on the symmetric mask's flat indices, then divmod: row-major pairs
         flat = np.flatnonzero(low)
-        flat = flat[flat // (working.n + 1) < flat % (working.n + 1)]
-        batch = np.stack(np.divmod(flat, working.n + 1), axis=1)
-        del low, flat  # not kept alive through the recount in `remove_pairs`
-        if not len(batch):
-            return np.concatenate(batches)
+        flat = flat[flat // (n + 1) < flat % (n + 1)]
+        if not len(flat):
+            working.floor = int(t.min(where=working.adj, initial=n))
+            break
+        batch = np.stack(np.divmod(flat, n + 1), axis=1)
+        del t, low, flat  # not kept alive through the next round's count
         working.remove_pairs(batch, FATE_T)
         batches.append(batch)
+    return np.concatenate(batches)
 
 
 def step5_degree_hypothesis(

@@ -184,9 +184,11 @@ def test_lemma_checks_runs(tmp_path):
     (["lemma-checks", "--trials", "0"], "trials must be >= 1"),
     (["lemma-checks", "--epsilon", "0"], "epsilon must lie in (0, 1)"),
     (["lemma-checks", "--epsilon", "1"], "epsilon must lie in (0, 1)"),
+    (["bench", "--sizes", "16,24,32", "--c-safe", "inf"], "c_safe and c0 must be finite"),
+    (["bench", "--sizes", "16,24,32", "--c0", "nan"], "c_safe and c0 must be finite"),
 ], ids=["bench-no-trials", "bench-repeated-size", "bench-two-sizes", "bench-staged-too-small",
         "bench-staged-just-below", "bench-baseline-too-small", "lemma-no-trials",
-        "lemma-epsilon-zero", "lemma-epsilon-one"])
+        "lemma-epsilon-zero", "lemma-epsilon-one", "bench-c-safe-inf", "bench-c0-nan"])
 def test_bad_counts_exit_2_before_any_work(tmp_path, monkeypatch, capsys, args, message):
     def no_work(*args, **kwargs):
         raise AssertionError("work started on bad input")

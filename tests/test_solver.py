@@ -11,14 +11,13 @@ from hypothesis import strategies as st
 
 from qtri import BudgetExceededError, Graph, Params, QueryOracle, generate, solve, triangle_count
 from qtri.analysis import cost_terms
-from qtri.graphs import canon_pair, common_neighbors, count_dtype
+from qtri.graphs import canon_pair, common_neighbors
 from qtri.oracle import StepTag
 from qtri.rng import substream
 from qtri.solver import (
     FATE_E,
     FATE_T,
     MIN_N,
-    RECOUNT_DIVISOR,
     Hypothesis,
     WorkingGraph,
     _induced_pair_space,
@@ -250,19 +249,41 @@ def test_step4_postcondition():
     working = complete_working(8)
     tau = peel_threshold(8, DEFAULTS.epsilon_prime)  # 6: all counts are 6, none below
     step4_peel(working, tau)
-    t = working.t
+    t = brute_counts(working)
     for a, b in live_pairs(working):
         assert t[a, b] >= tau
 
 
+def brute_counts(working):
+    """The common-neighbor count of every pair, as an int64 matrix product."""
+    ints = working.adj.astype(np.int64)
+    return ints @ ints
+
+
+def test_peel_counts_only_when_the_floor_allows_a_low_pair(monkeypatch):
+    counted = []
+
+    def counting(*args):
+        counted.append(args)
+        return common_neighbors(*args)
+
+    monkeypatch.setattr("qtri.solver.common_neighbors", counting)
+    working = complete_working(4)  # every pair has 2 common neighbors, tau + 1 for tau = 1
+    assert len(step4_peel(working, tau=1)) == 0
+    assert len(counted) == 1 and working.floor == 2
+    working.remove_incident(4, FATE_E)  # each pair inside {1, 2, 3} keeps one
+    assert len(step4_peel(working, tau=1)) == 0
+    assert len(counted) == 1 and working.floor == 1
+    working.remove_incident(3, FATE_E)  # (1, 2) keeps none
+    assert step4_peel(working, tau=1).tolist() == [[1, 2]]
+    assert len(counted) == 3  # the round that moves (1, 2), then the empty round
+    assert fate_pairs(working, FATE_T) == [(1, 2)] and not working.adj.any()
+
+
 def assert_counts_consistent(working):
-    assert working.t.dtype == count_dtype(working.n) == np.int16  # at every tier-1 size
     adj = working.adj
     assert np.array_equal(adj, adj.T) and not adj[0].any() and not np.diag(adj).any()
-    ints = adj.astype(np.int64)
-    ref = ints @ ints
-    off = ~np.eye(working.n + 1, dtype=bool)  # the diagonal is never read
-    assert np.array_equal(working.t[off], ref[off])
+    assert (brute_counts(working)[adj] >= working.floor).all()
 
 
 def random_working(data, n_max=16):
@@ -276,60 +297,28 @@ def random_working(data, n_max=16):
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_removals_keep_counts_consistent(data):
-    # at n <= 16 every nonempty batch passes the real switch point, so the
-    # divisor is drawn small enough that batches fall on both sides of
-    # remove_pairs' switch between pair-by-pair updates and a recount
     working = random_working(data)
-    divisor = data.draw(st.integers(1, 64), label="divisor")
-    held_t = working.t  # a caller holding the count matrix must see every update
-    with mock.patch("qtri.solver.RECOUNT_DIVISOR", divisor):
-        for _ in range(data.draw(st.integers(1, 6), label="ops")):
-            live = live_pairs(working)
-            before = working.fate.copy()
-            op = data.draw(st.sampled_from(["pair", "incident", "pairs"]), label="op")
-            fate = data.draw(st.sampled_from([FATE_T, FATE_E]), label="fate")
-            removed = []  # the pairs a batch removal must mark with `fate`
-            if op == "incident":
-                v = data.draw(st.integers(1, working.n), label="v")
-                working.remove_incident(v, fate)
-                removed = [pair for pair in live if v in pair]
-                assert not working.adj[v].any()
-            elif live and op == "pair":
-                working.remove_pair(*data.draw(st.sampled_from(live), label="pair"))
-            elif live:
-                size = data.draw(st.integers(0, len(live)), label="size")
-                removed = data.draw(st.permutations(live), label="batch")[:size]
-                working.remove_pairs(removed, fate)
-                assert not any(working.adj[a, b] for a, b in removed)
-            assert np.array_equal(working.fate, fate_after(before, removed, fate))
-            assert working.t is held_t
-            assert_counts_consistent(working)
-
-
-def test_remove_pairs_takes_both_branches_at_the_real_switch(monkeypatch):
-    # n = 128: a batch of n^2 / RECOUNT_DIVISOR pairs goes pair by pair, one
-    # more pair recounts `t` in one product
-    n = 128
-    limit = n * n // RECOUNT_DIVISOR
-    assert limit * RECOUNT_DIVISOR == n * n and limit > 1
-    calls = []
-    original = WorkingGraph.remove_pair
-
-    def counted(self, a, b):
-        calls.append((a, b))
-        original(self, a, b)
-
-    monkeypatch.setattr(WorkingGraph, "remove_pair", counted)
-    rng = np.random.default_rng(7)
-    working = working_from_pairs(n, random_pairs(rng, n, 0.3))
-    for size, per_pair in ((limit, True), (limit + 1, False)):
+    # the tightest bound there is, so a removal that lowers it too little shows
+    working.floor = int(brute_counts(working).min(where=working.adj, initial=working.n))
+    for _ in range(data.draw(st.integers(1, 6), label="ops")):
         live = live_pairs(working)
-        batch = [live[i] for i in rng.choice(len(live), size=size, replace=False)]
         before = working.fate.copy()
-        calls.clear()
-        working.remove_pairs(batch, FATE_E)
-        assert calls == (batch if per_pair else [])
-        assert np.array_equal(working.fate, fate_after(before, batch, FATE_E))
+        op = data.draw(st.sampled_from(["pair", "incident", "pairs"]), label="op")
+        fate = data.draw(st.sampled_from([FATE_T, FATE_E]), label="fate")
+        removed = []  # the pairs a batch removal must mark with `fate`
+        if op == "incident":
+            v = data.draw(st.integers(1, working.n), label="v")
+            working.remove_incident(v, fate)
+            removed = [pair for pair in live if v in pair]
+            assert not working.adj[v].any()
+        elif live and op == "pair":
+            working.remove_pair(*data.draw(st.sampled_from(live), label="pair"))
+        elif live:
+            size = data.draw(st.integers(0, len(live)), label="size")
+            removed = data.draw(st.permutations(live), label="batch")[:size]
+            working.remove_pairs(removed, fate)
+            assert not any(working.adj[a, b] for a, b in removed)
+        assert np.array_equal(working.fate, fate_after(before, removed, fate))
         assert_counts_consistent(working)
 
 
@@ -357,7 +346,7 @@ def peel_rounds_reference(n, pairs, tau):
     working = working_from_pairs(n, pairs)
     moved = []
     while True:
-        batch = np.argwhere(np.triu((working.t < tau) & working.adj, 1))
+        batch = np.argwhere(np.triu((brute_counts(working) < tau) & working.adj, 1))
         if not len(batch):
             return moved
         working.remove_pairs(batch, FATE_T)
@@ -391,7 +380,8 @@ def test_step4_counts_stay_consistent(data):
     assert set(moved) == peel_reference(working.n, before, tau)
     assert set(live_pairs(working)) == set(before) - set(moved)
     assert np.array_equal(working.fate, fate_after(fate_before, moved, FATE_T))
-    assert all(working.t[a, b] >= tau for a, b in live_pairs(working))
+    counts = brute_counts(working)
+    assert all(counts[a, b] >= tau for a, b in live_pairs(working))
     assert_counts_consistent(working)
 
 
@@ -416,7 +406,19 @@ def test_step8_gives_every_candidate_one_fate(
     hidden = Graph(n, random_pairs(rng, n, hidden_density, sides))
     params = Params(epsilon_prime=eps_prime)  # a low tau lets steps 5-7 run too
     initial = working.adj.copy()
-    tri, _ = step8_loop(QueryOracle(hidden, budget=10**9), working, params, seed)
+    scanning = working_from_pairs(n, upper_pairs(initial))
+
+    def always_scanning(working, tau):
+        working.floor = 0
+        return step4_peel(working, tau)
+
+    with mock.patch("qtri.solver.step4_peel", always_scanning):
+        expected = step8_loop(QueryOracle(hidden, budget=10**9), scanning, params, seed)
+    tri, events = step8_loop(QueryOracle(hidden, budget=10**9), working, params, seed)
+    # a peel that skips its count when `floor` rules out a low pair changes nothing
+    assert (tri, events) == expected
+    assert np.array_equal(working.fate, scanning.fate)
+    assert np.array_equal(working.adj, scanning.adj)
     fate = working.fate
     assert np.array_equal(fate, fate.T)
     assert set(np.unique(fate).tolist()) <= {0, FATE_T, FATE_E}
@@ -821,5 +823,10 @@ def test_params_validation():
         Params(epsilon=0.0)
     with pytest.raises(ValueError):
         Params(c_safe=0.5)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="must be finite"):
+            Params(c_safe=bad)
+        with pytest.raises(ValueError, match="must be finite"):
+            Params(c0=bad)
     assert cost_terms(Params(epsilon=0.1, epsilon_prime=0.05, delta=0.06)).degenerate
     assert not cost_terms(Params()).degenerate
