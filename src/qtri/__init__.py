@@ -31,10 +31,8 @@ from .grover import (
     GroverOutcome,
     SearchSpace,
     edge_restricted_triangle_search,
-    grover_search,
     grover_success_prob,
     safe_grover,
-    schedule_success_prob,
 )
 from .oracle import (
     BudgetExceededError,
@@ -77,13 +75,11 @@ __all__ = [
     "folklore_baseline",
     "gamma_i",
     "generate",
-    "grover_search",
     "grover_success_prob",
     "load_graph",
     "optimize_params",
     "safe_grover",
     "save_graph",
-    "schedule_success_prob",
     "solve",
     "spectral_norm",
     "substream",

@@ -24,7 +24,7 @@ from .adversary import (
     load_function,
     load_matrix,
 )
-from .graphs import GENERATOR_KINDS, MIN_GRAPH_N, generate, load_graph, save_graph
+from .graphs import GENERATOR_KINDS, MAX_VERTICES, MIN_GRAPH_N, generate, load_graph, save_graph
 from .oracle import BudgetExceededError, QueryOracle, StepTag
 from .rng import derive_seed
 from .solver import MIN_N, Params, solve
@@ -80,6 +80,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     least = MIN_N if args.algo == "staged" else MIN_GRAPH_N
     if min(sizes, default=least) < least:
         raise ValueError(f"--algo {args.algo} needs --sizes >= {least}, got {args.sizes}")
+    if max(sizes, default=0) > MAX_VERTICES:
+        raise ValueError(f"--sizes must be <= {MAX_VERTICES}, got {args.sizes}")
     rows = analysis.trial_rows(args.algo, sizes, args.trials, _params_from(args), args.seed,
                                args.gen, args.p)
     fit = analysis.fit_rows(rows) if args.out_json else None

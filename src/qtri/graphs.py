@@ -25,6 +25,10 @@ GENERATOR_KINDS = (
     "triangle_free_dense",
 )
 MIN_GRAPH_N = 3  # the smallest vertex count `generate` accepts
+# Largest vertex count `generate` and `load_graph` accept.  Both check it
+# before any per-vertex allocation, so a corrupt or hostile header or a
+# mistyped size cannot exhaust memory.
+MAX_VERTICES = 1 << 16
 
 
 def canon_pair(a: int, b: int) -> tuple[int, int]:
@@ -157,23 +161,23 @@ class Graph:
 
 
 def count_dtype(n: int) -> np.dtype:
-    """The integer dtype of common-neighbor counts on n vertices: int16 below
-    2**15, else int32.  No count exceeds n - 1, so int16 holds every count
-    there and halves the memory traffic of the (n+1)^2 count matrices."""
+    """The integer dtype of common-neighbor counts over rows of length n:
+    int16 below 2**15, else int32.  No count exceeds n, so int16 holds every
+    count there and halves the memory traffic of the (n+1)^2 count matrices."""
     return np.dtype(np.int16 if n < 1 << 15 else np.int32)
 
 
-def common_neighbors(rows: np.ndarray, dtype: np.dtype | type = np.int32) -> np.ndarray:
+def common_neighbors(rows: np.ndarray) -> np.ndarray:
     """counts[i, j] = |{k : rows[i, k] and rows[j, k]}| for a boolean matrix,
-    as `dtype`, which must hold the row length.  This is the one place that
-    multiplies adjacency matrices: a single float32 product `x @ x.T`, cast
-    straight to `dtype`, which is exact because every partial sum is an
-    integer no larger than the row length, and float32 holds every integer
-    below 2**24 (a dense boolean matrix with rows that long would need
-    terabytes)."""
+    as `count_dtype` of the row length, since no count exceeds it.  This is
+    the one place that multiplies adjacency matrices: a single float32
+    product `x @ x.T`, cast straight to that dtype, which is exact because
+    every partial sum is an integer no larger than the row length, and
+    float32 holds every integer below 2**24 (a dense boolean matrix with rows
+    that long would need terabytes)."""
     x = rows.astype(np.float32)
     x = x @ x.T  # drops the float copy of `rows` before the cast
-    return x.astype(dtype)
+    return x.astype(count_dtype(rows.shape[1]))
 
 
 def triangle_count(graph: Graph) -> int:
@@ -200,6 +204,8 @@ def generate(kind: str, n: int, seed: int, p: float | None = None) -> Graph:
         raise ValueError(f"unknown generator kind {kind!r}")
     if n < MIN_GRAPH_N:
         raise ValueError(f"n must be >= {MIN_GRAPH_N}")
+    if n > MAX_VERTICES:
+        raise ValueError(f"n must be <= {MAX_VERTICES}")
     needs_p = kind in ("erdos_renyi", "planted_triangle")
     if needs_p:
         if p is None or not 0.0 <= p <= 1.0:
@@ -225,10 +231,6 @@ def generate(kind: str, n: int, seed: int, p: float | None = None) -> Graph:
 
 # ---------------------------------------------------------------------------
 # Text format: first line "n", then one "u v" line per edge, 1-based.
-
-# Largest vertex count `load_graph` accepts.  The check runs before any
-# per-vertex allocation, so a corrupt or hostile header cannot exhaust memory.
-MAX_VERTICES = 1 << 16
 
 
 def save_graph(graph: Graph, path: str) -> None:

@@ -3,10 +3,12 @@
 Nothing here manipulates state vectors.  Outcomes are sampled from the exact
 rotation-angle success probabilities while every modeled oracle application
 is billed to the ledger, which keeps both the distribution and the query
-count faithful at any instance size.  Every search runs its attempts through
-the one loop `_attempt_loop`, which makes each attempt's draws in a fixed
-order, stops at the first success and then bills all the attempts' charges
-in one `charge_batch` call.
+count faithful at any instance size.  A search over a set whose number of
+marked items is unknown is `safe_grover`: repeated runs, each with an
+iteration count drawn uniformly below the cap.  Every search runs its
+attempts through the one loop `_attempt_loop`, which makes each attempt's
+draws in a fixed order, stops at the first success and then bills all the
+attempts' charges in one `charge_batch` call.
 """
 
 from __future__ import annotations
@@ -19,12 +21,6 @@ import numpy as np
 
 from .graphs import Graph, common_neighbors
 from .oracle import QueryOracle, StepTag, verify_triangle
-
-# Growth factor of the iteration-range ramp used when the number of marked
-# items is unknown, and the number of extra full-range rounds appended after
-# the ramp reaches the cap.
-SCHEDULE_GROWTH = 1.2
-CAP_ROUNDS = 6
 
 # Multiplier pinning the billing cap of edge_restricted_triangle_search:
 # charged <= AA_COST_CONSTANT * (sqrt(|pool|) + sqrt(n*max(1,g))) * ln(n).
@@ -52,7 +48,8 @@ def grover_success_prob(size: int, marked: int, iterations: int) -> float:
 
 
 def mean_success_prob(size: int, marked: int, k_range: int) -> float:
-    """Average success over an iteration count drawn uniformly from [0, k_range)."""
+    """Average success over an iteration count drawn uniformly from [0, k_range);
+    at k_range = iteration_cap(size) it is the success of one `safe_grover` run."""
     if k_range <= 0:
         return 0.0
     if marked == 0:
@@ -60,32 +57,7 @@ def mean_success_prob(size: int, marked: int, k_range: int) -> float:
     if marked == size:
         return 1.0
     theta = math.asin(math.sqrt(marked / size))
-    sin2t = math.sin(2.0 * theta)
-    if abs(sin2t) < 1e-9:
-        return sum(grover_success_prob(size, marked, k) for k in range(k_range)) / k_range
-    return 0.5 - math.sin(4.0 * k_range * theta) / (4.0 * k_range * sin2t)
-
-
-def attempt_ranges(size: int) -> list[int]:
-    """Iteration-range schedule: geometric ramp, then CAP_ROUNDS full rounds."""
-    cap = iteration_cap(size)
-    ranges = []
-    grow = SCHEDULE_GROWTH
-    while math.ceil(grow) < cap:
-        ranges.append(math.ceil(grow))
-        grow *= SCHEDULE_GROWTH
-    ranges.extend([cap] * CAP_ROUNDS)
-    return ranges
-
-
-def schedule_success_prob(size: int, marked: int) -> float:
-    """Overall success probability of grover_search on an (N, m) space."""
-    if size < 1:
-        return 0.0
-    fail = 1.0
-    for k_range in attempt_ranges(size):
-        fail *= 1.0 - mean_success_prob(size, marked, k_range)
-    return 1.0 - fail
+    return 0.5 - math.sin(4.0 * k_range * theta) / (4.0 * k_range * math.sin(2.0 * theta))
 
 
 def amplified_prob(base: float, iterations: int) -> float:
@@ -129,71 +101,31 @@ class SearchSpace:
 @dataclass(frozen=True)
 class GroverOutcome:
     found: Any | None
-    iterations_used: int
     attempts: int
     queries_charged: int
 
 
-Attempt = tuple[int, int, Any]  # (iterations, charge, hit) of one modeled run
+Attempt = tuple[int, Any]  # (charge, hit) of one modeled run
 
 
 def _attempt_loop(
     attempts: Iterable[Attempt], oracle: QueryOracle, tag: StepTag
-) -> tuple[int, list[int], Any]:
+) -> tuple[list[int], Any]:
     """The one loop over a search's attempts.
 
-    `attempts` yields (iterations, charge, hit) per attempt and makes that
-    attempt's random draws as it is advanced; a truthy hit ends the search.
-    The charges of every attempt taken are billed in one `charge_batch`
-    call, which stops at the first charge that crosses the budget exactly
-    as billing each attempt in turn would.  Returns the summed iterations,
-    the charges and the last hit.
+    `attempts` yields (charge, hit) per attempt and makes that attempt's
+    random draws as it is advanced; a truthy hit ends the search.  The
+    charges of every attempt taken are billed in one `charge_batch` call,
+    which stops at the first charge that crosses the budget exactly as
+    billing each attempt in turn would.  Returns the charges and the last hit.
     """
-    iters, charges, hit = 0, [], None
-    for k, charge, hit in attempts:
-        iters += k
+    charges, hit = [], None
+    for charge, hit in attempts:
         charges.append(charge)
         if hit:
             break
     oracle.charge_batch(charges, tag)
-    return iters, charges, hit
-
-
-def _capped_runs(
-    space: SearchSpace, ranges: Iterable[int], rng: np.random.Generator
-) -> Iterator[Attempt]:
-    """One attempt per iteration range: draw k below the range, then measure
-    after k iterations; costs k iterations plus the measured-item test."""
-    for k_range in ranges:
-        k = int(rng.integers(k_range))
-        hit = rng.random() < grover_success_prob(space.size, space.marked_count, k)
-        yield k, (k + 1) * space.q_test, hit
-
-
-def _search(
-    space: SearchSpace,
-    attempts: Iterable[Attempt],
-    oracle: QueryOracle,
-    tag: StepTag,
-    rng: np.random.Generator,
-) -> GroverOutcome:
-    """Run the attempts; after a hit, sample the found item from the marked ones."""
-    iters, charges, hit = _attempt_loop(attempts, oracle, tag)
-    found = space.draw_marked(rng) if hit else None
-    return GroverOutcome(found, iters, len(charges), sum(charges))
-
-
-def grover_search(
-    space: SearchSpace, oracle: QueryOracle, tag: StepTag, rng: np.random.Generator
-) -> GroverOutcome:
-    """Search with the ramped unknown-marked-count schedule.
-
-    Every attempt costs at most iteration_cap(N) * q_test; a returned item is
-    always genuinely marked because the measured item is tested before use.
-    """
-    if space.size == 0:
-        return GroverOutcome(None, 0, 0, 0)
-    return _search(space, _capped_runs(space, attempt_ranges(space.size), rng), oracle, tag, rng)
+    return charges, hit
 
 
 def safe_grover(
@@ -205,21 +137,30 @@ def safe_grover(
 ) -> GroverOutcome:
     """ceil(c * log2(N)) independent capped runs, stopping at the first find.
 
-    Each repetition draws its iteration count uniformly below the cap, so the
-    whole call costs at most ceil(c * log2(N)) * iteration_cap(N) * q_test and
-    misses a nonempty target with probability at most N**(-c).  A one-item
-    space is settled by one test of its item, with no draw.
+    Each run draws its iteration count k uniformly below the cap, then
+    measures; it costs k iterations plus the test of the measured item, so
+    the whole call costs at most ceil(c * log2(N)) * iteration_cap(N) * q_test
+    and misses a nonempty target with probability at most N**(-c).  A
+    one-item space is settled by one test of its item, with no draw.  After a
+    hit the found item is sampled from the marked ones, so a returned item is
+    always genuinely marked.
     """
     if c < 1:
         raise ValueError("c must be >= 1")
-    if space.size == 0:
-        return GroverOutcome(None, 0, 0, 0)
-    if space.size == 1:
-        attempts: Iterable[Attempt] = [(0, space.q_test, space.marked_count == 1)]
-    else:
-        reps = math.ceil(c * math.log2(space.size))
-        attempts = _capped_runs(space, [iteration_cap(space.size)] * reps, rng)
-    return _search(space, attempts, oracle, tag, rng)
+    size, q_test = space.size, space.q_test
+    if size == 0:
+        return GroverOutcome(None, 0, 0)
+    base = space.marked_count / size
+
+    def runs() -> Iterator[Attempt]:
+        cap = iteration_cap(size)
+        for _ in range(math.ceil(c * math.log2(size))):
+            k = int(rng.integers(cap))
+            yield (k + 1) * q_test, rng.random() < amplified_prob(base, k)
+
+    charges, hit = _attempt_loop([(q_test, space.marked_count == 1)] if size == 1 else runs(), oracle, tag)
+    found = space.draw_marked(rng) if hit else None
+    return GroverOutcome(found, len(charges), sum(charges))
 
 
 def edge_restricted_triangle_search(
@@ -270,9 +211,9 @@ def edge_restricted_triangle_search(
             k_amp = int(rng.integers(k_amp_range))
             base_cost = k_edge + 2 * k_apex
             hit = p_base > 0.0 and rng.random() < amplified_prob(p_base, k_amp)
-            yield k_amp, k_amp * (2 * base_cost + 3) + base_cost + 3, per_edge if hit else None
+            yield k_amp * (2 * base_cost + 3) + base_cost + 3, per_edge if hit else None
 
-    _, _, per_edge = _attempt_loop(rounds(), oracle, tag)
+    _, per_edge = _attempt_loop(rounds(), oracle, tag)
     if per_edge is None:
         return None
     cum = np.cumsum(np.asarray(per_edge))

@@ -30,7 +30,7 @@ from enum import Enum
 
 import numpy as np
 
-from .graphs import Graph, common_neighbors, count_dtype, triangle_count
+from .graphs import Graph, common_neighbors, triangle_count
 from .grover import SearchSpace, edge_restricted_triangle_search, safe_grover
 from .oracle import LedgerReport, QueryOracle, StepTag, verify_triangle
 from .rng import substream
@@ -303,7 +303,7 @@ def step4_peel(working: WorkingGraph, tau: int) -> np.ndarray:
     n = working.n
     batches = [np.empty((0, 2), dtype=np.intp)]
     while working.floor < tau:
-        t = common_neighbors(working.adj, count_dtype(n))
+        t = common_neighbors(working.adj)
         low = t < tau
         low &= working.adj
         # keep a < b on the symmetric mask's flat indices, then divmod: row-major pairs

@@ -22,11 +22,9 @@ from qtri import (
     disjointness_prob_exact,
     empirical_scaling,
     generate,
-    grover_search,
     grover_success_prob,
     optimize_params,
     safe_grover,
-    schedule_success_prob,
     solve,
 )
 from qtri.adversary import (
@@ -42,6 +40,7 @@ from qtri.adversary import (
 )
 from qtri.analysis import disjointness_sweep
 from qtri.graphs import Graph
+from qtri.grover import iteration_cap, mean_success_prob
 from qtri.oracle import StepTag
 from qtri.rng import substream
 from qtri.solver import peel_threshold
@@ -164,12 +163,14 @@ def test_criterion_06_search_model_fidelity():
     details = [f"sv(4,1,1) ok={exact_ok}"]
     dummy = Graph(8)
     for size, marked in ((4, 1), (64, 1), (256, 16)):
-        analytic = schedule_success_prob(size, marked)
+        # the solver's search at c = 1: ceil(log2 N) runs, k uniform below the cap
+        miss = 1.0 - mean_success_prob(size, marked, iteration_cap(size))
+        analytic = 1.0 - miss ** math.ceil(math.log2(size))
         space = SearchSpace.explicit(size, range(marked), q_test=1)
         wins = 0
         for seed in range(trials):
             oracle = QueryOracle(dummy, budget=10**9)
-            out = grover_search(space, oracle, StepTag.STEP2, substream(seed, "c6", size))
+            out = safe_grover(space, 1.0, oracle, StepTag.STEP2, substream(seed, "c6", size))
             wins += out.found is not None
         se = math.sqrt(max(analytic * (1.0 - analytic), 1e-12) / trials)
         dev = abs(wins / trials - analytic)

@@ -10,6 +10,7 @@ import pytest
 import qtri.adversary
 import qtri.analysis
 import qtri.cli
+import qtri.graphs
 from qtri.adversary import or_star_instance, random_valid_gamma, triangle_property_function
 from qtri.cli import main
 from qtri.graphs import load_graph, triangle_count
@@ -186,18 +187,25 @@ def test_lemma_checks_runs(tmp_path):
     (["lemma-checks", "--epsilon", "1"], "epsilon must lie in (0, 1)"),
     (["bench", "--sizes", "16,24,32", "--c-safe", "inf"], "c_safe and c0 must be finite"),
     (["bench", "--sizes", "16,24,32", "--c0", "nan"], "c_safe and c0 must be finite"),
+    (["bench", "--sizes", "16,24,65537"], "--sizes must be <= 65536"),
+    (["gen-graph", "--kind", "complete", "--n", "65537"], "n must be <= 65536"),
+    (["solve", "--gen", "complete", "--n", "65537"], "n must be <= 65536"),
 ], ids=["bench-no-trials", "bench-repeated-size", "bench-two-sizes", "bench-staged-too-small",
         "bench-staged-just-below", "bench-baseline-too-small", "lemma-no-trials",
-        "lemma-epsilon-zero", "lemma-epsilon-one", "bench-c-safe-inf", "bench-c0-nan"])
+        "lemma-epsilon-zero", "lemma-epsilon-one", "bench-c-safe-inf", "bench-c0-nan",
+        "bench-too-large", "gen-graph-too-large", "solve-too-large"])
 def test_bad_counts_exit_2_before_any_work(tmp_path, monkeypatch, capsys, args, message):
     def no_work(*args, **kwargs):
         raise AssertionError("work started on bad input")
 
     for name in ("solve", "folklore_baseline", "disjointness_sweep"):
         monkeypatch.setattr(qtri.analysis, name, no_work)
+    monkeypatch.setattr(qtri.graphs, "substream", no_work)  # `generate` draws before it allocates
     outs = {"bench": ["--out-csv", str(tmp_path / "rows.csv"),
                       "--out-json", str(tmp_path / "fit.json")],
-            "lemma-checks": ["--out", str(tmp_path / "checks.json")]}
+            "gen-graph": ["--out", str(tmp_path / "graph.txt")],
+            "lemma-checks": ["--out", str(tmp_path / "checks.json")],
+            "solve": ["--out", str(tmp_path / "report.json")]}
     assert run(args + outs[args[0]]) == 2
     assert message in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []

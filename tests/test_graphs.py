@@ -94,19 +94,19 @@ def test_graph_agrees_with_a_set_of_pairs(case, data):
     assert triangle_count(g) == len(brute_triangles(g))
     for rows in (adj, np.triu(adj, 1)):
         brute = (rows[:, None, :] & rows[None, :, :]).sum(axis=2, dtype=np.int64)
-        assert common_neighbors(rows).dtype == np.int32
-        for dtype in (np.int16, np.int32):
-            counts = common_neighbors(rows, dtype)
-            assert counts.dtype == dtype and np.array_equal(counts, brute)
+        counts = common_neighbors(rows)
+        assert counts.dtype == count_dtype(rows.shape[1]) and np.array_equal(counts, brute)
 
 
 @pytest.mark.parametrize("n, dtype", [
     (3, np.int16), ((1 << 15) - 1, np.int16), (1 << 15, np.int32), (MAX_VERTICES, np.int32),
 ])
 def test_count_dtype_holds_every_count(n, dtype):
-    # a count is at most n - 1, the degree on the diagonal
+    # a count over rows of length n is at most n, reached by two full rows
     assert count_dtype(n) == dtype
-    assert np.iinfo(count_dtype(n)).max >= n - 1
+    assert np.iinfo(count_dtype(n)).max >= n
+    counts = common_neighbors(np.ones((2, n), dtype=bool))
+    assert counts.dtype == dtype and np.array_equal(counts, np.full((2, 2), n))
 
 
 def test_generate_complete_via_p_one():
@@ -197,13 +197,20 @@ def test_generate_matches_the_reference_generator(kind):
             assert np.array_equal(generate(kind, n, seed, p=p).adjacency(), want), (n, seed)
 
 
-def test_generate_validates():
+def test_generate_validates(monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started on bad input")
+
+    monkeypatch.setattr("qtri.graphs.substream", no_work)  # drawn before the matrix is allocated
     with pytest.raises(ValueError):
         generate("erdos_renyi", 2, seed=0, p=0.5)
     with pytest.raises(ValueError):
         generate("erdos_renyi", 10, seed=0, p=1.5)
     with pytest.raises(ValueError):
         generate("nonsense", 10, seed=0)
+    for kind in GENERATOR_KINDS:
+        with pytest.raises(ValueError, match=f"n must be <= {MAX_VERTICES}"):
+            generate(kind, MAX_VERTICES + 1, seed=0, p=0.5)
 
 
 def test_rows_reject_bad_vertices():

@@ -1,5 +1,5 @@
 """Search-model tests: exact probabilities against a state-vector oracle,
-schedule statistics against the analytic mixture, and billing caps."""
+`safe_grover`'s success rate against its analytic value, and billing caps."""
 
 import math
 
@@ -15,18 +15,10 @@ from qtri import (
     SearchSpace,
     StepTag,
     edge_restricted_triangle_search,
-    grover_search,
     grover_success_prob,
     safe_grover,
-    schedule_success_prob,
 )
-from qtri.grover import (
-    AA_COST_CONSTANT,
-    GroverOutcome,
-    attempt_ranges,
-    iteration_cap,
-    mean_success_prob,
-)
+from qtri.grover import AA_COST_CONSTANT, GroverOutcome, iteration_cap, mean_success_prob
 from qtri.rng import substream
 
 DUMMY = Graph(8)
@@ -69,25 +61,17 @@ def test_success_prob_validation():
 
 
 def test_mean_success_prob_matches_direct_sum():
-    for size, marked, k_range in [(64, 1, 7), (256, 16, 13), (9, 4, 3)]:
+    for size, marked, k_range in [(64, 1, 7), (256, 16, 13), (9, 4, 3), (10**15, 1, 1000)]:
         direct = sum(grover_success_prob(size, marked, k) for k in range(k_range)) / k_range
         assert mean_success_prob(size, marked, k_range) == pytest.approx(direct, abs=1e-12)
 
 
-def test_attempt_ranges_shape():
-    ranges = attempt_ranges(64)
-    cap = iteration_cap(64)
-    assert ranges[-1] == cap
-    assert all(r <= cap for r in ranges)
-    assert ranges == sorted(ranges)
-
-
 def test_all_marked_found_on_first_attempt():
     space = SearchSpace.explicit(16, range(16), q_test=2)
-    out = grover_search(space, fresh_oracle(), StepTag.STEP2, substream(0, "a"))
+    out = safe_grover(space, 1.0, fresh_oracle(), StepTag.STEP2, substream(0, "a"))
     assert out.found is not None
     assert out.attempts == 1
-    assert out.queries_charged <= 2 * space.q_test
+    assert out.queries_charged <= iteration_cap(16) * space.q_test
 
 
 def test_nothing_marked_costs_capped_per_attempt():
@@ -95,8 +79,9 @@ def test_nothing_marked_costs_capped_per_attempt():
     cap = iteration_cap(256)
     for seed in range(20):
         oracle = fresh_oracle()
-        out = grover_search(space, oracle, StepTag.STEP2, substream(seed, "b"))
+        out = safe_grover(space, 1.0, oracle, StepTag.STEP2, substream(seed, "b"))
         assert out.found is None
+        assert out.attempts == math.ceil(math.log2(256))
         assert out.queries_charged == oracle.report().charged
         assert out.queries_charged <= out.attempts * cap * space.q_test
 
@@ -105,19 +90,25 @@ def test_found_items_are_marked():
     marked = {3, 11, 17}
     space = SearchSpace.explicit(32, marked, q_test=1)
     for seed in range(200):
-        out = grover_search(space, fresh_oracle(), StepTag.STEP2, substream(seed, "c"))
+        out = safe_grover(space, 1.0, fresh_oracle(), StepTag.STEP2, substream(seed, "c"))
         if out.found is not None:
             assert out.found in marked
+
+
+def safe_success_prob(size: int, marked: int, c: float) -> float:
+    """ceil(c * log2(N)) independent runs, each a uniform draw below the cap."""
+    miss = 1.0 - mean_success_prob(size, marked, iteration_cap(size))
+    return 1.0 - miss ** math.ceil(c * math.log2(size))
 
 
 def test_schedule_statistics_match_mixture():
     trials = 3000
     for size, marked in [(4, 1), (64, 1), (256, 16)]:
-        analytic = schedule_success_prob(size, marked)
+        analytic = safe_success_prob(size, marked, 1.0)
         wins = 0
         space = SearchSpace.explicit(size, range(marked), q_test=1)
         for seed in range(trials):
-            out = grover_search(space, fresh_oracle(), StepTag.STEP2, substream(seed, "d", size))
+            out = safe_grover(space, 1.0, fresh_oracle(), StepTag.STEP2, substream(seed, "d", size))
             wins += out.found is not None
         se = math.sqrt(max(analytic * (1 - analytic), 1e-9) / trials)
         assert abs(wins / trials - analytic) <= 4 * se
@@ -129,7 +120,7 @@ def test_unknown_count_mean_cost():
     costs = []
     wins = 0
     for seed in range(1000):
-        out = grover_search(space, fresh_oracle(), StepTag.STEP2, substream(seed, "e"))
+        out = safe_grover(space, 1.0, fresh_oracle(), StepTag.STEP2, substream(seed, "e"))
         costs.append(out.queries_charged)
         wins += out.found is not None
     assert np.mean(costs) <= 4 * iteration_cap(1024) * space.q_test
@@ -178,44 +169,26 @@ def test_safe_grover_single_item_space():
 
 
 # Per-attempt reference: each attempt billed with its own `charge` call, as
-# the searches did before their attempts were billed in one ledger call.
-
-
-def reference_attempt(space, k_range, oracle, tag, rng):
-    k = int(rng.integers(k_range))
-    oracle.charge((k + 1) * space.q_test, tag)
-    if rng.random() < grover_success_prob(space.size, space.marked_count, k):
-        return k, space.draw_marked(rng)
-    return k, None
-
-
-def reference_runs(space, ranges, oracle, tag, rng):
-    iters = attempts = charged = 0
-    for k_range in ranges:
-        k, hit = reference_attempt(space, k_range, oracle, tag, rng)
-        iters += k
-        attempts += 1
-        charged += (k + 1) * space.q_test
-        if hit is not None:
-            return GroverOutcome(hit, iters, attempts, charged)
-    return GroverOutcome(None, iters, attempts, charged)
-
-
-def reference_grover_search(space, oracle, tag, rng):
-    if space.size == 0:
-        return GroverOutcome(None, 0, 0, 0)
-    return reference_runs(space, attempt_ranges(space.size), oracle, tag, rng)
+# `safe_grover` did before its attempts were billed in one ledger call.
 
 
 def reference_safe_grover(space, c, oracle, tag, rng):
     if space.size == 0:
-        return GroverOutcome(None, 0, 0, 0)
+        return GroverOutcome(None, 0, 0)
     if space.size == 1:
         oracle.charge(space.q_test, tag)
         found = space.draw_marked(rng) if space.marked_count == 1 else None
-        return GroverOutcome(found, 0, 1, space.q_test)
+        return GroverOutcome(found, 1, space.q_test)
+    cap = iteration_cap(space.size)
     reps = math.ceil(c * math.log2(space.size))
-    return reference_runs(space, [iteration_cap(space.size)] * reps, oracle, tag, rng)
+    charged = 0
+    for attempt in range(1, reps + 1):
+        k = int(rng.integers(cap))
+        oracle.charge((k + 1) * space.q_test, tag)
+        charged += (k + 1) * space.q_test
+        if rng.random() < grover_success_prob(space.size, space.marked_count, k):
+            return GroverOutcome(space.draw_marked(rng), attempt, charged)
+    return GroverOutcome(None, reps, charged)
 
 
 @settings(max_examples=300, deadline=None)
@@ -227,16 +200,14 @@ def reference_safe_grover(space, c, oracle, tag, rng):
     budget=st.one_of(st.none(), st.integers(0, 400)),
     spent=st.integers(0, 60),
     seed=st.integers(0, 2**32 - 1),
-    safe=st.booleans(),
 )
 def test_searches_match_the_per_attempt_reference(
-    size, marked_share, q_test, c, budget, spent, seed, safe
+    size, marked_share, q_test, c, budget, spent, seed
 ):
     marked = min(size, math.ceil(marked_share * size))
     space = SearchSpace.explicit(size, range(marked), q_test=q_test)
     results = []
-    for search in ((safe_grover, reference_safe_grover) if safe
-                   else (grover_search, reference_grover_search)):
+    for search in (safe_grover, reference_safe_grover):
         oracle = QueryOracle(DUMMY)
         oracle.budget = budget
         try:
@@ -244,9 +215,8 @@ def test_searches_match_the_per_attempt_reference(
         except BudgetExceededError:
             pass
         rng = substream(seed, "ref")
-        args = (space, c) if safe else (space,)
         try:
-            out = search(*args, oracle, StepTag.STEP2, rng)
+            out = search(space, c, oracle, StepTag.STEP2, rng)
         except BudgetExceededError as err:
             results.append(("raised", str(err), oracle.report()))
         else:
