@@ -11,8 +11,9 @@ and says why in its change notes.
 
 The cases cover runs that end at step 2 (dense random and planted-triangle
 instances), triangle-free hosts that go through the peel, the degree
-classification (steps 5-7) and both final searches, and yes-instances that
-are only settled by steps 7 or 10 because the sample is cut below n.
+classification (steps 5-7) and both final searches, a host large enough that
+the default sample is cut below n, and yes-instances that are only settled by
+steps 7 or 10 because the sample is cut below n.
 """
 
 import json
@@ -58,6 +59,8 @@ CASES = {
     "five_cycle64_no": (lambda: generate("triangle_free_dense", 64, 1), Params(), 0),
     "er100_sparse_no": (lambda: generate("erdos_renyi", 100, 3, p=0.01), Params(), 0),
     "host64_no": (lambda: bipartite_host(64, 3, 1), Params(), 0),
+    # default Params cut the sample below n here, so the peel's live rows shrink well below n
+    "host1024_no": (lambda: bipartite_host(1024, 3, 7), Params(), 0),
     "host128_hub_step7_no": (
         lambda: bipartite_host(128, 2, 5, hub=0.3), Params(delta=0.5), 0,
     ),
