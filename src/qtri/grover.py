@@ -176,7 +176,9 @@ def edge_restricted_triangle_search(
     apex over all vertices (2 queries per candidate round); amplification
     rounds repeat the base procedure forward and backward.  The intersection
     size is estimated first by a modeled counting sweep of ceil(sqrt(|pool|))
-    queries.  One-sided: a returned triangle is verified with 3 classical
+    queries.  The apex count of each hidden edge in the pool is read off one
+    `common_neighbors` product of the rows of those edges' ends, against every
+    vertex.  One-sided: a returned triangle is verified with 3 classical
     queries before being reported.
     """
     if pool.n != oracle.n:
@@ -191,7 +193,9 @@ def edge_restricted_triangle_search(
     oracle.charge(math.ceil(math.sqrt(size)), tag)
     guess = 1 << max(0, (g - 1).bit_length())  # power-of-two estimate, >= g
 
-    common = common_neighbors(adj)[g_rows, g_cols]
+    ends = np.union1d(g_rows, g_cols)  # their rows only: the apex can be any vertex
+    common = common_neighbors(adj[ends])
+    common = common[np.searchsorted(ends, g_rows), np.searchsorted(ends, g_cols)]
     good = np.flatnonzero(common)
     good_rows, good_cols = g_rows[good], g_cols[good]
     good_counts = common[good].tolist()

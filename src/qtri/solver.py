@@ -19,7 +19,9 @@ Every count matrix comes from `graphs.common_neighbors`, and step 2 builds
 its candidate set, the pairs that share no sampled neighborhood, in one such
 product.  The step-4 peel works in rounds, and it and step 7 drop batches of
 pairs through the one `WorkingGraph.remove_pairs`, so each loop iteration is
-a few whole-matrix numpy passes and no per-pair loop.
+a few numpy passes and no per-pair loop.  The peel and step 9 count only the
+block of rows and columns that still hold a pair, and step 10 only the rows of
+its pairs' ends; after the first peel round that block is well below n + 1.
 """
 
 from __future__ import annotations
@@ -199,13 +201,20 @@ def _induced_pair_space(hidden: Graph, members: list[int] | np.ndarray) -> Searc
 
 
 def _triangle_space(hidden: Graph, pool: Graph) -> SearchSpace:
-    """Triangles of `pool`; marked = those whose three pairs are hidden edges."""
+    """Triangles of `pool`; marked = those whose three pairs are hidden edges.
+
+    The size is the whole `triangle_count` of `pool`; the marked ones are
+    counted over the vertices with a pair of both graphs only, and the sampler
+    returns them in global labels."""
     size = triangle_count(pool)
     if size == 0:
         return SearchSpace(0, 0, 3)
-    # upper[a, c]: (a, c) is a pair of both graphs with a < c, so row products
-    # count each marked triangle a < b < c once, at its pair (a, b)
-    upper = np.triu(hidden.adjacency() & pool.adjacency(), 1)
+    both = hidden.adjacency() & pool.adjacency()
+    live = np.flatnonzero(both.any(axis=1))  # ascending, so local order is label order
+    # upper[a, c]: (live[a], live[c]) is a pair of both graphs with a < c, so row
+    # products count each marked triangle a < b < c once, at its pair (a, b)
+    upper = np.triu(both[live][:, live], 1)
+    del both
     common = common_neighbors(upper)
     rows, cols = np.nonzero(upper & (common > 0))
     weights = common[rows, cols].astype(np.int64)
@@ -216,9 +225,10 @@ def _triangle_space(hidden: Graph, pool: Graph) -> SearchSpace:
 
     def draw(rng: np.random.Generator) -> Tri:
         pick = int(np.searchsorted(cum, rng.integers(cum[-1]), side="right"))
-        a, b = int(rows[pick]), int(cols[pick])
+        a, b = rows[pick], cols[pick]
         apexes = np.flatnonzero(upper[a] & upper[b])
-        return (a, b, int(apexes[rng.integers(len(apexes))]))
+        c = apexes[rng.integers(len(apexes))]
+        return (int(live[a]), int(live[b]), int(live[c]))
 
     return SearchSpace(size, marked, 3, draw)
 
@@ -292,28 +302,35 @@ def step4_peel(working: WorkingGraph, tau: int) -> np.ndarray:
     """Move pairs whose common-neighbor count is below tau to T until none is
     left, and return the moved pairs as (a, b) rows with a < b.
 
-    Works in rounds: each round counts common neighbors once, removes every
+    Works in rounds: each round counts common neighbors once, over the block
+    of the live vertices (those with a working pair) only, removes every
     working pair below tau at once, and the peel stops when a round finds
-    none, leaving the smallest count it saw in `working.floor`.  While that
-    bound is at least tau no pair can be low, so the peel returns without
-    counting.  Counts only fall as pairs leave, so any removal order ends at
-    the same set, the largest subset in which every pair keeps at least tau
-    common neighbors.  Costs no queries.
+    none, leaving the smallest count it saw (n when no pair is left) in
+    `working.floor`.  While that bound is at least tau no pair can be low, so
+    the peel returns without counting.  Counts only fall as pairs leave, so
+    any removal order ends at the same set, the largest subset in which every
+    pair keeps at least tau common neighbors.  Costs no queries.
     """
     n = working.n
     batches = [np.empty((0, 2), dtype=np.intp)]
     while working.floor < tau:
-        t = common_neighbors(working.adj)
+        # every common neighbor of a working pair holds a working pair itself, so
+        # the block of live rows and columns gives the same counts as the whole matrix
+        live = np.flatnonzero(working.adj.any(axis=1))
+        sub = working.adj[live][:, live]
+        t = common_neighbors(sub)
         low = t < tau
-        low &= working.adj
-        # keep a < b on the symmetric mask's flat indices, then divmod: row-major pairs
+        low &= sub
+        # keep a < b on the symmetric mask's flat indices, then divmod: row-major
+        # pairs, and `live` is ascending, so the same order as over the whole matrix
         flat = np.flatnonzero(low)
-        flat = flat[flat // (n + 1) < flat % (n + 1)]
+        flat = flat[flat // len(live) < flat % len(live)]
         if not len(flat):
-            working.floor = int(t.min(where=working.adj, initial=n))
+            # in int64: n need not fit the block's count dtype
+            working.floor = int(np.minimum.reduce(t, None, np.int64, where=sub, initial=n))
             break
-        batch = np.stack(np.divmod(flat, n + 1), axis=1)
-        del t, low, flat  # not kept alive through the next round's count
+        batch = live[np.stack(np.divmod(flat, len(live)), axis=1)]
+        del t, low, flat, sub  # not kept alive through the next round's count
         working.remove_pairs(batch, FATE_T)
         batches.append(batch)
     return np.concatenate(batches)

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from qtri import BudgetExceededError, Graph, Params, QueryOracle, generate, solve, triangle_count
 from qtri.analysis import cost_terms
 from qtri.graphs import canon_pair, common_neighbors
+from qtri.grover import grover_success_prob
 from qtri.oracle import StepTag
 from qtri.rng import substream
 from qtri.solver import (
@@ -243,6 +244,7 @@ def test_step4_peel_empty():
     working = working_from_pairs(8, [])
     assert len(step4_peel(working, tau=5)) == 0
     assert not working.fate.any()
+    assert working.floor == 8  # no working pair: the bound is n
 
 
 def test_step4_postcondition():
@@ -383,6 +385,28 @@ def test_step4_counts_stay_consistent(data):
     counts = brute_counts(working)
     assert all(counts[a, b] >= tau for a, b in live_pairs(working))
     assert_counts_consistent(working)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_step4_peel_over_scattered_labels(data):
+    """A working set on a few scattered labels, the others isolated, possibly
+    none: the peel moves the reference batches and leaves the exact floor."""
+    n = data.draw(st.integers(4, 16), label="n")
+    labels = sorted(data.draw(st.lists(st.integers(1, n), unique=True, max_size=n), label="labels"))
+    everything = [(a, b) for i, a in enumerate(labels) for b in labels[i + 1:]]
+    keep = data.draw(st.lists(st.booleans(), min_size=len(everything),
+                              max_size=len(everything)), label="keep")
+    before = [pair for pair, k in zip(everything, keep) if k]
+    tau = data.draw(st.integers(1, n), label="tau")
+    working = working_from_pairs(n, before)
+    moved = [tuple(pair) for pair in step4_peel(working, tau).tolist()]
+    assert moved == peel_rounds_reference(n, before, tau)  # order included
+    survivors = sorted(set(before) - set(moved))
+    assert np.array_equal(working.adj, working_from_pairs(n, survivors).adj)
+    assert np.array_equal(working.fate, fate_after(np.zeros_like(working.fate), moved, FATE_T))
+    counts = brute_counts(working)
+    assert working.floor == min((counts[a, b] for a, b in survivors), default=n)
 
 
 def random_pairs(rng, n, density, sides=None):
@@ -662,6 +686,78 @@ def test_step10_planted_edge_in_pool():
         if tri == (1, 2, 3):
             wins += 1
     assert wins / 200 >= 2 / 3
+
+
+def marked_triangles(hidden, pool):
+    """Brute force: the triangles a < b < c of `pool` whose pairs are all hidden edges."""
+    both = {pair for pair in pool.edges() if hidden.has_edge(*pair)}
+    return {(a, b, c) for a, b in both for c in range(b + 1, hidden.n + 1)
+            if (a, c) in both and (b, c) in both}
+
+
+def step10_apex_counts(hidden, pool):
+    """The (pool size, g) of step 10's edge search and the nonzero per-pair apex
+    counts of its first amplified round, in g-pair order, read off the calls to
+    `grover_success_prob`."""
+    calls = []
+
+    def recording(size, marked, iterations):
+        calls.append((size, marked))
+        return grover_success_prob(size, marked, iterations)
+
+    with mock.patch("qtri.grover.grover_success_prob", recording):
+        step10_search_E(QueryOracle(hidden, budget=10**9), pool, substream(0, "s10"))
+    return calls[0], [marked for _, marked in calls[1:]]
+
+
+def expected_apex_counts(hidden, pool):
+    """Step 10's (pool size, g) and nonzero per-pair counts, from the whole hidden matrix."""
+    adj = hidden.adjacency()
+    rows, cols = np.nonzero(np.triu(adj & pool.adjacency(), 1))
+    counts = common_neighbors(adj)[rows, cols]
+    return (pool.edge_count, len(rows)), counts[counts > 0].tolist()
+
+
+def assert_late_steps_use_global_labels(hidden, pool, seeds):
+    marked = marked_triangles(hidden, pool)
+    space = _triangle_space(hidden, pool)
+    assert space.size == triangle_count(pool)
+    assert space.marked_count == len(marked)
+    drawn = {space.draw_marked(substream(seed, "draw")) for seed in range(seeds)} if marked else set()
+    assert drawn <= marked
+    (size, g), counts = expected_apex_counts(hidden, pool)
+    if g:  # step 10 runs its edge search only when the pool holds a hidden edge
+        first, recorded = step10_apex_counts(hidden, pool)
+        assert first == (size, g)
+        assert recorded[:len(counts)] == counts
+    return drawn
+
+
+def test_late_steps_at_high_sparse_labels():
+    # hidden triangles (3, 6, 8) and (5, 6, 8); vertex 2 hangs off 8
+    hidden = Graph(8, [(3, 6), (3, 8), (6, 8), (5, 6), (5, 8), (2, 8)])
+    # pool triangles (3, 6, 8), (5, 6, 8) and (6, 7, 8); 1, 2 and 4 are isolated
+    t_pool = Graph(8, [(3, 6), (3, 8), (6, 8), (5, 6), (5, 8), (6, 7), (7, 8)])
+    assert assert_late_steps_use_global_labels(hidden, t_pool, 200) == {(3, 6, 8), (5, 6, 8)}
+    # step 10 over the g pairs (2, 8), (3, 8), (5, 6), (6, 8): the apexes are 6, 8 and {3, 5}
+    e_pool = Graph(8, [(2, 8), (3, 8), (5, 6), (6, 8), (1, 4)])
+    assert expected_apex_counts(hidden, e_pool) == ((5, 4), [1, 1, 2])
+    assert_late_steps_use_global_labels(hidden, e_pool, 200)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_late_steps_over_scattered_labels(data):
+    n = data.draw(st.integers(MIN_N, 14), label="n")
+    labels = sorted(data.draw(st.lists(st.integers(1, n), unique=True, max_size=n), label="labels"))
+    everything = [(a, b) for i, a in enumerate(labels) for b in labels[i + 1:]]
+
+    def subset(label):
+        keep = data.draw(st.lists(st.booleans(), min_size=len(everything),
+                                  max_size=len(everything)), label=label)
+        return [pair for pair, k in zip(everything, keep) if k]
+
+    assert_late_steps_use_global_labels(Graph(n, subset("hidden")), Graph(n, subset("pool")), 20)
 
 
 # ---------------------------------------------------------------------------
