@@ -5,8 +5,8 @@ Vertices are the integers 1..n and unordered pairs are canonicalised to
 (min, max).  A `Graph` keeps its adjacency as one read-only packed bit
 matrix, and this module is the only one that knows that layout: every other
 module reads a graph through `has_edge`, `degree`, `edges`, `rows` (with its
-wrappers `row` and `adjacency`) and `induced_edge_count`, which return Python
-values or boolean numpy arrays.
+wrappers `row` and `adjacency`) and the packed counts `induced_degrees` and
+`common_counts`, which return Python values or numpy arrays.
 """
 
 from __future__ import annotations
@@ -144,17 +144,19 @@ class Graph:
         """Boolean adjacency matrix indexed 1..n (row/col 0 unused)."""
         return self.rows()
 
-    def induced_edge_count(self, vertices: Sequence[int] | np.ndarray) -> int:
-        """Number of edges with both ends among the distinct `vertices`.
-
-        Counted on the packed rows of `vertices` alone, each ANDed with a
-        packed membership mask, so no other row is read or unpacked.
-        """
+    def induced_degrees(self, vertices: Sequence[int] | np.ndarray) -> np.ndarray:
+        """Each of the distinct `vertices`' int64 count of neighbors among them, in
+        order, from their packed rows alone, ANDed with a packed member mask."""
         vertices = self._vertices(vertices)
         inside = np.zeros(self.n + 1, dtype=bool)
         inside[vertices] = True
         block = self._bits[vertices] & np.packbits(inside, bitorder="little")
-        return int(np.count_nonzero(np.unpackbits(block))) // 2
+        return np.bitwise_count(block).sum(axis=1, dtype=np.int64)
+
+    def common_counts(self, a: Sequence[int] | np.ndarray, b: Sequence[int] | np.ndarray) -> np.ndarray:
+        """int64 counts[i] of the common neighbors of a[i] and b[i], on their packed rows."""
+        block = self._bits[self._vertices(a)] & self._bits[self._vertices(b)]
+        return np.bitwise_count(block).sum(axis=1, dtype=np.int64)
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={self._edge_count})"

@@ -6,9 +6,9 @@ is billed to the ledger, which keeps both the distribution and the query
 count faithful at any instance size.  A search over a set whose number of
 marked items is unknown is `safe_grover`: repeated runs, each with an
 iteration count drawn uniformly below the cap.  Every search runs its
-attempts through the one loop `_attempt_loop`, which makes each attempt's
-draws in a fixed order, stops at the first success and then bills all the
-attempts' charges in one `charge_batch` call.
+attempts through the one loop `_attempt_loop`, which stops at the first hit
+and bills them all in one `charge_batch` call.  A sure miss draws its counts
+two at a time in one raw pass, `_miss_iterations`, not attempt by attempt.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import Any, Callable, Iterable, Iterator
 
 import numpy as np
 
-from .graphs import Graph, common_neighbors
+from .graphs import Graph
 from .oracle import QueryOracle, StepTag, verify_triangle
 
 # Multiplier pinning the billing cap of edge_restricted_triangle_search:
@@ -113,8 +113,8 @@ def _attempt_loop(
 ) -> tuple[list[int], Any]:
     """The one loop over a search's attempts.
 
-    `attempts` yields (charge, hit) per attempt and makes that attempt's
-    random draws as it is advanced; a truthy hit ends the search.  The
+    `attempts` yields (charge, hit) per attempt, drawn as it is advanced or,
+    for a sure miss, beforehand; a truthy hit ends the search.  The
     charges of every attempt taken are billed in one `charge_batch` call,
     which stops at the first charge that crosses the budget exactly as
     billing each attempt in turn would.  Returns the charges and the last hit.
@@ -126,6 +126,22 @@ def _attempt_loop(
             break
     oracle.charge_batch(charges, tag)
     return charges, hit
+
+
+def _miss_iterations(rng: np.random.Generator, cap: int, pairs: int) -> list[int] | None:
+    """The iteration counts of 2 * `pairs` sure misses, equal to per-attempt
+    `integers(cap)`, `random()` draws, from one raw pass; or None, the stream
+    untouched.  On Philox those read raw output 3j's low and high halves x as
+    (x * cap) >> 32 (Lemire's method) and outputs 3j + 1 and 3j + 2 whole."""
+    bitgen = rng.bit_generator
+    state = bitgen.state
+    if state["bit_generator"] == "Philox" and not state["has_uint32"] and cap < 1 << 32:
+        # each raw output 3j as its low, then high 32-bit half, on any byte order
+        scaled = bitgen.random_raw(3 * pairs)[::3].astype("<u8").view("<u4") * np.uint64(cap)
+        if scaled.astype(np.uint32).min(initial=cap) >= cap:  # no word Lemire's method may reject
+            return (scaled >> 32).tolist()
+        bitgen.state = state
+    return None
 
 
 def safe_grover(
@@ -151,14 +167,16 @@ def safe_grover(
     if size == 0:
         return GroverOutcome(None, 0, 0)
     base = space.marked_count / size
+    cap, reps = iteration_cap(size), math.ceil(c * math.log2(size))
+    ks = _miss_iterations(rng, cap, reps // 2) if size > 1 and not base else None
 
-    def runs() -> Iterator[Attempt]:
-        cap = iteration_cap(size)
-        for _ in range(math.ceil(c * math.log2(size))):
+    def runs(count: int) -> Iterator[Attempt]:
+        for _ in range(count):
             k = int(rng.integers(cap))
             yield (k + 1) * q_test, rng.random() < amplified_prob(base, k)
 
-    charges, hit = _attempt_loop([(q_test, space.marked_count == 1)] if size == 1 else runs(), oracle, tag)
+    attempts = runs(reps) if ks is None else [((k + 1) * q_test, False) for k in ks] + [*runs(reps % 2)]
+    charges, hit = _attempt_loop([(q_test, space.marked_count == 1)] if size == 1 else attempts, oracle, tag)
     found = space.draw_marked(rng) if hit else None
     return GroverOutcome(found, len(charges), sum(charges))
 
@@ -176,10 +194,9 @@ def edge_restricted_triangle_search(
     apex over all vertices (2 queries per candidate round); amplification
     rounds repeat the base procedure forward and backward.  The intersection
     size is estimated first by a modeled counting sweep of ceil(sqrt(|pool|))
-    queries.  The apex count of each hidden edge in the pool is read off one
-    `common_neighbors` product of the rows of those edges' ends, against every
-    vertex.  One-sided: a returned triangle is verified with 3 classical
-    queries before being reported.
+    queries.  The apex count of each hidden edge in the pool is counted on the
+    packed rows of its two ends, `Graph.common_counts`.  One-sided: a returned
+    triangle is verified with 3 classical queries before being reported.
     """
     if pool.n != oracle.n:
         raise ValueError(f"pool has n={pool.n}, but the oracle has n={oracle.n}")
@@ -193,9 +210,7 @@ def edge_restricted_triangle_search(
     oracle.charge(math.ceil(math.sqrt(size)), tag)
     guess = 1 << max(0, (g - 1).bit_length())  # power-of-two estimate, >= g
 
-    ends = np.union1d(g_rows, g_cols)  # their rows only: the apex can be any vertex
-    common = common_neighbors(adj[ends])
-    common = common[np.searchsorted(ends, g_rows), np.searchsorted(ends, g_cols)]
+    common = oracle.hidden.common_counts(g_rows, g_cols)
     good = np.flatnonzero(common)
     good_rows, good_cols = g_rows[good], g_cols[good]
     good_counts = common[good].tolist()

@@ -14,14 +14,14 @@ and 10 read as two `Graph`s).  Common-neighbor counts exist only inside a
 step-4 peel round; between peels `WorkingGraph.floor` keeps a lower bound on
 them, so a peel that cannot find a pair skips its count.  The search-space
 builders read the hidden graph unbilled, as simulator privilege, through
-`Graph.rows` and its wrappers and the packed `Graph.induced_edge_count`.
+`Graph.rows` and its wrappers and the packed `Graph.induced_degrees`.
 Every count matrix comes from `graphs.common_neighbors`, and step 2 builds
 its candidate set, the pairs that share no sampled neighborhood, in one such
 product.  The step-4 peel works in rounds, and it and step 7 drop batches of
 pairs through the one `WorkingGraph.remove_pairs`, so each loop iteration is
 a few numpy passes and no per-pair loop.  The peel and step 9 count only the
-block of rows and columns that still hold a pair, and step 10 only the rows of
-its pairs' ends; after the first peel round that block is well below n + 1.
+block of rows and columns that still hold a pair, well below n + 1 after the
+first peel round; step 10 counts on packed rows, `Graph.common_counts`.
 """
 
 from __future__ import annotations
@@ -181,19 +181,17 @@ def _induced_pair_space(hidden: Graph, members: list[int] | np.ndarray) -> Searc
     size = len(members) * (len(members) - 1) // 2
     if size == 0:
         return SearchSpace(0, 0, 1)
-    marked = hidden.induced_edge_count(members)
+    # a member's weight is its number of hidden neighbors among the members
+    weights = hidden.induced_degrees(members)
+    marked = int(weights.sum()) // 2
     if marked == 0:
         return SearchSpace(size, 0, 1)
-    # a member's weight is its number of hidden neighbors among the members
-    weights = hidden.rows(members)[:, members].sum(axis=1, dtype=np.int64)
     cum = np.cumsum(weights)
-    inside = np.zeros(hidden.n + 1, dtype=bool)
-    inside[members] = True
 
     def draw(rng: np.random.Generator) -> Pair:
         pick = int(np.searchsorted(cum, rng.integers(cum[-1]), side="right"))
         v = int(members[pick])
-        hood = np.flatnonzero(hidden.row(v) & inside)
+        hood = np.intersect1d(np.flatnonzero(hidden.row(v)), members, assume_unique=True)
         w = int(hood[rng.integers(len(hood))])
         return (min(v, w), max(v, w))
 

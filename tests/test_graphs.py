@@ -84,7 +84,9 @@ def test_graph_agrees_with_a_set_of_pairs(case, data):
     assert rows.shape == (len(picks), n + 1) and rows.dtype == bool
     assert np.array_equal(rows, adj[picks])
     members = data.draw(st.permutations(range(1, n + 1)), label="members")[: n // 2 + 1]
-    assert g.induced_edge_count(members) == sum(
+    degrees = g.induced_degrees(members)
+    assert degrees.tolist() == [sum(canon_pair(a, b) in ref for b in members if b != a) for a in members]
+    assert int(degrees.sum()) // 2 == sum(
         canon_pair(a, b) in ref for a, b in itertools.combinations(members, 2)
     )
     back = Graph.from_adjacency(adj)
@@ -107,6 +109,28 @@ def test_count_dtype_holds_every_count(n, dtype):
     assert np.iinfo(count_dtype(n)).max >= n
     counts = common_neighbors(np.ones((2, n), dtype=bool))
     assert counts.dtype == dtype and np.array_equal(counts, np.full((2, 2), n))
+
+
+@pytest.mark.parametrize("kind, n, p", [
+    ("erdos_renyi", 3, 0.5), ("erdos_renyi", 9, 0.4), ("erdos_renyi", 64, 0.2),
+    ("erdos_renyi", 511, 0.3), ("erdos_renyi", 512, 0.7), ("erdos_renyi", 513, 0.5),
+    ("complete", 513, None), ("bipartite_blowup", 513, None),
+])
+def test_packed_counts_match_the_unpacked_rows(kind, n, p):
+    # n = 511, 512, 513 put the last column at the end of a byte, alone in one, and past it
+    g = generate(kind, n, seed=n, p=p)
+    adj = g.adjacency().astype(np.int64)
+    rng = substream(0, "packed counts", kind, n)
+    for size in (0, 1, 2, n // 2, n):
+        members = rng.permutation(np.arange(1, n + 1))[:size]
+        degrees = g.induced_degrees(members)
+        assert degrees.dtype == np.int64 and degrees.shape == (size,)
+        assert np.array_equal(degrees, adj[members][:, members].sum(axis=1))
+        a, b = rng.integers(1, n + 1, size=(2, size))  # repeats and a == b included
+        counts = g.common_counts(a, b)
+        assert counts.dtype == np.int64 and counts.shape == (size,)
+        assert np.array_equal(counts, (adj[a] & adj[b]).sum(axis=1))
+    assert g.induced_degrees([]).tolist() == g.common_counts([], []).tolist() == []
 
 
 def test_generate_complete_via_p_one():
@@ -218,7 +242,10 @@ def test_rows_reject_bad_vertices():
         with pytest.raises(ValueError):
             K3.rows(picks)
     with pytest.raises(ValueError):
-        K3.induced_edge_count([1, 4])
+        K3.induced_degrees([1, 4])
+    for a, b in (([1], [4]), ([0], [2]), ([[1, 2]], [[2, 3]])):
+        with pytest.raises(ValueError):
+            K3.common_counts(a, b)
     for v in (0, 4):
         with pytest.raises(ValueError):
             K3.row(v)

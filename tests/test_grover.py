@@ -18,7 +18,13 @@ from qtri import (
     grover_success_prob,
     safe_grover,
 )
-from qtri.grover import AA_COST_CONSTANT, GroverOutcome, iteration_cap, mean_success_prob
+from qtri.grover import (
+    AA_COST_CONSTANT,
+    GroverOutcome,
+    _miss_iterations,
+    iteration_cap,
+    mean_success_prob,
+)
 from qtri.rng import substream
 
 DUMMY = Graph(8)
@@ -223,6 +229,79 @@ def test_searches_match_the_per_attempt_reference(
             # the same draws in the same order leave the stream in the same place
             results.append((out, oracle.report(), rng.random()))
     assert results[0] == results[1]
+
+
+def next_draws(rng):
+    return int(rng.integers(1000)), rng.random(), int(rng.integers(2**40)), rng.random()
+
+
+def miss_stream(kind, seed):
+    """A Philox substream, one with half a raw output cached, or a PCG64 stream."""
+    if kind == "pcg64":
+        return np.random.default_rng(seed)
+    rng = substream(seed, "miss")
+    if kind == "philox, half cached":
+        rng.integers(5)  # caches the high half of a raw output
+    return rng
+
+
+# Sizes from a two-item space to 7e18, whose cap is close to 2**32, so the raw
+# pass falls back to the per-attempt draws on nearly every seed from 10**18 on.
+MISS_SIZES = [2, 3, 5, 16, 1000, 32640, 10**12, 10**18, 7 * 10**18]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    size=st.sampled_from(MISS_SIZES),
+    q_test=st.integers(1, 4),
+    c=st.sampled_from([1.0, 1.5, 2.0, 3.5]),
+    budget_share=st.one_of(st.none(), st.floats(0.0, 1.0)),
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["philox", "philox, half cached", "pcg64"]),
+)
+def test_sure_misses_match_the_per_attempt_reference(size, q_test, c, budget_share, seed, kind):
+    # a budget share below about one half crosses the budget inside the batch
+    space = SearchSpace.explicit(size, [], q_test=q_test)
+    most = math.ceil(c * math.log2(size)) * iteration_cap(size) * q_test
+    results = []
+    for search in (safe_grover, reference_safe_grover):
+        oracle = QueryOracle(DUMMY)
+        oracle.budget = None if budget_share is None else int(budget_share * most)
+        rng = miss_stream(kind, seed)
+        try:
+            out = search(space, c, oracle, StepTag.STEP2, rng)
+        except BudgetExceededError as err:
+            results.append(("raised", str(err), oracle.report()))
+        else:
+            # the next draws show the stream is left where the reference leaves it
+            results.append((out, oracle.report(), next_draws(rng)))
+    assert results[0] == results[1]
+
+
+@pytest.mark.parametrize("kind", ["philox", "philox, half cached", "pcg64"])
+def test_miss_iterations_equal_the_per_attempt_draws(kind):
+    taken = fallbacks = 0
+    for seed in range(40):
+        for size in MISS_SIZES:
+            cap = iteration_cap(size)
+            for pairs in (0, 1, 3, 15, 16):
+                rng, twin = miss_stream(kind, seed), miss_stream(kind, seed)
+                counts = _miss_iterations(rng, cap, pairs)
+                want = []
+                for _ in range(2 * pairs):
+                    want.append(int(twin.integers(cap)))
+                    twin.random()
+                if counts is None:  # the stream is left untouched
+                    fallbacks += 1
+                    twin = miss_stream(kind, seed)
+                else:
+                    taken += 1
+                    assert counts == want
+                assert next_draws(rng) == next_draws(twin)
+    if kind == "philox":  # taken at every size below 10**12, and Lemire's check falls back above
+        assert taken >= 40 * 5 * 6 and fallbacks > 0
+    else:
+        assert taken == 0
 
 
 def test_edge_restricted_empty_pool_is_free():
