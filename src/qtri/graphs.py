@@ -58,19 +58,20 @@ class Graph:
         if n < 1:
             raise ValueError("n must be >= 1")
         edges = list(edges)
-        bad = [v for pair in edges for v in pair
-               if isinstance(v, (bool, np.bool_)) or not isinstance(v, (int, np.integer))]
-        if bad:
-            raise ValueError(f"vertex labels must be integers, got {bad[0]!r}")
+        # every label is checked here, before the int64 conversion could broadcast or overflow
+        for pair in edges:
+            if len(pair) != 2:
+                raise ValueError(f"an edge must be a pair of vertices, got {pair!r}")
+            for v in pair:
+                if isinstance(v, (bool, np.bool_)) or not isinstance(v, (int, np.integer)):
+                    raise ValueError(f"vertex labels must be integers, got {v!r}")
+                _check_vertex(v, n)
         pairs = np.fromiter(edges, dtype=np.dtype((np.int64, 2)))
         pairs.sort(axis=1)  # canonical (min, max) rows
         lo, hi = pairs[:, 0], pairs[:, 1]
         loops = lo[lo == hi]
         if len(loops):
             raise ValueError(f"loops are not allowed: ({loops[0]},{loops[0]})")
-        if len(pairs):
-            _check_vertex(int(lo.min()), n)
-            _check_vertex(int(hi.max()), n)
         # bits are set in place: a dense (n+1)^2 matrix would not fit for large sparse n
         bits = np.zeros((n + 1, (n + 8) // 8), dtype=np.uint8)
         for row, col in ((lo, hi), (hi, lo)):
@@ -162,24 +163,15 @@ class Graph:
         return f"Graph(n={self.n}, edges={self._edge_count})"
 
 
-def count_dtype(n: int) -> np.dtype:
-    """The integer dtype of common-neighbor counts over rows of length n:
-    int16 below 2**15, else int32.  No count exceeds n, so int16 holds every
-    count there and halves the memory traffic of the (n+1)^2 count matrices."""
-    return np.dtype(np.int16 if n < 1 << 15 else np.int32)
-
-
 def common_neighbors(rows: np.ndarray) -> np.ndarray:
     """counts[i, j] = |{k : rows[i, k] and rows[j, k]}| for a boolean matrix,
-    as `count_dtype` of the row length, since no count exceeds it.  This is
-    the one place that multiplies adjacency matrices: a single float32
-    product `x @ x.T`, cast straight to that dtype, which is exact because
-    every partial sum is an integer no larger than the row length, and
-    float32 holds every integer below 2**24 (a dense boolean matrix with rows
-    that long would need terabytes)."""
+    as float32.  This is the one place that multiplies adjacency matrices: a
+    single float32 product `x @ x.T`, which is exact because every partial sum
+    is an integer no larger than the row length, and float32 holds every
+    integer below 2**24 (a dense boolean matrix with rows that long would need
+    terabytes)."""
     x = rows.astype(np.float32)
-    x = x @ x.T  # drops the float copy of `rows` before the cast
-    return x.astype(count_dtype(rows.shape[1]))
+    return x @ x.T
 
 
 def triangle_count(graph: Graph) -> int:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 from typing import Sequence
 
@@ -72,13 +72,7 @@ class LedgerReport:
     budget: int | None
 
     def to_json(self) -> dict:
-        return {
-            "classical": self.classical,
-            "charged": self.charged,
-            "total": self.total,
-            "per_step": dict(self.per_step),
-            "budget": self.budget,
-        }
+        return asdict(self)
 
 
 class QueryOracle:

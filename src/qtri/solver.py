@@ -27,7 +27,7 @@ first peel round; step 10 counts on packed rows, `Graph.common_counts`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 
 import numpy as np
@@ -63,13 +63,7 @@ class Params:
             raise ValueError("c_safe and c0 must be finite and >= 1")
 
     def to_json(self) -> dict:
-        return {
-            "epsilon": self.epsilon,
-            "epsilon_prime": self.epsilon_prime,
-            "delta": self.delta,
-            "c_safe": self.c_safe,
-            "c0": self.c0,
-        }
+        return asdict(self)
 
 
 class Hypothesis(Enum):
@@ -231,6 +225,26 @@ def _triangle_space(hidden: Graph, pool: Graph) -> SearchSpace:
     return SearchSpace(size, marked, 3, draw)
 
 
+def _search(
+    oracle: QueryOracle,
+    space: SearchSpace,
+    params: Params,
+    tag: StepTag,
+    rng: np.random.Generator,
+    *apex: int,
+) -> tuple[Tri | None, bool]:
+    """One `safe_grover` search of `space`.  A found item, with the `apex`
+    vertex added when the space holds pairs, is sorted into a triangle and
+    verified.  Returns (triangle, missed flag): a miss counts only when the
+    space had marked items."""
+    out = safe_grover(space, params.c_safe, oracle, tag, rng)
+    if out.found is None:
+        return None, space.marked_count > 0
+    a, b, c = sorted((*apex, *out.found))
+    verify_triangle(oracle, (a, b, c))
+    return (a, b, c), False
+
+
 # ---------------------------------------------------------------------------
 # The ten steps
 
@@ -264,14 +278,10 @@ def step2_build_gprime(
     missed = False
     for i, v in enumerate(sample):
         space = _induced_pair_space(oracle.hidden, np.flatnonzero(hoods[i]))
-        out = safe_grover(space, params.c_safe, oracle, StepTag.STEP2, _spawn(rng, i))
-        if out.found is not None:
-            a, b = out.found
-            tri = tuple(sorted((v, a, b)))
-            verify_triangle(oracle, tri)  # type: ignore[arg-type]
-            return tri, None, missed  # type: ignore[return-value]
-        if space.marked_count > 0:
-            missed = True
+        tri, miss = _search(oracle, space, params, StepTag.STEP2, _spawn(rng, i), v)
+        if tri is not None:
+            return tri, None, missed
+        missed |= miss
     return None, WorkingGraph(oracle.n, uncovered_pairs(hoods)), missed
 
 
@@ -280,8 +290,10 @@ def containment_violated(hidden: Graph, candidate: np.ndarray, epsilon: float) -
     keeps a pair whose hidden common-neighbor count exceeds n^(1 - epsilon).
 
     Two vertices share no more neighbors than either has, so only pairs of
-    vertices with hidden degree above the threshold can exceed it."""
-    thr = hidden.n ** (1.0 - epsilon)
+    vertices with hidden degree above the threshold can exceed it.  Counts
+    are integers, so the threshold is taken as its floor: float32 counts
+    compare in float32, which may round n^(1 - epsilon) up to an integer."""
+    thr = math.floor(hidden.n ** (1.0 - epsilon))
     adj = hidden.adjacency()
     heavy = np.count_nonzero(adj, axis=1) > thr
     if not heavy.any():
@@ -324,8 +336,7 @@ def step4_peel(working: WorkingGraph, tau: int) -> np.ndarray:
         flat = np.flatnonzero(low)
         flat = flat[flat // len(live) < flat % len(live)]
         if not len(flat):
-            # in int64: n need not fit the block's count dtype
-            working.floor = int(np.minimum.reduce(t, None, np.int64, where=sub, initial=n))
+            working.floor = int(t.min(where=sub, initial=n))
             break
         batch = live[np.stack(np.divmod(flat, len(live)), axis=1)]
         del t, low, flat, sub  # not kept alive through the next round's count
@@ -392,13 +403,9 @@ def step7_high_degree(
     """
     hood = np.flatnonzero(oracle.read_rows([v], StepTag.STEP7)[0])
     space = _induced_pair_space(oracle.hidden, hood)
-    out = safe_grover(space, params.c_safe, oracle, StepTag.STEP7, rng)
-    if out.found is not None:
-        a, b = out.found
-        tri = tuple(sorted((v, a, b)))
-        verify_triangle(oracle, tri)  # type: ignore[arg-type]
-        return tri, False, False  # type: ignore[return-value]
-    missed = space.marked_count > 0
+    tri, missed = _search(oracle, space, params, StepTag.STEP7, rng, v)
+    if tri is not None:
+        return tri, False, False
 
     # the working pairs (h, x) of hidden neighbor h and candidate neighbor x; the
     # neighborhoods can overlap, so each pair is named once, as (min, max)
@@ -465,13 +472,8 @@ def step9_search_T(
     Returns (triangle, number of spanned triangles, search-missed flag).
     """
     space = _triangle_space(oracle.hidden, pool)
-    if space.size == 0:
-        return None, 0, False
-    out = safe_grover(space, params.c_safe, oracle, StepTag.STEP9, rng)
-    if out.found is not None:
-        verify_triangle(oracle, out.found)
-        return out.found, space.size, False
-    return None, space.size, space.marked_count > 0
+    tri, missed = _search(oracle, space, params, StepTag.STEP9, rng)
+    return tri, space.size, missed
 
 
 def step10_search_E(oracle: QueryOracle, pool: Graph, rng: np.random.Generator) -> Tri | None:

@@ -13,7 +13,6 @@ from qtri.graphs import (
     MAX_VERTICES,
     canon_pair,
     common_neighbors,
-    count_dtype,
 )
 from qtri.rng import substream
 
@@ -97,18 +96,14 @@ def test_graph_agrees_with_a_set_of_pairs(case, data):
     for rows in (adj, np.triu(adj, 1)):
         brute = (rows[:, None, :] & rows[None, :, :]).sum(axis=2, dtype=np.int64)
         counts = common_neighbors(rows)
-        assert counts.dtype == count_dtype(rows.shape[1]) and np.array_equal(counts, brute)
+        assert counts.dtype == np.float32 and np.array_equal(counts, brute)
 
 
-@pytest.mark.parametrize("n, dtype", [
-    (3, np.int16), ((1 << 15) - 1, np.int16), (1 << 15, np.int32), (MAX_VERTICES, np.int32),
-])
-def test_count_dtype_holds_every_count(n, dtype):
+@pytest.mark.parametrize("n", [3, (1 << 15) - 1, 1 << 15, MAX_VERTICES])
+def test_common_neighbors_counts_are_exact_float32(n):
     # a count over rows of length n is at most n, reached by two full rows
-    assert count_dtype(n) == dtype
-    assert np.iinfo(count_dtype(n)).max >= n
     counts = common_neighbors(np.ones((2, n), dtype=bool))
-    assert counts.dtype == dtype and np.array_equal(counts, np.full((2, 2), n))
+    assert counts.dtype == np.float32 and np.array_equal(counts, np.full((2, 2), n))
 
 
 @pytest.mark.parametrize("kind, n, p", [
@@ -268,6 +263,19 @@ def test_graph_rejects_non_integer_labels(label):
         with pytest.raises(ValueError, match="vertex labels must be integers"):
             Graph(3, [(1, 3), pair])
     assert Graph(3, [(np.int64(1), np.int32(2)), (2, 3)]).edge_count == 2
+
+
+@pytest.mark.parametrize("edge", [(1,), (1, 2, 3), ()])
+def test_graph_rejects_an_edge_that_is_not_a_pair(edge):
+    with pytest.raises(ValueError, match="an edge must be a pair of vertices"):
+        Graph(3, [(1, 3), edge])
+
+
+@pytest.mark.parametrize("label", [2**63, -2**63, 2**64 + 1])
+def test_graph_range_checks_labels_beyond_int64(label):
+    for pair in ((label, 2), (3, label)):
+        with pytest.raises(ValueError, match=f"vertex {label} out of range 1..3"):
+            Graph(3, [(1, 3), pair])
 
 
 def test_text_format_roundtrip(tmp_path):

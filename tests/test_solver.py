@@ -227,9 +227,21 @@ def test_containment_check_matches_the_full_product(
     candidate = np.zeros((n + 1, n + 1), dtype=bool)
     for a, b in random_pairs(rng, n, candidate_density):
         candidate[a, b] = candidate[b, a] = True
-    common = common_neighbors(hidden.adjacency())
+    common = common_neighbors(hidden.adjacency()).astype(np.int64)  # compare exact counts in float64
     want = bool((common[candidate] > n ** (1.0 - epsilon)).any())
     assert containment_violated(hidden, candidate, epsilon) is want
+
+
+def test_containment_check_compares_counts_with_the_unrounded_threshold():
+    # at epsilon = 1 - 2/3 the threshold 27 ** (1 - epsilon) is 8.999999999999998 in
+    # float64 and 9.0 in float32, so a pair with 9 common neighbors exceeds it only
+    # when the threshold is not rounded to the counts' float32
+    hidden = Graph(27, [(a, c) for a in (1, 2) for c in range(3, 12)])
+    candidate = np.zeros((28, 28), dtype=bool)
+    candidate[1, 2] = candidate[2, 1] = True
+    assert 27 ** (2.0 / 3.0) < 9 and np.float32(27 ** (2.0 / 3.0)) == 9
+    assert containment_violated(hidden, candidate, 1.0 - 2.0 / 3.0)
+    assert not containment_violated(hidden, candidate, 0.2)  # threshold 13.97
 
 
 def test_step4_peel_complete_candidates():
