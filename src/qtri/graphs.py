@@ -5,8 +5,9 @@ Vertices are the integers 1..n and unordered pairs are canonicalised to
 (min, max).  A `Graph` keeps its adjacency as one read-only packed bit
 matrix, and this module is the only one that knows that layout: every other
 module reads a graph through `has_edge`, `degree`, `edges`, `rows` (with its
-wrappers `row` and `adjacency`) and the packed counts `induced_degrees` and
-`common_counts`, which return Python values or numpy arrays.
+wrappers `row` and `adjacency`), the packed counts `induced_degrees` and
+`common_counts` and the packed pair listing `common_edges`, which return
+Python values or numpy arrays.
 """
 
 from __future__ import annotations
@@ -108,16 +109,20 @@ class Graph:
         return bool(self._bits[a, b >> 3] >> (b & 7) & 1)
 
     def degree(self, v: int) -> int:
-        return int(np.count_nonzero(self.row(v)))
+        _check_vertex(v, self.n)
+        return int(np.bitwise_count(self._bits[v]).sum())
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Every edge once as (a, b) with a < b, in ascending order."""
-        rows, byte = np.nonzero(self._bits)  # only nonzero bytes are unpacked
-        bits = np.unpackbits(self._bits[rows, byte][:, None], axis=1, bitorder="little")
-        hit, shift = np.nonzero(bits)
-        a, b = rows[hit], byte[hit] * 8 + shift
-        upper = a < b
-        return zip(a[upper].tolist(), b[upper].tolist())
+        a, b = _upper_pairs(self._bits)
+        return zip(a.tolist(), b.tolist())
+
+    def common_edges(self, other: "Graph") -> tuple[np.ndarray, np.ndarray]:
+        """The edges of both this graph and `other` as two index arrays (a, b),
+        a < b, in ascending row-major order, from the AND of their packed rows."""
+        if other.n != self.n:
+            raise ValueError(f"graphs on n={self.n} and n={other.n} share no vertex set")
+        return _upper_pairs(self._bits & other._bits)
 
     def _vertices(self, vertices: Sequence[int] | np.ndarray) -> np.ndarray:
         """`vertices` as a one-dimensional index array, every entry in 1..n."""
@@ -163,22 +168,43 @@ class Graph:
         return f"Graph(n={self.n}, edges={self._edge_count})"
 
 
+def _upper_pairs(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The set bits (a, b) with a < b of a packed matrix, as two index arrays in
+    ascending row-major order; only its nonzero bytes are unpacked."""
+    rows, byte = np.nonzero(bits)
+    hit, shift = np.nonzero(np.unpackbits(bits[rows, byte][:, None], axis=1, bitorder="little"))
+    a, b = rows[hit], byte[hit] * 8 + shift
+    upper = a < b
+    return a[upper], b[upper]
+
+
 def common_neighbors(rows: np.ndarray) -> np.ndarray:
-    """counts[i, j] = |{k : rows[i, k] and rows[j, k]}| for a boolean matrix,
-    as float32.  This is the one place that multiplies adjacency matrices: a
-    single float32 product `x @ x.T`, which is exact because every partial sum
-    is an integer no larger than the row length, and float32 holds every
-    integer below 2**24 (a dense boolean matrix with rows that long would need
-    terabytes)."""
-    x = rows.astype(np.float32)
+    """counts[i, j] = |{k : rows[i, k] and rows[j, k]}| for a boolean (or 0/1
+    float32, which is not copied) matrix, as float32.  This is the one place
+    that multiplies adjacency matrices: a single float32 product `x @ x.T`,
+    which is exact because every partial sum is an integer no larger than the
+    row length, and float32 holds every integer below 2**24 (a dense boolean
+    matrix with rows that long would need terabytes)."""
+    x = rows.astype(np.float32, copy=False)
     return x @ x.T
 
 
 def triangle_count(graph: Graph) -> int:
     """Exact triangle count: summed over the ordered edges (a, b), the common
-    neighbor counts count every triangle six times."""
-    adj = graph.adjacency()
-    return int(np.sum(common_neighbors(adj), where=adj, dtype=np.int64)) // 6
+    neighbor counts count every triangle six times.
+
+    Only the vertices with an edge are multiplied.  Their block is gathered,
+    C-contiguous, only when that drops a vertex: with none isolated the whole
+    adjacency is cheaper than a gather.  The float32 counts are masked by the
+    block in place and totalled in float64, which is exact: every term is an
+    integer no larger than n, so every partial sum is an integer no larger than
+    n**3, below 2**53 for every n <= MAX_VERTICES."""
+    live = np.flatnonzero(graph._bits.any(axis=1))  # row 0 is always empty
+    block = graph.adjacency() if len(live) == graph.n else np.take(graph.rows(live), live, axis=1)
+    x = block.astype(np.float32)
+    counts = common_neighbors(x)
+    counts *= x
+    return int(counts.sum(dtype=np.float64)) // 6
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +235,7 @@ def generate(kind: str, n: int, seed: int, p: float | None = None) -> Graph:
 
     if needs_p:
         # one draw per pair i < j, in row-major order over the strict upper triangle
-        adj[1:, 1:][np.triu(np.ones((n, n), dtype=bool), 1)] = rng.random(n * (n - 1) // 2) < p
+        adj[1:, 1:][~np.tri(n, dtype=bool)] = rng.random(n * (n - 1) // 2) < p
         if kind == "planted_triangle":
             a, b, c = (int(v) + 1 for v in rng.choice(n, size=3, replace=False))
             adj[[a, b, a], [b, c, c]] = True

@@ -194,8 +194,10 @@ def edge_restricted_triangle_search(
     apex over all vertices (2 queries per candidate round); amplification
     rounds repeat the base procedure forward and backward.  The intersection
     size is estimated first by a modeled counting sweep of ceil(sqrt(|pool|))
-    queries.  The apex count of each hidden edge in the pool is counted on the
-    packed rows of its two ends, `Graph.common_counts`.  One-sided: a returned
+    queries.  The hidden edges in the pool are listed from the AND of the two
+    graphs' packed rows, `Graph.common_edges`, and the apex count of each is
+    counted on the packed rows of its two ends, `Graph.common_counts`; only a
+    hit unpacks the two rows it picks an apex from.  One-sided: a returned
     triangle is verified with 3 classical queries before being reported.
     """
     if pool.n != oracle.n:
@@ -204,8 +206,7 @@ def edge_restricted_triangle_search(
     if not size:
         return None
     n = oracle.n
-    adj = oracle.hidden.adjacency()
-    g_rows, g_cols = np.nonzero(np.triu(adj & pool.adjacency(), 1))
+    g_rows, g_cols = oracle.hidden.common_edges(pool)
     g = len(g_rows)
     oracle.charge(math.ceil(math.sqrt(size)), tag)
     guess = 1 << max(0, (g - 1).bit_length())  # power-of-two estimate, >= g
@@ -238,7 +239,8 @@ def edge_restricted_triangle_search(
     cum = np.cumsum(np.asarray(per_edge))
     pick = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
     a, b = int(good_rows[pick]), int(good_cols[pick])
-    apexes = np.flatnonzero(adj[a] & adj[b])
+    row_a, row_b = oracle.hidden.rows([a, b])
+    apexes = np.flatnonzero(row_a & row_b)
     tri = tuple(sorted((a, b, int(apexes[rng.integers(len(apexes))]))))
     verify_triangle(oracle, tri)  # type: ignore[arg-type]
     return tri  # type: ignore[return-value]

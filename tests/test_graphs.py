@@ -1,6 +1,7 @@
 """Graph kernel tests: the worked examples plus randomized invariants."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -40,6 +41,51 @@ def test_triangle_enumeration_matches_count():
     for n, seed in [(8, 0), (14, 1), (18, 2), (25, 3), (32, 4), (32, 5)]:
         g = generate("erdos_renyi", n, seed=seed, p=0.35)
         assert triangle_count(g) == len(brute_triangles(g))
+
+
+@pytest.mark.parametrize("n, triangles", [(300, 4_455_100), (335, 6_209_895)])
+def test_triangle_count_is_exact_where_a_float32_total_would_round(n, triangles):
+    # the masked sum 6 * C(n, 3) is above 2**24 at both sizes; numpy's pairwise
+    # float32 sum of the counts still lands on it at n = 300 but misses it by 2 at n = 335
+    assert triangles == math.comb(n, 3) and 6 * triangles > 1 << 24
+    assert triangle_count(generate("complete", n, seed=0)) == triangles
+
+
+@pytest.mark.parametrize("graph", [
+    Graph(1), Graph(9), Graph(9, [(3, 7)]),  # no edges, and one edge that spans no triangle
+    K3, K4, C4,  # every vertex live
+    Graph(5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)]),  # C5: every vertex live, no triangle
+    generate("erdos_renyi", 40, seed=2, p=0.5),
+    Graph(12, [(2, 5), (5, 11), (2, 11), (5, 9), (9, 11)]),  # isolated vertices between live ones
+    Graph(9, [(7, 8), (8, 9), (7, 9)]),  # vertices 1..6 isolated
+])
+def test_triangle_count_with_and_without_isolated_vertices(graph):
+    assert triangle_count(graph) == len(brute_triangles(graph))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_triangle_count_matches_brute_force_with_isolated_vertices(data):
+    n = data.draw(st.integers(1, 30), label="n")
+    live = sorted(data.draw(st.sets(st.integers(1, n)), label="live"))
+    pairs = list(itertools.combinations(live, 2))
+    edges = data.draw(st.lists(st.sampled_from(pairs), unique=True), label="edges") if pairs else []
+    g = Graph(n, edges)
+    assert triangle_count(g) == len(brute_triangles(g))
+
+
+@pytest.mark.parametrize("n", [3, 7, 8, 9, 63, 64, 65, 200])
+def test_common_edges_match_the_unpacked_listing(n):
+    # n = 7, 8, 9 (and 63, 64, 65) put column n at the end of a byte, alone in one, and past it
+    for seed, (p, q) in enumerate([(0.0, 0.5), (0.3, 0.3), (0.5, 0.8), (1.0, 0.2), (0.9, 1.0)]):
+        a = generate("erdos_renyi", n, seed=seed, p=p)
+        b = generate("erdos_renyi", n, seed=seed + 100, p=q)
+        want = np.nonzero(np.triu(a.adjacency() & b.adjacency(), 1))
+        got = a.common_edges(b)
+        assert all(x.dtype == np.intp for x in got)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    with pytest.raises(ValueError):
+        K3.common_edges(K4)
 
 
 def test_handshake_identity():
@@ -244,6 +290,8 @@ def test_rows_reject_bad_vertices():
     for v in (0, 4):
         with pytest.raises(ValueError):
             K3.row(v)
+        with pytest.raises(ValueError):
+            K3.degree(v)
 
 
 def test_graph_rejects_loops_and_bad_vertices():
