@@ -178,12 +178,20 @@ def adversary_value(
     f: PartialBooleanFunction, gamma: np.ndarray, epsilon: float = 0.0
 ) -> tuple[float, float]:
     """(spectral ratio, error-adjusted query lower bound) for a valid matrix."""
+    return _value(f, gamma, epsilon)[:2]
+
+
+def _value(
+    f: PartialBooleanFunction, gamma: np.ndarray, epsilon: float
+) -> tuple[float, float, float]:
+    """`adversary_value` and the max_i lambda(G_i) it divides by, which
+    `_diagnostic` can then reuse instead of recomputing the n restricted norms."""
     if not 0.0 <= epsilon < 0.5:
         raise ValueError("epsilon must lie in [0, 1/2)")
     denom = _restricted_norm(f, gamma)
     raw_ratio = spectral_norm(gamma) / denom
     factor = 1.0 - 2.0 * math.sqrt(epsilon * (1.0 - epsilon))
-    return raw_ratio, factor * raw_ratio / 2.0
+    return raw_ratio, factor * raw_ratio / 2.0, denom
 
 
 def min_certificate(f: PartialBooleanFunction, index: int) -> tuple[int, ...]:
@@ -241,7 +249,11 @@ def decomposition_diagnostic(f: PartialBooleanFunction, gamma: np.ndarray, tol: 
     chain ratio <= 2*sum|v_i| with sum|v_i| <= sqrt(n*k).  Reducible matrices
     may give v zero entries; the checks then apply on the support.
     """
-    denom = _restricted_norm(f, gamma)
+    return _diagnostic(f, gamma, _restricted_norm(f, gamma), tol)
+
+
+def _diagnostic(f: PartialBooleanFunction, gamma: np.ndarray, denom: float, tol: float = 1e-9) -> dict:
+    """`decomposition_diagnostic` of a valid matrix whose max_i lambda(G_i) is `denom`."""
     w, vecs = np.linalg.eigh(gamma)
     lam = float(w[-1])
     # A nonnegative matrix's top eigenspace is spanned by the Perron vectors of

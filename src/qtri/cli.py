@@ -17,10 +17,10 @@ import sys
 
 from . import analysis
 from .adversary import (
-    adversary_value,
+    _diagnostic,
+    _value,
     certificate_size,
     ceiling_check,
-    decomposition_diagnostic,
     load_function,
     load_matrix,
 )
@@ -138,7 +138,8 @@ def _cmd_lemma_checks(args: argparse.Namespace) -> int:
 def _cmd_adversary(args: argparse.Namespace) -> int:
     f = load_function(args.function)
     gamma = load_matrix(args.gamma)
-    raw_ratio, qqc = adversary_value(f, gamma, args.epsilon)
+    # the restricted norms are computed once, for the ratio and the diagnostic
+    raw_ratio, qqc, denom = _value(f, gamma, args.epsilon)
     k = certificate_size(f)
     barrier, ok, slack = ceiling_check(f.n, k, raw_ratio)
     payload = {
@@ -150,7 +151,7 @@ def _cmd_adversary(args: argparse.Namespace) -> int:
         "within_barrier": ok,
     }
     if args.diagnostic:
-        payload["decomposition"] = decomposition_diagnostic(f, gamma)
+        payload["decomposition"] = _diagnostic(f, gamma, denom)
     _write_json(args.out, payload)
     return 0
 

@@ -6,8 +6,8 @@ Vertices are the integers 1..n and unordered pairs are canonicalised to
 matrix, and this module is the only one that knows that layout: every other
 module reads a graph through `has_edge`, `degree`, `edges`, `rows` (with its
 wrappers `row` and `adjacency`), the packed counts `induced_degrees` and
-`common_counts` and the packed pair listing `common_edges`, which return
-Python values or numpy arrays.
+`common_counts` and the packed pair listing `common_edges` and block
+`common_block`, which return Python values or numpy arrays.
 """
 
 from __future__ import annotations
@@ -120,9 +120,20 @@ class Graph:
     def common_edges(self, other: "Graph") -> tuple[np.ndarray, np.ndarray]:
         """The edges of both this graph and `other` as two index arrays (a, b),
         a < b, in ascending row-major order, from the AND of their packed rows."""
+        return _upper_pairs(self._common_bits(other))
+
+    def common_block(self, other: "Graph") -> tuple[np.ndarray, np.ndarray]:
+        """(live, block): the vertices with an edge of both this graph and
+        `other`, ascending, and the boolean matrix of those common edges among
+        them, from the AND of the packed rows."""
+        bits = self._common_bits(other)
+        live = np.flatnonzero(bits.any(axis=1))
+        return live, np.take(_unpacked(bits[live], self.n), live, axis=1)
+
+    def _common_bits(self, other: "Graph") -> np.ndarray:
         if other.n != self.n:
             raise ValueError(f"graphs on n={self.n} and n={other.n} share no vertex set")
-        return _upper_pairs(self._bits & other._bits)
+        return self._bits & other._bits
 
     def _vertices(self, vertices: Sequence[int] | np.ndarray) -> np.ndarray:
         """`vertices` as a one-dimensional index array, every entry in 1..n."""
@@ -140,7 +151,7 @@ class Graph:
         no argument, every row 0..n (row 0 unused).  Only the packed rows
         asked for are unpacked."""
         bits = self._bits if vertices is None else self._bits[self._vertices(vertices)]
-        return np.unpackbits(bits, axis=1, count=self.n + 1, bitorder="little").view(bool)
+        return _unpacked(bits, self.n)
 
     def row(self, v: int) -> np.ndarray:
         """v's adjacency row as a boolean array indexed 0..n (index 0 unused)."""
@@ -166,6 +177,11 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={self._edge_count})"
+
+
+def _unpacked(bits: np.ndarray, n: int) -> np.ndarray:
+    """Packed rows as a boolean matrix with columns 0..n."""
+    return np.unpackbits(bits, axis=1, count=n + 1, bitorder="little").view(bool)
 
 
 def _upper_pairs(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

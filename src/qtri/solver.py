@@ -12,7 +12,9 @@ the working set is `adj` (the pairs still working) and `fate` (the int8 mark
 of each removed pair, the peeled set T or the classified set E, which steps 9
 and 10 read as two `Graph`s).  Common-neighbor counts exist only inside a
 step-4 peel round; between peels `WorkingGraph.floor` keeps a lower bound on
-them, so a peel that cannot find a pair skips its count.  The search-space
+them, so a peel that cannot find a pair skips its count, and so does a round
+whose degree bound, 2 * min deg - L over the L live vertices, reaches the
+threshold.  The search-space
 builders read the hidden graph unbilled, as simulator privilege, through
 `Graph.rows` and its wrappers and the packed `Graph.induced_degrees`.
 Every count matrix comes from `graphs.common_neighbors`, and step 2 builds
@@ -22,6 +24,9 @@ pairs through the one `WorkingGraph.remove_pairs`, so each loop iteration is
 a few numpy passes and no per-pair loop.  The peel and step 9 count only the
 block of rows and columns that still hold a pair, well below n + 1 after the
 first peel round; step 10 counts on packed rows, `Graph.common_counts`.
+Step 2's searches and the loop's iterations take their random streams from
+`rng.child_streams` and `rng.Substreams`, whose keys are derived in blocks;
+a step-7 stream is built only when step 7 runs.
 """
 
 from __future__ import annotations
@@ -32,10 +37,10 @@ from enum import Enum
 
 import numpy as np
 
-from .graphs import Graph, common_neighbors, triangle_count
+from .graphs import MAX_VERTICES, Graph, common_neighbors, triangle_count
 from .grover import SearchSpace, edge_restricted_triangle_search, safe_grover
 from .oracle import LedgerReport, QueryOracle, StepTag, verify_triangle
-from .rng import substream
+from .rng import Substreams, child_streams, substream
 
 Pair = tuple[int, int]
 Tri = tuple[int, int, int]
@@ -196,16 +201,15 @@ def _triangle_space(hidden: Graph, pool: Graph) -> SearchSpace:
     """Triangles of `pool`; marked = those whose three pairs are hidden edges.
 
     The size is the whole `triangle_count` of `pool`; the marked ones are
-    counted over the vertices with a pair of both graphs only, and the sampler
-    returns them in global labels."""
+    counted over the vertices with a pair of both graphs only, found on the
+    packed rows, and the sampler returns them in global labels."""
     size = triangle_count(pool)
     if size == 0:
         return SearchSpace(0, 0, 3)
-    both = hidden.adjacency() & pool.adjacency()
-    live = np.flatnonzero(both.any(axis=1))  # ascending, so local order is label order
+    live, both = hidden.common_block(pool)  # `live` is ascending: local order is label order
     # upper[a, c]: (live[a], live[c]) is a pair of both graphs with a < c, so row
     # products count each marked triangle a < b < c once, at its pair (a, b)
-    upper = np.triu(both[live][:, live], 1)
+    upper = np.triu(both, 1)
     del both
     common = common_neighbors(upper)
     rows, cols = np.nonzero(upper & (common > 0))
@@ -273,12 +277,15 @@ def step2_build_gprime(
 
     `hoods` is step 1's matrix: row i is the neighborhood of sample[i].  The
     third return value flags a safety failure: some search missed a
-    genuinely nonempty target.
+    genuinely nonempty target.  Search i draws from child i of `rng`
+    (`child_streams`), whose keys are drawn in blocks, so `rng` may end past
+    the last key a search used.
     """
     missed = False
-    for i, v in enumerate(sample):
-        space = _induced_pair_space(oracle.hidden, np.flatnonzero(hoods[i]))
-        tri, miss = _search(oracle, space, params, StepTag.STEP2, _spawn(rng, i), v)
+    # zip takes the next child only for a sampled vertex left to search
+    for v, hood, child in zip(sample, hoods, child_streams(rng)):
+        space = _induced_pair_space(oracle.hidden, np.flatnonzero(hood))
+        tri, miss = _search(oracle, space, params, StepTag.STEP2, child, v)
         if tri is not None:
             return tri, None, missed
         missed |= miss
@@ -302,12 +309,6 @@ def containment_violated(hidden: Graph, candidate: np.ndarray, epsilon: float) -
     return bool((common[candidate[heavy][:, heavy]] > thr).any())
 
 
-def _spawn(rng: np.random.Generator, index: int) -> np.random.Generator:
-    """Deterministic child stream for the index-th inner call."""
-    key = int(rng.integers(0, 2**63 - 1))
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence([key, index])))
-
-
 def step4_peel(working: WorkingGraph, tau: int) -> np.ndarray:
     """Move pairs whose common-neighbor count is below tau to T until none is
     left, and return the moved pairs as (a, b) rows with a < b.
@@ -317,16 +318,31 @@ def step4_peel(working: WorkingGraph, tau: int) -> np.ndarray:
     working pair below tau at once, and the peel stops when a round finds
     none, leaving the smallest count it saw (n when no pair is left) in
     `working.floor`.  While that bound is at least tau no pair can be low, so
-    the peel returns without counting.  Counts only fall as pairs leave, so
-    any removal order ends at the same set, the largest subset in which every
-    pair keeps at least tau common neighbors.  Costs no queries.
+    the peel returns without counting.  A round also skips its count when the
+    degrees rule a low pair out: the other neighbors of a working pair's ends
+    lie among the L - 2 other live vertices, so the pair keeps at least
+    deg a + deg b - L common neighbors, and a round whose 2 * min deg - L is
+    at least tau sets `floor` to that and stops.  Counts only fall as pairs
+    leave, so any removal order ends at the same set, the largest subset in
+    which every pair keeps at least tau common neighbors.  Costs no queries.
     """
+    if working.floor >= tau:
+        return np.empty((0, 2), dtype=np.intp)
     n = working.n
     batches = [np.empty((0, 2), dtype=np.intp)]
     while working.floor < tau:
+        # a degree is below n, so 16 bits hold it for every n up to MAX_VERTICES
+        deg = working.adj.sum(axis=1, dtype=np.uint16 if n <= MAX_VERTICES else np.int64)
+        live = np.flatnonzero(deg)
+        if not len(live):
+            working.floor = n
+            break
+        bound = 2 * int(deg[live].min()) - len(live)
+        if bound >= tau:
+            working.floor = bound
+            break
         # every common neighbor of a working pair holds a working pair itself, so
         # the block of live rows and columns gives the same counts as the whole matrix
-        live = np.flatnonzero(working.adj.any(axis=1))
         sub = working.adj[live][:, live]
         t = common_neighbors(sub)
         low = t < tau
@@ -433,6 +449,7 @@ def step8_loop(
     n = oracle.n
     tau = peel_threshold(n, params.epsilon_prime)
     events: set[str] = set()
+    step5_streams, step7_streams = Substreams(seed, "step5"), Substreams(seed, "step7")
     invocation = 0
     v = 1
     while True:
@@ -440,16 +457,14 @@ def step8_loop(
         v = working.first_active_vertex(v)  # rows below the last v are empty
         if v is None:
             break
-        verdict = step5_degree_hypothesis(
-            oracle, v, params, substream(seed, "step5", invocation)
-        )
+        verdict = step5_degree_hypothesis(oracle, v, params, step5_streams.stream(invocation))
         if hypothesis_mismatch(n, params.delta, oracle.hidden.degree(v), verdict):
             events.add("hypothesis_mismatch")
         if verdict is Hypothesis.LOW:
             step6_low_degree(working, v)
         else:
             tri, missed, stalled = step7_high_degree(
-                oracle, working, v, params, substream(seed, "step7", invocation)
+                oracle, working, v, params, step7_streams.stream(invocation)
             )
             if missed:
                 events.add("safe_grover_miss")

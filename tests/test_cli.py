@@ -256,6 +256,43 @@ def test_adversary_command_computes_each_quantity_once(tmp_path, monkeypatch):
     assert calls == {"certificate_size": 1, "spectral_norm": f.n + 1, "validate_gamma": 1}
 
 
+def test_adversary_diagnostic_reuses_the_restricted_norms(tmp_path, monkeypatch):
+    """With --diagnostic the command computes each restricted norm once and
+    writes the JSON the public functions give, byte for byte."""
+    f = triangle_property_function()
+    gamma = random_valid_gamma(f, np.random.default_rng(1))
+    fpath, gpath = tmp_path / "tri.json", tmp_path / "gamma.json"
+    fpath.write_text(json.dumps(f.to_json()))
+    gpath.write_text(json.dumps(gamma.tolist()))
+    gamma = qtri.adversary.load_matrix(str(gpath))
+    raw_ratio, qqc = qtri.adversary.adversary_value(f, gamma, 0.1)
+    k = qtri.adversary.certificate_size(f)
+    barrier, ok, slack = qtri.adversary.ceiling_check(f.n, k, raw_ratio)
+    expected = {"raw_ratio": raw_ratio, "qqc_lower_bound": qqc, "certificate_size": k,
+                "barrier": barrier, "slack": slack, "within_barrier": ok,
+                "decomposition": qtri.adversary.decomposition_diagnostic(f, gamma)}
+    out = tmp_path / "adv.json"
+    qtri.cli._write_json(str(out), expected)
+    expected_bytes = out.read_bytes()
+    calls = {"spectral_norm": 0, "validate_gamma": 0}
+
+    def counting(name):
+        real = getattr(qtri.adversary, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(qtri.adversary, name, counting(name))
+    assert run(["adversary", "--function", str(fpath), "--gamma", str(gpath), "--epsilon", "0.1",
+                "--diagnostic", "--out", str(out)]) == 0
+    assert calls == {"spectral_norm": f.n + 1, "validate_gamma": 1}
+    assert out.read_bytes() == expected_bytes
+
+
 def test_adversary_diagnostic_searches_each_certificate_once(tmp_path, monkeypatch):
     f, gamma = or_star_instance(4)
     fpath, gpath = tmp_path / "or4.json", tmp_path / "star.json"

@@ -88,6 +88,21 @@ def test_common_edges_match_the_unpacked_listing(n):
         K3.common_edges(K4)
 
 
+@pytest.mark.parametrize("n", [3, 7, 8, 9, 63, 64, 65, 200])
+def test_common_block_matches_the_unpacked_and(n):
+    # p = 1.0 with q = 1.0 leaves every vertex live, p = 0.0 none
+    for seed, (p, q) in enumerate([(0.0, 0.5), (0.05, 0.5), (0.3, 0.3), (1.0, 1.0), (0.9, 1.0)]):
+        a = generate("erdos_renyi", n, seed=seed, p=p)
+        b = generate("erdos_renyi", n, seed=seed + 100, p=q)
+        both = a.adjacency() & b.adjacency()
+        live = np.flatnonzero(both.any(axis=1))
+        got_live, block = a.common_block(b)
+        assert np.array_equal(got_live, live)
+        assert block.dtype == bool and np.array_equal(block, both[np.ix_(live, live)])
+    with pytest.raises(ValueError):
+        K3.common_block(K4)
+
+
 def test_handshake_identity():
     # summing common-neighbor counts over the edges triple-counts triangles
     for seed in range(10):

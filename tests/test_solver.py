@@ -275,6 +275,10 @@ def brute_counts(working):
 
 
 def test_peel_counts_only_when_the_floor_allows_a_low_pair(monkeypatch):
+    """A peel counts only when neither the floor nor the degree bound rules a
+    low pair out: a working pair keeps at least deg a + deg b - L common
+    neighbours, L the live vertex count, so a round counts only when
+    2 * min deg - L < tau."""
     counted = []
 
     def counting(*args):
@@ -282,16 +286,23 @@ def test_peel_counts_only_when_the_floor_allows_a_low_pair(monkeypatch):
         return common_neighbors(*args)
 
     monkeypatch.setattr("qtri.solver.common_neighbors", counting)
-    working = complete_working(4)  # every pair has 2 common neighbors, tau + 1 for tau = 1
+    working = complete_working(4)  # K4: degrees 3 over L = 4, so every pair keeps 2 * 3 - 4 = 2
     assert len(step4_peel(working, tau=1)) == 0
-    assert len(counted) == 1 and working.floor == 2
-    working.remove_incident(4, FATE_E)  # each pair inside {1, 2, 3} keeps one
+    assert not counted and working.floor == 2  # the bound, taken without a count
+    working.remove_incident(4, FATE_E)  # K3: the floor falls to 1 = tau
     assert len(step4_peel(working, tau=1)) == 0
-    assert len(counted) == 1 and working.floor == 1
-    working.remove_incident(3, FATE_E)  # (1, 2) keeps none
+    assert not counted and working.floor == 1  # the floor alone rules a low pair out
+    working.floor = 0
+    assert len(step4_peel(working, tau=1)) == 0
+    assert not counted and working.floor == 1  # K3's bound: 2 * 2 - 3
+    working.remove_incident(3, FATE_E)  # one pair: 2 * 1 - 2 = 0 < tau
     assert step4_peel(working, tau=1).tolist() == [[1, 2]]
-    assert len(counted) == 3  # the round that moves (1, 2), then the empty round
+    assert len(counted) == 1  # the round that moves (1, 2); the next has no live vertex
+    assert working.floor == 4
     assert fate_pairs(working, FATE_T) == [(1, 2)] and not working.adj.any()
+    working = complete_working(4)
+    assert len(step4_peel(working, tau=3)) == 6  # the bound 2 < tau: one count moves all
+    assert len(counted) == 2 and working.floor == 4
 
 
 def assert_counts_consistent(working):
@@ -418,7 +429,42 @@ def test_step4_peel_over_scattered_labels(data):
     assert np.array_equal(working.adj, working_from_pairs(n, survivors).adj)
     assert np.array_equal(working.fate, fate_after(np.zeros_like(working.fate), moved, FATE_T))
     counts = brute_counts(working)
-    assert working.floor == min((counts[a, b] for a, b in survivors), default=n)
+    exact = min((counts[a, b] for a, b in survivors), default=n)
+    # the peel stops at a count, with the exact minimum, or at the degree bound
+    degrees = working.adj.sum(axis=1)
+    live = np.flatnonzero(degrees)
+    bound = 2 * int(degrees[live].min()) - len(live) if len(live) else n
+    assert working.floor <= exact and working.floor in (exact, bound)
+
+
+def counting_peel(working, tau):
+    """The peel without either shortcut: every round counts every working pair."""
+    moved = []
+    while True:
+        batch = np.argwhere(np.triu((brute_counts(working) < tau) & working.adj, 1))
+        if not len(batch):
+            return moved
+        working.remove_pairs(batch, FATE_T)
+        moved += batch.tolist()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_peel_with_its_shortcuts_matches_a_peel_that_always_counts(data):
+    """Peels between vertex removals, as the step-8 loop makes them: the floor
+    and the degree bound skip counts, and change no moved row, its order, `adj`
+    or `fate`; the floor never exceeds the smallest working count."""
+    working = random_working(data)
+    reference = working_from_pairs(working.n, live_pairs(working))
+    tau = data.draw(st.integers(1, working.n), label="tau")
+    for _ in range(data.draw(st.integers(1, 4), label="peels")):
+        assert step4_peel(working, tau).tolist() == counting_peel(reference, tau)
+        assert np.array_equal(working.adj, reference.adj)
+        assert np.array_equal(working.fate, reference.fate)
+        assert_counts_consistent(working)
+        v = data.draw(st.integers(1, working.n), label="v")
+        working.remove_incident(v, FATE_E)
+        reference.remove_incident(v, FATE_E)
 
 
 def random_pairs(rng, n, density, sides=None):
