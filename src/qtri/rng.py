@@ -6,7 +6,7 @@ trial of a batch) can be replayed in isolation on any platform.
 
 A Philox stream is fixed by its 128-bit key, which numpy derives as
 `SeedSequence(entropy).generate_state(2, np.uint64)`.  Where a run needs
-hundreds of streams (step 2's searches, the step-8 loop's iterations), the
+hundreds of streams (step 2's searches, the step-8 loop's step-5 calls), the
 keys are derived in blocks that double in length up to `BLOCK_CAP` rows:
 `seed_keys` applies numpy's entropy mix to a whole block at once, and
 `keyed` builds each generator from its precomputed key.  Every stream draws
@@ -185,28 +185,14 @@ def child_streams(rng: np.random.Generator) -> Iterator[np.random.Generator]:
         start, size = start + size, min(2 * size, BLOCK_CAP)
 
 
-class Substreams:
-    """`substream(seed, *path, i)` for the invocations i = 0, 1, 2, ...
-
-    `stream(i)` keys a block starting at i whenever i lies outside the current
-    one, twice as long as that one (up to BLOCK_CAP), and builds only the
-    generator asked for, so a caller that needs a stream at a few invocations
-    only builds those."""
-
-    __slots__ = ("_head", "_start", "_keys")
-
-    def __init__(self, seed: int, *path: object) -> None:
-        self._head = _entropy(seed, path)
-        self._start = 0
-        self._keys = np.empty((0, 2), dtype=np.uint64)
-
-    def stream(self, i: int) -> np.random.Generator:
-        offset = i - self._start
-        if not 0 <= offset < len(self._keys):
-            size = min(max(2 * len(self._keys), 1), BLOCK_CAP)
-            self._start, offset = i, 0
-            self._keys = seed_keys([self._head + [_token(j)] for j in range(i, i + size)])
-        return keyed(self._keys[offset])
+def substreams(seed: int, *path: object) -> Iterator[np.random.Generator]:
+    """`substream(seed, *path, i)` for i = 0, 1, 2, ..., keyed in blocks of
+    1, 2, 4, ... invocations, up to BLOCK_CAP."""
+    head = _entropy(seed, path)
+    start, size = 0, 1
+    while True:
+        yield from map(keyed, seed_keys([head + [_token(i)] for i in range(start, start + size)]))
+        start, size = start + size, min(2 * size, BLOCK_CAP)
 
 
 def derive_seed(seed: int, *path: object) -> int:

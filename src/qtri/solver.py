@@ -24,9 +24,9 @@ pairs through the one `WorkingGraph.remove_pairs`, so each loop iteration is
 a few numpy passes and no per-pair loop.  The peel and step 9 count only the
 block of rows and columns that still hold a pair, well below n + 1 after the
 first peel round; step 10 counts on packed rows, `Graph.common_counts`.
-Step 2's searches and the loop's iterations take their random streams from
-`rng.child_streams` and `rng.Substreams`, whose keys are derived in blocks;
-a step-7 stream is built only when step 7 runs.
+Step 2's searches and the loop's step-5 calls take their random streams from
+`rng.child_streams` and `rng.substreams`, whose keys are derived in blocks;
+step 7, which runs at few invocations if any, builds each stream on its own.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ import numpy as np
 from .graphs import MAX_VERTICES, Graph, common_neighbors, triangle_count
 from .grover import SearchSpace, edge_restricted_triangle_search, safe_grover
 from .oracle import LedgerReport, QueryOracle, StepTag, verify_triangle
-from .rng import Substreams, child_streams, substream
+from .rng import child_streams, substream, substreams
 
 Pair = tuple[int, int]
 Tri = tuple[int, int, int]
@@ -449,7 +449,7 @@ def step8_loop(
     n = oracle.n
     tau = peel_threshold(n, params.epsilon_prime)
     events: set[str] = set()
-    step5_streams, step7_streams = Substreams(seed, "step5"), Substreams(seed, "step7")
+    step5_streams = substreams(seed, "step5")  # one per invocation, in order
     invocation = 0
     v = 1
     while True:
@@ -457,14 +457,14 @@ def step8_loop(
         v = working.first_active_vertex(v)  # rows below the last v are empty
         if v is None:
             break
-        verdict = step5_degree_hypothesis(oracle, v, params, step5_streams.stream(invocation))
+        verdict = step5_degree_hypothesis(oracle, v, params, next(step5_streams))
         if hypothesis_mismatch(n, params.delta, oracle.hidden.degree(v), verdict):
             events.add("hypothesis_mismatch")
         if verdict is Hypothesis.LOW:
             step6_low_degree(working, v)
         else:
             tri, missed, stalled = step7_high_degree(
-                oracle, working, v, params, step7_streams.stream(invocation)
+                oracle, working, v, params, substream(seed, "step7", invocation)
             )
             if missed:
                 events.add("safe_grover_miss")

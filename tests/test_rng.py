@@ -9,11 +9,11 @@ import pytest
 
 from qtri.rng import (
     BLOCK_CAP,
-    Substreams,
     child_streams,
     keyed,
     seed_keys,
     substream,
+    substreams,
 )
 
 STREAMS = 600  # past the blocks of 1, 2, 4, ..., 256 rows and into the second of BLOCK_CAP
@@ -73,18 +73,9 @@ def test_substream_matches_seed_sequence_construction():
 
 def test_block_keyed_loop_streams_match_per_call_streams():
     for seed in (0, 3, 2**33 + 1):
-        streams = Substreams(seed, "step5")
+        streams = substreams(seed, "step5")
         for i in range(STREAMS):
-            assert same_draws(streams.stream(i), reference_substream(seed, "step5", i))
-
-
-def test_loop_streams_at_scattered_invocations():
-    """Step 7 asks only at some invocations, in order; each ask outside the
-    current block keys a new one from there."""
-    picks = sorted(np.random.default_rng(1).choice(3000, size=300, replace=False).tolist())
-    streams = Substreams(9, "step7")
-    for i in picks + [2, 0]:
-        assert same_draws(streams.stream(i), reference_substream(9, "step7", i))
+            assert same_draws(next(streams), reference_substream(seed, "step5", i))
 
 
 def test_block_keyed_children_match_per_call_children():
@@ -113,7 +104,7 @@ def test_a_keyed_stream_serves_only_its_key():
 
 
 def test_a_keyed_stream_pickles_and_resumes():
-    stream = Substreams(1, "step5").stream(0)
+    stream = next(substreams(1, "step5"))
     stream.random()
     copy = pickle.loads(pickle.dumps(stream))
     assert same_draws(copy, stream)

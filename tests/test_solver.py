@@ -414,7 +414,8 @@ def test_step4_counts_stay_consistent(data):
 @given(st.data())
 def test_step4_peel_over_scattered_labels(data):
     """A working set on a few scattered labels, the others isolated, possibly
-    none: the peel moves the reference batches and leaves the exact floor."""
+    none: the peel moves the reference batches, and leaves the degree bound as
+    the floor when that bound reaches tau, the exact minimum count otherwise."""
     n = data.draw(st.integers(4, 16), label="n")
     labels = sorted(data.draw(st.lists(st.integers(1, n), unique=True, max_size=n), label="labels"))
     everything = [(a, b) for i, a in enumerate(labels) for b in labels[i + 1:]]
@@ -430,11 +431,13 @@ def test_step4_peel_over_scattered_labels(data):
     assert np.array_equal(working.fate, fate_after(np.zeros_like(working.fate), moved, FATE_T))
     counts = brute_counts(working)
     exact = min((counts[a, b] for a, b in survivors), default=n)
-    # the peel stops at a count, with the exact minimum, or at the degree bound
+    # a peel that stops after a count left adj as that round saw it, whose bound
+    # was below tau; one that stops on the bound stores it
     degrees = working.adj.sum(axis=1)
     live = np.flatnonzero(degrees)
     bound = 2 * int(degrees[live].min()) - len(live) if len(live) else n
-    assert working.floor <= exact and working.floor in (exact, bound)
+    assert working.floor == (bound if bound >= tau else exact)
+    assert working.floor <= exact
 
 
 def counting_peel(working, tau):
