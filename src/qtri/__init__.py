@@ -21,7 +21,6 @@ from .analysis import (
     cost_terms,
     disjointness_prob_approx,
     disjointness_prob_exact,
-    empirical_scaling,
     folklore_baseline,
     optimize_params,
     threshold_violation_rate,
@@ -71,7 +70,6 @@ __all__ = [
     "disjointness_prob_approx",
     "disjointness_prob_exact",
     "edge_restricted_triangle_search",
-    "empirical_scaling",
     "folklore_baseline",
     "gamma_i",
     "generate",

@@ -168,7 +168,8 @@ def _restricted_norm(f: PartialBooleanFunction, gamma: np.ndarray) -> float:
     problem = validate_gamma(f, gamma)
     if problem is not None:
         raise ValueError(f"invalid adversary matrix: {problem}")
-    denom = max(spectral_norm(gamma_i(f, gamma, i)) for i in range(1, f.n + 1))
+    restricted = np.stack([gamma_i(f, gamma, i) for i in range(1, f.n + 1)])
+    denom = float(spectral_norm_batch(restricted).max())
     if denom <= 0.0:
         raise ValueError(_ZERO_RATIO)
     return denom
@@ -239,21 +240,23 @@ def random_valid_gamma(f: PartialBooleanFunction, rng: np.random.Generator) -> n
     return upper + upper.T
 
 
-def decomposition_diagnostic(f: PartialBooleanFunction, gamma: np.ndarray, tol: float = 1e-9) -> dict:
+def decomposition_diagnostic(f: PartialBooleanFunction, gamma: np.ndarray) -> dict:
     """Numerically verify the vector decomposition behind the certificate ceiling.
 
     Builds the top eigenvector v, the per-position restrictions v_i supported
     on 1-inputs whose minimal certificate uses that position, and checks:
     the inner-product identity <v_i, v> = <v_i, v_i>, the entrywise bound
     sum_i v_i <= k*v, the pairing sum_i v_i^T G_i v >= lambda/2, and the norm
-    chain ratio <= 2*sum|v_i| with sum|v_i| <= sqrt(n*k).  Reducible matrices
-    may give v zero entries; the checks then apply on the support.
+    chain ratio <= 2*sum|v_i| with sum|v_i| <= sqrt(n*k), each to within 1e-9.
+    Reducible matrices may give v zero entries; the checks then apply on the
+    support.
     """
-    return _diagnostic(f, gamma, _restricted_norm(f, gamma), tol)
+    return _diagnostic(f, gamma, _restricted_norm(f, gamma))
 
 
-def _diagnostic(f: PartialBooleanFunction, gamma: np.ndarray, denom: float, tol: float = 1e-9) -> dict:
+def _diagnostic(f: PartialBooleanFunction, gamma: np.ndarray, denom: float) -> dict:
     """`decomposition_diagnostic` of a valid matrix whose max_i lambda(G_i) is `denom`."""
+    tol = 1e-9
     w, vecs = np.linalg.eigh(gamma)
     lam = float(w[-1])
     # A nonnegative matrix's top eigenspace is spanned by the Perron vectors of

@@ -119,17 +119,10 @@ def disjointness_exponent_ratio(n: int, x: int, y: int) -> float:
     return math.log(exact) / (n * math.log(1.0 - p * q))
 
 
-def disjointness_exponent_dev(n: int, x: int, y: int) -> float:
-    """|ln(exact) / (n * ln(1 - pq)) - 1| with p = x/n, q = y/n."""
-    return abs(disjointness_exponent_ratio(n, x, y) - 1.0)
+SWEEP_P_LOW, SWEEP_P_HIGH = 0.02, 0.2  # the densities x/n and y/n that `disjointness_sweep` covers
 
 
-def disjointness_sweep(
-    n_values: range | list[int] | None = None,
-    p_low: float = 0.02,
-    p_high: float = 0.2,
-    slack: float = 1.0,
-) -> dict:
+def disjointness_sweep(n_values: range | list[int] | None = None) -> dict:
     """Sweep the exponent deviation against its second-order expansion.
 
     Stirling gives ln C(n-x, y) / C(n, y) = n (h(p) + h(q) - h(p + q)) up to
@@ -138,44 +131,41 @@ def disjointness_sweep(
     1 + (p + q)/2 + (p^2 + q^2)/3 + O(p^3 + q^3 + 1/n): the deviation is first
     order because the y draws are made without replacement.  Each point's
     residual |dev - (p + q)/2 - (p^2 + q^2)/3| is checked against
-    slack * (p^3 + q^3 + 1/n), and the signed ratio against 1, since the
-    exact probability never exceeds (1 - pq)^n.
+    p^3 + q^3 + 1/n, and the signed ratio against 1, since the exact
+    probability never exceeds (1 - pq)^n.
 
     Points are all integer set sizes x, y with x/n and y/n inside
-    [p_low, p_high].  Returns the failing points, the worst residual/bound
-    ratio and the number of points whose signed ratio is below 1.
+    [SWEEP_P_LOW, SWEEP_P_HIGH].  Returns the number of points outside the
+    bound, the worst residual/bound ratio and the number of points whose
+    signed ratio is below 1.
     """
     if n_values is None:
         n_values = range(20, 201)
     worst_ratio = 0.0
     worst_point = None
-    failures = []
+    failures = 0
     sign_failures = 0
     points = 0
     for n in n_values:
-        lo = math.ceil(p_low * n)
-        hi = math.floor(p_high * n)
+        lo = math.ceil(SWEEP_P_LOW * n)
+        hi = math.floor(SWEEP_P_HIGH * n)
         for x in range(max(1, lo), hi + 1):
             for y in range(max(1, lo), hi + 1):
                 p, q = x / n, y / n
                 signed = disjointness_exponent_ratio(n, x, y)
                 dev = abs(signed - 1.0)
                 residual = abs(dev - (p + q) / 2.0 - (p**2 + q**2) / 3.0)
-                bound = slack * (p**3 + q**3 + 1.0 / n)
+                bound = p**3 + q**3 + 1.0 / n
                 points += 1
                 sign_failures += signed < 1.0
+                failures += residual > bound
                 ratio = residual / bound
                 if ratio > worst_ratio:
                     worst_ratio = ratio
                     worst_point = (n, x, y)
-                if residual > bound:
-                    failures.append(
-                        {"n": n, "x": x, "y": y, "dev": dev, "residual": residual, "bound": bound}
-                    )
     return {
         "points": points,
-        "failures": len(failures),
-        "failing_points": failures[:20],
+        "failures": failures,
         "worst_ratio": worst_ratio,
         "worst_point": worst_point,
         "sign_failures": sign_failures,
@@ -256,18 +246,6 @@ class ScalingFit:
         }
 
 
-def fit_totals(per_size: list[tuple[int, list[int]]]) -> ScalingFit:
-    """Log-log fit of the mean total per size, one point per (n, totals) entry."""
-    if any(not totals for _, totals in per_size) or len({n for n, _ in per_size}) < 3:
-        raise ValueError("need at least 3 distinct sizes, each with some totals, for a fit")
-    points = [(n, float(np.mean(totals))) for n, totals in per_size]
-    xs = np.log([n for n, _ in points])
-    ys = np.log([mean for _, mean in points])
-    slope, intercept = np.polyfit(xs, ys, 1)
-    normalized = [mean / (n ** (10.0 / 7.0) * math.log(n) ** 2) for n, mean in points]
-    return ScalingFit(points, float(slope), float(intercept), normalized)
-
-
 def trial_rows(
     algo: str,
     n_values: list[int],
@@ -300,32 +278,21 @@ def trial_rows(
 
 
 def fit_rows(rows: list[dict]) -> ScalingFit:
-    """`fit_totals` over the rows' totals, one point per distinct n."""
+    """Log-log fit of the mean `total` per size, one point per distinct n, in
+    the order the sizes first appear."""
     per_size: dict[int, list[int]] = {}
     for row in rows:
         per_size.setdefault(row["n"], []).append(row["total"])
-    return fit_totals(list(per_size.items()))
+    if len(per_size) < 3:
+        raise ValueError("need at least 3 distinct sizes for a fit")
+    points = [(n, float(np.mean(totals))) for n, totals in per_size.items()]
+    xs = np.log([n for n, _ in points])
+    ys = np.log([mean for _, mean in points])
+    slope, intercept = np.polyfit(xs, ys, 1)
+    normalized = [mean / (n ** (10.0 / 7.0) * math.log(n) ** 2) for n, mean in points]
+    return ScalingFit(points, float(slope), float(intercept), normalized)
 
 
-def empirical_scaling(
-    n_values: list[int],
-    trials: int,
-    params: Params | None = None,
-    seed: int = 0,
-    kind: str = "erdos_renyi",
-    p: float = 0.5,
-) -> ScalingFit:
-    """Mean total ledger cost per size, fitted on the log-log scale."""
-    return fit_rows(trial_rows("staged", n_values, trials, params or Params(), seed, kind, p))
-
-
-def baseline_scaling(
-    n_values: list[int],
-    trials: int,
-    seed: int = 0,
-    kind: str = "erdos_renyi",
-    p: float = 0.5,
-    c_safe: float = 2.0,
-) -> ScalingFit:
-    """Scaling fit of the folklore triple-search baseline on the same instances."""
-    return fit_rows(trial_rows("baseline", n_values, trials, Params(c_safe=c_safe), seed, kind, p))
+def baseline_scaling(n_values: list[int], trials: int, seed: int = 0) -> ScalingFit:
+    """Scaling fit of the folklore triple-search baseline on ER p = 0.5."""
+    return fit_rows(trial_rows("baseline", n_values, trials, Params(), seed))

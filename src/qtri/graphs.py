@@ -77,14 +77,14 @@ class Graph:
         bits = np.zeros((n + 1, (n + 8) // 8), dtype=np.uint8)
         for row, col in ((lo, hi), (hi, lo)):
             np.bitwise_or.at(bits, (row, col >> 3), np.left_shift(1, (col & 7).astype(np.uint8)))
-        keys = np.sort(lo * (n + 1) + hi)
-        self._set(n, bits, len(keys) - int(np.count_nonzero(keys[1:] == keys[:-1])))
+        self._set(n, bits)
 
-    def _set(self, n: int, bits: np.ndarray, edge_count: int) -> None:
+    def _set(self, n: int, bits: np.ndarray) -> None:
+        """Take `bits` as the read-only adjacency; every edge sets two bits."""
         bits.flags.writeable = False
         self.n = n
         self._bits = bits
-        self._edge_count = edge_count
+        self._edge_count = int(np.bitwise_count(bits).sum(dtype=np.int64)) // 2
 
     @classmethod
     def from_adjacency(cls, adj: np.ndarray) -> "Graph":
@@ -94,8 +94,7 @@ class Graph:
         adj[0, :] = adj[:, 0] = False
         np.fill_diagonal(adj, False)
         g = cls.__new__(cls)
-        g._set(adj.shape[0] - 1, np.packbits(adj, axis=1, bitorder="little"),
-               int(np.count_nonzero(adj)) // 2)
+        g._set(adj.shape[0] - 1, np.packbits(adj, axis=1, bitorder="little"))
         return g
 
     @property

@@ -537,11 +537,11 @@ def solve(oracle: QueryOracle, params: Params | None = None, seed: int = 0) -> R
 
     tri, loop_events = step8_loop(oracle, working, params, seed)
     events |= loop_events
-    in_e = working.fate == FATE_E
-    measured["G_cap_E"] = int(np.count_nonzero(oracle.hidden.adjacency() & in_e)) // 2
-    t_pool, e_pool = Graph.from_adjacency(working.fate == FATE_T), Graph.from_adjacency(in_e)
-    del working, in_e  # free the (n+1)^2 matrices before the final searches
+    t_pool = Graph.from_adjacency(working.fate == FATE_T)
+    e_pool = Graph.from_adjacency(working.fate == FATE_E)
+    del working  # free the (n+1)^2 matrices before the final searches
     measured["T_size"], measured["E_size"] = t_pool.edge_count, e_pool.edge_count
+    measured["G_cap_E"] = len(oracle.hidden.common_edges(e_pool)[0])
     if tri is not None:
         return report(tri)
 

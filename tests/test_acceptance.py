@@ -20,7 +20,6 @@ from qtri import (
     SearchSpace,
     baseline_scaling,
     disjointness_prob_exact,
-    empirical_scaling,
     generate,
     grover_success_prob,
     optimize_params,
@@ -38,7 +37,7 @@ from qtri.adversary import (
     spectral_norm_batch,
     triangle_property_function,
 )
-from qtri.analysis import disjointness_sweep
+from qtri.analysis import disjointness_sweep, fit_rows, trial_rows
 from qtri.graphs import Graph
 from qtri.grover import iteration_cap, mean_success_prob
 from qtri.oracle import StepTag
@@ -201,7 +200,7 @@ def _loglog_slope(sizes, values):
 
 def test_criterion_08_scaling_sanity():
     sizes = [64, 128, 256, 512]
-    fit = empirical_scaling(sizes, trials=30, params=DEFAULTS, seed=0)
+    fit = fit_rows(trial_rows("staged", sizes, trials=30, params=DEFAULTS, seed=0))
     base = baseline_scaling(sizes, trials=30, seed=0)
     consts = fit.normalized_constants
     spread = max(consts) / min(consts)
@@ -270,7 +269,7 @@ def test_criterion_09_adversary_barrier():
 
 def test_criterion_10_decomposition_diagnostic():
     f, gamma = or_star_instance(4)
-    out = decomposition_diagnostic(f, gamma, tol=1e-9)
+    out = decomposition_diagnostic(f, gamma)
     ok = out["ok"]
     report_line(
         10,

@@ -17,6 +17,7 @@ from qtri import (
     validate_gamma,
 )
 from qtri.adversary import (
+    _restricted_norm,
     and_function,
     ceiling_check,
     load_function,
@@ -122,6 +123,18 @@ def test_spectral_norm_batch_matches_scalar():
     got = spectral_norm_batch(np.stack(mats))
     for m, lam in zip(mats, got):
         assert lam == pytest.approx(spectral_norm(m), rel=1e-12, abs=1e-12)
+
+
+def test_restricted_norm_batch_equals_the_per_matrix_maximum():
+    # the n restricted norms come from one batched eigensolve; its maximum must be
+    # bit-identical to the largest of the one-matrix norms on the stock instances
+    cases = [or_star_instance(n) for n in (2, 4, 9, 16)]
+    for f in (or_function(4), and_function(4), triangle_property_function()):
+        rng = substream(5, "restricted", f.n, f.values)
+        cases += [(f, random_valid_gamma(f, rng)) for _ in range(10)]
+    for f, gamma in cases:
+        per_matrix = max(spectral_norm(gamma_i(f, gamma, i)) for i in range(1, f.n + 1))
+        assert _restricted_norm(f, gamma) == per_matrix
 
 
 def valid_stack(f, count, rng):

@@ -11,14 +11,19 @@ from qtri import (
     cost_terms,
     disjointness_prob_approx,
     disjointness_prob_exact,
-    empirical_scaling,
     folklore_baseline,
     generate,
     optimize_params,
     threshold_violation_rate,
     triangle_count,
 )
-from qtri.analysis import BaselineResult, disjointness_exponent_dev, disjointness_sweep, fit_totals
+from qtri.analysis import (
+    BaselineResult,
+    disjointness_exponent_ratio,
+    disjointness_sweep,
+    fit_rows,
+    trial_rows,
+)
 from qtri.graphs import MAX_VERTICES
 from qtri.grover import iteration_cap
 from qtri.oracle import default_budget
@@ -127,15 +132,20 @@ def test_disjointness_approx_example():
 
 
 def test_disjointness_dev_small_point_within_band():
-    dev = disjointness_exponent_dev(4, 1, 1)
+    dev = abs(disjointness_exponent_ratio(4, 1, 1) - 1.0)
     assert dev <= 10 * (0.25**3 + 0.25**3 + 0.25)
 
 
 def test_disjointness_sweep_reports_shape():
-    out = disjointness_sweep(n_values=range(20, 61))
-    assert out["points"] > 0
-    assert out["all_within"] is True
-    assert out["sign_failures"] == 0
+    # the whole output, pinned: x/n and y/n in [0.02, 0.2], bound p^3 + q^3 + 1/n
+    assert disjointness_sweep(n_values=range(20, 61)) == {
+        "points": 2400,
+        "failures": 0,
+        "worst_ratio": 0.5607622390095778,
+        "worst_point": (20, 2, 2),
+        "sign_failures": 0,
+        "all_within": True,
+    }
 
 
 def test_containment_violation_rate_empty_graph():
@@ -166,14 +176,10 @@ def test_containment_rejects_epsilon_outside_the_unit_interval(epsilon):
         threshold_violation_rate(16, epsilon, trials=1, seed=0)
 
 
-@pytest.mark.parametrize("per_size", [
-    [(16, [5]), (24, [7])],
-    [(16, [5]), (16, [6]), (24, [7])],
-    [(16, [5]), (24, []), (32, [9])],
-], ids=["two-sizes", "repeated-size", "empty-totals"])
-def test_fit_totals_needs_three_distinct_sizes_with_totals(per_size):
+@pytest.mark.parametrize("sizes", [[16, 24], [16, 16, 24]], ids=["two-sizes", "repeated-size"])
+def test_fit_rows_needs_three_distinct_sizes(sizes):
     with pytest.raises(ValueError, match="3 distinct sizes"):
-        fit_totals(per_size)
+        fit_rows([{"n": n, "total": 5 + i} for i, n in enumerate(sizes)])
 
 
 def test_baseline_always_verifies():
@@ -249,7 +255,7 @@ def test_baseline_slope_near_three_halves():
 
 
 def test_empirical_scaling_smoke():
-    fit = empirical_scaling([32, 48, 64], trials=3, seed=0)
+    fit = fit_rows(trial_rows("staged", [32, 48, 64], trials=3, params=Params(), seed=0))
     assert len(fit.points) == 3
     assert all(mean > 0 for _, mean in fit.points)
     assert len(fit.normalized_constants) == 3

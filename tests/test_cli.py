@@ -137,10 +137,7 @@ def test_bench_fits_the_rows_it_ran(tmp_path, monkeypatch, algo):
                 "--out-csv", str(tmp_path / "runs.csv"), "--out-json", str(json_path)]) == 0
     assert len(calls) == len(sizes) * trials
     monkeypatch.setattr(qtri.analysis, name, original)
-    if algo == "staged":
-        fit = qtri.analysis.empirical_scaling(sizes, trials, Params(), seed, "erdos_renyi", 0.5)
-    else:
-        fit = qtri.analysis.baseline_scaling(sizes, trials, seed, "erdos_renyi", 0.5, 2.0)
+    fit = qtri.analysis.fit_rows(qtri.analysis.trial_rows(algo, sizes, trials, Params(), seed))
     assert json.loads(json_path.read_text()) == fit.to_json()
 
 
@@ -234,7 +231,8 @@ def test_adversary_command_computes_each_quantity_once(tmp_path, monkeypatch):
     fpath, gpath = tmp_path / "tri.json", tmp_path / "gamma.json"
     fpath.write_text(json.dumps(f.to_json()))
     gpath.write_text(json.dumps(gamma.tolist()))
-    calls = {"certificate_size": 0, "spectral_norm": 0, "validate_gamma": 0}
+    calls = {"certificate_size": 0, "spectral_norm": 0, "spectral_norm_batch": 0,
+             "validate_gamma": 0}
 
     def counting(name):
         real = getattr(qtri.adversary, name)
@@ -252,8 +250,9 @@ def test_adversary_command_computes_each_quantity_once(tmp_path, monkeypatch):
                 monkeypatch.setattr(module, name, wrapper)
     assert run(["adversary", "--function", str(fpath), "--gamma", str(gpath),
                 "--out", str(tmp_path / "adv.json")]) == 0
-    # gamma and its n restrictions, one norm each, after one validation
-    assert calls == {"certificate_size": 1, "spectral_norm": f.n + 1, "validate_gamma": 1}
+    # gamma's norm and one batch of its n restrictions, after one validation
+    assert calls == {"certificate_size": 1, "spectral_norm": 1, "spectral_norm_batch": 1,
+                     "validate_gamma": 1}
 
 
 def test_adversary_diagnostic_reuses_the_restricted_norms(tmp_path, monkeypatch):
@@ -274,7 +273,7 @@ def test_adversary_diagnostic_reuses_the_restricted_norms(tmp_path, monkeypatch)
     out = tmp_path / "adv.json"
     qtri.cli._write_json(str(out), expected)
     expected_bytes = out.read_bytes()
-    calls = {"spectral_norm": 0, "validate_gamma": 0}
+    calls = {"spectral_norm": 0, "spectral_norm_batch": 0, "validate_gamma": 0}
 
     def counting(name):
         real = getattr(qtri.adversary, name)
@@ -289,7 +288,7 @@ def test_adversary_diagnostic_reuses_the_restricted_norms(tmp_path, monkeypatch)
         monkeypatch.setattr(qtri.adversary, name, counting(name))
     assert run(["adversary", "--function", str(fpath), "--gamma", str(gpath), "--epsilon", "0.1",
                 "--diagnostic", "--out", str(out)]) == 0
-    assert calls == {"spectral_norm": f.n + 1, "validate_gamma": 1}
+    assert calls == {"spectral_norm": 1, "spectral_norm_batch": 1, "validate_gamma": 1}
     assert out.read_bytes() == expected_bytes
 
 
