@@ -3,11 +3,13 @@ text graph format.
 
 Vertices are the integers 1..n and unordered pairs are canonicalised to
 (min, max).  A `Graph` keeps its adjacency as one read-only packed bit
-matrix, and this module is the only one that knows that layout: every other
-module reads a graph through `has_edge`, `degree`, `edges`, `rows` (with its
-wrappers `row` and `adjacency`), the packed counts `induced_degrees` and
-`common_counts` and the packed pair listing `common_edges` and block
-`common_block`, which return Python values or numpy arrays.
+matrix whose rows are padded to whole uint64 words, and this module is the
+only one that knows that layout: every other module reads a graph through
+`has_edge`, `degree`, `degrees`, `edges`, `rows` (with its wrappers `row` and
+`adjacency`), the packed counts `mask_degrees` and `common_counts` and the
+packed pair listing `common_edges` and block `common_block`, which return
+Python values or numpy arrays.  The packed counts AND and popcount whole
+uint64 words.
 """
 
 from __future__ import annotations
@@ -30,6 +32,9 @@ MIN_GRAPH_N = 3  # the smallest vertex count `generate` accepts
 # before any per-vertex allocation, so a corrupt or hostile header or a
 # mistyped size cannot exhaust memory.
 MAX_VERTICES = 1 << 16
+# Rows that `Graph.mask_degrees` gathers at once: its memory stays bounded
+# however many members a block of masks holds.
+GATHER_ROWS = 4096
 
 
 def canon_pair(a: int, b: int) -> tuple[int, int]:
@@ -48,12 +53,14 @@ class Graph:
     """Immutable simple undirected graph on the vertex set {1..n}.
 
     The adjacency relation is one read-only packed bit matrix of shape
-    (n+1, ceil((n+1)/8)), laid out as `np.packbits(adj, axis=1,
-    bitorder="little")` lays out the boolean matrix `adj`: bit u of row v is
-    bit u & 7 of byte u >> 3.  Row 0, column 0 and the diagonal are clear.
+    (n+1, 8 * ceil((n+1)/64)) bytes, laid out as `np.packbits(adj, axis=1,
+    bitorder="little")` lays out the boolean matrix `adj` and zero-padded to
+    whole uint64 words: bit u of row v is bit u & 7 of byte u >> 3.  Row 0,
+    column 0, the diagonal and the padding are clear.  `_words` is the same
+    memory as uint64 words, which the packed counts AND and popcount.
     """
 
-    __slots__ = ("n", "_bits", "_edge_count")
+    __slots__ = ("n", "_bits", "_words", "_edge_count")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()) -> None:
         if n < 1:
@@ -74,7 +81,7 @@ class Graph:
         if len(loops):
             raise ValueError(f"loops are not allowed: ({loops[0]},{loops[0]})")
         # bits are set in place: a dense (n+1)^2 matrix would not fit for large sparse n
-        bits = np.zeros((n + 1, (n + 8) // 8), dtype=np.uint8)
+        bits = np.zeros((n + 1, _row_bytes(n + 1)), dtype=np.uint8)
         for row, col in ((lo, hi), (hi, lo)):
             np.bitwise_or.at(bits, (row, col >> 3), np.left_shift(1, (col & 7).astype(np.uint8)))
         self._set(n, bits)
@@ -84,7 +91,8 @@ class Graph:
         bits.flags.writeable = False
         self.n = n
         self._bits = bits
-        self._edge_count = int(np.bitwise_count(bits).sum(dtype=np.int64)) // 2
+        self._words = bits.view(np.uint64)
+        self._edge_count = int(self.degrees().sum()) // 2
 
     @classmethod
     def from_adjacency(cls, adj: np.ndarray) -> "Graph":
@@ -94,7 +102,7 @@ class Graph:
         adj[0, :] = adj[:, 0] = False
         np.fill_diagonal(adj, False)
         g = cls.__new__(cls)
-        g._set(adj.shape[0] - 1, np.packbits(adj, axis=1, bitorder="little"))
+        g._set(adj.shape[0] - 1, _packed(adj))
         return g
 
     @property
@@ -109,7 +117,11 @@ class Graph:
 
     def degree(self, v: int) -> int:
         _check_vertex(v, self.n)
-        return int(np.bitwise_count(self._bits[v]).sum())
+        return int(np.bitwise_count(self._words[v]).sum())
+
+    def degrees(self) -> np.ndarray:
+        """Every vertex's int64 degree, indexed 0..n (entry 0 is 0), from the packed rows."""
+        return np.bitwise_count(self._words).sum(axis=1, dtype=np.int64)
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Every edge once as (a, b) with a < b, in ascending order."""
@@ -160,22 +172,50 @@ class Graph:
         """Boolean adjacency matrix indexed 1..n (row/col 0 unused)."""
         return self.rows()
 
-    def induced_degrees(self, vertices: Sequence[int] | np.ndarray) -> np.ndarray:
-        """Each of the distinct `vertices`' int64 count of neighbors among them, in
-        order, from their packed rows alone, ANDed with a packed member mask."""
-        vertices = self._vertices(vertices)
-        inside = np.zeros(self.n + 1, dtype=bool)
-        inside[vertices] = True
-        block = self._bits[vertices] & np.packbits(inside, bitorder="little")
-        return np.bitwise_count(block).sum(axis=1, dtype=np.int64)
+    def mask_degrees(self, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(owner, member, count) for a b x (n+1) boolean block of vertex masks
+        (column 0 clear): the set cells (owner, member) of the block in
+        row-major order, so each row's members ascend, and each member's int64
+        number of neighbors inside its own row's mask.
+
+        Each member's packed row is ANDed with its owner's packed mask and
+        popcounted, GATHER_ROWS gathered rows at a time."""
+        masks = np.asarray(masks, dtype=bool)
+        if masks.ndim != 2 or masks.shape[1] != self.n + 1:
+            raise ValueError(f"masks must be a boolean matrix with n + 1 = {self.n + 1} columns")
+        if masks[:, 0].any():
+            raise ValueError(f"vertex 0 out of range 1..{self.n}")
+        owner, member = np.nonzero(masks)
+        packed = _packed(masks).view(np.uint64)
+        count = np.empty(len(member), dtype=np.int64)
+        for start in range(0, len(member), GATHER_ROWS):
+            part = slice(start, start + GATHER_ROWS)
+            block = np.take(self._words, member[part], axis=0)
+            block &= np.take(packed, owner[part], axis=0)
+            # a count is below n, so 16 bits hold it for every n up to MAX_VERTICES
+            count[part] = np.bitwise_count(block).sum(axis=1, dtype=np.uint16)
+        return owner, member, count
 
     def common_counts(self, a: Sequence[int] | np.ndarray, b: Sequence[int] | np.ndarray) -> np.ndarray:
         """int64 counts[i] of the common neighbors of a[i] and b[i], on their packed rows."""
-        block = self._bits[self._vertices(a)] & self._bits[self._vertices(b)]
+        words = self._words
+        block = np.take(words, self._vertices(a), axis=0) & np.take(words, self._vertices(b), axis=0)
         return np.bitwise_count(block).sum(axis=1, dtype=np.int64)
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={self._edge_count})"
+
+
+def _row_bytes(columns: int) -> int:
+    """Bytes in a packed row of `columns` bits, padded to whole uint64 words."""
+    return (columns + 63) // 64 * 8
+
+
+def _packed(rows: np.ndarray) -> np.ndarray:
+    """Boolean rows packed as a `Graph` packs its adjacency, padding included."""
+    bits = np.zeros((rows.shape[0], _row_bytes(rows.shape[1])), dtype=np.uint8)
+    bits[:, : (rows.shape[1] + 7) // 8] = np.packbits(rows, axis=1, bitorder="little")
+    return bits
 
 
 def _unpacked(bits: np.ndarray, n: int) -> np.ndarray:

@@ -7,10 +7,11 @@ trial of a batch) can be replayed in isolation on any platform.
 A Philox stream is fixed by its 128-bit key, which numpy derives as
 `SeedSequence(entropy).generate_state(2, np.uint64)`.  Where a run needs
 hundreds of streams (step 2's searches, the step-8 loop's step-5 calls), the
-keys are derived in blocks that double in length up to `BLOCK_CAP` rows:
-`seed_keys` applies numpy's entropy mix to a whole block at once, and
-`keyed` builds each generator from its precomputed key.  Every stream draws
-exactly the bits that per-call `SeedSequence` construction would give it.
+keys are derived in the blocks of `doubling_blocks`, which double in length
+up to `BLOCK_CAP` rows: `seed_keys` applies numpy's entropy mix to a whole
+block at once, and `keyed` builds each generator from its precomputed key.
+Every stream draws exactly the bits that per-call `SeedSequence`
+construction would give it.
 """
 
 from __future__ import annotations
@@ -171,28 +172,33 @@ def substream(seed: int, *path: object) -> np.random.Generator:
     return keyed(np.random.SeedSequence(_entropy(seed, path)).generate_state(2, np.uint64))
 
 
+def doubling_blocks() -> Iterator[tuple[int, int]]:
+    """(start, size) = (0, 1), (1, 2), (3, 4), ...: consecutive blocks of
+    indices that double in size up to BLOCK_CAP, then stay there."""
+    start, size = 0, 1
+    while True:
+        yield start, size
+        start, size = start + size, min(2 * size, BLOCK_CAP)
+
+
 def child_streams(rng: np.random.Generator) -> Iterator[np.random.Generator]:
     """Child i = 0, 1, 2, ... is keyed by `[rng.integers(0, 2**63 - 1), i]`,
-    in blocks of 1, 2, 4, ... children, up to BLOCK_CAP.
+    in the blocks of `doubling_blocks`.
 
     A block draws its keys from `rng` in one `integers` call, which gives the
     same numbers as one call per child, so only the draws past the last child
     taken differ from drawing per child; those leave `rng` further on."""
-    start, size = 0, 1
-    while True:
+    for start, size in doubling_blocks():
         draws = rng.integers(0, 2**63 - 1, size=size).tolist()
         yield from map(keyed, seed_keys([[key, start + j] for j, key in enumerate(draws)]))
-        start, size = start + size, min(2 * size, BLOCK_CAP)
 
 
 def substreams(seed: int, *path: object) -> Iterator[np.random.Generator]:
-    """`substream(seed, *path, i)` for i = 0, 1, 2, ..., keyed in blocks of
-    1, 2, 4, ... invocations, up to BLOCK_CAP."""
+    """`substream(seed, *path, i)` for i = 0, 1, 2, ..., keyed in the blocks
+    of `doubling_blocks`."""
     head = _entropy(seed, path)
-    start, size = 0, 1
-    while True:
+    for start, size in doubling_blocks():
         yield from map(keyed, seed_keys([head + [_token(i)] for i in range(start, start + size)]))
-        start, size = start + size, min(2 * size, BLOCK_CAP)
 
 
 def derive_seed(seed: int, *path: object) -> int:

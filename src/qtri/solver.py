@@ -16,7 +16,10 @@ them, so a peel that cannot find a pair skips its count, and so does a round
 whose degree bound, 2 * min deg - L over the L live vertices, reaches the
 threshold.  The search-space
 builders read the hidden graph unbilled, as simulator privilege, through
-`Graph.rows` and its wrappers and the packed `Graph.induced_degrees`.
+`Graph.rows` and its wrappers and the packed `Graph.mask_degrees`: step 2
+takes the marked counts of its sampled neighborhoods from it a block of rows
+at a time, in the blocks of `rng.doubling_blocks`, and step 7 for the one
+row it reads.
 Every count matrix comes from `graphs.common_neighbors`, and step 2 builds
 its candidate set, the pairs that share no sampled neighborhood, in one such
 product.  The step-4 peel works in rounds, and it and step 7 drop batches of
@@ -40,7 +43,7 @@ import numpy as np
 from .graphs import MAX_VERTICES, Graph, common_neighbors, triangle_count
 from .grover import SearchSpace, edge_restricted_triangle_search, safe_grover
 from .oracle import LedgerReport, QueryOracle, StepTag, verify_triangle
-from .rng import child_streams, substream, substreams
+from .rng import child_streams, doubling_blocks, substream, substreams
 
 Pair = tuple[int, int]
 Tri = tuple[int, int, int]
@@ -174,14 +177,14 @@ def uncovered_pairs(hoods: np.ndarray) -> np.ndarray:
 # Search-space builders (simulator privilege: exact marked counts + samplers)
 
 
-def _induced_pair_space(hidden: Graph, members: list[int] | np.ndarray) -> SearchSpace:
-    """Pairs inside the distinct `members`; marked = pairs that are hidden edges.
-    Each membership test is one pair query."""
+def _induced_pair_space(hidden: Graph, members: np.ndarray, weights: np.ndarray) -> SearchSpace:
+    """Pairs inside the ascending `members`; marked = pairs that are hidden
+    edges.  weights[i] is members[i]'s number of hidden neighbors among the
+    members, as `Graph.mask_degrees` counts it.  Each membership test is one
+    pair query."""
     size = len(members) * (len(members) - 1) // 2
     if size == 0:
         return SearchSpace(0, 0, 1)
-    # a member's weight is its number of hidden neighbors among the members
-    weights = hidden.induced_degrees(members)
     marked = int(weights.sum()) // 2
     if marked == 0:
         return SearchSpace(size, 0, 1)
@@ -279,16 +282,26 @@ def step2_build_gprime(
     third return value flags a safety failure: some search missed a
     genuinely nonempty target.  Search i draws from child i of `rng`
     (`child_streams`), whose keys are drawn in blocks, so `rng` may end past
-    the last key a search used.
+    the last key a search used.  The marked counts come from one
+    `Graph.mask_degrees` call per block of rows, in the same doubling blocks,
+    so a search that hits early leaves the later blocks uncounted.
     """
     missed = False
-    # zip takes the next child only for a sampled vertex left to search
-    for v, hood, child in zip(sample, hoods, child_streams(rng)):
-        space = _induced_pair_space(oracle.hidden, np.flatnonzero(hood))
-        tri, miss = _search(oracle, space, params, StepTag.STEP2, child, v)
-        if tri is not None:
-            return tri, None, missed
-        missed |= miss
+    children = child_streams(rng)
+    for start, size in doubling_blocks():
+        block = hoods[start : start + size]
+        if not len(block):
+            break
+        _, member, count = oracle.hidden.mask_degrees(block)
+        # row i's members are member[ends[i - 1]:ends[i]]
+        ends = np.cumsum(np.count_nonzero(block, axis=1)).tolist()
+        # zip takes the next child only for a sampled vertex left to search
+        for v, lo, hi, child in zip(sample[start : start + size], [0] + ends, ends, children):
+            space = _induced_pair_space(oracle.hidden, member[lo:hi], count[lo:hi])
+            tri, miss = _search(oracle, space, params, StepTag.STEP2, child, v)
+            if tri is not None:
+                return tri, None, missed
+            missed |= miss
     return None, WorkingGraph(oracle.n, uncovered_pairs(hoods)), missed
 
 
@@ -301,11 +314,10 @@ def containment_violated(hidden: Graph, candidate: np.ndarray, epsilon: float) -
     are integers, so the threshold is taken as its floor: float32 counts
     compare in float32, which may round n^(1 - epsilon) up to an integer."""
     thr = math.floor(hidden.n ** (1.0 - epsilon))
-    adj = hidden.adjacency()
-    heavy = np.count_nonzero(adj, axis=1) > thr
-    if not heavy.any():
+    heavy = np.flatnonzero(hidden.degrees() > thr)
+    if not len(heavy):
         return False
-    common = common_neighbors(adj[heavy])
+    common = common_neighbors(hidden.rows(heavy))
     return bool((common[candidate[heavy][:, heavy]] > thr).any())
 
 
@@ -417,8 +429,8 @@ def step7_high_degree(
     moved instead; after a completed peel that situation implies none of them
     is a hidden edge, so the move costs the later intersection search nothing.
     """
-    hood = np.flatnonzero(oracle.read_rows([v], StepTag.STEP7)[0])
-    space = _induced_pair_space(oracle.hidden, hood)
+    _, hood, weights = oracle.hidden.mask_degrees(oracle.read_rows([v], StepTag.STEP7))
+    space = _induced_pair_space(oracle.hidden, hood, weights)
     tri, missed = _search(oracle, space, params, StepTag.STEP7, rng, v)
     if tri is not None:
         return tri, False, False

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qtri import Graph, generate, load_graph, save_graph, triangle_count
+from qtri import graphs
 from qtri.graphs import (
     GENERATOR_KINDS,
     MAX_VERTICES,
@@ -143,8 +144,11 @@ def test_graph_agrees_with_a_set_of_pairs(case, data):
     rows = g.rows(picks)
     assert rows.shape == (len(picks), n + 1) and rows.dtype == bool
     assert np.array_equal(rows, adj[picks])
-    members = data.draw(st.permutations(range(1, n + 1)), label="members")[: n // 2 + 1]
-    degrees = g.induced_degrees(members)
+    members = sorted(data.draw(st.permutations(range(1, n + 1)), label="members")[: n // 2 + 1])
+    mask = np.zeros((1, n + 1), dtype=bool)
+    mask[0, members] = True
+    owner, member, degrees = g.mask_degrees(mask)
+    assert owner.tolist() == [0] * len(members) and member.tolist() == members
     assert degrees.tolist() == [sum(canon_pair(a, b) in ref for b in members if b != a) for a in members]
     assert int(degrees.sum()) // 2 == sum(
         canon_pair(a, b) in ref for a, b in itertools.combinations(members, 2)
@@ -178,15 +182,42 @@ def test_packed_counts_match_the_unpacked_rows(kind, n, p):
     adj = g.adjacency().astype(np.int64)
     rng = substream(0, "packed counts", kind, n)
     for size in (0, 1, 2, n // 2, n):
-        members = rng.permutation(np.arange(1, n + 1))[:size]
-        degrees = g.induced_degrees(members)
-        assert degrees.dtype == np.int64 and degrees.shape == (size,)
+        members = np.sort(rng.permutation(np.arange(1, n + 1))[:size])
+        mask = np.zeros((1, n + 1), dtype=bool)
+        mask[0, members] = True
+        _, member, degrees = g.mask_degrees(mask)
+        assert degrees.dtype == np.int64 and np.array_equal(member, members)
         assert np.array_equal(degrees, adj[members][:, members].sum(axis=1))
         a, b = rng.integers(1, n + 1, size=(2, size))  # repeats and a == b included
         counts = g.common_counts(a, b)
         assert counts.dtype == np.int64 and counts.shape == (size,)
         assert np.array_equal(counts, (adj[a] & adj[b]).sum(axis=1))
-    assert g.induced_degrees([]).tolist() == g.common_counts([], []).tolist() == []
+    empty = g.mask_degrees(np.zeros((0, n + 1), dtype=bool))
+    assert [x.tolist() for x in empty] == [[], [], []] and g.common_counts([], []).tolist() == []
+
+
+@pytest.mark.parametrize("n", [62, 63, 64, 127, 128])
+@pytest.mark.parametrize("gather_rows", [7, graphs.GATHER_ROWS])
+def test_mask_degrees_match_the_unpacked_brute_force(n, gather_rows, monkeypatch):
+    # n + 1 columns end one short of a uint64 word, exactly at one, or past it;
+    # seven gathered rows at a time split the members mid-row, and the whole
+    # block's member count is no multiple of the chunk
+    monkeypatch.setattr(graphs, "GATHER_ROWS", gather_rows)
+    g = generate("erdos_renyi", n, seed=n, p=0.4)
+    adj = g.adjacency()
+    rng = substream(0, "mask degrees", n)
+    masks = rng.random((9, n + 1)) < rng.random((9, 1))  # rows of varied density
+    masks[:, 0] = False
+    masks[[2, 5]] = False  # empty rows
+    masks[7, 1:] = True  # every vertex but n when that leaves a chunk multiple
+    masks[7, n] = np.count_nonzero(masks) % gather_rows != 0
+    assert np.count_nonzero(masks) % gather_rows
+    for block in (masks, masks[3:4], masks[2:3], masks[:0]):
+        owner, member, count = g.mask_degrees(block)
+        rows, cols = np.nonzero(block)
+        assert np.array_equal(owner, rows) and np.array_equal(member, cols)
+        brute = [int(np.count_nonzero(adj[m] & block[o])) for o, m in zip(rows, cols)]
+        assert count.dtype == np.int64 and count.tolist() == brute
 
 
 def test_generate_complete_via_p_one():
@@ -297,8 +328,9 @@ def test_rows_reject_bad_vertices():
     for picks in ([0], [4], [1, -2], [[1, 2]]):
         with pytest.raises(ValueError):
             K3.rows(picks)
-    with pytest.raises(ValueError):
-        K3.induced_degrees([1, 4])
+    for masks in (np.ones((1, 3), dtype=bool), np.ones(4, dtype=bool), np.eye(2, 4, 0, dtype=bool)):
+        with pytest.raises(ValueError):  # too few columns, one-dimensional, vertex 0 set
+            K3.mask_degrees(masks)
     for a, b in (([1], [4]), ([0], [2]), ([[1, 2]], [[2, 3]])):
         with pytest.raises(ValueError):
             K3.common_counts(a, b)

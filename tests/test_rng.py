@@ -2,6 +2,7 @@
 `SeedSequence` construction gives."""
 
 import hashlib
+import itertools
 import pickle
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from qtri.rng import (
     BLOCK_CAP,
     child_streams,
+    doubling_blocks,
     keyed,
     seed_keys,
     substream,
@@ -85,6 +87,13 @@ def test_block_keyed_children_match_per_call_children():
         key = int(ref_parent.integers(0, 2**63 - 1))
         ref = np.random.Generator(np.random.Philox(np.random.SeedSequence([key, i])))
         assert same_draws(next(children), ref)
+
+
+def test_doubling_blocks_tile_the_indices():
+    blocks = list(itertools.islice(doubling_blocks(), 12))
+    assert blocks[:4] == [(0, 1), (1, 2), (3, 4), (7, 8)]
+    assert [size for _, size in blocks[8:]] == [BLOCK_CAP] * 4
+    assert all(start + size == nxt for (start, size), (nxt, _) in zip(blocks, blocks[1:]))
 
 
 @pytest.mark.parametrize("size", [1, 2, 3, 7, 64, BLOCK_CAP])

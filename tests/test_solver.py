@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qtri import BudgetExceededError, Graph, Params, QueryOracle, generate, solve, triangle_count
+from qtri import BudgetExceededError, Graph, Params, QueryOracle, generate, solve, solver, triangle_count
 from qtri.analysis import cost_terms
 from qtri.graphs import canon_pair, common_neighbors
 from qtri.grover import grover_success_prob
@@ -79,6 +79,17 @@ def fate_after(fate, pairs, value):
     return expected
 
 
+def member_pair_space(hidden, members):
+    """The pair space of the ascending `members`, weighted as the solver
+    weights it: by `Graph.mask_degrees` of their mask, which lists them
+    ascending, as the solver only ever passes them."""
+    mask = np.zeros((1, hidden.n + 1), dtype=bool)
+    mask[0, members] = True
+    _, member, weights = hidden.mask_degrees(mask)
+    assert member.tolist() == list(members)
+    return _induced_pair_space(hidden, member, weights)
+
+
 def test_search_space_samplers_match_a_set_reference():
     # samplers pick by cumulative weight in the order the members (or the
     # ascending pairs) come, then an ascending neighbor or apex; reports stay
@@ -102,9 +113,9 @@ def test_search_space_samplers_match_a_set_reference():
             pair, cs = picks[int(np.searchsorted(cum, ref.integers(cum[-1]), side="right"))]
             assert space.draw_marked(rng_space) == (*pair, cs[int(ref.integers(len(cs)))])
 
-        members = [int(v) + 1 for v in rng.permutation(n)[: n // 2]]  # not sorted
-        hoods = [[u for u in sorted(members) if u != v and hidden.has_edge(u, v)] for v in members]
-        space = _induced_pair_space(hidden, members)
+        members = sorted(int(v) + 1 for v in rng.permutation(n)[: n // 2])
+        hoods = [[u for u in members if u != v and hidden.has_edge(u, v)] for v in members]
+        space = member_pair_space(hidden, members)
         cum = np.cumsum([len(hood) for hood in hoods])
         assert space.marked_count == cum[-1] // 2 > 0
         ref, rng_space = substream(seed, "pair"), substream(seed, "pair")
@@ -119,14 +130,14 @@ def test_search_space_samplers_match_a_set_reference():
        graph_seed=st.integers(0, 10**6), data=st.data())
 def test_induced_pair_space_counts_the_member_edges(n, density, graph_seed, data):
     hidden = generate("erdos_renyi", n, seed=graph_seed, p=density)
-    members = data.draw(st.lists(st.integers(1, n), unique=True, max_size=n), label="members")
-    space = _induced_pair_space(hidden, members)  # members in drawn order, not sorted
+    members = sorted(data.draw(st.lists(st.integers(1, n), unique=True, max_size=n), label="members"))
+    space = member_pair_space(hidden, members)
     pairs = [(a, b) for i, a in enumerate(members) for b in members[i + 1:]]
     assert space.size == len(pairs)
     assert space.marked_count == sum(hidden.has_edge(a, b) for a, b in pairs)
-    # the right side of a complete bipartite host, descending: no edge among the members
-    right = list(range(n, (n + 1) // 2, -1))
-    space = _induced_pair_space(generate("bipartite_blowup", n, seed=graph_seed), right)
+    # the right side of a complete bipartite host: no edge among the members
+    right = list(range((n + 1) // 2 + 1, n + 1))
+    space = member_pair_space(generate("bipartite_blowup", n, seed=graph_seed), right)
     assert space.size == len(right) * (len(right) - 1) // 2
     assert space.marked_count == 0
 
@@ -198,6 +209,58 @@ def test_uncovered_pairs_is_the_complement_of_the_sampled_squares(n, density, gr
     free = uncovered_pairs(g.adjacency()[sample])
     assert free.shape == (n + 1, n + 1)
     assert set(map(tuple, np.argwhere(free).tolist())) == expected
+
+
+def step2_per_vertex(oracle, sample, hoods, params, rng):
+    """Step 2 as one search per sampled vertex, weighted from the unpacked
+    rows: the reference for the block walk."""
+    adj = oracle.hidden.adjacency().astype(np.int64)
+    for v, hood, child in zip(sample, hoods, solver.child_streams(rng)):
+        members = np.flatnonzero(hood)
+        space = _induced_pair_space(oracle.hidden, members, adj[members][:, members].sum(axis=1))
+        tri, _ = solver._search(oracle, space, params, StepTag.STEP2, child, v)
+        if tri is not None:
+            return tri
+    return None
+
+
+def blowup_with_pair(n, a, b):
+    adj = generate("bipartite_blowup", n, seed=0).adjacency()
+    adj[a, b] = adj[b, a] = True
+    return Graph.from_adjacency(adj)
+
+
+@pytest.mark.parametrize("graph, hit", [
+    # K_{32,32} plus the pair (6, 7) on one side: k = n samples every vertex,
+    # ascending, and the first square that holds a hidden edge is vertex 6's,
+    # search 5, inside the block of searches 3..6
+    (blowup_with_pair(64, 6, 7), 5),
+    # triangle-free, with k = 263 < n: every search misses, over blocks of 1 .. 256
+    (generate("bipartite_blowup", 300, seed=0), None),
+])
+def test_step2_block_walk_matches_a_per_vertex_reference(monkeypatch, graph, hit):
+    seen = []
+    search = solver._search
+
+    def spy(oracle, space, params, tag, rng, v):
+        seen.append((v, space.size, space.marked_count))
+        return search(oracle, space, params, tag, rng, v)
+
+    monkeypatch.setattr(solver, "_search", spy)
+    runs = []
+    for walk in (step2_build_gprime, step2_per_vertex):
+        oracle = QueryOracle(graph)
+        sample, hoods = step1_sample(oracle, DEFAULTS, substream(0, "step1"))
+        out = walk(oracle, sample, hoods, DEFAULTS, substream(0, "step2"))
+        runs.append((out[0] if walk is step2_build_gprime else out, seen[:], oracle.report()))
+        seen.clear()
+    assert runs[0] == runs[1]  # triangle, (v, size, marked) of every search, ledger
+    tri, searches, _ = runs[0]
+    if hit is None:
+        assert tri is None and len(searches) == len(sample) < graph.n
+    else:
+        assert tri is not None and len(searches) == hit + 1 and sample[hit] == 6
+        assert [marked for _, _, marked in searches] == [0] * hit + [32]
 
 
 def test_step2_dense_finds_triangle():
