@@ -8,18 +8,19 @@ one classical unit per probed pair: steps 1 and 7 read whole rows with one
 `QueryOracle.query`.  Step 1 hands step 2 the k x (n+1) boolean matrix of the
 sampled rows, which step 2 searches row by row and then turns into its
 candidate set.  The pair bookkeeping itself is classical and free once built:
-the working set is `adj` (the pairs still working) and `fate` (the int8 mark
-of each removed pair, the peeled set T or the classified set E, which steps 9
-and 10 read as two `Graph`s).  Common-neighbor counts exist only inside a
-step-4 peel round; between peels `WorkingGraph.floor` keeps a lower bound on
-them, so a peel that cannot find a pair skips its count, and so does a round
-whose degree bound, 2 * min deg - L over the L live vertices, reaches the
-threshold.  The search-space
-builders read the hidden graph unbilled, as simulator privilege, through
-`Graph.rows` and its wrappers and the packed `Graph.mask_degrees`: step 2
-takes the marked counts of its sampled neighborhoods from it a block of rows
-at a time, in the blocks of `rng.doubling_blocks`, and step 7 for the one
-row it reads.
+step 2 returns the candidate set G' as a packed `Graph`, and the loop works
+on `adj`, its unpacked copy of the pairs still working.  The peeled set T is
+the pairs the step-4 peels return and the classified set E the rest of G'
+that left `adj`; steps 9 and 10 read both as `Graph`s.  Common-neighbor
+counts exist only inside a step-4 peel round; between peels
+`WorkingGraph.floor` keeps a lower bound on them, so a peel that cannot find
+a pair skips its count, and so does a round whose degree bound,
+2 * min deg - L over the L live vertices, reaches the threshold.  The
+search-space builders read the hidden graph unbilled, as simulator
+privilege, through `Graph.rows` and its wrappers and the packed
+`Graph.mask_degrees`: step 2 takes the marked counts of its sampled
+neighborhoods from it a block of rows at a time, in the blocks of
+`rng.doubling_blocks`, and step 7 for the one row it reads.
 Every count matrix comes from `graphs.common_neighbors`, and step 2 builds
 its candidate set, the pairs that share no sampled neighborhood, in one such
 product.  The step-4 peel works in rounds, and it and step 7 drop batches of
@@ -49,7 +50,6 @@ Pair = tuple[int, int]
 Tri = tuple[int, int, int]
 
 MIN_N = 8  # the smallest vertex count `solve` accepts
-FATE_T, FATE_E = 1, 2  # `WorkingGraph.fate` of a peeled and of a classified pair
 
 
 @dataclass(frozen=True)
@@ -116,19 +116,18 @@ def peel_threshold(n: int, epsilon_prime: float) -> int:
 
 
 class WorkingGraph:
-    """Mutable candidate pair set with a symmetric `fate` per pair: 0 while
-    working or never a candidate, else what a batch removal gave it.  `floor`
-    is a lower bound on the common-neighbor count of every working pair; a
+    """Mutable candidate pair set: `adj` is the symmetric boolean matrix of the
+    pairs still working, and a removal only clears pairs of it.  `floor` is a
+    lower bound on the common-neighbor count of every working pair; a
     removal of one pair, or of all pairs at one vertex, costs each surviving
     pair at most one path, and a batch drops the bound to 0.  Indexing is
     1-based; row/col 0 are dead."""
 
-    __slots__ = ("n", "adj", "fate", "floor")
+    __slots__ = ("n", "adj", "floor")
 
     def __init__(self, n: int, adj: np.ndarray) -> None:
         self.n = n
         self.adj = adj
-        self.fate = np.zeros(adj.shape, dtype=np.int8)
         self.floor = 0
 
     def first_active_vertex(self, start: int = 1) -> int | None:
@@ -140,37 +139,30 @@ class WorkingGraph:
         return start + i // (self.n + 1) if cells[i] else None
 
     def remove_pair(self, a: int, b: int) -> None:
-        """Remove one working pair; unlike the batch removals, leave `fate` alone."""
+        """Remove one working pair."""
         self.adj[a, b] = self.adj[b, a] = False
         self.floor -= 1
 
-    def remove_incident(self, v: int, fate: int) -> None:
-        nv = np.flatnonzero(self.adj[v])
-        if not len(nv):
+    def remove_incident(self, v: int) -> None:
+        """Remove every working pair at v; a vertex without one changes nothing."""
+        if not self.adj[v].any():
             return
-        self.fate[v, nv] = self.fate[nv, v] = fate
         self.adj[v, :] = False
         self.adj[:, v] = False
         self.floor -= 1
 
-    def remove_pairs(self, pairs: np.ndarray | list[Pair], fate: int) -> None:
-        """Remove distinct working pairs, one (a, b) per row, as `fate`."""
-        pairs = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
-        a, b = pairs.T
-        self.fate[a, b] = self.fate[b, a] = fate
+    def remove_pairs(self, pairs: np.ndarray | list[Pair]) -> None:
+        """Remove distinct working pairs, one (a, b) per row."""
+        a, b = np.asarray(pairs, dtype=np.intp).reshape(-1, 2).T
         self.adj[a, b] = self.adj[b, a] = False
         self.floor = 0
 
 
-def uncovered_pairs(hoods: np.ndarray) -> np.ndarray:
-    """The (n+1) x (n+1) mask of vertex pairs that share no sampled
-    neighborhood, from the k x (n+1) boolean matrix of the sampled rows:
-    one `common_neighbors` product, with row 0, column 0 and the diagonal
-    cleared."""
-    free = common_neighbors(hoods.T) == 0
-    free[0, :] = free[:, 0] = False
-    np.fill_diagonal(free, False)
-    return free
+def uncovered_pairs(hoods: np.ndarray) -> Graph:
+    """The graph of the vertex pairs that share no sampled neighborhood, from
+    the k x (n+1) boolean matrix of the sampled rows: one `common_neighbors`
+    product."""
+    return Graph.from_adjacency(common_neighbors(hoods.T) == 0)
 
 
 # ---------------------------------------------------------------------------
@@ -274,9 +266,9 @@ def step2_build_gprime(
     hoods: np.ndarray,
     params: Params,
     rng: np.random.Generator,
-) -> tuple[Tri | None, WorkingGraph | None, bool]:
+) -> tuple[Tri | None, Graph | None, bool]:
     """Search each sampled neighborhood square for an edge; on a miss for all,
-    return the complement of their union as the working candidate set.
+    return the complement of their union as the candidate set G'.
 
     `hoods` is step 1's matrix: row i is the neighborhood of sample[i].  The
     third return value flags a safety failure: some search missed a
@@ -302,12 +294,12 @@ def step2_build_gprime(
             if tri is not None:
                 return tri, None, missed
             missed |= miss
-    return None, WorkingGraph(oracle.n, uncovered_pairs(hoods)), missed
+    return None, uncovered_pairs(hoods), missed
 
 
-def containment_violated(hidden: Graph, candidate: np.ndarray, epsilon: float) -> bool:
-    """Privileged structural check: True when the symmetric candidate mask
-    keeps a pair whose hidden common-neighbor count exceeds n^(1 - epsilon).
+def containment_violated(hidden: Graph, candidate: Graph, epsilon: float) -> bool:
+    """Privileged structural check: True when the candidate graph keeps a
+    pair whose hidden common-neighbor count exceeds n^(1 - epsilon).
 
     Two vertices share no more neighbors than either has, so only pairs of
     vertices with hidden degree above the threshold can exceed it.  Counts
@@ -318,7 +310,7 @@ def containment_violated(hidden: Graph, candidate: np.ndarray, epsilon: float) -
     if not len(heavy):
         return False
     common = common_neighbors(hidden.rows(heavy))
-    return bool((common[candidate[heavy][:, heavy]] > thr).any())
+    return bool((common[candidate.rows(heavy)[:, heavy]] > thr).any())
 
 
 def step4_peel(working: WorkingGraph, tau: int) -> np.ndarray:
@@ -368,7 +360,7 @@ def step4_peel(working: WorkingGraph, tau: int) -> np.ndarray:
             break
         batch = live[np.stack(np.divmod(flat, len(live)), axis=1)]
         del t, low, flat, sub  # not kept alive through the next round's count
-        working.remove_pairs(batch, FATE_T)
+        working.remove_pairs(batch)
         batches.append(batch)
     return np.concatenate(batches)
 
@@ -411,7 +403,7 @@ def hypothesis_mismatch(n: int, delta: float, true_degree: int, verdict: Hypothe
 
 def step6_low_degree(working: WorkingGraph, v: int) -> None:
     """Move every candidate pair incident to v from the working set to E."""
-    working.remove_incident(v, FATE_E)
+    working.remove_incident(v)
 
 
 def step7_high_degree(
@@ -441,9 +433,9 @@ def step7_high_degree(
     h, x = np.nonzero(working.adj[np.ix_(hood, nbrs)])
     batch = np.unique(np.sort(np.stack((hood[h], nbrs[x]), axis=1), axis=1), axis=0)
     if len(batch):
-        working.remove_pairs(batch, FATE_E)
+        working.remove_pairs(batch)
         return None, missed, False
-    working.remove_incident(v, FATE_E)
+    working.remove_incident(v)
     return None, missed, True
 
 
@@ -452,11 +444,12 @@ def step8_loop(
     working: WorkingGraph,
     params: Params,
     seed: int,
-) -> tuple[Tri | None, set[str]]:
+) -> tuple[Tri | None, set[str], np.ndarray]:
     """Alternate peeling and degree classification until no candidate remains.
 
-    Every cycle strictly shrinks the working set, so the loop terminates and
-    each original candidate pair ends up with exactly one fate, T or E.
+    Every cycle strictly shrinks the working set, so the loop terminates.
+    Returns (triangle, events, T): T is every pair the step-4 peels moved, as
+    (a, b) rows with a < b.  The other candidate pairs that left went to E.
     """
     n = oracle.n
     tau = peel_threshold(n, params.epsilon_prime)
@@ -464,8 +457,9 @@ def step8_loop(
     step5_streams = substreams(seed, "step5")  # one per invocation, in order
     invocation = 0
     v = 1
+    peeled = []
     while True:
-        step4_peel(working, tau)
+        peeled.append(step4_peel(working, tau))
         v = working.first_active_vertex(v)  # rows below the last v are empty
         if v is None:
             break
@@ -483,9 +477,9 @@ def step8_loop(
             if stalled:
                 events.add("step7_no_progress")
             if tri is not None:
-                return tri, events
+                return tri, events, np.concatenate(peeled)
         invocation += 1
-    return None, events
+    return None, events, np.concatenate(peeled)
 
 
 def step9_search_T(
@@ -534,7 +528,7 @@ def solve(oracle: QueryOracle, params: Params | None = None, seed: int = 0) -> R
         )
 
     sample, hoods = step1_sample(oracle, params, substream(seed, "step1"))
-    tri, working, missed = step2_build_gprime(
+    tri, gprime, missed = step2_build_gprime(
         oracle, sample, hoods, params, substream(seed, "step2")
     )
     del hoods  # the sampled rows are not needed past step 2; free them before step 8
@@ -542,16 +536,22 @@ def solve(oracle: QueryOracle, params: Params | None = None, seed: int = 0) -> R
         events.add("safe_grover_miss")
     if tri is not None:
         return report(tri)
-    assert working is not None
-    measured["gprime_size"] = int(np.count_nonzero(working.adj)) // 2
-    if containment_violated(oracle.hidden, working.adj, params.epsilon):
+    assert gprime is not None
+    measured["gprime_size"] = gprime.edge_count
+    if containment_violated(oracle.hidden, gprime, params.epsilon):
         events.add("gprime_violation")
 
-    tri, loop_events = step8_loop(oracle, working, params, seed)
+    working = WorkingGraph(n, gprime.adjacency())
+    tri, loop_events, peeled = step8_loop(oracle, working, params, seed)
     events |= loop_events
-    t_pool = Graph.from_adjacency(working.fate == FATE_T)
-    e_pool = Graph.from_adjacency(working.fate == FATE_E)
-    del working  # free the (n+1)^2 matrices before the final searches
+    # E is the rest of G' but T and the pairs still working, which only a step-7
+    # triangle leaves; built in place of `adj`, so three (n+1)^2 matrices at most
+    in_e = np.greater(gprime.adjacency(), working.adj, out=working.adj)
+    in_t = np.zeros_like(in_e)
+    in_t[peeled[:, 0], peeled[:, 1]] = in_t[peeled[:, 1], peeled[:, 0]] = True
+    t_pool = Graph.from_adjacency(in_t)
+    e_pool = Graph.from_adjacency(np.greater(in_e, in_t, out=in_e))
+    del working, in_e, in_t  # free the (n+1)^2 matrices before the final searches
     measured["T_size"], measured["E_size"] = t_pool.edge_count, e_pool.edge_count
     measured["G_cap_E"] = len(oracle.hidden.common_edges(e_pool)[0])
     if tri is not None:

@@ -20,21 +20,23 @@ Params.
 import json
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from qtri import Graph, Params, QueryOracle, generate, solve
+from qtri import Graph, Params, QueryOracle, generate, solve, solver
 
 FIXTURE = Path(__file__).with_name("golden_reports.json")
 
 
-def bipartite_host(n, degree, seed, hub=0.0, triangle=()):
+def bipartite_host(n, degree, seed, hub=0.0, triangle=(), hub_at=1):
     """Random bipartite graph on sides 1..n//2 and the rest, mean degree `degree`.
 
     Vertex 1 is joined to each right-side vertex with probability `hub`
     (0 keeps it ordinary); `triangle` optionally adds the three pairs of one
-    vertex triple, which makes the host a yes-instance.
+    vertex triple, which makes the host a yes-instance.  Last, labels 1 and
+    `hub_at` swap, triangle included, which moves the hub to `hub_at`.
     """
     rng = np.random.default_rng(seed)
     half = n // 2
@@ -45,7 +47,9 @@ def bipartite_host(n, degree, seed, hub=0.0, triangle=()):
     if triangle:
         a, b, c = triangle
         edges += [(a, b), (b, c), (a, c)]
-    return Graph(n, edges)
+    label = np.arange(n + 1)
+    label[[1, hub_at]] = label[[hub_at, 1]]
+    return Graph(n, label[np.array(edges, dtype=np.intp).reshape(-1, 2)].tolist())
 
 
 STEP7 = Params(epsilon_prime=0.3, delta=0.4)  # high-degree verdicts reach step 7
@@ -72,6 +76,13 @@ CASES = {
     ),
     "host128_hub_step7_yes": (
         lambda: bipartite_host(128, 3, 2, hub=0.5, triangle=(1, 2, 100)),
+        Params(epsilon=0.1, epsilon_prime=0.3, delta=0.4),
+        3,
+    ),
+    # vertices below the hub are classified first and move pairs to E; then
+    # step 7 at the hub, vertex 40, finds (2, 40, 75) with pairs still working
+    "host96_hub40_step7_late_yes": (
+        lambda: bipartite_host(96, 3, 3, hub=0.5, triangle=(1, 2, 91), hub_at=40),
         Params(epsilon=0.1, epsilon_prime=0.3, delta=0.4),
         3,
     ),
@@ -127,6 +138,42 @@ def test_cases_reach_the_late_steps(golden):
     found_by = {last_billed_step(r) for r in golden.values()
                 if r["outcome"]["type"] == "triangle" and r["params"] == Params().to_json()}
     assert {9, 10} <= found_by
+    # a step-7 triangle found after pairs moved to E leaves pairs working
+    assert any(m["E_size"] and m["T_size"] + m["E_size"] < m["gprime_size"]
+               for m in (r["measured"] for r in golden.values()))
+
+
+@pytest.mark.parametrize("name", ["host96_hub_step7_no", "host96_hub40_step7_late_yes"])
+def test_pools_and_working_pairs_partition_gprime(name):
+    """T is the pairs the peels returned and E the rest of G' that left the
+    working set, on a full run and on a run that step 7 ends mid-loop."""
+    seen = {}
+    build_gprime, loop = solver.step2_build_gprime, solver.step8_loop
+
+    def step2(*args):
+        out = build_gprime(*args)
+        seen["gprime"] = out[1]
+        return out
+
+    def step8(oracle, working, *args):
+        out = loop(oracle, working, *args)
+        seen["peeled"], seen["working"] = out[2], np.argwhere(np.triu(working.adj)).tolist()
+        return out
+
+    build, params, seed = CASES[name]
+    with mock.patch.object(solver, "step2_build_gprime", step2), \
+            mock.patch.object(solver, "step8_loop", step8), \
+            mock.patch.object(Graph, "common_edges", autospec=True,
+                              side_effect=Graph.common_edges) as spy:
+        report = solve(QueryOracle(build()), params, seed=seed)
+    gprime = set(seen["gprime"].edges())
+    t = set(map(tuple, seen["peeled"].tolist()))
+    working = set(map(tuple, seen["working"]))
+    e = set(spy.call_args_list[0].args[1].edges())  # solve counts G_cap_E on E first
+    assert len(t) == len(seen["peeled"]) and not (t & e or t & working or e & working)
+    assert t | e | working == gprime
+    assert (len(t), len(e)) == (report.measured["T_size"], report.measured["E_size"])
+    assert bool(working) is (report.outcome is not None)
 
 
 def last_billed_step(report):

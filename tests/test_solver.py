@@ -16,8 +16,6 @@ from qtri.grover import grover_success_prob
 from qtri.oracle import StepTag
 from qtri.rng import substream
 from qtri.solver import (
-    FATE_E,
-    FATE_T,
     MIN_N,
     Hypothesis,
     WorkingGraph,
@@ -67,16 +65,9 @@ def live_pairs(working):
     return upper_pairs(working.adj)
 
 
-def fate_pairs(working, fate):
-    return upper_pairs(working.fate == fate)
-
-
-def fate_after(fate, pairs, value):
-    """`fate` with every pair of `pairs` set to `value`, both ways round."""
-    expected = fate.copy()
-    for a, b in pairs:
-        expected[a, b] = expected[b, a] = value
-    return expected
+def left_pairs(before, working):
+    """The pairs of `before` that no longer work, ascending."""
+    return sorted(set(before) - set(live_pairs(working)))
 
 
 def member_pair_space(hidden, members):
@@ -179,9 +170,9 @@ def test_step2_c5_all_vertices():
     hoods = neighborhood_matrix(
         5, [{u for u in range(1, 6) if u != v and g.has_edge(u, v)} for v in sample]
     )
-    tri, working, _ = step2_build_gprime(oracle, sample, hoods, DEFAULTS, substream(0, "s2"))
+    tri, gprime, _ = step2_build_gprime(oracle, sample, hoods, DEFAULTS, substream(0, "s2"))
     assert tri is None
-    kept = set(live_pairs(working))
+    kept = set(gprime.edges())
     diagonals = {(2, 5), (1, 3), (2, 4), (3, 5), (1, 4)}
     assert kept == {(a, b) for a in range(1, 6) for b in range(a + 1, 6)} - diagonals
     assert all(pair in kept for pair in g.edges())  # hidden edges survive
@@ -192,9 +183,9 @@ def test_step2_empty_graph_keeps_everything():
     oracle = QueryOracle(g)
     sample = list(range(1, 9))
     hoods = neighborhood_matrix(8, [[] for _ in sample])
-    tri, working, missed = step2_build_gprime(oracle, sample, hoods, DEFAULTS, substream(1, "s2"))
+    tri, gprime, missed = step2_build_gprime(oracle, sample, hoods, DEFAULTS, substream(1, "s2"))
     assert tri is None and not missed
-    assert np.count_nonzero(working.adj) // 2 == 28
+    assert gprime.edge_count == 28
 
 
 @settings(max_examples=80, deadline=None)
@@ -207,8 +198,8 @@ def test_uncovered_pairs_is_the_complement_of_the_sampled_squares(n, density, gr
     covered = {(a, b) for hood in hoods for a in hood for b in hood}
     expected = {(a, b) for a in range(1, n + 1) for b in range(1, n + 1) if a != b} - covered
     free = uncovered_pairs(g.adjacency()[sample])
-    assert free.shape == (n + 1, n + 1)
-    assert set(map(tuple, np.argwhere(free).tolist())) == expected
+    assert free.n == n
+    assert set(map(tuple, np.argwhere(free.adjacency()).tolist())) == expected
 
 
 def step2_per_vertex(oracle, sample, hoods, params, rng):
@@ -287,11 +278,9 @@ def test_containment_check_matches_the_full_product(
 ):
     rng = np.random.default_rng(graph_seed)
     hidden = Graph(n, random_pairs(rng, n, hidden_density))
-    candidate = np.zeros((n + 1, n + 1), dtype=bool)
-    for a, b in random_pairs(rng, n, candidate_density):
-        candidate[a, b] = candidate[b, a] = True
+    candidate = Graph(n, random_pairs(rng, n, candidate_density))
     common = common_neighbors(hidden.adjacency()).astype(np.int64)  # compare exact counts in float64
-    want = bool((common[candidate] > n ** (1.0 - epsilon)).any())
+    want = bool((common[candidate.adjacency()] > n ** (1.0 - epsilon)).any())
     assert containment_violated(hidden, candidate, epsilon) is want
 
 
@@ -300,8 +289,7 @@ def test_containment_check_compares_counts_with_the_unrounded_threshold():
     # float64 and 9.0 in float32, so a pair with 9 common neighbors exceeds it only
     # when the threshold is not rounded to the counts' float32
     hidden = Graph(27, [(a, c) for a in (1, 2) for c in range(3, 12)])
-    candidate = np.zeros((28, 28), dtype=bool)
-    candidate[1, 2] = candidate[2, 1] = True
+    candidate = Graph(27, [(1, 2)])
     assert 27 ** (2.0 / 3.0) < 9 and np.float32(27 ** (2.0 / 3.0)) == 9
     assert containment_violated(hidden, candidate, 1.0 - 2.0 / 3.0)
     assert not containment_violated(hidden, candidate, 0.2)  # threshold 13.97
@@ -310,15 +298,13 @@ def test_containment_check_compares_counts_with_the_unrounded_threshold():
 def test_step4_peel_complete_candidates():
     working = complete_working(8)
     moved = step4_peel(working, tau=8)  # every pair has 6 common candidates
-    assert len(moved) == 28
+    assert [tuple(pair) for pair in moved.tolist()] == upper_pairs(complete_working(8).adj)
     assert np.count_nonzero(working.adj) // 2 == 0
-    assert len(fate_pairs(working, FATE_T)) == 28 and not (working.fate == FATE_E).any()
 
 
 def test_step4_peel_empty():
     working = working_from_pairs(8, [])
     assert len(step4_peel(working, tau=5)) == 0
-    assert not working.fate.any()
     assert working.floor == 8  # no working pair: the bound is n
 
 
@@ -352,17 +338,17 @@ def test_peel_counts_only_when_the_floor_allows_a_low_pair(monkeypatch):
     working = complete_working(4)  # K4: degrees 3 over L = 4, so every pair keeps 2 * 3 - 4 = 2
     assert len(step4_peel(working, tau=1)) == 0
     assert not counted and working.floor == 2  # the bound, taken without a count
-    working.remove_incident(4, FATE_E)  # K3: the floor falls to 1 = tau
+    working.remove_incident(4)  # K3: the floor falls to 1 = tau
     assert len(step4_peel(working, tau=1)) == 0
     assert not counted and working.floor == 1  # the floor alone rules a low pair out
     working.floor = 0
     assert len(step4_peel(working, tau=1)) == 0
     assert not counted and working.floor == 1  # K3's bound: 2 * 2 - 3
-    working.remove_incident(3, FATE_E)  # one pair: 2 * 1 - 2 = 0 < tau
+    working.remove_incident(3)  # one pair: 2 * 1 - 2 = 0 < tau
     assert step4_peel(working, tau=1).tolist() == [[1, 2]]
     assert len(counted) == 1  # the round that moves (1, 2); the next has no live vertex
     assert working.floor == 4
-    assert fate_pairs(working, FATE_T) == [(1, 2)] and not working.adj.any()
+    assert not working.adj.any()
     working = complete_working(4)
     assert len(step4_peel(working, tau=3)) == 6  # the bound 2 < tau: one count moves all
     assert len(counted) == 2 and working.floor == 4
@@ -390,23 +376,20 @@ def test_removals_keep_counts_consistent(data):
     working.floor = int(brute_counts(working).min(where=working.adj, initial=working.n))
     for _ in range(data.draw(st.integers(1, 6), label="ops")):
         live = live_pairs(working)
-        before = working.fate.copy()
         op = data.draw(st.sampled_from(["pair", "incident", "pairs"]), label="op")
-        fate = data.draw(st.sampled_from([FATE_T, FATE_E]), label="fate")
-        removed = []  # the pairs a batch removal must mark with `fate`
+        removed = []  # the pairs the removal must clear, and no other
         if op == "incident":
             v = data.draw(st.integers(1, working.n), label="v")
-            working.remove_incident(v, fate)
+            working.remove_incident(v)
             removed = [pair for pair in live if v in pair]
-            assert not working.adj[v].any()
         elif live and op == "pair":
-            working.remove_pair(*data.draw(st.sampled_from(live), label="pair"))
+            removed = [data.draw(st.sampled_from(live), label="pair")]
+            working.remove_pair(*removed[0])
         elif live:
             size = data.draw(st.integers(0, len(live)), label="size")
             removed = data.draw(st.permutations(live), label="batch")[:size]
-            working.remove_pairs(removed, fate)
-            assert not any(working.adj[a, b] for a, b in removed)
-        assert np.array_equal(working.fate, fate_after(before, removed, fate))
+            working.remove_pairs(removed)
+        assert left_pairs(live, working) == sorted(removed)
         assert_counts_consistent(working)
 
 
@@ -415,7 +398,7 @@ def test_removals_keep_counts_consistent(data):
 def test_first_active_vertex_is_the_smallest_with_a_live_pair(data):
     working = random_working(data)
     for _ in range(data.draw(st.integers(0, 4), label="clears")):
-        working.remove_incident(data.draw(st.integers(1, working.n), label="v"), FATE_E)
+        working.remove_incident(data.draw(st.integers(1, working.n), label="v"))
     live = live_pairs(working)
     expected = min((a for a, _ in live), default=None)
     assert working.first_active_vertex() == expected
@@ -423,7 +406,7 @@ def test_first_active_vertex_is_the_smallest_with_a_live_pair(data):
     for start in range(1, (working.n if expected is None else expected) + 1):
         assert working.first_active_vertex(start) == expected
     for v in range(1, working.n + 1):
-        working.remove_incident(v, FATE_T)
+        working.remove_incident(v)
     for start in range(1, working.n + 1):
         assert working.first_active_vertex(start) is None
 
@@ -437,7 +420,7 @@ def peel_rounds_reference(n, pairs, tau):
         batch = np.argwhere(np.triu((brute_counts(working) < tau) & working.adj, 1))
         if not len(batch):
             return moved
-        working.remove_pairs(batch, FATE_T)
+        working.remove_pairs(batch)
         moved += [tuple(pair) for pair in batch.tolist()]
 
 
@@ -460,14 +443,12 @@ def test_step4_counts_stay_consistent(data):
     working = random_working(data, n_max=12)
     tau = data.draw(st.integers(1, working.n), label="tau")
     before = live_pairs(working)
-    fate_before = working.fate.copy()
     moved = [tuple(pair) for pair in step4_peel(working, tau).tolist()]
     assert moved == peel_rounds_reference(working.n, before, tau)  # order included
     assert len(moved) == len(set(moved))
     assert all(a < b for a, b in moved)
     assert set(moved) == peel_reference(working.n, before, tau)
     assert set(live_pairs(working)) == set(before) - set(moved)
-    assert np.array_equal(working.fate, fate_after(fate_before, moved, FATE_T))
     counts = brute_counts(working)
     assert all(counts[a, b] >= tau for a, b in live_pairs(working))
     assert_counts_consistent(working)
@@ -491,7 +472,6 @@ def test_step4_peel_over_scattered_labels(data):
     assert moved == peel_rounds_reference(n, before, tau)  # order included
     survivors = sorted(set(before) - set(moved))
     assert np.array_equal(working.adj, working_from_pairs(n, survivors).adj)
-    assert np.array_equal(working.fate, fate_after(np.zeros_like(working.fate), moved, FATE_T))
     counts = brute_counts(working)
     exact = min((counts[a, b] for a, b in survivors), default=n)
     # a peel that stops after a count left adj as that round saw it, whose bound
@@ -510,7 +490,7 @@ def counting_peel(working, tau):
         batch = np.argwhere(np.triu((brute_counts(working) < tau) & working.adj, 1))
         if not len(batch):
             return moved
-        working.remove_pairs(batch, FATE_T)
+        working.remove_pairs(batch)
         moved += batch.tolist()
 
 
@@ -518,19 +498,18 @@ def counting_peel(working, tau):
 @given(st.data())
 def test_peel_with_its_shortcuts_matches_a_peel_that_always_counts(data):
     """Peels between vertex removals, as the step-8 loop makes them: the floor
-    and the degree bound skip counts, and change no moved row, its order, `adj`
-    or `fate`; the floor never exceeds the smallest working count."""
+    and the degree bound skip counts, and change no moved row, its order or
+    `adj`; the floor never exceeds the smallest working count."""
     working = random_working(data)
     reference = working_from_pairs(working.n, live_pairs(working))
     tau = data.draw(st.integers(1, working.n), label="tau")
     for _ in range(data.draw(st.integers(1, 4), label="peels")):
         assert step4_peel(working, tau).tolist() == counting_peel(reference, tau)
         assert np.array_equal(working.adj, reference.adj)
-        assert np.array_equal(working.fate, reference.fate)
         assert_counts_consistent(working)
         v = data.draw(st.integers(1, working.n), label="v")
-        working.remove_incident(v, FATE_E)
-        reference.remove_incident(v, FATE_E)
+        working.remove_incident(v)
+        reference.remove_incident(v)
 
 
 def random_pairs(rng, n, density, sides=None):
@@ -560,23 +539,34 @@ def test_step8_gives_every_candidate_one_fate(
         working.floor = 0
         return step4_peel(working, tau)
 
+    returned = []
+
+    def recording(working, tau):
+        before = working.adj.copy()
+        moved = step4_peel(working, tau)
+        # the peel clears exactly the pairs it returns
+        assert sorted(map(tuple, moved.tolist())) == upper_pairs(before & ~working.adj)
+        returned.append(moved)
+        return moved
+
     with mock.patch("qtri.solver.step4_peel", always_scanning):
         expected = step8_loop(QueryOracle(hidden, budget=10**9), scanning, params, seed)
-    tri, events = step8_loop(QueryOracle(hidden, budget=10**9), working, params, seed)
+    with mock.patch("qtri.solver.step4_peel", recording):
+        tri, events, peeled = step8_loop(QueryOracle(hidden, budget=10**9), working, params, seed)
     # a peel that skips its count when `floor` rules out a low pair changes nothing
-    assert (tri, events) == expected
-    assert np.array_equal(working.fate, scanning.fate)
+    assert (tri, events) == expected[:2] and np.array_equal(peeled, expected[2])
     assert np.array_equal(working.adj, scanning.adj)
-    fate = working.fate
-    assert np.array_equal(fate, fate.T)
-    assert set(np.unique(fate).tolist()) <= {0, FATE_T, FATE_E}
-    assert not (working.adj & (fate != 0)).any()  # a pair with a fate has left
-    assert np.array_equal(working.adj | (fate != 0), initial)
+    assert np.array_equal(peeled, np.concatenate(returned))  # T: what step 4 removed
+    t = [tuple(pair) for pair in peeled.tolist()]
+    assert all(a < b for a, b in t) and len(set(t)) == len(t)
+    # adj only loses pairs, and no pair of T still works
+    assert not (working.adj & ~initial).any()
+    working_pairs, gprime = set(live_pairs(working)), set(upper_pairs(initial))
+    assert set(t) <= gprime and not set(t) & working_pairs
     if bipartite:
         assert tri is None
-    if tri is None:  # the loop ran to its end: every candidate pair got a fate
-        assert not working.adj.any() and np.count_nonzero(working.adj) // 2 == 0
-        assert np.array_equal(fate != 0, initial)
+    if tri is None:  # the loop ran to its end: every candidate pair is in T or E
+        assert not working_pairs
     assert_counts_consistent(working)
 
 
@@ -682,15 +672,13 @@ def test_hypothesis_mismatch_logic():
 
 
 def test_step6_moves_incident_pairs():
-    working = working_from_pairs(8, [(1, 2), (1, 3), (1, 7), (2, 3)])
+    pairs = [(1, 2), (1, 3), (1, 7), (2, 3)]
+    working = working_from_pairs(8, pairs)
     step6_low_degree(working, 1)
-    assert fate_pairs(working, FATE_E) == [(1, 2), (1, 3), (1, 7)]
-    assert not (working.fate == FATE_T).any()
-    assert not working.adj[1].any()
-    held = working.fate.copy()
-    step6_low_degree(working, 1)  # idempotent
-    assert np.array_equal(working.fate, held)
-    assert np.count_nonzero(working.adj) // 2 == 1
+    assert left_pairs(pairs, working) == [(1, 2), (1, 3), (1, 7)]
+    held, floor = working.adj.copy(), working.floor
+    step6_low_degree(working, 1)  # a second removal changes neither adj nor floor
+    assert np.array_equal(working.adj, held) and working.floor == floor
 
 
 def test_step7_k4_finds_triangle():
@@ -700,8 +688,8 @@ def test_step7_k4_finds_triangle():
         oracle = QueryOracle(g, budget=10**6)
         working = complete_working(4)
         tri, _, _ = step7_high_degree(oracle, working, 1, DEFAULTS, substream(seed, "s7"))
-        if tri is not None:
-            assert not working.fate.any()  # nothing moves when a triangle is found
+        if tri is not None:  # nothing moves when a triangle is found
+            assert np.array_equal(working.adj, complete_working(4).adj)
             wins += 1
     assert wins >= 0.99 * 120
 
@@ -711,11 +699,11 @@ def test_step7_bipartite_classifies():
     # its candidate neighbors: the bridge moves out, v keeps its own pairs
     g = Graph(8, [(1, 2), (1, 3)])
     oracle = QueryOracle(g, budget=10**6)
-    working = working_from_pairs(8, [(1, 5), (2, 5), (2, 3)])
+    pairs = [(1, 5), (2, 5), (2, 3)]
+    working = working_from_pairs(8, pairs)
     tri, missed, stalled = step7_high_degree(oracle, working, 1, DEFAULTS, substream(0, "s7"))
     assert tri is None and not missed and not stalled
-    assert fate_pairs(working, FATE_E) == [(2, 5)]
-    assert not (working.fate == FATE_T).any()
+    assert left_pairs(pairs, working) == [(2, 5)]
     assert working.adj[1, 5] and working.adj[2, 3]
 
 
@@ -725,16 +713,17 @@ def test_step7_overlapping_neighborhoods_move_each_pair_once():
     g = Graph(8, [(1, 2), (1, 3), (1, 4)])
     oracle = QueryOracle(g, budget=10**6)
     v_pairs = [(1, 2), (1, 3), (1, 4), (1, 5)]
-    working = working_from_pairs(8, v_pairs + [(2, 3), (2, 4), (3, 4), (2, 5), (2, 6)])
+    pairs = v_pairs + [(2, 3), (2, 4), (3, 4), (2, 5), (2, 6)]
+    working = working_from_pairs(8, pairs)
     with mock.patch.object(WorkingGraph, "remove_pairs", autospec=True,
                            side_effect=WorkingGraph.remove_pairs) as spy:
         tri, missed, stalled = step7_high_degree(oracle, working, 1, DEFAULTS, substream(0, "s7"))
     assert tri is None and not missed and not stalled
-    (_, batch, fate), = [call.args for call in spy.call_args_list]
+    (_, batch), = [call.args for call in spy.call_args_list]
     rows = [tuple(pair) for pair in np.asarray(batch).tolist()]
-    assert fate == FATE_E and all(a < b for a, b in rows)
+    assert all(a < b for a, b in rows)
     assert rows == sorted(set(rows))  # distinct and ascending
-    assert fate_pairs(working, FATE_E) == [(2, 3), (2, 4), (2, 5), (3, 4)]
+    assert left_pairs(pairs, working) == rows == [(2, 3), (2, 4), (2, 5), (3, 4)]
     assert live_pairs(working) == v_pairs + [(2, 6)]
     assert_counts_consistent(working)
 
@@ -759,7 +748,7 @@ def test_step7_no_progress_fallback():
     working = working_from_pairs(6, [(1, 5), (1, 6)])
     tri, _, stalled = step7_high_degree(oracle, working, 1, DEFAULTS, substream(0, "s7"))
     assert tri is None and stalled
-    moved = fate_pairs(working, FATE_E)
+    moved = left_pairs([(1, 5), (1, 6)], working)
     assert moved == [(1, 5), (1, 6)]
     assert all(not g.has_edge(a, b) for a, b in moved)
     assert np.count_nonzero(working.adj) // 2 == 0
