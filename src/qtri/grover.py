@@ -7,20 +7,26 @@ count faithful at any instance size.  A search over a set whose number of
 marked items is unknown is `safe_grover`: repeated runs, each with an
 iteration count drawn uniformly below the cap.  Every search runs its
 attempts through the one loop `_attempt_loop`, which stops at the first hit
-and bills them all in one `charge_batch` call.  A sure miss draws its counts
-two at a time in one raw pass, `_miss_iterations`, not attempt by attempt.
+and bills them all in one `charge_batch` call.  A sure miss, a search with
+nothing marked, has a known outcome and only random charges: its iteration
+counts come from one pass over its stream's raw Philox output,
+`miss_iterations`, not attempt by attempt.  `safe_grover` takes one row of it
+per sure miss; `bill_sure_misses` bills a whole run of sure misses on fresh
+keyed streams, step 2's searches, through one pass per distinct size and one
+`charge_batch` call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .graphs import Graph
 from .oracle import QueryOracle, StepTag, verify_triangle
+from .rng import keyed
 
 # Multiplier pinning the billing cap of edge_restricted_triangle_search:
 # charged <= AA_COST_CONSTANT * (sqrt(|pool|) + sqrt(n*max(1,g))) * ln(n).
@@ -128,20 +134,22 @@ def _attempt_loop(
     return charges, hit
 
 
-def _miss_iterations(rng: np.random.Generator, cap: int, pairs: int) -> list[int] | None:
-    """The iteration counts of 2 * `pairs` sure misses, equal to per-attempt
-    `integers(cap)`, `random()` draws, from one raw pass; or None, the stream
-    untouched.  On Philox those read raw output 3j's low and high halves x as
-    (x * cap) >> 32 (Lemire's method) and outputs 3j + 1 and 3j + 2 whole."""
-    bitgen = rng.bit_generator
-    state = bitgen.state
-    if state["bit_generator"] == "Philox" and not state["has_uint32"] and cap < 1 << 32:
-        # each raw output 3j as its low, then high 32-bit half, on any byte order
-        scaled = bitgen.random_raw(3 * pairs)[::3].astype("<u8").view("<u4") * np.uint64(cap)
-        if scaled.astype(np.uint32).min(initial=cap) >= cap:  # no word Lemire's method may reject
-            return (scaled >> 32).tolist()
-        bitgen.state = state
-    return None
+def miss_iterations(raw: np.ndarray, cap: int, reps: int) -> tuple[np.ndarray, np.ndarray]:
+    """The iteration counts of `reps` sure misses per row of raw Philox output,
+    as a (rows, reps) uint64 matrix, and whether each row's counts are exact.
+
+    Row i holds the 3 * (reps // 2) + reps % 2 raw outputs that per-attempt
+    `integers(cap)`, `random()` draws read from a stream with no half output
+    cached.  Those draws read output 3j's low and high halves x as
+    (x * cap) >> 32 (Lemire's method) and outputs 3j + 1 and 3j + 2 whole; an
+    odd last attempt reads the low half of output 3 * (reps // 2).  A row is
+    exact unless Lemire's method may reject one of its halves, or cap is
+    2**32 or more."""
+    if cap >= 1 << 32:  # Lemire's method reads whole 64-bit outputs for such a cap
+        return np.zeros((len(raw), reps), dtype=np.uint64), np.zeros(len(raw), dtype=bool)
+    # each raw output 3j as its low, then high 32-bit half, on any byte order
+    scaled = raw[:, ::3].astype("<u8").view("<u4")[:, :reps] * np.uint64(cap)
+    return scaled >> 32, (scaled.astype(np.uint32) >= cap).all(axis=1)
 
 
 def safe_grover(
@@ -168,7 +176,18 @@ def safe_grover(
         return GroverOutcome(None, 0, 0)
     base = space.marked_count / size
     cap, reps = iteration_cap(size), math.ceil(c * math.log2(size))
-    ks = _miss_iterations(rng, cap, reps // 2) if size > 1 and not base else None
+    ks = None
+    if size > 1 and not base:
+        # a sure miss reads its attempts two at a time in one raw pass, and
+        # draws an odd last one as the per-attempt path does
+        bitgen = rng.bit_generator
+        state = bitgen.state
+        if state["bit_generator"] == "Philox" and not state["has_uint32"]:
+            counts, exact = miss_iterations(bitgen.random_raw(3 * (reps // 2))[None], cap, reps - reps % 2)
+            if exact[0]:
+                ks = counts[0].tolist()
+            else:
+                bitgen.state = state
 
     def runs(count: int) -> Iterator[Attempt]:
         for _ in range(count):
@@ -179,6 +198,57 @@ def safe_grover(
     charges, hit = _attempt_loop([(q_test, space.marked_count == 1)] if size == 1 else attempts, oracle, tag)
     found = space.draw_marked(rng) if hit else None
     return GroverOutcome(found, len(charges), sum(charges))
+
+
+def bill_sure_misses(
+    sizes: Sequence[int],
+    keys: np.ndarray,
+    q_test: int,
+    c: float,
+    oracle: QueryOracle,
+    tag: StepTag,
+) -> None:
+    """Bill consecutive searches with nothing marked as one `safe_grover` call
+    per search would: search i is over sizes[i] items, each tested at q_test
+    queries, on the fresh stream `rng.keyed(keys[i])`.
+
+    Every charge is billed in order in one `charge_batch` call, so the budget
+    is crossed where billing search by search would cross it.  An empty space
+    bills nothing and a one-item space one test.  Every other size takes its
+    cap and repetition count once, and the iteration counts of all its
+    searches from one `miss_iterations` pass over their streams' raw output.
+    The streams are read, not left where `safe_grover` leaves them, so the
+    caller must drop them.  A search whose counts that pass cannot settle
+    runs as its own `safe_grover` call on a fresh copy of its stream, in its
+    turn.
+    """
+    if c < 1:
+        raise ValueError("c must be >= 1")
+    rows: list[list[int] | None] = [[] for _ in sizes]
+    groups: dict[int, list[int]] = {}
+    for i, size in enumerate(sizes):
+        groups.setdefault(size, []).append(i)
+    for size, members in groups.items():
+        if size == 1:
+            for i in members:
+                rows[i] = [q_test]
+        elif size > 1:
+            cap, reps = iteration_cap(size), math.ceil(c * math.log2(size))
+            words = 3 * (reps // 2) + reps % 2
+            raw = np.stack([keyed(keys[i]).bit_generator.random_raw(words) for i in members])
+            counts, exact = miss_iterations(raw, cap, reps)
+            charges = ((counts + 1) * q_test).tolist()
+            for i, row, ok in zip(members, charges, exact.tolist()):
+                rows[i] = row if ok else None
+    charges = []
+    for i, row in enumerate(rows):
+        if row is None:
+            oracle.charge_batch(charges, tag)
+            charges = []
+            safe_grover(SearchSpace(sizes[i], 0, q_test), c, oracle, tag, keyed(keys[i]))
+        else:
+            charges += row
+    oracle.charge_batch(charges, tag)
 
 
 def edge_restricted_triangle_search(

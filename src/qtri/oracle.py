@@ -3,7 +3,7 @@
 `QueryOracle` holds the hidden graph, the query counters and the budget.
 Algorithm code reads adjacency only through `QueryOracle.query` (one probe),
 `QueryOracle.query_row` (the probes (v, u) for a batch of u in one
-vectorised read) or `QueryOracle.read_rows` (the whole rows of a batch of
+vectorised read of v's packed row) or `QueryOracle.read_rows` (the whole rows of a batch of
 vertices in one block read); each bills one classical unit per probed pair,
 duplicates included.  Modeled quantum subroutines bill their iteration counts
 via `charge`, or via `charge_batch` for all the attempts of one search in one
@@ -140,15 +140,9 @@ class QueryOracle:
         targets = np.asarray(targets, dtype=np.intp)
         if targets.ndim != 1:
             raise ValueError("targets must be one-dimensional")
-        row = self.hidden.row(v)
-        if targets.size:
-            low, high = int(targets.min()), int(targets.max())
-            if low < 1 or high > self.n:
-                bad = low if low < 1 else high
-                raise ValueError(f"vertex {bad} out of range 1..{self.n}")
-            if (targets == v).any():
-                raise ValueError(f"loops are not allowed: ({v},{v})")
-        bits = row[targets]
+        bits = self.hidden.row_bits(v, targets)  # checks v, then every target's range
+        if (targets == v).any():
+            raise ValueError(f"loops are not allowed: ({v},{v})")
         self._bill(range(1, targets.size + 1), tag, charged=False)
         return bits
 

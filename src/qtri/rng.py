@@ -10,6 +10,8 @@ hundreds of streams (step 2's searches, the step-8 loop's step-5 calls), the
 keys are derived in the blocks of `doubling_blocks`, which double in length
 up to `BLOCK_CAP` rows: `seed_keys` applies numpy's entropy mix to a whole
 block at once, and `keyed` builds each generator from its precomputed key.
+Step 2 takes its searches' keys a block at a time, `child_keys`, and builds
+each search's stream from its key when it reads it.
 Every stream draws exactly the bits that per-call `SeedSequence`
 construction would give it.
 """
@@ -181,16 +183,17 @@ def doubling_blocks() -> Iterator[tuple[int, int]]:
         start, size = start + size, min(2 * size, BLOCK_CAP)
 
 
-def child_streams(rng: np.random.Generator) -> Iterator[np.random.Generator]:
-    """Child i = 0, 1, 2, ... is keyed by `[rng.integers(0, 2**63 - 1), i]`,
-    in the blocks of `doubling_blocks`.
+def child_keys(rng: np.random.Generator) -> Iterator[np.ndarray]:
+    """The Philox keys of children i = 0, 1, 2, ..., one (size, 2) block per
+    block of `doubling_blocks`: child i is keyed by
+    `[rng.integers(0, 2**63 - 1), i]`, and `keyed` builds its stream.
 
     A block draws its keys from `rng` in one `integers` call, which gives the
     same numbers as one call per child, so only the draws past the last child
     taken differ from drawing per child; those leave `rng` further on."""
     for start, size in doubling_blocks():
         draws = rng.integers(0, 2**63 - 1, size=size).tolist()
-        yield from map(keyed, seed_keys([[key, start + j] for j, key in enumerate(draws)]))
+        yield seed_keys([[key, start + j] for j, key in enumerate(draws)])
 
 
 def substreams(seed: int, *path: object) -> Iterator[np.random.Generator]:

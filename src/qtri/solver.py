@@ -20,7 +20,10 @@ search-space builders read the hidden graph unbilled, as simulator
 privilege, through `Graph.rows` and its wrappers and the packed
 `Graph.mask_degrees`: step 2 takes the marked counts of its sampled
 neighborhoods from it a block of rows at a time, in the blocks of
-`rng.doubling_blocks`, and step 7 for the one row it reads.
+`rng.doubling_blocks`, and step 7 for the one row it reads.  A step-2
+search with nothing marked is a sure miss whose charges alone are random,
+so step 2 bills each run of them in a block with one `grover.bill_sure_misses`
+call and hands only the marked searches to `safe_grover`.
 Every count matrix comes from `graphs.common_neighbors`, and step 2 builds
 its candidate set, the pairs that share no sampled neighborhood, in one such
 product.  The step-4 peel works in rounds, and it and step 7 drop batches of
@@ -29,7 +32,7 @@ a few numpy passes and no per-pair loop.  The peel and step 9 count only the
 block of rows and columns that still hold a pair, well below n + 1 after the
 first peel round; step 10 counts on packed rows, `Graph.common_counts`.
 Step 2's searches and the loop's step-5 calls take their random streams from
-`rng.child_streams` and `rng.substreams`, whose keys are derived in blocks;
+`rng.child_keys` and `rng.substreams`, whose keys are derived in blocks;
 step 7, which runs at few invocations if any, builds each stream on its own.
 """
 
@@ -42,9 +45,9 @@ from enum import Enum
 import numpy as np
 
 from .graphs import MAX_VERTICES, Graph, common_neighbors, triangle_count
-from .grover import SearchSpace, edge_restricted_triangle_search, safe_grover
+from .grover import SearchSpace, bill_sure_misses, edge_restricted_triangle_search, safe_grover
 from .oracle import LedgerReport, QueryOracle, StepTag, verify_triangle
-from .rng import child_streams, doubling_blocks, substream, substreams
+from .rng import child_keys, doubling_blocks, keyed, substream, substreams
 
 Pair = tuple[int, int]
 Tri = tuple[int, int, int]
@@ -272,28 +275,42 @@ def step2_build_gprime(
 
     `hoods` is step 1's matrix: row i is the neighborhood of sample[i].  The
     third return value flags a safety failure: some search missed a
-    genuinely nonempty target.  Search i draws from child i of `rng`
-    (`child_streams`), whose keys are drawn in blocks, so `rng` may end past
-    the last key a search used.  The marked counts come from one
-    `Graph.mask_degrees` call per block of rows, in the same doubling blocks,
-    so a search that hits early leaves the later blocks uncounted.
+    genuinely nonempty target.  Search i draws from child i of `rng`, keyed
+    by `child_keys` in the blocks of `rng.doubling_blocks`, so `rng` may end
+    past the last key a search used.  Each block's marked counts come from
+    one `Graph.mask_degrees` call, so a search that hits early leaves the
+    later blocks uncounted.  A search with nothing marked is a sure miss:
+    each run of them between two marked searches is billed in one
+    `bill_sure_misses` call, and each marked search runs through `_search`
+    in its turn.
     """
     missed = False
-    children = child_streams(rng)
+    key_blocks = child_keys(rng)
     for start, size in doubling_blocks():
         block = hoods[start : start + size]
         if not len(block):
             break
-        _, member, count = oracle.hidden.mask_degrees(block)
-        # row i's members are member[ends[i - 1]:ends[i]]
-        ends = np.cumsum(np.count_nonzero(block, axis=1)).tolist()
-        # zip takes the next child only for a sampled vertex left to search
-        for v, lo, hi, child in zip(sample[start : start + size], [0] + ends, ends, children):
+        keys = next(key_blocks)
+        owner, member, count = oracle.hidden.mask_degrees(block)
+        # row i's members are member[bounds[i]:bounds[i + 1]]; a row is marked
+        # when one of its members has a hidden neighbor in the row's square
+        bounds = np.searchsorted(owner, np.arange(len(block) + 1))
+        marked = np.flatnonzero(np.bincount(owner[count > 0], minlength=len(block)))
+        i = 0
+        for j in marked.tolist() + [len(block)]:
+            if i < j:  # the sure misses before the next marked search
+                lengths = np.diff(bounds[i : j + 1])
+                sizes = (lengths * (lengths - 1) // 2).tolist()
+                bill_sure_misses(sizes, keys[i:j], 1, params.c_safe, oracle, StepTag.STEP2)
+            if j == len(block):
+                break
+            lo, hi = bounds[j], bounds[j + 1]
             space = _induced_pair_space(oracle.hidden, member[lo:hi], count[lo:hi])
-            tri, miss = _search(oracle, space, params, StepTag.STEP2, child, v)
+            tri, miss = _search(oracle, space, params, StepTag.STEP2, keyed(keys[j]), sample[start + j])
             if tri is not None:
                 return tri, None, missed
             missed |= miss
+            i = j + 1
     return None, uncovered_pairs(hoods), missed
 
 
@@ -455,6 +472,7 @@ def step8_loop(
     tau = peel_threshold(n, params.epsilon_prime)
     events: set[str] = set()
     step5_streams = substreams(seed, "step5")  # one per invocation, in order
+    degrees = oracle.hidden.degrees()  # the true degrees, for the mismatch check
     invocation = 0
     v = 1
     peeled = []
@@ -464,7 +482,7 @@ def step8_loop(
         if v is None:
             break
         verdict = step5_degree_hypothesis(oracle, v, params, next(step5_streams))
-        if hypothesis_mismatch(n, params.delta, oracle.hidden.degree(v), verdict):
+        if hypothesis_mismatch(n, params.delta, int(degrees[v]), verdict):
             events.add("hypothesis_mismatch")
         if verdict is Hypothesis.LOW:
             step6_low_degree(working, v)

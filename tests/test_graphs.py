@@ -192,6 +192,9 @@ def test_packed_counts_match_the_unpacked_rows(kind, n, p):
         counts = g.common_counts(a, b)
         assert counts.dtype == np.int64 and counts.shape == (size,)
         assert np.array_equal(counts, (adj[a] & adj[b]).sum(axis=1))
+        for v in (1, n // 2 + 1, n):
+            bits = g.row_bits(v, a)
+            assert bits.dtype == bool and np.array_equal(bits, adj[v][a] > 0)
     empty = g.mask_degrees(np.zeros((0, n + 1), dtype=bool))
     assert [x.tolist() for x in empty] == [[], [], []] and g.common_counts([], []).tolist() == []
 
@@ -339,6 +342,11 @@ def test_rows_reject_bad_vertices():
             K3.row(v)
         with pytest.raises(ValueError):
             K3.degree(v)
+        with pytest.raises(ValueError):
+            K3.row_bits(v, [1])
+    for columns in ([0], [4], [2, -1], [[1, 2]]):
+        with pytest.raises(ValueError):
+            K3.row_bits(1, columns)
 
 
 def test_graph_rejects_loops_and_bad_vertices():

@@ -18,14 +18,16 @@ from qtri import (
     grover_success_prob,
     safe_grover,
 )
+from qtri import grover
 from qtri.grover import (
     AA_COST_CONSTANT,
     GroverOutcome,
-    _miss_iterations,
+    bill_sure_misses,
     iteration_cap,
     mean_success_prob,
+    miss_iterations,
 )
-from qtri.rng import substream
+from qtri.rng import keyed, seed_keys, substream
 
 DUMMY = Graph(8)
 
@@ -280,28 +282,144 @@ def test_sure_misses_match_the_per_attempt_reference(size, q_test, c, budget_sha
 
 @pytest.mark.parametrize("kind", ["philox", "philox, half cached", "pcg64"])
 def test_miss_iterations_equal_the_per_attempt_draws(kind):
-    taken = fallbacks = 0
-    for seed in range(40):
-        for size in MISS_SIZES:
-            cap = iteration_cap(size)
-            for pairs in (0, 1, 3, 15, 16):
+    # the kernel reads any 64-bit stream's raw output as the per-attempt draws
+    # do, once a half output the stream has cached is spent
+    exact_rows = inexact_rows = 0
+    for size in MISS_SIZES:
+        cap = iteration_cap(size)
+        for reps in (0, 1, 2, 3, 30, 31):
+            words = 3 * (reps // 2) + reps % 2
+            streams, twins = [], []
+            for seed in range(40):
                 rng, twin = miss_stream(kind, seed), miss_stream(kind, seed)
-                counts = _miss_iterations(rng, cap, pairs)
+                while rng.bit_generator.state["has_uint32"]:
+                    assert rng.integers(5) == twin.integers(5)
+                streams.append(rng)
+                twins.append(twin)
+            raw = np.stack([rng.bit_generator.random_raw(words) for rng in streams])
+            counts, exact = miss_iterations(raw, cap, reps)
+            assert counts.shape == (40, reps) and exact.shape == (40,)
+            for rng, twin, row, ok in zip(streams, twins, counts.tolist(), exact.tolist()):
                 want = []
-                for _ in range(2 * pairs):
+                for _ in range(reps):
                     want.append(int(twin.integers(cap)))
                     twin.random()
-                if counts is None:  # the stream is left untouched
-                    fallbacks += 1
-                    twin = miss_stream(kind, seed)
-                else:
-                    taken += 1
-                    assert counts == want
-                assert next_draws(rng) == next_draws(twin)
-    if kind == "philox":  # taken at every size below 10**12, and Lemire's check falls back above
-        assert taken >= 40 * 5 * 6 and fallbacks > 0
-    else:
-        assert taken == 0
+                if not ok:  # a half that Lemire's method may reject
+                    inexact_rows += 1
+                    continue
+                exact_rows += 1
+                assert row == want
+                if reps % 2 == 0:  # the raw pass leaves the stream where the draws do
+                    assert next_draws(rng) == next_draws(twin)
+    assert exact_rows > 1000 and inexact_rows > 50  # MISS_SIZES' largest caps reject often
+
+
+def test_miss_iterations_leave_caps_beyond_32_bits_to_the_per_attempt_draws():
+    raw = substream(0, "miss").bit_generator.random_raw(6)[None]
+    assert not miss_iterations(raw, 1 << 32, 4)[1].any()
+
+
+# A run of sure misses as step 2 meets them: sizes 0 and 1, even reps (2, 30),
+# odd reps (7 at size 10, 9 at size 21) and two sizes seen twice, at c = 2
+MISS_RUN = [0, 10, 1, 2, 32640, 21, 0, 10, 1, 32640, 3, 21]
+
+
+class RecordingOracle(QueryOracle):
+    """A ledger that also keeps every charge it was handed, in order."""
+
+    def __init__(self, budget):
+        super().__init__(DUMMY, budget=budget)
+        self.handed = []
+
+    def charge_batch(self, amounts, tag):
+        self.handed.append(list(amounts))
+        super().charge_batch(amounts, tag)
+
+
+def sure_miss_keys(count, seed=0):
+    return seed_keys([[seed, i] for i in range(count)])
+
+
+def bill_per_search(searches, keys, c, q_test, oracle):
+    """The reference: one `safe_grover` call per search, each on its own stream."""
+    for (size, marked), key in zip(searches, keys):
+        space = SearchSpace.explicit(size, range(marked), q_test)
+        safe_grover(space, c, oracle, StepTag.STEP2, keyed(key))
+
+
+def bill_in_runs(searches, keys, c, q_test, oracle):
+    """Step 2's walk: each run of sure misses in one `bill_sure_misses` call,
+    each marked search through `safe_grover` in its turn."""
+    start = 0
+    stops = [i for i, (_, marked) in enumerate(searches) if marked] + [len(searches)]
+    for stop in stops:
+        sizes = [size for size, _ in searches[start:stop]]
+        bill_sure_misses(sizes, keys[start:stop], q_test, c, oracle, StepTag.STEP2)
+        if stop < len(searches):
+            space = SearchSpace.explicit(searches[stop][0], range(searches[stop][1]), q_test)
+            safe_grover(space, c, oracle, StepTag.STEP2, keyed(keys[stop]))
+        start = stop + 1
+
+
+def both_ledgers(searches, c=2.0, q_test=1, budget=10**9, seed=0):
+    keys = sure_miss_keys(len(searches), seed)
+    results = []
+    for walk in (bill_in_runs, bill_per_search):
+        oracle = RecordingOracle(budget)
+        try:
+            walk(searches, keys, c, q_test, oracle)
+        except BudgetExceededError as err:
+            results.append(("raised", str(err), oracle.report()))
+        else:
+            results.append(("billed", oracle.report()))
+        results.append([charge for batch in oracle.handed for charge in batch])
+    return results
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("c, q_test", [(1.0, 1), (2.0, 1), (3.5, 1), (2.0, 3)])
+def test_runs_of_sure_misses_bill_as_per_search_calls(seed, c, q_test):
+    # a marked search in the middle of the run, and each half billed in one pass
+    searches = [(size, 0) for size in MISS_RUN]
+    searches.insert(6, (45, 3))
+    block_ledger, block_charges, ledger, charges = both_ledgers(searches, c, q_test, seed=seed)
+    assert block_ledger == ledger and block_charges == charges
+    reps = [math.ceil(c * math.log2(size)) if size > 1 else size for size, _ in searches]
+    assert len(charges) >= sum(reps[:6]) + 1 + sum(reps[7:])
+
+
+def test_a_budget_crossed_inside_a_run_of_sure_misses_bills_as_per_search_calls():
+    searches = [(size, 0) for size in MISS_RUN]
+    total = both_ledgers(searches)[0][1].charged
+    for budget in (0, 1, 5, total // 3, total // 2, total - 1, total):
+        block, _, reference, _ = both_ledgers(searches, budget=budget)
+        assert block == reference
+        assert (block[0] == "raised") == (budget < total)
+
+
+@pytest.mark.parametrize("forced", ["row 1", "every row"])
+def test_a_search_that_lemire_may_reject_runs_on_its_own(monkeypatch, forced):
+    # the check fails on row 1 of every pass, or on every row: those searches run
+    # as their own `safe_grover` calls, whose one-row passes then pass the check
+    # or fail it and draw attempt by attempt
+    kernel, fallbacks = grover.miss_iterations, []
+
+    def failing(raw, cap, reps):
+        counts, exact = kernel(raw, cap, reps)
+        exact[slice(1, 2) if forced == "row 1" else slice(None)] = False
+        return counts, exact
+
+    def counted(space, *args):
+        fallbacks.append(space.size)
+        return safe_grover(space, *args)
+
+    monkeypatch.setattr(grover, "miss_iterations", failing)
+    monkeypatch.setattr(grover, "safe_grover", counted)
+    searches = [(size, 0) for size in MISS_RUN]
+    block_ledger, block_charges, ledger, charges = both_ledgers(searches)
+    assert block_ledger == ledger and block_charges == charges
+    repeated = sorted(size for size in set(MISS_RUN) if MISS_RUN.count(size) > 1 and size > 1)
+    assert sorted(fallbacks) == (repeated if forced == "row 1" else sorted(s for s in MISS_RUN if s > 1))
 
 
 def test_edge_restricted_empty_pool_is_free():

@@ -10,7 +10,7 @@ import pytest
 
 from qtri.rng import (
     BLOCK_CAP,
-    child_streams,
+    child_keys,
     doubling_blocks,
     keyed,
     seed_keys,
@@ -82,7 +82,7 @@ def test_block_keyed_loop_streams_match_per_call_streams():
 
 def test_block_keyed_children_match_per_call_children():
     parent, ref_parent = substream(4, "step2"), substream(4, "step2")
-    children = child_streams(parent)
+    children = (keyed(key) for keys in child_keys(parent) for key in keys)
     for i in range(STREAMS):
         key = int(ref_parent.integers(0, 2**63 - 1))
         ref = np.random.Generator(np.random.Philox(np.random.SeedSequence([key, i])))

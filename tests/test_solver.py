@@ -14,7 +14,7 @@ from qtri.analysis import cost_terms
 from qtri.graphs import canon_pair, common_neighbors
 from qtri.grover import grover_success_prob
 from qtri.oracle import StepTag
-from qtri.rng import substream
+from qtri.rng import child_keys, keyed, substream
 from qtri.solver import (
     MIN_N,
     Hypothesis,
@@ -203,10 +203,11 @@ def test_uncovered_pairs_is_the_complement_of_the_sampled_squares(n, density, gr
 
 
 def step2_per_vertex(oracle, sample, hoods, params, rng):
-    """Step 2 as one search per sampled vertex, weighted from the unpacked
+    """Step 2 as one `_search` per sampled vertex, weighted from the unpacked
     rows: the reference for the block walk."""
     adj = oracle.hidden.adjacency().astype(np.int64)
-    for v, hood, child in zip(sample, hoods, solver.child_streams(rng)):
+    children = (keyed(key) for keys in child_keys(rng) for key in keys)
+    for v, hood, child in zip(sample, hoods, children):
         members = np.flatnonzero(hood)
         space = _induced_pair_space(oracle.hidden, members, adj[members][:, members].sum(axis=1))
         tri, _ = solver._search(oracle, space, params, StepTag.STEP2, child, v)
@@ -230,28 +231,39 @@ def blowup_with_pair(n, a, b):
     (generate("bipartite_blowup", 300, seed=0), None),
 ])
 def test_step2_block_walk_matches_a_per_vertex_reference(monkeypatch, graph, hit):
-    seen = []
-    search = solver._search
+    # the block walk hands only the marked searches to `_search`, and bills the
+    # sure misses between them in runs: the same charges in the same order
+    seen, charges = [], []
+    search, charge_batch = solver._search, QueryOracle.charge_batch
 
     def spy(oracle, space, params, tag, rng, v):
         seen.append((v, space.size, space.marked_count))
         return search(oracle, space, params, tag, rng, v)
 
+    def recording(oracle, amounts, tag):
+        charges.extend(amounts)
+        return charge_batch(oracle, amounts, tag)
+
     monkeypatch.setattr(solver, "_search", spy)
+    monkeypatch.setattr(QueryOracle, "charge_batch", recording)
     runs = []
     for walk in (step2_build_gprime, step2_per_vertex):
         oracle = QueryOracle(graph)
         sample, hoods = step1_sample(oracle, DEFAULTS, substream(0, "step1"))
         out = walk(oracle, sample, hoods, DEFAULTS, substream(0, "step2"))
-        runs.append((out[0] if walk is step2_build_gprime else out, seen[:], oracle.report()))
+        runs.append((out[0] if walk is step2_build_gprime else out, seen[:], charges[:], oracle.report()))
         seen.clear()
-    assert runs[0] == runs[1]  # triangle, (v, size, marked) of every search, ledger
-    tri, searches, _ = runs[0]
+        charges.clear()
+    (tri, searched, billed, ledger), (ref_tri, searches, ref_billed, ref_ledger) = runs
+    assert (tri, billed, ledger) == (ref_tri, ref_billed, ref_ledger)
+    assert searched == [search for search in searches if search[2]]
     if hit is None:
-        assert tri is None and len(searches) == len(sample) < graph.n
+        assert tri is None and len(searches) == len(sample) < graph.n and not searched
+        assert len(billed) == sum(math.ceil(DEFAULTS.c_safe * math.log2(size)) for _, size, _ in searches)
     else:
         assert tri is not None and len(searches) == hit + 1 and sample[hit] == 6
         assert [marked for _, _, marked in searches] == [0] * hit + [32]
+        assert searched == searches[hit:]
 
 
 def test_step2_dense_finds_triangle():
