@@ -9,8 +9,9 @@ only one that knows that layout: every other module reads a graph through
 `adjacency`), the packed bit read `row_bits`, the packed counts
 `mask_degrees` and `common_counts` and the packed pair listing
 `common_edges` and block `common_block`, which return Python values or
-numpy arrays.  The packed counts AND and popcount whole
-uint64 words.
+numpy arrays.  The packed counts AND and popcount whole uint64 words.  A
+`PairSet` is a mutable pair set in the same layout, which clears, moves and
+scans pairs on the packed words and hands them back as a `Graph`.
 """
 
 from __future__ import annotations
@@ -89,24 +90,25 @@ class Graph:
             np.bitwise_or.at(bits, (row, col >> 3), np.left_shift(1, (col & 7).astype(np.uint8)))
         self._set(n, bits)
 
-    def _set(self, n: int, bits: np.ndarray) -> None:
+    def _set(self, n: int, bits: np.ndarray) -> "Graph":
         """Take `bits` as the read-only adjacency; every edge sets two bits."""
         bits.flags.writeable = False
         self.n = n
         self._bits = bits
         self._words = bits.view(np.uint64)
         self._edge_count = int(self.degrees().sum()) // 2
+        return self
 
     @classmethod
     def from_adjacency(cls, adj: np.ndarray) -> "Graph":
-        """Build from a symmetric boolean matrix indexed 1..n (row/col 0 and the
-        diagonal ignored)."""
-        adj = np.array(adj, dtype=bool)
-        adj[0, :] = adj[:, 0] = False
-        np.fill_diagonal(adj, False)
-        g = cls.__new__(cls)
-        g._set(adj.shape[0] - 1, _packed(adj))
-        return g
+        """Build from a symmetric boolean matrix indexed 1..n, packed as it is,
+        neither copied nor written; its row/col 0 and diagonal are ignored."""
+        bits = _packed(np.asarray(adj, dtype=bool))
+        diagonal = np.arange(len(bits))
+        bits[0] = 0
+        bits[:, 0] &= ~_BIT_MASKS[0]
+        bits[diagonal, diagonal >> 3] &= ~_BIT_MASKS[diagonal & 7]
+        return cls.__new__(cls)._set(len(bits) - 1, bits)
 
     @property
     def edge_count(self) -> int:
@@ -215,6 +217,65 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={self._edge_count})"
+
+
+class PairSet:
+    """Mutable symmetric pair set on {1..n} in `Graph`'s packed layout, starting
+    as a graph's edges; pairs only leave it, except those `move_block` moves in."""
+
+    __slots__ = ("n", "_bits", "_words")
+
+    def __init__(self, graph: Graph) -> None:
+        self.n = graph.n
+        self._bits = graph._bits.copy()
+        self._words = self._bits.view(np.uint64)
+
+    degrees = Graph.degrees
+
+    def rows(self, vertices: Sequence[int] | np.ndarray) -> np.ndarray:
+        """The rows of `vertices` as a boolean matrix with columns 0..n."""
+        return _unpacked(self._bits[vertices], self.n)
+
+    def first_row(self, start: int = 1) -> int | None:
+        """The smallest row from `start` on that holds a pair, or None."""
+        cells = self._bits[start:].reshape(-1)  # a view: the rows are contiguous
+        i = int(cells.view(bool).argmax())  # returns at the first nonzero byte, a True
+        return start + i // self._bits.shape[1] if cells[i] else None
+
+    def clear_incident(self, v: int) -> bool:
+        """Clear every pair at v, one row and one byte column; say whether one was set."""
+        had = bool(self._words[v].any())
+        self._bits[v] = 0
+        self._bits[:, v >> 3] &= ~_BIT_MASKS[v & 7]
+        return had
+
+    def clear_between(self, a: Sequence[int] | np.ndarray, b: Sequence[int] | np.ndarray) -> bool:
+        """Clear every pair (x, y) with x in `a` and y in `b`, two sets of
+        distinct vertices that may overlap; say whether one was set."""
+        masks = np.zeros((2, self.n + 1), dtype=bool)
+        masks[0, a] = masks[1, b] = True
+        in_a, in_b = _packed(masks).view(np.uint64)
+        had = bool((self._words[a] & in_b).any())
+        self._words[a] &= ~in_b
+        self._words[b] &= ~in_a
+        return had
+
+    def move_block(self, live: np.ndarray, block: np.ndarray, into: "PairSet") -> None:
+        """Move the pairs of a symmetric boolean `block` over the ascending vertices
+        `live` to `into`, in one packed operation over the rows that hold one."""
+        hit = np.flatnonzero(block.any(axis=1))
+        rows = np.zeros((len(hit), self.n + 1), dtype=bool)
+        rows[:, live] = block[hit]
+        moved = _packed(rows).view(np.uint64)
+        self._words[live[hit]] &= ~moved
+        into._words[live[hit]] |= moved
+
+    def graph(self, *minus: "PairSet") -> Graph:
+        """The pairs that none of the sets `minus` holds, as a `Graph` copy."""
+        bits = self._bits.copy()
+        for other in minus:
+            bits &= ~other._bits
+        return Graph.__new__(Graph)._set(self.n, bits)
 
 
 def _row_bytes(columns: int) -> int:

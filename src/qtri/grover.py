@@ -8,12 +8,11 @@ marked items is unknown is `safe_grover`: repeated runs, each with an
 iteration count drawn uniformly below the cap.  Every search runs its
 attempts through the one loop `_attempt_loop`, which stops at the first hit
 and bills them all in one `charge_batch` call.  A sure miss, a search with
-nothing marked, has a known outcome and only random charges: its iteration
-counts come from one pass over its stream's raw Philox output,
-`miss_iterations`, not attempt by attempt.  `safe_grover` takes one row of it
-per sure miss; `bill_sure_misses` bills a whole run of sure misses on fresh
-keyed streams, step 2's searches, through one pass per distinct size and one
-`charge_batch` call.
+nothing marked, has a known outcome and only random charges.
+`bill_sure_misses` bills a whole run of sure misses on fresh keyed streams,
+step 2's searches, with their iteration counts from one pass over the
+streams' raw Philox output, `miss_iterations`, per distinct size, not attempt
+by attempt, and one `charge_batch` call; it is the only raw-output path.
 """
 
 from __future__ import annotations
@@ -120,7 +119,7 @@ def _attempt_loop(
     """The one loop over a search's attempts.
 
     `attempts` yields (charge, hit) per attempt, drawn as it is advanced or,
-    for a sure miss, beforehand; a truthy hit ends the search.  The
+    for a one-item space, beforehand; a truthy hit ends the search.  The
     charges of every attempt taken are billed in one `charge_batch` call,
     which stops at the first charge that crosses the budget exactly as
     billing each attempt in turn would.  Returns the charges and the last hit.
@@ -176,26 +175,13 @@ def safe_grover(
         return GroverOutcome(None, 0, 0)
     base = space.marked_count / size
     cap, reps = iteration_cap(size), math.ceil(c * math.log2(size))
-    ks = None
-    if size > 1 and not base:
-        # a sure miss reads its attempts two at a time in one raw pass, and
-        # draws an odd last one as the per-attempt path does
-        bitgen = rng.bit_generator
-        state = bitgen.state
-        if state["bit_generator"] == "Philox" and not state["has_uint32"]:
-            counts, exact = miss_iterations(bitgen.random_raw(3 * (reps // 2))[None], cap, reps - reps % 2)
-            if exact[0]:
-                ks = counts[0].tolist()
-            else:
-                bitgen.state = state
 
-    def runs(count: int) -> Iterator[Attempt]:
-        for _ in range(count):
+    def runs() -> Iterator[Attempt]:
+        for _ in range(reps):
             k = int(rng.integers(cap))
             yield (k + 1) * q_test, rng.random() < amplified_prob(base, k)
 
-    attempts = runs(reps) if ks is None else [((k + 1) * q_test, False) for k in ks] + [*runs(reps % 2)]
-    charges, hit = _attempt_loop([(q_test, space.marked_count == 1)] if size == 1 else attempts, oracle, tag)
+    charges, hit = _attempt_loop([(q_test, space.marked_count == 1)] if size == 1 else runs(), oracle, tag)
     found = space.draw_marked(rng) if hit else None
     return GroverOutcome(found, len(charges), sum(charges))
 

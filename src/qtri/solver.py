@@ -7,12 +7,12 @@ one classical unit per probed pair: steps 1 and 7 read whole rows with one
 `QueryOracle.query_row`, and verification probes single pairs with
 `QueryOracle.query`.  Step 1 hands step 2 the k x (n+1) boolean matrix of the
 sampled rows, which step 2 searches row by row and then turns into its
-candidate set.  The pair bookkeeping itself is classical and free once built:
-step 2 returns the candidate set G' as a packed `Graph`, and the loop works
-on `adj`, its unpacked copy of the pairs still working.  The peeled set T is
-the pairs the step-4 peels return and the classified set E the rest of G'
-that left `adj`; steps 9 and 10 read both as `Graph`s.  Common-neighbor
-counts exist only inside a step-4 peel round; between peels
+candidate set.  The pair bookkeeping itself is classical and free once built,
+and it stays in `graphs`' packed layout: step 2 returns G' as a `Graph`; the
+loop works on a `WorkingGraph`, a `graphs.PairSet` of the pairs still
+working, whose step-4 peels move pairs into T, another `PairSet`; E is the
+rest of G', and steps 9 and 10 read T and E as `Graph`s.
+Common-neighbor counts exist only inside a step-4 peel round; between peels
 `WorkingGraph.floor` keeps a lower bound on them, so a peel that cannot find
 a pair skips its count, and so does a round whose degree bound,
 2 * min deg - L over the L live vertices, reaches the threshold.  The
@@ -26,11 +26,11 @@ so step 2 bills each run of them in a block with one `grover.bill_sure_misses`
 call and hands only the marked searches to `safe_grover`.
 Every count matrix comes from `graphs.common_neighbors`, and step 2 builds
 its candidate set, the pairs that share no sampled neighborhood, in one such
-product.  The step-4 peel works in rounds, and it and step 7 drop batches of
-pairs through the one `WorkingGraph.remove_pairs`, so each loop iteration is
-a few numpy passes and no per-pair loop.  The peel and step 9 count only the
-block of rows and columns that still hold a pair, well below n + 1 after the
-first peel round; step 10 counts on packed rows, `Graph.common_counts`.
+product.  A peel round takes degrees by popcount, unpacks only the block of
+rows and columns that still hold a pair and moves its low pairs out in one
+packed block operation, and step 7 clears a rectangle of packed rows, so
+each loop iteration is a few numpy passes and no per-pair loop.  Step 9
+also counts only the vertices with a pair; step 10 counts on packed rows.
 Step 2's searches and the loop's step-5 calls take their random streams from
 `rng.child_keys` and `rng.substreams`, whose keys are derived in blocks;
 step 7, which runs at few invocations if any, builds each stream on its own.
@@ -44,7 +44,7 @@ from enum import Enum
 
 import numpy as np
 
-from .graphs import MAX_VERTICES, Graph, common_neighbors, triangle_count
+from .graphs import Graph, PairSet, common_neighbors, triangle_count
 from .grover import SearchSpace, bill_sure_misses, edge_restricted_triangle_search, safe_grover
 from .oracle import LedgerReport, QueryOracle, StepTag, verify_triangle
 from .rng import child_keys, doubling_blocks, keyed, substream, substreams
@@ -118,47 +118,38 @@ def peel_threshold(n: int, epsilon_prime: float) -> int:
     return math.ceil(n ** (1.0 - epsilon_prime))
 
 
-class WorkingGraph:
-    """Mutable candidate pair set: `adj` is the symmetric boolean matrix of the
-    pairs still working, and a removal only clears pairs of it.  `floor` is a
-    lower bound on the common-neighbor count of every working pair; a
-    removal of one pair, or of all pairs at one vertex, costs each surviving
-    pair at most one path, and a batch drops the bound to 0.  Indexing is
-    1-based; row/col 0 are dead."""
+class WorkingGraph(PairSet):
+    """Mutable candidate pair set: the pairs still working, in `graphs`' packed
+    layout, and `peeled`, the set T that the step-4 peels move them into; every
+    other removal only clears pairs.  `floor` is a lower bound on the
+    common-neighbor count of every working pair; a removal of one pair, or of
+    all pairs at one vertex, costs each surviving pair at most one path, and a
+    batch drops the bound to 0.  Indexing is 1-based; row/col 0 are dead."""
 
-    __slots__ = ("n", "adj", "floor")
+    __slots__ = ("peeled", "floor")
 
-    def __init__(self, n: int, adj: np.ndarray) -> None:
-        self.n = n
-        self.adj = adj
+    def __init__(self, gprime: Graph) -> None:
+        super().__init__(gprime)
+        self.peeled = PairSet(Graph(gprime.n))
         self.floor = 0
 
-    def first_active_vertex(self, start: int = 1) -> int | None:
-        """The smallest vertex v in start..n with a working pair, or None.
-        Rows only ever empty, so a caller that saw every row below `start`
-        empty may skip them.  The scan stops at the first working pair."""
-        cells = self.adj[start:].reshape(-1)  # a view: the rows are contiguous
-        i = int(cells.argmax())  # a boolean argmax returns at the first True
-        return start + i // (self.n + 1) if cells[i] else None
+    first_active_vertex = PairSet.first_row  # the step-8 loop's name for the scan
 
     def remove_pair(self, a: int, b: int) -> None:
         """Remove one working pair."""
-        self.adj[a, b] = self.adj[b, a] = False
+        self.clear_between([a], [b])
         self.floor -= 1
 
     def remove_incident(self, v: int) -> None:
         """Remove every working pair at v; a vertex without one changes nothing."""
-        if not self.adj[v].any():
-            return
-        self.adj[v, :] = False
-        self.adj[:, v] = False
-        self.floor -= 1
+        if self.clear_incident(v):
+            self.floor -= 1
 
-    def remove_pairs(self, pairs: np.ndarray | list[Pair]) -> None:
-        """Remove distinct working pairs, one (a, b) per row."""
-        a, b = np.asarray(pairs, dtype=np.intp).reshape(-1, 2).T
-        self.adj[a, b] = self.adj[b, a] = False
-        self.floor = 0
+    def remove_between(self, a: np.ndarray, b: np.ndarray) -> bool:
+        """Remove the working pairs between vertex sets `a` and `b`; say whether one was."""
+        if cleared := self.clear_between(a, b):
+            self.floor = 0
+        return cleared
 
 
 def uncovered_pairs(hoods: np.ndarray) -> Graph:
@@ -352,8 +343,7 @@ def step4_peel(working: WorkingGraph, tau: int) -> np.ndarray:
     n = working.n
     batches = [np.empty((0, 2), dtype=np.intp)]
     while working.floor < tau:
-        # a degree is below n, so 16 bits hold it for every n up to MAX_VERTICES
-        deg = working.adj.sum(axis=1, dtype=np.uint16 if n <= MAX_VERTICES else np.int64)
+        deg = working.degrees()
         live = np.flatnonzero(deg)
         if not len(live):
             working.floor = n
@@ -364,7 +354,7 @@ def step4_peel(working: WorkingGraph, tau: int) -> np.ndarray:
             break
         # every common neighbor of a working pair holds a working pair itself, so
         # the block of live rows and columns gives the same counts as the whole matrix
-        sub = working.adj[live][:, live]
+        sub = np.take(working.rows(live), live, axis=1)
         t = common_neighbors(sub)
         low = t < tau
         low &= sub
@@ -375,10 +365,9 @@ def step4_peel(working: WorkingGraph, tau: int) -> np.ndarray:
         if not len(flat):
             working.floor = int(t.min(where=sub, initial=n))
             break
-        batch = live[np.stack(np.divmod(flat, len(live)), axis=1)]
-        del t, low, flat, sub  # not kept alive through the next round's count
-        working.remove_pairs(batch)
-        batches.append(batch)
+        batches.append(live[np.stack(np.divmod(flat, len(live)), axis=1)])
+        del t, flat, sub  # not kept alive through the next round's count
+        working.move_block(live, low, working.peeled)
     return np.concatenate(batches)
 
 
@@ -444,13 +433,7 @@ def step7_high_degree(
     if tri is not None:
         return tri, False, False
 
-    # the working pairs (h, x) of hidden neighbor h and candidate neighbor x; the
-    # neighborhoods can overlap, so each pair is named once, as (min, max)
-    nbrs = np.flatnonzero(working.adj[v])
-    h, x = np.nonzero(working.adj[np.ix_(hood, nbrs)])
-    batch = np.unique(np.sort(np.stack((hood[h], nbrs[x]), axis=1), axis=1), axis=0)
-    if len(batch):
-        working.remove_pairs(batch)
+    if working.remove_between(hood, np.flatnonzero(working.rows([v])[0])):
         return None, missed, False
     working.remove_incident(v)
     return None, missed, True
@@ -461,12 +444,12 @@ def step8_loop(
     working: WorkingGraph,
     params: Params,
     seed: int,
-) -> tuple[Tri | None, set[str], np.ndarray]:
+) -> tuple[Tri | None, set[str]]:
     """Alternate peeling and degree classification until no candidate remains.
 
     Every cycle strictly shrinks the working set, so the loop terminates.
-    Returns (triangle, events, T): T is every pair the step-4 peels moved, as
-    (a, b) rows with a < b.  The other candidate pairs that left went to E.
+    Returns (triangle, events).  The step-4 peels move pairs to T,
+    `working.peeled`; the other candidate pairs that leave go to E.
     """
     n = oracle.n
     tau = peel_threshold(n, params.epsilon_prime)
@@ -475,9 +458,8 @@ def step8_loop(
     degrees = oracle.hidden.degrees()  # the true degrees, for the mismatch check
     invocation = 0
     v = 1
-    peeled = []
     while True:
-        peeled.append(step4_peel(working, tau))
+        step4_peel(working, tau)
         v = working.first_active_vertex(v)  # rows below the last v are empty
         if v is None:
             break
@@ -495,9 +477,9 @@ def step8_loop(
             if stalled:
                 events.add("step7_no_progress")
             if tri is not None:
-                return tri, events, np.concatenate(peeled)
+                return tri, events
         invocation += 1
-    return None, events, np.concatenate(peeled)
+    return None, events
 
 
 def step9_search_T(
@@ -559,17 +541,12 @@ def solve(oracle: QueryOracle, params: Params | None = None, seed: int = 0) -> R
     if containment_violated(oracle.hidden, gprime, params.epsilon):
         events.add("gprime_violation")
 
-    working = WorkingGraph(n, gprime.adjacency())
-    tri, loop_events, peeled = step8_loop(oracle, working, params, seed)
+    working = WorkingGraph(gprime)
+    tri, loop_events = step8_loop(oracle, working, params, seed)
     events |= loop_events
-    # E is the rest of G' but T and the pairs still working, which only a step-7
-    # triangle leaves; built in place of `adj`, so three (n+1)^2 matrices at most
-    in_e = np.greater(gprime.adjacency(), working.adj, out=working.adj)
-    in_t = np.zeros_like(in_e)
-    in_t[peeled[:, 0], peeled[:, 1]] = in_t[peeled[:, 1], peeled[:, 0]] = True
-    t_pool = Graph.from_adjacency(in_t)
-    e_pool = Graph.from_adjacency(np.greater(in_e, in_t, out=in_e))
-    del working, in_e, in_t  # free the (n+1)^2 matrices before the final searches
+    # E is the rest of G' but T and the pairs still working, which only a step-7 triangle leaves
+    t_pool, e_pool = working.peeled.graph(), PairSet(gprime).graph(working.peeled, working)
+    del working, gprime  # free the packed sets the final searches do not read
     measured["T_size"], measured["E_size"] = t_pool.edge_count, e_pool.edge_count
     measured["G_cap_E"] = len(oracle.hidden.common_edges(e_pool)[0])
     if tri is not None:

@@ -157,7 +157,7 @@ def test_pools_and_working_pairs_partition_gprime(name):
 
     def step8(oracle, working, *args):
         out = loop(oracle, working, *args)
-        seen["peeled"], seen["working"] = out[2], np.argwhere(np.triu(working.adj)).tolist()
+        seen["peeled"], seen["working"] = working.peeled.graph(), working.graph()
         return out
 
     build, params, seed = CASES[name]
@@ -166,14 +166,48 @@ def test_pools_and_working_pairs_partition_gprime(name):
             mock.patch.object(Graph, "common_edges", autospec=True,
                               side_effect=Graph.common_edges) as spy:
         report = solve(QueryOracle(build()), params, seed=seed)
-    gprime = set(seen["gprime"].edges())
-    t = set(map(tuple, seen["peeled"].tolist()))
-    working = set(map(tuple, seen["working"]))
+    gprime, t, working = (set(seen[key].edges()) for key in ("gprime", "peeled", "working"))
     e = set(spy.call_args_list[0].args[1].edges())  # solve counts G_cap_E on E first
-    assert len(t) == len(seen["peeled"]) and not (t & e or t & working or e & working)
+    assert not (t & e or t & working or e & working)
     assert t | e | working == gprime
     assert (len(t), len(e)) == (report.measured["T_size"], report.measured["E_size"])
     assert bool(working) is (report.outcome is not None)
+
+
+LATE_CASES = ["host128_step10_yes", "host96_step10_yes", "host2048_step9_yes", "host2048_step10_yes",
+              "host1024_no", "host96_hub_step7_no"]
+
+
+@pytest.mark.parametrize("name", LATE_CASES)
+def test_no_whole_boolean_matrix_after_step2(golden, name, monkeypatch):
+    """From step 2 on, a solve holds its pair sets packed: `from_adjacency`
+    runs once, for step 2's G', and `adjacency` only inside step 9's
+    `triangle_count`."""
+    assert {"Step9", "Step10"} & {step for step, count in golden[name]["cost"]["per_step"].items() if count}
+    build, params, seed = CASES[name]
+    hidden = build()
+    where, calls = [], []  # the traced steps open at each moment; (call, steps) per unpack
+
+    def traced(label, fn):
+        def run(*args, **kwargs):
+            where.append(label)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                where.pop()
+        return run
+
+    for label in ("step2_build_gprime", "step9_search_T", "triangle_count"):
+        monkeypatch.setattr(solver, label, traced(label, getattr(solver, label)))
+    from_adjacency, adjacency = Graph.from_adjacency.__func__, Graph.adjacency
+    monkeypatch.setattr(Graph, "from_adjacency", classmethod(
+        lambda cls, adj: calls.append(("from_adjacency", tuple(where))) or from_adjacency(cls, adj)))
+    monkeypatch.setattr(Graph, "adjacency",
+                        lambda self: calls.append(("adjacency", tuple(where))) or adjacency(self))
+    solve(QueryOracle(hidden), params, seed=seed)
+    assert calls.count(("from_adjacency", ("step2_build_gprime",))) == 1
+    assert all(call == ("from_adjacency", ("step2_build_gprime",)) or
+               call == ("adjacency", ("step9_search_T", "triangle_count")) for call in calls)
 
 
 def last_billed_step(report):

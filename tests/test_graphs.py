@@ -13,6 +13,7 @@ from qtri import graphs
 from qtri.graphs import (
     GENERATOR_KINDS,
     MAX_VERTICES,
+    PairSet,
     canon_pair,
     common_neighbors,
 )
@@ -157,11 +158,96 @@ def test_graph_agrees_with_a_set_of_pairs(case, data):
     assert back.edge_count == g.edge_count
     assert list(back.edges()) == list(g.edges())
     assert np.array_equal(back.adjacency(), adj)
+    # set bits in row 0, column 0 and on the diagonal are dropped, and the
+    # caller's matrix, here read-only, is neither written nor changed
+    dirty = adj.copy()
+    dirty[0] = dirty[:, 0] = True
+    np.fill_diagonal(dirty, True)
+    kept = dirty.copy()
+    dirty.flags.writeable = False
+    back = Graph.from_adjacency(dirty)
+    assert np.array_equal(dirty, kept)
+    assert back.edge_count == g.edge_count and np.array_equal(back.adjacency(), adj)
     assert triangle_count(g) == len(brute_triangles(g))
     for rows in (adj, np.triu(adj, 1)):
         brute = (rows[:, None, :] & rows[None, :, :]).sum(axis=2, dtype=np.int64)
         counts = common_neighbors(rows)
         assert counts.dtype == np.float32 and np.array_equal(counts, brute)
+
+
+def symmetric_pairs(rng, n, density):
+    """A random symmetric boolean matrix indexed 0..n, row/col 0 and diagonal clear."""
+    upper = np.triu(rng.random((n + 1, n + 1)) < density, 1)
+    upper[0] = False
+    return upper | upper.T
+
+
+def unique_vertices(data, n, label):
+    return np.array(data.draw(st.lists(st.integers(1, n), unique=True), label=label), dtype=np.intp)
+
+
+PAIR_SET_SIZES = [62, 63, 64, 126, 127, 128]  # n + 1 on and around a uint64 word boundary
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.sampled_from(PAIR_SET_SIZES), density=st.sampled_from([0.02, 0.3, 0.9]),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_pair_set_matches_a_boolean_reference(n, density, seed, data):
+    rng = np.random.default_rng(seed)
+    start = symmetric_pairs(rng, n, density)
+    ref, ref_into = start.copy(), np.zeros_like(start)
+    pairs, into = PairSet(Graph.from_adjacency(start)), PairSet(Graph(n))
+    ops = ["incident", "between", "move", "degrees", "first_row", "rows"]
+    for op in data.draw(st.lists(st.sampled_from(ops), max_size=12), label="ops"):
+        if op == "incident":
+            v = data.draw(st.integers(1, n), label="v")
+            assert pairs.clear_incident(v) is bool(ref[v].any())
+            ref[v] = ref[:, v] = False
+        elif op == "between":  # two vertex sets that may overlap
+            a, b = unique_vertices(data, n, "a"), unique_vertices(data, n, "b")
+            rect = np.zeros_like(ref)
+            rect[np.ix_(a, b)] = True
+            rect |= rect.T
+            assert pairs.clear_between(a, b) is bool((ref & rect).any())
+            ref &= ~rect
+        elif op == "move":  # a symmetric block of pairs among ascending vertices, as a peel moves them
+            live = np.sort(unique_vertices(data, n, "live"))
+            pick = np.triu(rng.random((len(live), len(live))) < 0.5, 1)
+            block = ref[np.ix_(live, live)] & (pick | pick.T)
+            pairs.move_block(live, block, into)
+            moved = np.zeros_like(ref)
+            moved[np.ix_(live, live)] = block
+            ref &= ~moved
+            ref_into |= moved
+        elif op == "degrees":
+            assert pairs.degrees().tolist() == ref.sum(axis=1).tolist()
+        elif op == "first_row":
+            begin = data.draw(st.integers(1, n), label="start")
+            held = np.flatnonzero(ref[begin:].any(axis=1))
+            assert pairs.first_row(begin) == (begin + int(held[0]) if len(held) else None)
+        else:
+            vertices = unique_vertices(data, n, "rows")
+            assert np.array_equal(pairs.rows(vertices), ref[vertices])
+    # the packed rows, padding included, hold exactly the reference pairs
+    for got, want in ((pairs.graph(), ref), (into.graph(), ref_into),
+                      (PairSet(Graph.from_adjacency(start)).graph(pairs, into), start & ~ref & ~ref_into)):
+        assert np.array_equal(got.adjacency(), want)
+        assert got.edge_count == int(want.sum()) // 2
+
+
+@pytest.mark.parametrize("n", PAIR_SET_SIZES)
+@pytest.mark.parametrize("bit", range(8))
+def test_first_row_stops_at_a_single_bit_byte(n, bit):
+    # a pair (v, u), v < u, leaves row v one set byte, holding the single bit
+    # value 1 << (u & 7), near the row's start, middle or end
+    far = n - (n - bit) % 8  # the largest u <= n with u & 7 == bit
+    for v, u in [(v, v + 1 + (bit - v - 1) % 8) for v in (1, n // 2, n - 8)] + [(1, far)]:
+        assert u & 7 == bit
+        pairs = PairSet(Graph(n, [(v, u)]))
+        assert pairs.first_row() == pairs.first_row(v) == v
+        assert pairs.first_row(v + 1) == u
+        if u < n:
+            assert pairs.first_row(u + 1) is None
 
 
 @pytest.mark.parametrize("n", [3, (1 << 15) - 1, 1 << 15, MAX_VERTICES])

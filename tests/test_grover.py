@@ -248,7 +248,7 @@ def miss_stream(kind, seed):
 
 
 # Sizes from a two-item space to 7e18, whose cap is close to 2**32, so the raw
-# pass falls back to the per-attempt draws on nearly every seed from 10**18 on.
+# pass cannot settle the counts on nearly every seed from 10**18 on.
 MISS_SIZES = [2, 3, 5, 16, 1000, 32640, 10**12, 10**18, 7 * 10**18]
 
 
@@ -400,8 +400,7 @@ def test_a_budget_crossed_inside_a_run_of_sure_misses_bills_as_per_search_calls(
 @pytest.mark.parametrize("forced", ["row 1", "every row"])
 def test_a_search_that_lemire_may_reject_runs_on_its_own(monkeypatch, forced):
     # the check fails on row 1 of every pass, or on every row: those searches run
-    # as their own `safe_grover` calls, whose one-row passes then pass the check
-    # or fail it and draw attempt by attempt
+    # as their own `safe_grover` calls, which draw attempt by attempt
     kernel, fallbacks = grover.miss_iterations, []
 
     def failing(raw, cap, reps):

@@ -41,18 +41,30 @@ from qtri.solver import (
 DEFAULTS = Params()
 
 
-def working_from_pairs(n, pairs):
+def adjacency_of(n, pairs):
+    """The symmetric boolean matrix of `pairs`, indexed 0..n."""
     adj = np.zeros((n + 1, n + 1), dtype=bool)
     for a, b in pairs:
         adj[a, b] = adj[b, a] = True
-    return WorkingGraph(n, adj)
+    return adj
+
+
+def working_from_pairs(n, pairs):
+    return WorkingGraph(Graph(n, pairs))
 
 
 def complete_working(n):
-    adj = np.ones((n + 1, n + 1), dtype=bool)
-    adj[0, :] = adj[:, 0] = False
-    np.fill_diagonal(adj, False)
-    return WorkingGraph(n, adj)
+    return WorkingGraph(generate("complete", n, seed=0))
+
+
+def working_adj(working):
+    """The boolean matrix of the working pairs, unpacked from the packed set."""
+    return working.graph().adjacency()
+
+
+def peeled_pairs(working):
+    """The pairs the peels moved to T, ascending."""
+    return list(working.peeled.graph().edges())
 
 
 def upper_pairs(mask):
@@ -62,7 +74,7 @@ def upper_pairs(mask):
 
 
 def live_pairs(working):
-    return upper_pairs(working.adj)
+    return upper_pairs(working_adj(working))
 
 
 def left_pairs(before, working):
@@ -310,8 +322,9 @@ def test_containment_check_compares_counts_with_the_unrounded_threshold():
 def test_step4_peel_complete_candidates():
     working = complete_working(8)
     moved = step4_peel(working, tau=8)  # every pair has 6 common candidates
-    assert [tuple(pair) for pair in moved.tolist()] == upper_pairs(complete_working(8).adj)
-    assert np.count_nonzero(working.adj) // 2 == 0
+    assert [tuple(pair) for pair in moved.tolist()] == live_pairs(complete_working(8))
+    assert np.count_nonzero(working_adj(working)) // 2 == 0
+    assert peeled_pairs(working) == live_pairs(complete_working(8))
 
 
 def test_step4_peel_empty():
@@ -324,14 +337,15 @@ def test_step4_postcondition():
     working = complete_working(8)
     tau = peel_threshold(8, DEFAULTS.epsilon_prime)  # 6: all counts are 6, none below
     step4_peel(working, tau)
-    t = brute_counts(working)
+    t = brute_counts(working_adj(working))
     for a, b in live_pairs(working):
         assert t[a, b] >= tau
 
 
-def brute_counts(working):
-    """The common-neighbor count of every pair, as an int64 matrix product."""
-    ints = working.adj.astype(np.int64)
+def brute_counts(adj):
+    """The common-neighbor count of every pair of a boolean matrix, as an int64
+    matrix product."""
+    ints = adj.astype(np.int64)
     return ints @ ints
 
 
@@ -360,16 +374,16 @@ def test_peel_counts_only_when_the_floor_allows_a_low_pair(monkeypatch):
     assert step4_peel(working, tau=1).tolist() == [[1, 2]]
     assert len(counted) == 1  # the round that moves (1, 2); the next has no live vertex
     assert working.floor == 4
-    assert not working.adj.any()
+    assert not working_adj(working).any()
     working = complete_working(4)
     assert len(step4_peel(working, tau=3)) == 6  # the bound 2 < tau: one count moves all
     assert len(counted) == 2 and working.floor == 4
 
 
 def assert_counts_consistent(working):
-    adj = working.adj
+    adj = working_adj(working)
     assert np.array_equal(adj, adj.T) and not adj[0].any() and not np.diag(adj).any()
-    assert (brute_counts(working)[adj] >= working.floor).all()
+    assert (brute_counts(adj)[adj] >= working.floor).all()
 
 
 def random_working(data, n_max=16):
@@ -385,10 +399,11 @@ def random_working(data, n_max=16):
 def test_removals_keep_counts_consistent(data):
     working = random_working(data)
     # the tightest bound there is, so a removal that lowers it too little shows
-    working.floor = int(brute_counts(working).min(where=working.adj, initial=working.n))
+    adj = working_adj(working)
+    working.floor = int(brute_counts(adj).min(where=adj, initial=working.n))
     for _ in range(data.draw(st.integers(1, 6), label="ops")):
         live = live_pairs(working)
-        op = data.draw(st.sampled_from(["pair", "incident", "pairs"]), label="op")
+        op = data.draw(st.sampled_from(["pair", "incident", "between"]), label="op")
         removed = []  # the pairs the removal must clear, and no other
         if op == "incident":
             v = data.draw(st.integers(1, working.n), label="v")
@@ -397,10 +412,12 @@ def test_removals_keep_counts_consistent(data):
         elif live and op == "pair":
             removed = [data.draw(st.sampled_from(live), label="pair")]
             working.remove_pair(*removed[0])
-        elif live:
-            size = data.draw(st.integers(0, len(live)), label="size")
-            removed = data.draw(st.permutations(live), label="batch")[:size]
-            working.remove_pairs(removed)
+        elif op == "between":  # two vertex sets that may overlap
+            a, b = (data.draw(st.lists(st.integers(1, working.n), unique=True), label=side)
+                    for side in ("a", "b"))
+            removed = [(x, y) for x, y in live if x in a and y in b or x in b and y in a]
+            assert working.remove_between(np.array(a, dtype=np.intp),
+                                          np.array(b, dtype=np.intp)) is bool(removed)
         assert left_pairs(live, working) == sorted(removed)
         assert_counts_consistent(working)
 
@@ -426,14 +443,7 @@ def test_first_active_vertex_is_the_smallest_with_a_live_pair(data):
 def peel_rounds_reference(n, pairs, tau):
     """The peel's return value round by round, each round's batch in the
     row-major order of `np.argwhere` over the strict upper triangle."""
-    working = working_from_pairs(n, pairs)
-    moved = []
-    while True:
-        batch = np.argwhere(np.triu((brute_counts(working) < tau) & working.adj, 1))
-        if not len(batch):
-            return moved
-        working.remove_pairs(batch)
-        moved += [tuple(pair) for pair in batch.tolist()]
+    return [tuple(pair) for pair in counting_peel(adjacency_of(n, pairs), tau)]
 
 
 def peel_reference(n, pairs, tau):
@@ -461,7 +471,8 @@ def test_step4_counts_stay_consistent(data):
     assert all(a < b for a, b in moved)
     assert set(moved) == peel_reference(working.n, before, tau)
     assert set(live_pairs(working)) == set(before) - set(moved)
-    counts = brute_counts(working)
+    assert peeled_pairs(working) == sorted(moved)
+    counts = brute_counts(working_adj(working))
     assert all(counts[a, b] >= tau for a, b in live_pairs(working))
     assert_counts_consistent(working)
 
@@ -483,26 +494,27 @@ def test_step4_peel_over_scattered_labels(data):
     moved = [tuple(pair) for pair in step4_peel(working, tau).tolist()]
     assert moved == peel_rounds_reference(n, before, tau)  # order included
     survivors = sorted(set(before) - set(moved))
-    assert np.array_equal(working.adj, working_from_pairs(n, survivors).adj)
-    counts = brute_counts(working)
+    assert np.array_equal(working_adj(working), adjacency_of(n, survivors))
+    counts = brute_counts(working_adj(working))
     exact = min((counts[a, b] for a, b in survivors), default=n)
-    # a peel that stops after a count left adj as that round saw it, whose bound
-    # was below tau; one that stops on the bound stores it
-    degrees = working.adj.sum(axis=1)
+    # a peel that stops after a count left the working set as that round saw it,
+    # whose bound was below tau; one that stops on the bound stores it
+    degrees = working_adj(working).sum(axis=1)
     live = np.flatnonzero(degrees)
     bound = 2 * int(degrees[live].min()) - len(live) if len(live) else n
     assert working.floor == (bound if bound >= tau else exact)
     assert working.floor <= exact
 
 
-def counting_peel(working, tau):
-    """The peel without either shortcut: every round counts every working pair."""
+def counting_peel(adj, tau):
+    """The peel without either shortcut on a boolean matrix, which it clears in
+    place: every round counts every working pair."""
     moved = []
     while True:
-        batch = np.argwhere(np.triu((brute_counts(working) < tau) & working.adj, 1))
+        batch = np.argwhere(np.triu((brute_counts(adj) < tau) & adj, 1))
         if not len(batch):
             return moved
-        working.remove_pairs(batch)
+        adj[batch[:, 0], batch[:, 1]] = adj[batch[:, 1], batch[:, 0]] = False
         moved += batch.tolist()
 
 
@@ -511,17 +523,17 @@ def counting_peel(working, tau):
 def test_peel_with_its_shortcuts_matches_a_peel_that_always_counts(data):
     """Peels between vertex removals, as the step-8 loop makes them: the floor
     and the degree bound skip counts, and change no moved row, its order or
-    `adj`; the floor never exceeds the smallest working count."""
+    the working set; the floor never exceeds the smallest working count."""
     working = random_working(data)
-    reference = working_from_pairs(working.n, live_pairs(working))
+    reference = working_adj(working)
     tau = data.draw(st.integers(1, working.n), label="tau")
     for _ in range(data.draw(st.integers(1, 4), label="peels")):
         assert step4_peel(working, tau).tolist() == counting_peel(reference, tau)
-        assert np.array_equal(working.adj, reference.adj)
+        assert np.array_equal(working_adj(working), reference)
         assert_counts_consistent(working)
         v = data.draw(st.integers(1, working.n), label="v")
         working.remove_incident(v)
-        reference.remove_incident(v)
+        reference[v, :] = reference[:, v] = False
 
 
 def random_pairs(rng, n, density, sides=None):
@@ -544,7 +556,7 @@ def test_step8_gives_every_candidate_one_fate(
     sides = rng.random(n + 1) < 0.5 if bipartite else None
     hidden = Graph(n, random_pairs(rng, n, hidden_density, sides))
     params = Params(epsilon_prime=eps_prime)  # a low tau lets steps 5-7 run too
-    initial = working.adj.copy()
+    initial = working_adj(working)
     scanning = working_from_pairs(n, upper_pairs(initial))
 
     def always_scanning(working, tau):
@@ -554,25 +566,26 @@ def test_step8_gives_every_candidate_one_fate(
     returned = []
 
     def recording(working, tau):
-        before = working.adj.copy()
+        before, peeled_before = working_adj(working), peeled_pairs(working)
         moved = step4_peel(working, tau)
-        # the peel clears exactly the pairs it returns
-        assert sorted(map(tuple, moved.tolist())) == upper_pairs(before & ~working.adj)
+        # the peel clears exactly the pairs it returns, and moves them to T
+        assert sorted(map(tuple, moved.tolist())) == upper_pairs(before & ~working_adj(working))
+        assert sorted(set(peeled_pairs(working)) - set(peeled_before)) == sorted(map(tuple, moved.tolist()))
         returned.append(moved)
         return moved
 
     with mock.patch("qtri.solver.step4_peel", always_scanning):
         expected = step8_loop(QueryOracle(hidden, budget=10**9), scanning, params, seed)
     with mock.patch("qtri.solver.step4_peel", recording):
-        tri, events, peeled = step8_loop(QueryOracle(hidden, budget=10**9), working, params, seed)
+        tri, events = step8_loop(QueryOracle(hidden, budget=10**9), working, params, seed)
     # a peel that skips its count when `floor` rules out a low pair changes nothing
-    assert (tri, events) == expected[:2] and np.array_equal(peeled, expected[2])
-    assert np.array_equal(working.adj, scanning.adj)
-    assert np.array_equal(peeled, np.concatenate(returned))  # T: what step 4 removed
-    t = [tuple(pair) for pair in peeled.tolist()]
+    assert (tri, events) == expected and peeled_pairs(working) == peeled_pairs(scanning)
+    assert np.array_equal(working_adj(working), working_adj(scanning))
+    t = [tuple(pair) for pair in np.concatenate(returned).tolist()]
     assert all(a < b for a, b in t) and len(set(t)) == len(t)
-    # adj only loses pairs, and no pair of T still works
-    assert not (working.adj & ~initial).any()
+    assert peeled_pairs(working) == sorted(t)  # T: what step 4 removed
+    # the working set only loses pairs, and no pair of T still works
+    assert not (working_adj(working) & ~initial).any()
     working_pairs, gprime = set(live_pairs(working)), set(upper_pairs(initial))
     assert set(t) <= gprime and not set(t) & working_pairs
     if bipartite:
@@ -688,9 +701,9 @@ def test_step6_moves_incident_pairs():
     working = working_from_pairs(8, pairs)
     step6_low_degree(working, 1)
     assert left_pairs(pairs, working) == [(1, 2), (1, 3), (1, 7)]
-    held, floor = working.adj.copy(), working.floor
-    step6_low_degree(working, 1)  # a second removal changes neither adj nor floor
-    assert np.array_equal(working.adj, held) and working.floor == floor
+    held, floor = working_adj(working), working.floor
+    step6_low_degree(working, 1)  # a second removal changes neither the pairs nor floor
+    assert np.array_equal(working_adj(working), held) and working.floor == floor
 
 
 def test_step7_k4_finds_triangle():
@@ -701,7 +714,7 @@ def test_step7_k4_finds_triangle():
         working = complete_working(4)
         tri, _, _ = step7_high_degree(oracle, working, 1, DEFAULTS, substream(seed, "s7"))
         if tri is not None:  # nothing moves when a triangle is found
-            assert np.array_equal(working.adj, complete_working(4).adj)
+            assert np.array_equal(working_adj(working), working_adj(complete_working(4)))
             wins += 1
     assert wins >= 0.99 * 120
 
@@ -716,7 +729,7 @@ def test_step7_bipartite_classifies():
     tri, missed, stalled = step7_high_degree(oracle, working, 1, DEFAULTS, substream(0, "s7"))
     assert tri is None and not missed and not stalled
     assert left_pairs(pairs, working) == [(2, 5)]
-    assert working.adj[1, 5] and working.adj[2, 3]
+    assert working_adj(working)[1, 5] and working_adj(working)[2, 3]
 
 
 def test_step7_overlapping_neighborhoods_move_each_pair_once():
@@ -727,15 +740,16 @@ def test_step7_overlapping_neighborhoods_move_each_pair_once():
     v_pairs = [(1, 2), (1, 3), (1, 4), (1, 5)]
     pairs = v_pairs + [(2, 3), (2, 4), (3, 4), (2, 5), (2, 6)]
     working = working_from_pairs(8, pairs)
-    with mock.patch.object(WorkingGraph, "remove_pairs", autospec=True,
-                           side_effect=WorkingGraph.remove_pairs) as spy:
+    with mock.patch.object(WorkingGraph, "remove_between", autospec=True,
+                           side_effect=WorkingGraph.remove_between) as spy:
         tri, missed, stalled = step7_high_degree(oracle, working, 1, DEFAULTS, substream(0, "s7"))
     assert tri is None and not missed and not stalled
-    (_, batch), = [call.args for call in spy.call_args_list]
-    rows = [tuple(pair) for pair in np.asarray(batch).tolist()]
-    assert all(a < b for a, b in rows)
-    assert rows == sorted(set(rows))  # distinct and ascending
-    assert left_pairs(pairs, working) == rows == [(2, 3), (2, 4), (2, 5), (3, 4)]
+    (_, hood, nbrs), = [call.args for call in spy.call_args_list]
+    assert hood.tolist() == [2, 3, 4] and nbrs.tolist() == [2, 3, 4, 5]
+    # the rectangle is cleared both ways round: (2, 3) lies between the sets as
+    # (2, 3) and as (3, 2), and leaves once, from both rows
+    assert left_pairs(pairs, working) == [(2, 3), (2, 4), (2, 5), (3, 4)]
+    assert working.floor == 0  # a batch drops the bound
     assert live_pairs(working) == v_pairs + [(2, 6)]
     assert_counts_consistent(working)
 
@@ -763,7 +777,7 @@ def test_step7_no_progress_fallback():
     moved = left_pairs([(1, 5), (1, 6)], working)
     assert moved == [(1, 5), (1, 6)]
     assert all(not g.has_edge(a, b) for a, b in moved)
-    assert np.count_nonzero(working.adj) // 2 == 0
+    assert np.count_nonzero(working_adj(working)) // 2 == 0
 
 
 def test_step9_trivial_cases():
