@@ -5,13 +5,13 @@ Vertices are the integers 1..n and unordered pairs are canonicalised to
 (min, max).  A `Graph` keeps its adjacency as one read-only packed bit
 matrix whose rows are padded to whole uint64 words, and this module is the
 only one that knows that layout: every other module reads a graph through
-`has_edge`, `degree`, `degrees`, `edges`, `rows` (with its wrappers `row` and
-`adjacency`), the packed bit read `row_bits`, the packed counts
-`mask_degrees` and `common_counts` and the packed pair listing
-`common_edges` and block `common_block`, which return Python values or
-numpy arrays.  The packed counts AND and popcount whole uint64 words.  A
-`PairSet` is a mutable pair set in the same layout, which clears, moves and
-scans pairs on the packed words and hands them back as a `Graph`.
+`has_edge`, `degree`, `degrees`, `edges` and its index arrays `pairs`,
+`rows` (with its wrapper `adjacency`), the packed bit read `row_bits`, the
+intersection `&` of two graphs, itself a `Graph`, and the packed count
+`common_counts`, which return Python values or numpy arrays.  The packed
+reads AND and popcount whole uint64 words.  A `PairSet` is a mutable pair
+set in the same layout, which clears, moves and scans pairs on the packed
+words and hands them back as a `Graph`.
 """
 
 from __future__ import annotations
@@ -34,8 +34,8 @@ MIN_GRAPH_N = 3  # the smallest vertex count `generate` accepts
 # before any per-vertex allocation, so a corrupt or hostile header or a
 # mistyped size cannot exhaust memory.
 MAX_VERTICES = 1 << 16
-# Rows that `Graph.mask_degrees` gathers at once: its memory stays bounded
-# however many members a block of masks holds.
+# Pairs that `Graph.common_counts` gathers at once: its memory stays bounded
+# however many pairs it counts.
 GATHER_ROWS = 4096
 # Bit i of a packed byte holds column 8j + i (little bit order)
 _BIT_MASKS = np.array([1 << i for i in range(8)], dtype=np.uint8)
@@ -49,6 +49,9 @@ def canon_pair(a: int, b: int) -> tuple[int, int]:
 
 
 def _check_vertex(v: int, n: int) -> None:
+    """Reject a vertex label that is not an integer (bools included) in 1..n."""
+    if isinstance(v, (bool, np.bool_)) or not isinstance(v, (int, np.integer)):
+        raise ValueError(f"vertex labels must be integers, got {v!r}")
     if not 1 <= v <= n:
         raise ValueError(f"vertex {v} out of range 1..{n}")
 
@@ -75,8 +78,6 @@ class Graph:
             if len(pair) != 2:
                 raise ValueError(f"an edge must be a pair of vertices, got {pair!r}")
             for v in pair:
-                if isinstance(v, (bool, np.bool_)) or not isinstance(v, (int, np.integer)):
-                    raise ValueError(f"vertex labels must be integers, got {v!r}")
                 _check_vertex(v, n)
         pairs = np.fromiter(edges, dtype=np.dtype((np.int64, 2)))
         pairs.sort(axis=1)  # canonical (min, max) rows
@@ -115,9 +116,9 @@ class Graph:
         return self._edge_count
 
     def has_edge(self, a: int, b: int) -> bool:
-        a, b = canon_pair(a, b)
         _check_vertex(a, self.n)
         _check_vertex(b, self.n)
+        a, b = canon_pair(a, b)
         return bool(self._bits[a, b >> 3] >> (b & 7) & 1)
 
     def degree(self, v: int) -> int:
@@ -130,36 +131,36 @@ class Graph:
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Every edge once as (a, b) with a < b, in ascending order."""
-        a, b = _upper_pairs(self._bits)
-        return zip(a.tolist(), b.tolist())
+        return zip(*(side.tolist() for side in self.pairs()))
 
-    def common_edges(self, other: "Graph") -> tuple[np.ndarray, np.ndarray]:
-        """The edges of both this graph and `other` as two index arrays (a, b),
-        a < b, in ascending row-major order, from the AND of their packed rows."""
-        return _upper_pairs(self._common_bits(other))
+    def pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every edge once as two index arrays (a, b), a < b, in ascending
+        row-major order; only the nonzero bytes of the packed rows are unpacked."""
+        rows, byte = np.nonzero(self._bits)
+        hit, shift = np.nonzero(np.unpackbits(self._bits[rows, byte][:, None], axis=1, bitorder="little"))
+        a, b = rows[hit], byte[hit] * 8 + shift
+        upper = a < b
+        return a[upper], b[upper]
 
-    def common_block(self, other: "Graph") -> tuple[np.ndarray, np.ndarray]:
-        """(live, block): the vertices with an edge of both this graph and
-        `other`, ascending, and the boolean matrix of those common edges among
-        them, from the AND of the packed rows."""
-        bits = self._common_bits(other)
-        live = np.flatnonzero(bits.any(axis=1))
-        return live, np.take(_unpacked(bits[live], self.n), live, axis=1)
-
-    def _common_bits(self, other: "Graph") -> np.ndarray:
+    def __and__(self, other: "Graph") -> "Graph":
+        """The edges of both this graph and `other`, as a `Graph` on the AND of
+        their packed rows."""
         if other.n != self.n:
             raise ValueError(f"graphs on n={self.n} and n={other.n} share no vertex set")
-        return self._bits & other._bits
+        return Graph.__new__(Graph)._set(self.n, self._bits & other._bits)
 
     def _vertices(self, vertices: Sequence[int] | np.ndarray) -> np.ndarray:
-        """`vertices` as a one-dimensional index array, every entry in 1..n."""
-        vertices = np.asarray(vertices, dtype=np.intp)
+        """`vertices` as a one-dimensional index array, every entry an integer
+        in 1..n; an empty input may have any dtype."""
+        vertices = np.asarray(vertices)
         if vertices.ndim != 1:
             raise ValueError("vertices must be one-dimensional")
         if vertices.size:
-            _check_vertex(int(vertices.min()), self.n)
-            _check_vertex(int(vertices.max()), self.n)
-        return vertices
+            if vertices.dtype.kind not in "iu":
+                raise ValueError(f"vertex labels must be integers, got an array of {vertices.dtype}")
+            _check_vertex(vertices.min(), self.n)
+            _check_vertex(vertices.max(), self.n)
+        return vertices.astype(np.intp, copy=False)
 
     def rows(self, vertices: Sequence[int] | np.ndarray | None = None) -> np.ndarray:
         """The adjacency rows of `vertices`, in order and duplicates included,
@@ -176,44 +177,26 @@ class Graph:
         columns = self._vertices(columns)
         return (self._bits[v][columns >> 3] & _BIT_MASKS[columns & 7]).astype(bool)
 
-    def row(self, v: int) -> np.ndarray:
-        """v's adjacency row as a boolean array indexed 0..n (index 0 unused)."""
-        return self.rows([v])[0]
-
     def adjacency(self) -> np.ndarray:
         """Boolean adjacency matrix indexed 1..n (row/col 0 unused)."""
         return self.rows()
 
-    def mask_degrees(self, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(owner, member, count) for a b x (n+1) boolean block of vertex masks
-        (column 0 clear): the set cells (owner, member) of the block in
-        row-major order, so each row's members ascend, and each member's int64
-        number of neighbors inside its own row's mask.
-
-        Each member's packed row is ANDed with its owner's packed mask and
-        popcounted, GATHER_ROWS gathered rows at a time."""
-        masks = np.asarray(masks, dtype=bool)
-        if masks.ndim != 2 or masks.shape[1] != self.n + 1:
-            raise ValueError(f"masks must be a boolean matrix with n + 1 = {self.n + 1} columns")
-        if masks[:, 0].any():
-            raise ValueError(f"vertex 0 out of range 1..{self.n}")
-        owner, member = np.nonzero(masks)
-        packed = _packed(masks).view(np.uint64)
-        count = np.empty(len(member), dtype=np.int64)
-        for start in range(0, len(member), GATHER_ROWS):
+    def common_counts(self, a: Sequence[int] | np.ndarray, b: Sequence[int] | np.ndarray) -> np.ndarray:
+        """int64 counts[i] of the common neighbors of a[i] and b[i], for two
+        vertex arrays of one length: their packed rows are ANDed and
+        popcounted, GATHER_ROWS pairs at a time."""
+        a, b = self._vertices(a), self._vertices(b)
+        if len(a) != len(b):
+            raise ValueError(f"vertex arrays of lengths {len(a)} and {len(b)} do not pair up")
+        count = np.empty(len(a), dtype=np.int64)
+        for start in range(0, len(a), GATHER_ROWS):
             part = slice(start, start + GATHER_ROWS)
-            block = np.take(self._words, member[part], axis=0)
-            block &= np.take(packed, owner[part], axis=0)
-            # a count is below n, so 16 bits hold it for every n up to MAX_VERTICES;
+            block = np.take(self._words, a[part], axis=0)
+            block &= np.take(self._words, b[part], axis=0)
+            # a count is at most n - 1, so 16 bits hold it for every n up to MAX_VERTICES;
             # einsum's row sums beat `sum(axis=1)` over the few words of a row
             count[part] = np.einsum("ij->i", np.bitwise_count(block), dtype=np.uint16)
-        return owner, member, count
-
-    def common_counts(self, a: Sequence[int] | np.ndarray, b: Sequence[int] | np.ndarray) -> np.ndarray:
-        """int64 counts[i] of the common neighbors of a[i] and b[i], on their packed rows."""
-        words = self._words
-        block = np.take(words, self._vertices(a), axis=0) & np.take(words, self._vertices(b), axis=0)
-        return np.bitwise_count(block).sum(axis=1, dtype=np.int64)
+        return count
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={self._edge_count})"
@@ -230,11 +213,7 @@ class PairSet:
         self._bits = graph._bits.copy()
         self._words = self._bits.view(np.uint64)
 
-    degrees = Graph.degrees
-
-    def rows(self, vertices: Sequence[int] | np.ndarray) -> np.ndarray:
-        """The rows of `vertices` as a boolean matrix with columns 0..n."""
-        return _unpacked(self._bits[vertices], self.n)
+    degrees, rows, _vertices = Graph.degrees, Graph.rows, Graph._vertices
 
     def first_row(self, start: int = 1) -> int | None:
         """The smallest row from `start` on that holds a pair, or None."""
@@ -293,16 +272,6 @@ def _packed(rows: np.ndarray) -> np.ndarray:
 def _unpacked(bits: np.ndarray, n: int) -> np.ndarray:
     """Packed rows as a boolean matrix with columns 0..n."""
     return np.unpackbits(bits, axis=1, count=n + 1, bitorder="little").view(bool)
-
-
-def _upper_pairs(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The set bits (a, b) with a < b of a packed matrix, as two index arrays in
-    ascending row-major order; only its nonzero bytes are unpacked."""
-    rows, byte = np.nonzero(bits)
-    hit, shift = np.nonzero(np.unpackbits(bits[rows, byte][:, None], axis=1, bitorder="little"))
-    a, b = rows[hit], byte[hit] * 8 + shift
-    upper = a < b
-    return a[upper], b[upper]
 
 
 def common_neighbors(rows: np.ndarray) -> np.ndarray:

@@ -250,11 +250,11 @@ def edge_restricted_triangle_search(
     apex over all vertices (2 queries per candidate round); amplification
     rounds repeat the base procedure forward and backward.  The intersection
     size is estimated first by a modeled counting sweep of ceil(sqrt(|pool|))
-    queries.  The hidden edges in the pool are listed from the AND of the two
-    graphs' packed rows, `Graph.common_edges`, and the apex count of each is
-    counted on the packed rows of its two ends, `Graph.common_counts`; only a
-    hit unpacks the two rows it picks an apex from.  One-sided: a returned
-    triangle is verified with 3 classical queries before being reported.
+    queries.  The hidden edges in the pool are the pairs of the intersection
+    `hidden & pool`, and the apex count of each is counted on the packed rows
+    of its two ends, `Graph.common_counts`; only a hit unpacks the two rows
+    it picks an apex from.  One-sided: a returned triangle is verified with 3
+    classical queries before being reported.
     """
     if pool.n != oracle.n:
         raise ValueError(f"pool has n={pool.n}, but the oracle has n={oracle.n}")
@@ -262,7 +262,7 @@ def edge_restricted_triangle_search(
     if not size:
         return None
     n = oracle.n
-    g_rows, g_cols = oracle.hidden.common_edges(pool)
+    g_rows, g_cols = (oracle.hidden & pool).pairs()
     g = len(g_rows)
     oracle.charge(math.ceil(math.sqrt(size)), tag)
     guess = 1 << max(0, (g - 1).bit_length())  # power-of-two estimate, >= g

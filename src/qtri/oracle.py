@@ -134,13 +134,14 @@ class QueryOracle:
         """Billed read of the bits (v, u) for every u in `targets`, in order.
 
         Bills one unit per entry of `targets`, duplicates included, so it is
-        the same cost as calling `query(v, u, tag)` for each u; a loop or an
-        out-of-range vertex raises ValueError before anything is billed.
+        the same cost as calling `query(v, u, tag)` for each u; a loop or a
+        label that is no integer in 1..n raises ValueError before anything
+        is billed.
         """
-        targets = np.asarray(targets, dtype=np.intp)
+        targets = np.asarray(targets)
         if targets.ndim != 1:
             raise ValueError("targets must be one-dimensional")
-        bits = self.hidden.row_bits(v, targets)  # checks v, then every target's range
+        bits = self.hidden.row_bits(v, targets)  # checks v, then every target's label and range
         if (targets == v).any():
             raise ValueError(f"loops are not allowed: ({v},{v})")
         self._bill(range(1, targets.size + 1), tag, charged=False)
@@ -150,8 +151,8 @@ class QueryOracle:
         """Billed block read of the whole rows of `vertices`, in order.
 
         Bills n - 1 units per entry of `vertices`, duplicates included, so it
-        is the same cost as reading each row with `query_row`; an
-        out-of-range vertex raises ValueError before anything is billed.
+        is the same cost as reading each row with `query_row`; a label that
+        is no integer in 1..n raises ValueError before anything is billed.
         Returns the len(vertices) x (n+1) boolean matrix of the rows, columns
         indexed 0..n (column 0 unused).
         """

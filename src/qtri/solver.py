@@ -17,10 +17,11 @@ Common-neighbor counts exist only inside a step-4 peel round; between peels
 a pair skips its count, and so does a round whose degree bound,
 2 * min deg - L over the L live vertices, reaches the threshold.  The
 search-space builders read the hidden graph unbilled, as simulator
-privilege, through `Graph.rows` and its wrappers and the packed
-`Graph.mask_degrees`: step 2 takes the marked counts of its sampled
-neighborhoods from it a block of rows at a time, in the blocks of
-`rng.doubling_blocks`, and step 7 for the one row it reads.  A step-2
+privilege, through `Graph.rows`, `Graph.row_bits`, the intersection
+`hidden & pool` and the packed `Graph.common_counts`: step 2 counts each
+sampled neighbor's neighbors inside its sample's neighborhood as the
+common neighbors of the two, a block of rows at a time, in the blocks of
+`rng.doubling_blocks`, and step 7 does the same for v.  A step-2
 search with nothing marked is a sure miss whose charges alone are random,
 so step 2 bills each run of them in a block with one `grover.bill_sure_misses`
 call and hands only the marked searches to `safe_grover`.
@@ -30,7 +31,8 @@ product.  A peel round takes degrees by popcount, unpacks only the block of
 rows and columns that still hold a pair and moves its low pairs out in one
 packed block operation, and step 7 clears a rectangle of packed rows, so
 each loop iteration is a few numpy passes and no per-pair loop.  Step 9
-also counts only the vertices with a pair; step 10 counts on packed rows.
+also counts only the vertices with a pair of both the hidden graph and T;
+step 10 lists and counts the hidden edges of E on packed rows.
 Step 2's searches and the loop's step-5 calls take their random streams from
 `rng.child_keys` and `rng.substreams`, whose keys are derived in blocks;
 step 7, which runs at few invocations if any, builds each stream on its own.
@@ -166,8 +168,8 @@ def uncovered_pairs(hoods: np.ndarray) -> Graph:
 def _induced_pair_space(hidden: Graph, members: np.ndarray, weights: np.ndarray) -> SearchSpace:
     """Pairs inside the ascending `members`; marked = pairs that are hidden
     edges.  weights[i] is members[i]'s number of hidden neighbors among the
-    members, as `Graph.mask_degrees` counts it.  Each membership test is one
-    pair query."""
+    members.  The sampler reads its pick's hidden bits at the members off the
+    packed row.  Each membership test is one pair query."""
     size = len(members) * (len(members) - 1) // 2
     if size == 0:
         return SearchSpace(0, 0, 1)
@@ -179,7 +181,7 @@ def _induced_pair_space(hidden: Graph, members: np.ndarray, weights: np.ndarray)
     def draw(rng: np.random.Generator) -> Pair:
         pick = int(np.searchsorted(cum, rng.integers(cum[-1]), side="right"))
         v = int(members[pick])
-        hood = np.intersect1d(np.flatnonzero(hidden.row(v)), members, assume_unique=True)
+        hood = members[hidden.row_bits(v, members)]
         w = int(hood[rng.integers(len(hood))])
         return (min(v, w), max(v, w))
 
@@ -190,12 +192,14 @@ def _triangle_space(hidden: Graph, pool: Graph) -> SearchSpace:
     """Triangles of `pool`; marked = those whose three pairs are hidden edges.
 
     The size is the whole `triangle_count` of `pool`; the marked ones are
-    counted over the vertices with a pair of both graphs only, found on the
-    packed rows, and the sampler returns them in global labels."""
+    counted over the vertices with a pair of both graphs only, the live rows
+    of `hidden & pool`, and the sampler returns them in global labels."""
     size = triangle_count(pool)
     if size == 0:
         return SearchSpace(0, 0, 3)
-    live, both = hidden.common_block(pool)  # `live` is ascending: local order is label order
+    both = hidden & pool
+    live = np.flatnonzero(both.degrees())  # ascending: local order is label order
+    both = np.take(both.rows(live), live, axis=1)
     # upper[a, c]: (live[a], live[c]) is a pair of both graphs with a < c, so row
     # products count each marked triangle a < b < c once, at its pair (a, b)
     upper = np.triu(both, 1)
@@ -269,20 +273,23 @@ def step2_build_gprime(
     genuinely nonempty target.  Search i draws from child i of `rng`, keyed
     by `child_keys` in the blocks of `rng.doubling_blocks`, so `rng` may end
     past the last key a search used.  Each block's marked counts come from
-    one `Graph.mask_degrees` call, so a search that hits early leaves the
-    later blocks uncounted.  A search with nothing marked is a sure miss:
+    one `Graph.common_counts` call, which pairs every sampled neighbor with
+    its sample, so a search that hits early leaves the later blocks
+    uncounted.  A search with nothing marked is a sure miss:
     each run of them between two marked searches is billed in one
     `bill_sure_misses` call, and each marked search runs through `_search`
     in its turn.
     """
     missed = False
     key_blocks = child_keys(rng)
+    sampled = np.asarray(sample)
     for start, size in doubling_blocks():
         block = hoods[start : start + size]
         if not len(block):
             break
         keys = next(key_blocks)
-        owner, member, count = oracle.hidden.mask_degrees(block)
+        owner, member = np.nonzero(block)  # row-major: each row's members ascend
+        count = oracle.hidden.common_counts(sampled[start : start + size][owner], member)
         # row i's members are member[bounds[i]:bounds[i + 1]]; a row is marked
         # when one of its members has a hidden neighbor in the row's square
         bounds = np.searchsorted(owner, np.arange(len(block) + 1))
@@ -427,7 +434,8 @@ def step7_high_degree(
     moved instead; after a completed peel that situation implies none of them
     is a hidden edge, so the move costs the later intersection search nothing.
     """
-    _, hood, weights = oracle.hidden.mask_degrees(oracle.read_rows([v], StepTag.STEP7))
+    hood = np.flatnonzero(oracle.read_rows([v], StepTag.STEP7)[0])
+    weights = oracle.hidden.common_counts(np.full_like(hood, v), hood)
     space = _induced_pair_space(oracle.hidden, hood, weights)
     tri, missed = _search(oracle, space, params, StepTag.STEP7, rng, v)
     if tri is not None:
@@ -548,7 +556,7 @@ def solve(oracle: QueryOracle, params: Params | None = None, seed: int = 0) -> R
     t_pool, e_pool = working.peeled.graph(), PairSet(gprime).graph(working.peeled, working)
     del working, gprime  # free the packed sets the final searches do not read
     measured["T_size"], measured["E_size"] = t_pool.edge_count, e_pool.edge_count
-    measured["G_cap_E"] = len(oracle.hidden.common_edges(e_pool)[0])
+    measured["G_cap_E"] = (oracle.hidden & e_pool).edge_count
     if tri is not None:
         return report(tri)
 

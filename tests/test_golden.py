@@ -163,8 +163,7 @@ def test_pools_and_working_pairs_partition_gprime(name):
     build, params, seed = CASES[name]
     with mock.patch.object(solver, "step2_build_gprime", step2), \
             mock.patch.object(solver, "step8_loop", step8), \
-            mock.patch.object(Graph, "common_edges", autospec=True,
-                              side_effect=Graph.common_edges) as spy:
+            mock.patch.object(Graph, "__and__", autospec=True, side_effect=Graph.__and__) as spy:
         report = solve(QueryOracle(build()), params, seed=seed)
     gprime, t, working = (set(seen[key].edges()) for key in ("gprime", "peeled", "working"))
     e = set(spy.call_args_list[0].args[1].edges())  # solve counts G_cap_E on E first

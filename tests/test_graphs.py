@@ -78,38 +78,48 @@ def test_triangle_count_matches_brute_force_with_isolated_vertices(data):
 
 @pytest.mark.parametrize("n", [3, 7, 8, 9, 63, 64, 65, 200])
 def test_common_edges_match_the_unpacked_listing(n):
+    # the common edges of two graphs are their intersection `&`, a Graph;
     # n = 7, 8, 9 (and 63, 64, 65) put column n at the end of a byte, alone in one, and past it
     for seed, (p, q) in enumerate([(0.0, 0.5), (0.3, 0.3), (0.5, 0.8), (1.0, 0.2), (0.9, 1.0)]):
         a = generate("erdos_renyi", n, seed=seed, p=p)
         b = generate("erdos_renyi", n, seed=seed + 100, p=q)
         want = np.nonzero(np.triu(a.adjacency() & b.adjacency(), 1))
-        got = a.common_edges(b)
+        both = a & b
+        assert type(both) is Graph and both.n == n and both.edge_count == len(want[0])
+        got = both.pairs()
         assert all(x.dtype == np.intp for x in got)
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
-    with pytest.raises(ValueError):
-        K3.common_edges(K4)
+        assert list(both.edges()) == list(zip(want[0].tolist(), want[1].tolist()))
+        assert list((b & a).edges()) == list(both.edges())
+    for a, b in ((K3, K4), (K4, K3), (K3, Graph(2))):
+        with pytest.raises(ValueError, match="share no vertex set"):
+            a & b
 
 
 @pytest.mark.parametrize("n", [3, 7, 8, 9, 63, 64, 65, 200])
 def test_common_block_matches_the_unpacked_and(n):
+    # the block of the common edges among the vertices that hold one, read off `&`;
     # p = 1.0 with q = 1.0 leaves every vertex live, p = 0.0 none
     for seed, (p, q) in enumerate([(0.0, 0.5), (0.05, 0.5), (0.3, 0.3), (1.0, 1.0), (0.9, 1.0)]):
         a = generate("erdos_renyi", n, seed=seed, p=p)
         b = generate("erdos_renyi", n, seed=seed + 100, p=q)
         both = a.adjacency() & b.adjacency()
         live = np.flatnonzero(both.any(axis=1))
-        got_live, block = a.common_block(b)
-        assert np.array_equal(got_live, live)
+        common = a & b
+        assert np.array_equal(common.adjacency(), both)
+        assert np.array_equal(np.flatnonzero(common.degrees()), live)
+        assert np.array_equal(common.degrees(), both.sum(axis=1))
+        block = np.take(common.rows(live), live, axis=1)
         assert block.dtype == bool and np.array_equal(block, both[np.ix_(live, live)])
     with pytest.raises(ValueError):
-        K3.common_block(K4)
+        K3 & K4
 
 
 def test_handshake_identity():
     # summing common-neighbor counts over the edges triple-counts triangles
     for seed in range(10):
         g = generate("erdos_renyi", 24, seed=seed, p=0.3)
-        acc = sum(int(np.count_nonzero(g.row(a) & g.row(b))) for a, b in g.edges())
+        acc = sum(int(np.count_nonzero(np.logical_and(*g.rows([a, b])))) for a, b in g.edges())
         assert acc == 3 * triangle_count(g) == 3 * len(brute_triangles(g))
 
 
@@ -134,9 +144,10 @@ def test_graph_agrees_with_a_set_of_pairs(case, data):
     assert list(g.edges()) == sorted(ref)
     for v in range(1, n + 1):
         hood = {u for u in range(1, n + 1) if u != v and canon_pair(u, v) in ref}
-        assert set(np.flatnonzero(g.row(v)).tolist()) == hood
+        [row] = g.rows([v])
+        assert set(np.flatnonzero(row).tolist()) == hood
         assert g.degree(v) == len(hood)
-        assert np.array_equal(adj[v], g.row(v))
+        assert np.array_equal(adj[v], row)
         for u in range(1, n + 1):
             if u != v:
                 assert g.has_edge(u, v) == (canon_pair(u, v) in ref)
@@ -145,14 +156,13 @@ def test_graph_agrees_with_a_set_of_pairs(case, data):
     rows = g.rows(picks)
     assert rows.shape == (len(picks), n + 1) and rows.dtype == bool
     assert np.array_equal(rows, adj[picks])
-    members = sorted(data.draw(st.permutations(range(1, n + 1)), label="members")[: n // 2 + 1])
-    mask = np.zeros((1, n + 1), dtype=bool)
-    mask[0, members] = True
-    owner, member, degrees = g.mask_degrees(mask)
-    assert owner.tolist() == [0] * len(members) and member.tolist() == members
+    # each neighbor's degree inside v's neighborhood, as steps 2 and 7 weigh it
+    v = data.draw(st.integers(1, n), label="owner")
+    members = np.flatnonzero(adj[v])
+    degrees = g.common_counts(np.full_like(members, v), members)
     assert degrees.tolist() == [sum(canon_pair(a, b) in ref for b in members if b != a) for a in members]
     assert int(degrees.sum()) // 2 == sum(
-        canon_pair(a, b) in ref for a, b in itertools.combinations(members, 2)
+        canon_pair(a, b) in ref for a, b in itertools.combinations(members.tolist(), 2)
     )
     back = Graph.from_adjacency(adj)
     assert back.edge_count == g.edge_count
@@ -268,11 +278,10 @@ def test_packed_counts_match_the_unpacked_rows(kind, n, p):
     adj = g.adjacency().astype(np.int64)
     rng = substream(0, "packed counts", kind, n)
     for size in (0, 1, 2, n // 2, n):
-        members = np.sort(rng.permutation(np.arange(1, n + 1))[:size])
-        mask = np.zeros((1, n + 1), dtype=bool)
-        mask[0, members] = True
-        _, member, degrees = g.mask_degrees(mask)
-        assert degrees.dtype == np.int64 and np.array_equal(member, members)
+        owner = int(rng.integers(1, n + 1))
+        members = np.flatnonzero(adj[owner])
+        degrees = g.common_counts(np.full_like(members, owner), members)
+        assert degrees.dtype == np.int64
         assert np.array_equal(degrees, adj[members][:, members].sum(axis=1))
         a, b = rng.integers(1, n + 1, size=(2, size))  # repeats and a == b included
         counts = g.common_counts(a, b)
@@ -281,32 +290,37 @@ def test_packed_counts_match_the_unpacked_rows(kind, n, p):
         for v in (1, n // 2 + 1, n):
             bits = g.row_bits(v, a)
             assert bits.dtype == bool and np.array_equal(bits, adj[v][a] > 0)
-    empty = g.mask_degrees(np.zeros((0, n + 1), dtype=bool))
-    assert [x.tolist() for x in empty] == [[], [], []] and g.common_counts([], []).tolist() == []
+    assert g.common_counts([], []).tolist() == []
 
 
 @pytest.mark.parametrize("n", [62, 63, 64, 127, 128])
 @pytest.mark.parametrize("gather_rows", [7, graphs.GATHER_ROWS])
 def test_mask_degrees_match_the_unpacked_brute_force(n, gather_rows, monkeypatch):
-    # n + 1 columns end one short of a uint64 word, exactly at one, or past it;
-    # seven gathered rows at a time split the members mid-row, and the whole
-    # block's member count is no multiple of the chunk
+    # each member of a row's mask, here the rows of a few owners, has as many
+    # neighbors inside the mask as it has common neighbors with the owner, as
+    # step 2 counts them; n + 1 columns end one short of a uint64 word, exactly
+    # at one, or past it; seven gathered pairs at a time split the members
+    # mid-row, and no pair count below is a multiple of the chunk
     monkeypatch.setattr(graphs, "GATHER_ROWS", gather_rows)
     g = generate("erdos_renyi", n, seed=n, p=0.4)
-    adj = g.adjacency()
     rng = substream(0, "mask degrees", n)
-    masks = rng.random((9, n + 1)) < rng.random((9, 1))  # rows of varied density
-    masks[:, 0] = False
-    masks[[2, 5]] = False  # empty rows
-    masks[7, 1:] = True  # every vertex but n when that leaves a chunk multiple
-    masks[7, n] = np.count_nonzero(masks) % gather_rows != 0
-    assert np.count_nonzero(masks) % gather_rows
-    for block in (masks, masks[3:4], masks[2:3], masks[:0]):
-        owner, member, count = g.mask_degrees(block)
-        rows, cols = np.nonzero(block)
-        assert np.array_equal(owner, rows) and np.array_equal(member, cols)
-        brute = [int(np.count_nonzero(adj[m] & block[o])) for o, m in zip(rows, cols)]
-        assert count.dtype == np.int64 and count.tolist() == brute
+    isolated = Graph(n, [(a, b) for a, b in g.edges() if n not in (a, b)])  # vertex n empty
+    owners = np.concatenate([rng.integers(1, n + 1, size=8), [n, n // 2, n // 2]])
+    for graph in (g, isolated):
+        adj = graph.adjacency()
+        for block in (owners, owners[3:4], owners[-3:], owners[:0]):
+            rows, cols = np.nonzero(adj[block])
+            if len(rows) % 7 == 0:
+                rows, cols = rows[1:], cols[1:]
+            assert len(rows) % 7 or not len(rows)
+            count = graph.common_counts(block[rows], cols)
+            brute = [int(np.count_nonzero(adj[m] & adj[block[o]])) for o, m in zip(rows, cols)]
+            assert count.dtype == np.int64 and count.tolist() == brute
+        # any pairs, repeats and a == b included
+        for size in (1, 6, 8, 13, 64, 3 * n + 1, 2 * gather_rows + 5):
+            a, b = rng.integers(1, n + 1, size=(2, size))
+            counts = graph.common_counts(a, b)
+            assert counts.dtype == np.int64 and np.array_equal(counts, (adj[a] & adj[b]).sum(axis=1))
 
 
 def test_generate_complete_via_p_one():
@@ -414,18 +428,18 @@ def test_generate_validates(monkeypatch):
 
 
 def test_rows_reject_bad_vertices():
+    pairs = PairSet(K3)  # borrows Graph.rows and its checks
     for picks in ([0], [4], [1, -2], [[1, 2]]):
-        with pytest.raises(ValueError):
-            K3.rows(picks)
-    for masks in (np.ones((1, 3), dtype=bool), np.ones(4, dtype=bool), np.eye(2, 4, 0, dtype=bool)):
-        with pytest.raises(ValueError):  # too few columns, one-dimensional, vertex 0 set
-            K3.mask_degrees(masks)
+        for rows in (K3.rows, pairs.rows):
+            with pytest.raises(ValueError):
+                rows(picks)
     for a, b in (([1], [4]), ([0], [2]), ([[1, 2]], [[2, 3]])):
         with pytest.raises(ValueError):
             K3.common_counts(a, b)
+    for a, b in (([1], [2, 3, 4]), ([1], [2, 3, 3]), ([1, 2], []), ([], [3])):
+        with pytest.raises(ValueError, match="do not pair up"):  # not broadcast
+            K4.common_counts(a, b)
     for v in (0, 4):
-        with pytest.raises(ValueError):
-            K3.row(v)
         with pytest.raises(ValueError):
             K3.degree(v)
         with pytest.raises(ValueError):
@@ -433,6 +447,18 @@ def test_rows_reject_bad_vertices():
     for columns in ([0], [4], [2, -1], [[1, 2]]):
         with pytest.raises(ValueError):
             K3.row_bits(1, columns)
+    # a float label must not be truncated to a vertex, nor fail as a bad index
+    for read in (K3.rows, pairs.rows, lambda v: K3.row_bits(1, v), lambda v: K3.common_counts([1] * len(v), v)):
+        for labels in ([1.7], [2.0, 3.0], np.array([True]), ["1"], [1, None]):
+            with pytest.raises(ValueError, match="vertex labels must be integers"):
+                read(labels)
+        assert read(np.array([], dtype=float)).shape[0] == 0
+    for v in (1.5, 2.0, True, np.True_, "1"):
+        for read in (K3.degree, lambda v: K3.has_edge(v, 3), lambda v: K3.row_bits(v, [2])):
+            with pytest.raises(ValueError, match="vertex labels must be integers"):
+                read(v)
+    assert K3.has_edge(np.int32(1), np.uint64(3)) and K3.degree(np.int64(2)) == 2
+    assert K3.rows(np.array([3], dtype=np.uint8)).shape == (1, 4)
 
 
 def test_graph_rejects_loops_and_bad_vertices():

@@ -110,7 +110,7 @@ def test_privileged_reads_do_not_bill():
     g = o.hidden
     g.has_edge(1, 2)
     g.degree(1)
-    g.row(1)
+    g.rows([1])
     g.adjacency()
     triangle_count(g)
     list(g.edges())
@@ -133,14 +133,14 @@ def test_report_json_shape():
 def test_graph_row_matches_has_edge():
     g = generate("erdos_renyi", 37, seed=4, p=0.4)
     for v in (1, 9, 37):
-        row = g.row(v)
+        [row] = g.rows([v])
         assert row.dtype == bool and row.shape == (38,)
         assert not row[0] and not row[v]
         assert [u for u in range(1, 38) if row[u]] == [
             u for u in range(1, 38) if u != v and g.has_edge(u, v)
         ]
     with pytest.raises(ValueError):
-        g.row(38)
+        g.rows([38])
 
 
 def test_query_row_matches_per_probe_queries():
@@ -222,7 +222,7 @@ def test_read_rows_matches_graph_row_and_bills_every_row():
     rows = o.read_rows(vertices, StepTag.STEP1)
     assert rows.dtype == bool and rows.shape == (5, 31)
     for v, row in zip(vertices, rows):
-        assert row.tolist() == g.row(v).tolist()
+        assert row.tolist() == g.rows([v])[0].tolist()
     rep = o.report()
     assert rep.per_step["Step1"] == 5 * 29  # duplicates billed
     assert rep.classical == 5 * 29 + 1
@@ -235,6 +235,28 @@ def test_read_rows_rejects_bad_vertices_before_billing(vertices):
     o = QueryOracle(K3)
     with pytest.raises(ValueError):
         o.read_rows(vertices, StepTag.STEP1)
+    assert o.report().total == 0
+
+
+def test_reads_reject_non_integer_labels_before_billing():
+    # a float label must not be truncated to a vertex and read, nor fail as a bad index
+    o = QueryOracle(generate("erdos_renyi", 6, seed=1, p=0.5))
+    reads = [
+        lambda: o.query(1.5, 2, StepTag.STEP1),
+        lambda: o.query(1, 2.0, StepTag.STEP1),
+        lambda: o.query(True, 2, StepTag.STEP1),
+        lambda: o.query_row(1, [2.9, 3.2], StepTag.STEP5),
+        lambda: o.query_row(1, np.array([True, False]), StepTag.STEP5),
+        lambda: o.query_row(1.0, [2, 3], StepTag.STEP5),
+        lambda: o.read_rows([2.5], StepTag.STEP1),
+        lambda: o.read_rows(np.array([True]), StepTag.STEP1),
+    ]
+    for read in reads:
+        with pytest.raises(ValueError, match="vertex labels must be integers"):
+            read()
+    assert o.report().total == 0
+    assert o.query_row(1, np.array([], dtype=float), StepTag.STEP5).shape == (0,)
+    assert o.read_rows([], StepTag.STEP1).shape == (0, 7)
     assert o.report().total == 0
 
 

@@ -83,14 +83,12 @@ def left_pairs(before, working):
 
 
 def member_pair_space(hidden, members):
-    """The pair space of the ascending `members`, weighted as the solver
-    weights it: by `Graph.mask_degrees` of their mask, which lists them
-    ascending, as the solver only ever passes them."""
-    mask = np.zeros((1, hidden.n + 1), dtype=bool)
-    mask[0, members] = True
-    _, member, weights = hidden.mask_degrees(mask)
-    assert member.tolist() == list(members)
-    return _induced_pair_space(hidden, member, weights)
+    """The pair space of the ascending `members`, each weighted by its number
+    of hidden neighbors among them; the solver's members are a neighborhood
+    N(s), whose weights `Graph.common_counts` of (s, member) gives."""
+    members = np.asarray(members, dtype=np.intp)
+    weights = hidden.rows(members)[:, members].sum(axis=1, dtype=np.int64)
+    return _induced_pair_space(hidden, members, weights)
 
 
 def test_search_space_samplers_match_a_set_reference():
@@ -206,7 +204,7 @@ def test_step2_empty_graph_keeps_everything():
 def test_uncovered_pairs_is_the_complement_of_the_sampled_squares(n, density, graph_seed, data):
     g = generate("erdos_renyi", n, seed=graph_seed, p=density)
     sample = data.draw(st.lists(st.integers(1, n), unique=True, max_size=n), label="sample")
-    hoods = [np.flatnonzero(g.row(v)).tolist() for v in sample]
+    hoods = [np.flatnonzero(row).tolist() for row in g.rows(sample)]
     covered = {(a, b) for hood in hoods for a in hood for b in hood}
     expected = {(a, b) for a in range(1, n + 1) for b in range(1, n + 1) if a != b} - covered
     free = uncovered_pairs(g.adjacency()[sample])
@@ -971,7 +969,7 @@ def host_with_unseen_triangle(n, params, graph_seed, seed):
     unseen = np.setdiff1d(np.arange(1, n + 1), sample)
     while True:  # no two triangle vertices may share a host neighbour
         tri = tuple(sorted(int(x) for x in rng.choice(unseen, size=3, replace=False)))
-        hoods = [set(np.flatnonzero(host.row(x)).tolist()) for x in tri]
+        hoods = [set(np.flatnonzero(row).tolist()) for row in host.rows(tri)]
         if not (hoods[0] & hoods[1] or hoods[0] & hoods[2] or hoods[1] & hoods[2]):
             a, b, c = tri
             return Graph(n, pairs + [(a, b), (b, c), (a, c)]), tri
