@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from .graphs import Graph, generate, triangle_count
-from .grover import SearchSpace, safe_grover
+from .grover import GroverOutcome, SearchSpace, safe_grover
 from .oracle import QueryOracle, StepTag
 from .rng import derive_seed, substream
 from .solver import MIN_N, Params, containment_violated, solve, step1_sample, uncovered_pairs
@@ -205,27 +205,20 @@ def threshold_violation_rate(
 # Folklore baseline and scaling fits
 
 
-@dataclass(frozen=True)
-class BaselineResult:
-    found: bool
-    total_queries: int
-    shots: int
-
-
-def folklore_baseline(graph: Graph, seed: int, c_safe: float = 2.0) -> BaselineResult:
+def folklore_baseline(graph: Graph, seed: int, c_safe: float = 2.0) -> GroverOutcome:
     """Plain safe search over all C(n, 3) vertex triples with a 3-query test,
-    stopping at the first hit.
+    stopping at the first hit; returns its `GroverOutcome`.
 
-    The search names no triple, so nothing is verified.  It bills a fresh
-    ledger under the step-9 tag, the solver's own search over triangles.  At
-    the default c_safe its worst-case charge stays below 6% of the default
-    budget for every n up to `MAX_VERTICES`, so the budget never aborts it.
+    The search names no triple (a hit finds True), so nothing is verified.
+    It bills a fresh ledger under the step-9 tag, the solver's own search
+    over triangles.  At the default c_safe its worst-case charge stays below
+    6% of the default budget for every n up to `MAX_VERTICES`, so the budget
+    never aborts it.
     """
     n = graph.n
     space = SearchSpace(math.comb(n, 3), triangle_count(graph), 3, lambda _rng: True)
     rng = substream(seed, "baseline", n)
-    out = safe_grover(space, c_safe, QueryOracle(graph), StepTag.STEP9, rng)
-    return BaselineResult(out.found is not None, out.queries_charged, out.attempts)
+    return safe_grover(space, c_safe, QueryOracle(graph), StepTag.STEP9, rng)
 
 
 @dataclass(frozen=True)
@@ -264,9 +257,9 @@ def trial_rows(
             run_seed = derive_seed(seed, n, trial, "run")
             graph = generate(kind, n, seed=derive_seed(seed, n, trial, "graph"), p=p)
             if algo == "baseline":
-                result = folklore_baseline(graph, run_seed, params.c_safe)
-                found = result.found
-                rows.append({"n": n, "seed": run_seed, "total": result.total_queries})
+                out = folklore_baseline(graph, run_seed, params.c_safe)
+                found = out.found is not None
+                rows.append({"n": n, "seed": run_seed, "total": out.queries_charged})
             else:
                 report = solve(QueryOracle(graph), params, seed=run_seed)
                 found, cost = report.outcome is not None, report.cost

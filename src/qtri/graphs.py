@@ -5,13 +5,13 @@ Vertices are the integers 1..n and unordered pairs are canonicalised to
 (min, max).  A `Graph` keeps its adjacency as one read-only packed bit
 matrix whose rows are padded to whole uint64 words, and this module is the
 only one that knows that layout: every other module reads a graph through
-`has_edge`, `degree`, `degrees`, `edges` and its index arrays `pairs`,
-`rows` (with its wrapper `adjacency`), the packed bit read `row_bits`, the
-intersection `&` of two graphs, itself a `Graph`, and the packed count
-`common_counts`, which return Python values or numpy arrays.  The packed
-reads AND and popcount whole uint64 words.  A `PairSet` is a mutable pair
-set in the same layout, which clears, moves and scans pairs on the packed
-words and hands them back as a `Graph`.
+`has_edge`, `degrees`, `edges` and its index arrays `pairs`, `rows` (with
+its wrapper `adjacency`), the boolean `block` among chosen vertices, the
+packed bit read `row_bits`, the intersection `&` of two graphs, itself a
+`Graph`, and the packed count `common_counts`, which return Python values or
+numpy arrays.  The packed reads AND and popcount whole uint64 words.  A
+`PairSet` is a mutable pair set in the same layout, which clears, moves and
+scans pairs on the packed words and hands them back as a `Graph`.
 """
 
 from __future__ import annotations
@@ -121,10 +121,6 @@ class Graph:
         a, b = canon_pair(a, b)
         return bool(self._bits[a, b >> 3] >> (b & 7) & 1)
 
-    def degree(self, v: int) -> int:
-        _check_vertex(v, self.n)
-        return int(np.bitwise_count(self._words[v]).sum())
-
     def degrees(self) -> np.ndarray:
         """Every vertex's int64 degree, indexed 0..n (entry 0 is 0), from the packed rows."""
         return np.bitwise_count(self._words).sum(axis=1, dtype=np.int64)
@@ -170,6 +166,16 @@ class Graph:
         bits = self._bits if vertices is None else self._bits[self._vertices(vertices)]
         return _unpacked(bits, self.n)
 
+    def block(self, vertices: Sequence[int] | np.ndarray) -> np.ndarray:
+        """The boolean block among `vertices`, rows and columns in their order,
+        duplicates included: their packed rows, then the byte of each column,
+        masked in place to the column's bit.  No row is unpacked."""
+        vertices = self._vertices(vertices)
+        cells = self._bits[vertices][:, vertices >> 3]
+        cells &= _BIT_MASKS[vertices & 7]
+        # symmetric, so the transpose of the column-major gather is the block in C order
+        return np.not_equal(cells.T, 0)
+
     def row_bits(self, v: int, columns: Sequence[int] | np.ndarray) -> np.ndarray:
         """v's adjacency bits at `columns`, in order and duplicates included, as
         a boolean array read off v's packed row; every column must lie in 1..n."""
@@ -213,7 +219,7 @@ class PairSet:
         self._bits = graph._bits.copy()
         self._words = self._bits.view(np.uint64)
 
-    degrees, rows, _vertices = Graph.degrees, Graph.rows, Graph._vertices
+    degrees, rows, block, _vertices = Graph.degrees, Graph.rows, Graph.block, Graph._vertices
 
     def first_row(self, start: int = 1) -> int | None:
         """The smallest row from `start` on that holds a pair, or None."""
@@ -289,14 +295,15 @@ def triangle_count(graph: Graph) -> int:
     """Exact triangle count: summed over the ordered edges (a, b), the common
     neighbor counts count every triangle six times.
 
-    Only the vertices with an edge are multiplied.  Their block is gathered,
-    C-contiguous, only when that drops a vertex: with none isolated the whole
-    adjacency is cheaper than a gather.  The float32 counts are masked by the
-    block in place and totalled in float64, which is exact: every term is an
-    integer no larger than n, so every partial sum is an integer no larger than
-    n**3, below 2**53 for every n <= MAX_VERTICES."""
+    Only the vertices with an edge are multiplied.  Their `Graph.block` is read
+    only when that drops a vertex: with none isolated the whole adjacency is
+    cheaper to unpack, and its (n+1)-wide product is the faster shape.  The
+    float32 counts are masked by the block in place and totalled in float64,
+    which is exact: every term is an integer no larger than n, so every
+    partial sum is an integer no larger than n**3, below 2**53 for every
+    n <= MAX_VERTICES."""
     live = np.flatnonzero(graph._bits.any(axis=1))  # row 0 is always empty
-    block = graph.adjacency() if len(live) == graph.n else np.take(graph.rows(live), live, axis=1)
+    block = graph.adjacency() if len(live) == graph.n else graph.block(live)
     x = block.astype(np.float32)
     counts = common_neighbors(x)
     counts *= x

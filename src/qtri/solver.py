@@ -27,12 +27,13 @@ so step 2 bills each run of them in a block with one `grover.bill_sure_misses`
 call and hands only the marked searches to `safe_grover`.
 Every count matrix comes from `graphs.common_neighbors`, and step 2 builds
 its candidate set, the pairs that share no sampled neighborhood, in one such
-product.  A peel round takes degrees by popcount, unpacks only the block of
-rows and columns that still hold a pair and moves its low pairs out in one
-packed block operation, and step 7 clears a rectangle of packed rows, so
-each loop iteration is a few numpy passes and no per-pair loop.  Step 9
-also counts only the vertices with a pair of both the hidden graph and T;
-step 10 lists and counts the hidden edges of E on packed rows.
+product.  A peel round takes degrees by popcount, reads only the block of
+the vertices that still hold a pair (`Graph.block`, no row unpacked) and
+moves its low pairs out in one packed block operation, and step 7 clears a
+rectangle of packed rows, so each loop iteration is a few numpy passes and
+no per-pair loop.  Step 9 counts T's triangles and the marked ones, those of
+`hidden & T`, with `triangle_count`; only its sampler, after a hit, weighs
+pairs.  Step 10 lists and counts the hidden edges of E on packed rows.
 Step 2's searches and the loop's step-5 calls take their random streams from
 `rng.child_keys` and `rng.substreams`, whose keys are derived in blocks;
 step 7, which runs at few invocations if any, builds each stream on its own.
@@ -191,29 +192,27 @@ def _induced_pair_space(hidden: Graph, members: np.ndarray, weights: np.ndarray)
 def _triangle_space(hidden: Graph, pool: Graph) -> SearchSpace:
     """Triangles of `pool`; marked = those whose three pairs are hidden edges.
 
-    The size is the whole `triangle_count` of `pool`; the marked ones are
-    counted over the vertices with a pair of both graphs only, the live rows
-    of `hidden & pool`, and the sampler returns them in global labels."""
+    Two counts: the size is `triangle_count` of `pool`, and the marked count
+    is `triangle_count` of `hidden & pool`.  Only the sampler, which runs
+    after a hit, weighs the pairs: it reads the block of the vertices with a
+    pair of both graphs and returns a marked triangle in global labels."""
     size = triangle_count(pool)
     if size == 0:
         return SearchSpace(0, 0, 3)
     both = hidden & pool
-    live = np.flatnonzero(both.degrees())  # ascending: local order is label order
-    both = np.take(both.rows(live), live, axis=1)
-    # upper[a, c]: (live[a], live[c]) is a pair of both graphs with a < c, so row
-    # products count each marked triangle a < b < c once, at its pair (a, b)
-    upper = np.triu(both, 1)
-    del both
-    common = common_neighbors(upper)
-    rows, cols = np.nonzero(upper & (common > 0))
-    weights = common[rows, cols].astype(np.int64)
-    marked = int(weights.sum())
+    marked = triangle_count(both)
     if marked == 0:
         return SearchSpace(size, 0, 3)
-    cum = np.cumsum(weights)
 
     def draw(rng: np.random.Generator) -> Tri:
-        pick = int(np.searchsorted(cum, rng.integers(cum[-1]), side="right"))
+        live = np.flatnonzero(both.degrees())  # ascending: local order is label order
+        # upper[a, c]: (live[a], live[c]) is a pair of both graphs with a < c, so row
+        # products count each marked triangle a < b < c once, at its pair (a, b)
+        upper = np.triu(both.block(live), 1)
+        common = common_neighbors(upper)
+        rows, cols = np.nonzero(upper & (common > 0))
+        cum = np.cumsum(common[rows, cols].astype(np.int64))
+        pick = int(np.searchsorted(cum, rng.integers(marked), side="right"))
         a, b = rows[pick], cols[pick]
         apexes = np.flatnonzero(upper[a] & upper[b])
         c = apexes[rng.integers(len(apexes))]
@@ -325,7 +324,7 @@ def containment_violated(hidden: Graph, candidate: Graph, epsilon: float) -> boo
     if not len(heavy):
         return False
     common = common_neighbors(hidden.rows(heavy))
-    return bool((common[candidate.rows(heavy)[:, heavy]] > thr).any())
+    return bool((common[candidate.block(heavy)] > thr).any())
 
 
 def step4_peel(working: WorkingGraph, tau: int) -> np.ndarray:
@@ -361,7 +360,7 @@ def step4_peel(working: WorkingGraph, tau: int) -> np.ndarray:
             break
         # every common neighbor of a working pair holds a working pair itself, so
         # the block of live rows and columns gives the same counts as the whole matrix
-        sub = np.take(working.rows(live), live, axis=1)
+        sub = working.block(live)
         t = common_neighbors(sub)
         low = t < tau
         low &= sub

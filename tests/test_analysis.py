@@ -18,14 +18,13 @@ from qtri import (
     triangle_count,
 )
 from qtri.analysis import (
-    BaselineResult,
     disjointness_exponent_ratio,
     disjointness_sweep,
     fit_rows,
     trial_rows,
 )
 from qtri.graphs import MAX_VERTICES
-from qtri.grover import iteration_cap
+from qtri.grover import GroverOutcome, iteration_cap
 from qtri.oracle import default_budget
 
 
@@ -186,8 +185,7 @@ def test_baseline_always_verifies():
     g = generate("bipartite_blowup", 16, seed=0)
     assert triangle_count(g) == 0
     for seed in range(20):
-        result = folklore_baseline(g, seed)
-        assert not result.found
+        assert folklore_baseline(g, seed).found is None
 
 
 @pytest.mark.parametrize("p, found", [(1.0, True), (0.0, False)], ids=["K3", "empty"])
@@ -196,7 +194,7 @@ def test_baseline_takes_one_shot_on_three_vertices(p, found):
     g = generate("erdos_renyi", 3, seed=0, p=p)
     assert triangle_count(g) == found
     for seed in range(5):
-        assert folklore_baseline(g, seed) == BaselineResult(found, 3, 1)
+        assert folklore_baseline(g, seed) == GroverOutcome(True if found else None, 1, 3)
 
 
 def test_baseline_rejects_c_safe_below_one():
@@ -246,7 +244,8 @@ def test_baseline_outputs_are_pinned(kind, p):
     for n, expected in BASELINE_OUTPUTS[kind, p].items():
         for seed, (found, total, shots) in enumerate(expected):
             g = generate(kind, n, seed=seed, p=p)
-            assert folklore_baseline(g, seed) == BaselineResult(found, total, shots), (n, seed)
+            want = GroverOutcome(True if found else None, shots, total)
+            assert folklore_baseline(g, seed) == want, (n, seed)
 
 
 def test_baseline_slope_near_three_halves():

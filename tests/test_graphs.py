@@ -109,7 +109,7 @@ def test_common_block_matches_the_unpacked_and(n):
         assert np.array_equal(common.adjacency(), both)
         assert np.array_equal(np.flatnonzero(common.degrees()), live)
         assert np.array_equal(common.degrees(), both.sum(axis=1))
-        block = np.take(common.rows(live), live, axis=1)
+        block = common.block(live)
         assert block.dtype == bool and np.array_equal(block, both[np.ix_(live, live)])
     with pytest.raises(ValueError):
         K3 & K4
@@ -146,7 +146,7 @@ def test_graph_agrees_with_a_set_of_pairs(case, data):
         hood = {u for u in range(1, n + 1) if u != v and canon_pair(u, v) in ref}
         [row] = g.rows([v])
         assert set(np.flatnonzero(row).tolist()) == hood
-        assert g.degree(v) == len(hood)
+        assert g.degrees()[v] == len(hood)
         assert np.array_equal(adj[v], row)
         for u in range(1, n + 1):
             if u != v:
@@ -197,6 +197,27 @@ def unique_vertices(data, n, label):
 
 
 PAIR_SET_SIZES = [62, 63, 64, 126, 127, 128]  # n + 1 on and around a uint64 word boundary
+
+
+@pytest.mark.parametrize("n", PAIR_SET_SIZES)
+def test_block_matches_the_unpacked_rows(n):
+    # the packed block read against the unpacked rows' columns, on a Graph and on a
+    # PairSet with pairs cleared, for vertex arrays unsorted, repeated or empty
+    rng = np.random.default_rng(n)
+    for density in (0.02, 0.3, 0.9):
+        g = Graph.from_adjacency(symmetric_pairs(rng, n, density))
+        pairs = PairSet(g)
+        pairs.clear_incident(int(rng.integers(1, n + 1)))
+        pairs.clear_between(np.arange(1, n // 2), np.arange(n // 3, n + 1))
+        picks = (rng.permutation(np.arange(1, n + 1)), rng.integers(1, n + 1, size=2 * n),
+                 np.array([n, 1, n, 1]), np.array([], dtype=np.intp), [], [n - 1, 2, n - 1])
+        for owner in (g, pairs):
+            for vertices in picks:
+                block = owner.block(vertices)
+                want = owner.rows(vertices)[:, np.asarray(vertices, dtype=np.intp)]
+                assert block.dtype == bool and block.shape == want.shape
+                # every cell a canonical 0 or 1, not a masked byte read as True
+                assert np.array_equal(block.view(np.uint8), want.view(np.uint8))
 
 
 @settings(max_examples=60, deadline=None)
@@ -428,9 +449,9 @@ def test_generate_validates(monkeypatch):
 
 
 def test_rows_reject_bad_vertices():
-    pairs = PairSet(K3)  # borrows Graph.rows and its checks
-    for picks in ([0], [4], [1, -2], [[1, 2]]):
-        for rows in (K3.rows, pairs.rows):
+    pairs = PairSet(K3)  # borrows Graph.rows and Graph.block and their checks
+    for picks in ([0], [4], [1, -2], [[1, 2]], [3, 2, 0]):
+        for rows in (K3.rows, pairs.rows, K3.block, pairs.block):
             with pytest.raises(ValueError):
                 rows(picks)
     for a, b in (([1], [4]), ([0], [2]), ([[1, 2]], [[2, 3]])):
@@ -441,23 +462,22 @@ def test_rows_reject_bad_vertices():
             K4.common_counts(a, b)
     for v in (0, 4):
         with pytest.raises(ValueError):
-            K3.degree(v)
-        with pytest.raises(ValueError):
             K3.row_bits(v, [1])
     for columns in ([0], [4], [2, -1], [[1, 2]]):
         with pytest.raises(ValueError):
             K3.row_bits(1, columns)
     # a float label must not be truncated to a vertex, nor fail as a bad index
-    for read in (K3.rows, pairs.rows, lambda v: K3.row_bits(1, v), lambda v: K3.common_counts([1] * len(v), v)):
+    for read in (K3.rows, pairs.rows, K3.block, pairs.block, lambda v: K3.row_bits(1, v),
+                 lambda v: K3.common_counts([1] * len(v), v)):
         for labels in ([1.7], [2.0, 3.0], np.array([True]), ["1"], [1, None]):
             with pytest.raises(ValueError, match="vertex labels must be integers"):
                 read(labels)
         assert read(np.array([], dtype=float)).shape[0] == 0
     for v in (1.5, 2.0, True, np.True_, "1"):
-        for read in (K3.degree, lambda v: K3.has_edge(v, 3), lambda v: K3.row_bits(v, [2])):
+        for read in (lambda v: K3.has_edge(v, 3), lambda v: K3.row_bits(v, [2])):
             with pytest.raises(ValueError, match="vertex labels must be integers"):
                 read(v)
-    assert K3.has_edge(np.int32(1), np.uint64(3)) and K3.degree(np.int64(2)) == 2
+    assert K3.has_edge(np.int32(1), np.uint64(3))
     assert K3.rows(np.array([3], dtype=np.uint8)).shape == (1, 4)
 
 

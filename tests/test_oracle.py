@@ -109,7 +109,7 @@ def test_privileged_reads_do_not_bill():
     o = QueryOracle(Graph(10, [(1, 2), (2, 3), (1, 3), (4, 5)]))
     g = o.hidden
     g.has_edge(1, 2)
-    g.degree(1)
+    g.degrees()
     g.rows([1])
     g.adjacency()
     triangle_count(g)

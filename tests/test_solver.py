@@ -808,6 +808,50 @@ def test_step9_triangle_free_hidden_graph():
         assert tri is None and count == 1
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_triangle_space_counts_marked_triangles_in_the_intersection(seed, monkeypatch):
+    # the marked count is `triangle_count(hidden & pool)`, with size 0 (the
+    # intersection never formed) and marked 0 among the cases; every draw is marked
+    n = 12 + 3 * seed
+    rng = np.random.default_rng(seed)
+    blowup = generate("bipartite_blowup", n, seed=seed)
+    intersections = []
+    real_and = Graph.__and__
+    monkeypatch.setattr(Graph, "__and__", lambda a, b: intersections.append(1) or real_and(a, b))
+    for hidden, density in [(generate("erdos_renyi", n, seed=seed, p=0.6), 0.5), (blowup, 0.7),
+                            (generate("complete", n, seed=seed), 0.3), (blowup, 0.0)]:
+        pool = Graph(n, [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)
+                         if rng.random() < density])
+        intersections.clear()
+        space = _triangle_space(hidden, pool)
+        assert space.size == triangle_count(pool)
+        assert len(intersections) == (space.size > 0)
+        assert space.marked_count == triangle_count(real_and(hidden, pool))
+        marked = marked_triangles(hidden, pool)
+        assert space.marked_count == len(marked)
+        assert (space.draw_marked is None) == (not marked)
+        for draw in range(20 if marked else 0):
+            assert space.draw_marked(substream(seed, "draw", draw)) in marked
+
+
+def test_step9_weighs_no_pair_when_its_search_misses(monkeypatch):
+    # the pair weights are built by the sampler only, which runs after a hit
+    calls = []
+    monkeypatch.setattr("qtri.solver.common_neighbors",
+                        lambda x: calls.append(x.shape) or common_neighbors(x))
+    hidden = Graph(8, [(1, 2), (2, 3), (1, 3), (5, 6), (6, 7), (5, 7)])
+    blowup = Graph(8, [(a, b) for a in (1, 2, 3, 4) for b in (5, 6, 7, 8)])
+    pool = Graph(8, [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6)])
+    tri, count, missed = step9_search_T(QueryOracle(blowup), pool, DEFAULTS, substream(0, "s9"))
+    assert (tri, count, missed) == (None, 2, False) and calls == []  # nothing marked
+    with monkeypatch.context() as patch:
+        patch.setattr("qtri.grover.amplified_prob", lambda base, iterations: 0.0)
+        tri, count, missed = step9_search_T(QueryOracle(hidden), pool, DEFAULTS, substream(0, "s9"))
+    assert (tri, count, missed) == (None, 2, True) and calls == []  # one marked, every attempt missed
+    tri, count, missed = step9_search_T(QueryOracle(hidden), pool, DEFAULTS, substream(0, "s9"))
+    assert tri == (1, 2, 3) and len(calls) == 1
+
+
 def test_step10_empty():
     oracle = QueryOracle(Graph(8))
     assert step10_search_E(oracle, Graph(8), substream(0, "s10")) is None
