@@ -176,12 +176,19 @@ class Graph:
         # symmetric, so the transpose of the column-major gather is the block in C order
         return np.not_equal(cells.T, 0)
 
-    def row_bits(self, v: int, columns: Sequence[int] | np.ndarray) -> np.ndarray:
+    def row_bits(self, v: int | np.ndarray, columns: Sequence[int] | np.ndarray) -> np.ndarray:
         """v's adjacency bits at `columns`, in order and duplicates included, as
-        a boolean array read off v's packed row; every column must lie in 1..n."""
-        _check_vertex(v, self.n)
-        columns = self._vertices(columns)
-        return (self._bits[v][columns >> 3] & _BIT_MASKS[columns & 7]).astype(bool)
+        a boolean array read off v's packed row; every column must lie in 1..n.
+        For an array `v`, row i of the 2-D `columns` is read off v[i]'s row."""
+        if np.ndim(v):
+            v, columns = self._vertices(v)[:, None], np.asarray(columns)
+            if columns.ndim != 2 or len(columns) != len(v):
+                raise ValueError(f"columns of shape {columns.shape} do not give one row per vertex")
+            columns = self._vertices(columns.reshape(-1)).reshape(columns.shape)
+        else:
+            _check_vertex(v, self.n)
+            columns = self._vertices(columns)
+        return (self._bits[v, columns >> 3] & _BIT_MASKS[columns & 7]).astype(bool)
 
     def adjacency(self) -> np.ndarray:
         """Boolean adjacency matrix indexed 1..n (row/col 0 unused)."""
@@ -227,12 +234,33 @@ class PairSet:
         i = int(cells.view(bool).argmax())  # returns at the first nonzero byte, a True
         return start + i // self._bits.shape[1] if cells[i] else None
 
-    def clear_incident(self, v: int) -> bool:
-        """Clear every pair at v, one row and one byte column; say whether one was set."""
-        had = bool(self._words[v].any())
-        self._bits[v] = 0
-        self._bits[:, v >> 3] &= ~_BIT_MASKS[v & 7]
-        return had
+    def upper_rows(self, start: int, limit: int) -> np.ndarray:
+        """Up to `limit` rows u from `start` on, ascending, that hold a pair
+        (u, w) with w > u, scanned in blocks of `limit` rows, then twice as many."""
+        found: list[np.ndarray] = []
+        while start <= self.n and sum(map(len, found)) < limit:
+            rows = np.arange(start, min(start + (limit << len(found)), self.n + 1))
+            # a row's bits above the diagonal: its own word's above its column, then every later word
+            above = (np.arange(self._words.shape[1]) > (rows >> 6)[:, None]) * ~np.uint64(0)
+            above[np.arange(len(rows)), rows >> 6] = ~np.uint64(1) << (rows & 63).astype(np.uint64)
+            found.append(rows[(above & self._words[rows]).any(axis=1)])
+            start = rows[-1] + 1
+        return np.concatenate(found or [np.empty(0, dtype=np.intp)])[:limit]
+
+    def clear_incident(self, vertices: Sequence[int] | np.ndarray) -> int:
+        """Clear every pair at each of the distinct `vertices` in one pass, their
+        rows and then the span of byte columns that holds their bits; return how
+        many of them held a pair."""
+        vertices = self._vertices(vertices)
+        held = int(np.count_nonzero(self._words[vertices].any(axis=1)))
+        self._bits[vertices] = 0
+        mask = np.zeros((1, self.n + 1), dtype=bool)
+        mask[0, vertices] = True
+        cleared = _packed(mask)[0]
+        if held:  # by symmetry no column holds a bit of a vertex whose row was empty
+            cols = np.flatnonzero(cleared)
+            self._bits[:, cols[0] : cols[-1] + 1] &= ~cleared[cols[0] : cols[-1] + 1]
+        return held
 
     def clear_between(self, a: Sequence[int] | np.ndarray, b: Sequence[int] | np.ndarray) -> bool:
         """Clear every pair (x, y) with x in `a` and y in `b`, two sets of

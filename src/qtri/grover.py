@@ -11,8 +11,8 @@ and bills them all in one `charge_batch` call.  A sure miss, a search with
 nothing marked, has a known outcome and only random charges.
 `bill_sure_misses` bills a whole run of sure misses on fresh keyed streams,
 step 2's searches, with their iteration counts from one pass over the
-streams' raw Philox output, `miss_iterations`, per distinct size, not attempt
-by attempt, and one `charge_batch` call; it is the only raw-output path.
+streams' raw Philox output, `rng.lemire_draws`, per distinct size, not attempt
+by attempt, and one `charge_batch` call.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 
 from .graphs import Graph
 from .oracle import QueryOracle, StepTag, verify_triangle
-from .rng import keyed
+from .rng import keyed, lemire_draws
 
 # Multiplier pinning the billing cap of edge_restricted_triangle_search:
 # charged <= AA_COST_CONSTANT * (sqrt(|pool|) + sqrt(n*max(1,g))) * ln(n).
@@ -133,24 +133,6 @@ def _attempt_loop(
     return charges, hit
 
 
-def miss_iterations(raw: np.ndarray, cap: int, reps: int) -> tuple[np.ndarray, np.ndarray]:
-    """The iteration counts of `reps` sure misses per row of raw Philox output,
-    as a (rows, reps) uint64 matrix, and whether each row's counts are exact.
-
-    Row i holds the 3 * (reps // 2) + reps % 2 raw outputs that per-attempt
-    `integers(cap)`, `random()` draws read from a stream with no half output
-    cached.  Those draws read output 3j's low and high halves x as
-    (x * cap) >> 32 (Lemire's method) and outputs 3j + 1 and 3j + 2 whole; an
-    odd last attempt reads the low half of output 3 * (reps // 2).  A row is
-    exact unless Lemire's method may reject one of its halves, or cap is
-    2**32 or more."""
-    if cap >= 1 << 32:  # Lemire's method reads whole 64-bit outputs for such a cap
-        return np.zeros((len(raw), reps), dtype=np.uint64), np.zeros(len(raw), dtype=bool)
-    # each raw output 3j as its low, then high 32-bit half, on any byte order
-    scaled = raw[:, ::3].astype("<u8").view("<u4")[:, :reps] * np.uint64(cap)
-    return scaled >> 32, (scaled.astype(np.uint32) >= cap).all(axis=1)
-
-
 def safe_grover(
     space: SearchSpace,
     c: float,
@@ -202,7 +184,7 @@ def bill_sure_misses(
     is crossed where billing search by search would cross it.  An empty space
     bills nothing and a one-item space one test.  Every other size takes its
     cap and repetition count once, and the iteration counts of all its
-    searches from one `miss_iterations` pass over their streams' raw output.
+    searches from one `rng.lemire_draws` pass over their streams' raw output.
     The streams are read, not left where `safe_grover` leaves them, so the
     caller must drop them.  A search whose counts that pass cannot settle
     runs as its own `safe_grover` call on a fresh copy of its stream, in its
@@ -220,9 +202,9 @@ def bill_sure_misses(
                 rows[i] = [q_test]
         elif size > 1:
             cap, reps = iteration_cap(size), math.ceil(c * math.log2(size))
-            words = 3 * (reps // 2) + reps % 2
-            raw = np.stack([keyed(keys[i]).bit_generator.random_raw(words) for i in members])
-            counts, exact = miss_iterations(raw, cap, reps)
+            # attempts 2j and 2j + 1 read their k off the low and high halves of
+            # raw output 3j, and their `random()` off outputs 3j + 1 and 3j + 2
+            counts, exact = lemire_draws(keys[members], cap, reps, stride=3)
             charges = ((counts + 1) * q_test).tolist()
             for i, row, ok in zip(members, charges, exact.tolist()):
                 rows[i] = row if ok else None

@@ -2,12 +2,13 @@
 
 `QueryOracle` holds the hidden graph, the query counters and the budget.
 Algorithm code reads adjacency only through `QueryOracle.query` (one probe),
-`QueryOracle.query_row` (the probes (v, u) for a batch of u in one
-vectorised read of v's packed row) or `QueryOracle.read_rows` (the whole rows of a batch of
-vertices in one block read); each bills one classical unit per probed pair,
-duplicates included.  Modeled quantum subroutines bill their iteration counts
-via `charge`, or via `charge_batch` for all the attempts of one search in one
-call.  Reads and charges share one crossing rule: a batch that crosses the
+`QueryOracle.query_rows` (the probes (v, u) for a batch of u per vertex v,
+in one vectorised read of the packed rows, billed through the first row that
+a caller's predicate stops at) or `QueryOracle.read_rows` (the whole rows of
+a batch of vertices in one block read); each bills one classical unit per
+probed pair, duplicates included.  Modeled quantum subroutines bill their
+iteration counts via `charge`, or via `charge_batch` for all the attempts of
+one search in one call.  Reads and charges share one crossing rule: a batch that crosses the
 budget bills and raises exactly as its items billed one at a time would, and
 an empty batch bills nothing.  Simulator-privileged reads of the hidden
 graph (used to sample subroutine outcomes) never touch the counters.
@@ -20,7 +21,7 @@ import itertools
 import math
 from dataclasses import asdict, dataclass
 from enum import Enum
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -130,28 +131,28 @@ class QueryOracle:
         self._bill(range(1, 2), tag, charged=False)
         return bit
 
-    def query_row(self, v: int, targets: Sequence[int] | np.ndarray, tag: StepTag) -> np.ndarray:
-        """Billed read of the bits (v, u) for every u in `targets`, in order.
-
-        Bills one unit per entry of `targets`, duplicates included, so it is
-        the same cost as calling `query(v, u, tag)` for each u; a loop or a
-        label that is no integer in 1..n raises ValueError before anything
-        is billed.
+    def query_rows(self, vertices: Sequence[int] | np.ndarray, targets: Sequence[Sequence[int]] | np.ndarray,
+                   tag: StepTag, stop: Callable[[np.ndarray], np.ndarray] | None = None) -> np.ndarray:
+        """Billed read of the bits (vertices[i], u) for every u in row i of the
+        two-dimensional `targets`, one unit per entry, duplicates included, so
+        the same cost as `query(v, u, tag)` for each pair in row-major order.
+        `stop` maps the rows' bits to a flag per row: the read bills and
+        returns the rows through the first flagged one.  A loop or a label
+        that is no integer in 1..n raises ValueError before anything is billed.
         """
-        targets = np.asarray(targets)
-        if targets.ndim != 1:
-            raise ValueError("targets must be one-dimensional")
-        bits = self.hidden.row_bits(v, targets)  # checks v, then every target's label and range
-        if (targets == v).any():
-            raise ValueError(f"loops are not allowed: ({v},{v})")
-        self._bill(range(1, targets.size + 1), tag, charged=False)
+        bits = self.hidden.row_bits(np.asarray(vertices), targets)  # checks every label and range
+        if (np.asarray(targets) == np.asarray(vertices)[:, None]).any():
+            raise ValueError("loops are not allowed")
+        if stop is not None and len(flagged := np.flatnonzero(stop(bits))):
+            bits = bits[: flagged[0] + 1]
+        self._bill(range(1, bits.size + 1), tag, charged=False)
         return bits
 
     def read_rows(self, vertices: Sequence[int] | np.ndarray, tag: StepTag) -> np.ndarray:
         """Billed block read of the whole rows of `vertices`, in order.
 
         Bills n - 1 units per entry of `vertices`, duplicates included, so it
-        is the same cost as reading each row with `query_row`; a label that
+        is the same cost as reading each row with `query_rows`; a label that
         is no integer in 1..n raises ValueError before anything is billed.
         Returns the len(vertices) x (n+1) boolean matrix of the rows, columns
         indexed 0..n (column 0 unused).

@@ -10,10 +10,10 @@ hundreds of streams (step 2's searches, the step-8 loop's step-5 calls), the
 keys are derived in the blocks of `doubling_blocks`, which double in length
 up to `BLOCK_CAP` rows: `seed_keys` applies numpy's entropy mix to a whole
 block at once, and `keyed` builds each generator from its precomputed key.
-Step 2 takes its searches' keys a block at a time, `child_keys`, and builds
-each search's stream from its key when it reads it.
-Every stream draws exactly the bits that per-call `SeedSequence`
-construction would give it.
+Step 2 takes its searches' keys a block at a time, `child_keys`, and the
+loop its step-5 keys, `substream_keys`; `lemire_draws` decodes a block of
+streams' bounded draws from their raw output at once.  Every stream draws
+exactly the bits that per-call `SeedSequence` construction would give it.
 """
 
 from __future__ import annotations
@@ -196,12 +196,30 @@ def child_keys(rng: np.random.Generator) -> Iterator[np.ndarray]:
         yield seed_keys([[key, start + j] for j, key in enumerate(draws)])
 
 
-def substreams(seed: int, *path: object) -> Iterator[np.random.Generator]:
-    """`substream(seed, *path, i)` for i = 0, 1, 2, ..., keyed in the blocks
-    of `doubling_blocks`."""
+def substream_keys(seed: int, *path: object) -> Iterator[np.ndarray]:
+    """The Philox keys of `substream(seed, *path, i)` for i = 0, 1, 2, ..., one
+    (size, 2) block per block of `doubling_blocks`: `keyed(key)` builds each
+    stream."""
     head = _entropy(seed, path)
     for start, size in doubling_blocks():
-        yield from map(keyed, seed_keys([head + [_token(i)] for i in range(start, start + size)]))
+        yield seed_keys([head + [_token(i)] for i in range(start, start + size)])
+
+
+def lemire_draws(keys: np.ndarray, bound: int, count: int, stride: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """`count` draws below `bound` per key, as a (keys, count) uint64 matrix,
+    and whether each row is exact.  Row i decodes the 32-bit halves, low then
+    high, of raw outputs 0, stride, 2 * stride, ... of the fresh stream
+    `keyed(keys[i])` by Lemire's method, as numpy's bounded draws do: half x
+    gives (x * bound) >> 32, so stride 1 gives `integers(bound, size=count)`.
+    A row is inexact where the method may reject a half (its leftover falls
+    below `bound`) and for a `bound` of 2**32 or more, which reads whole outputs."""
+    words = stride * ((count - 1) // 2) + 1 if count else 0
+    raw = np.array([keyed(key).bit_generator.random_raw(words) for key in keys]).reshape(len(keys), words)
+    if bound >= 1 << 32:
+        return np.zeros((len(keys), count), dtype=np.uint64), np.zeros(len(keys), dtype=bool)
+    # each read output as its low, then high 32-bit half, on any byte order
+    scaled = raw[:, ::stride].astype("<u8").view("<u4")[:, :count] * np.uint64(bound)
+    return scaled >> 32, (scaled.astype(np.uint32) >= bound).all(axis=1)
 
 
 def derive_seed(seed: int, *path: object) -> int:

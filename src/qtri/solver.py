@@ -3,40 +3,35 @@ classify the remainder by degree hypotheses, then run the two final searches.
 
 All adjacency information flows through the oracle and is billed per step,
 one classical unit per probed pair: steps 1 and 7 read whole rows with one
-`QueryOracle.read_rows` block read, step 5 reads a batch of pairs (v, u) with
-`QueryOracle.query_row`, and verification probes single pairs with
-`QueryOracle.query`.  Step 1 hands step 2 the k x (n+1) boolean matrix of the
-sampled rows, which step 2 searches row by row and then turns into its
-candidate set.  The pair bookkeeping itself is classical and free once built,
-and it stays in `graphs`' packed layout: step 2 returns G' as a `Graph`; the
-loop works on a `WorkingGraph`, a `graphs.PairSet` of the pairs still
-working, whose step-4 peels move pairs into T, another `PairSet`; E is the
-rest of G', and steps 9 and 10 read T and E as `Graph`s.
-Common-neighbor counts exist only inside a step-4 peel round; between peels
-`WorkingGraph.floor` keeps a lower bound on them, so a peel that cannot find
-a pair skips its count, and so does a round whose degree bound,
-2 * min deg - L over the L live vertices, reaches the threshold.  The
-search-space builders read the hidden graph unbilled, as simulator
-privilege, through `Graph.rows`, `Graph.row_bits`, the intersection
-`hidden & pool` and the packed `Graph.common_counts`: step 2 counts each
-sampled neighbor's neighbors inside its sample's neighborhood as the
-common neighbors of the two, a block of rows at a time, in the blocks of
-`rng.doubling_blocks`, and step 7 does the same for v.  A step-2
-search with nothing marked is a sure miss whose charges alone are random,
-so step 2 bills each run of them in a block with one `grover.bill_sure_misses`
-call and hands only the marked searches to `safe_grover`.
-Every count matrix comes from `graphs.common_neighbors`, and step 2 builds
-its candidate set, the pairs that share no sampled neighborhood, in one such
-product.  A peel round takes degrees by popcount, reads only the block of
-the vertices that still hold a pair (`Graph.block`, no row unpacked) and
-moves its low pairs out in one packed block operation, and step 7 clears a
-rectangle of packed rows, so each loop iteration is a few numpy passes and
-no per-pair loop.  Step 9 counts T's triangles and the marked ones, those of
-`hidden & T`, with `triangle_count`; only its sampler, after a hit, weighs
-pairs.  Step 10 lists and counts the hidden edges of E on packed rows.
-Step 2's searches and the loop's step-5 calls take their random streams from
-`rng.child_keys` and `rng.substreams`, whose keys are derived in blocks;
-step 7, which runs at few invocations if any, builds each stream on its own.
+`QueryOracle.read_rows` block read, step 5 reads a batch of pairs (v, u) for
+each of a batch of vertices with `QueryOracle.query_rows`, and verification
+probes single pairs with `QueryOracle.query`.  Step 1 hands step 2 the
+k x (n+1) boolean matrix of the sampled rows, which step 2 searches row by
+row and then turns into its candidate set, G', a `Graph`, in one
+`graphs.common_neighbors` product.  The pair bookkeeping is classical, free
+once built, and stays in `graphs`' packed layout: the loop works on a
+`WorkingGraph`, a `graphs.PairSet` of the pairs still working, whose step-4
+peels move pairs into T, another `PairSet`; E is the rest of G'.
+Between peels `WorkingGraph.floor` keeps a lower bound on the common-neighbor
+counts, so a peel that cannot find a pair skips its count, and so does a
+round whose degree bound, 2 * min deg - L over the L live vertices, reaches
+the threshold.  The search-space builders read the hidden graph unbilled, as
+simulator privilege, through `Graph.rows`, `Graph.row_bits`, `hidden & pool`
+and the packed `Graph.common_counts`, a block of rows at a time in the blocks
+of `rng.doubling_blocks`.  A step-2 search with nothing marked is a sure miss
+whose charges alone are random, so step 2 bills each run of them in a block
+with one `grover.bill_sure_misses` call.  The loop classifies a batch of
+vertices at a time: the run that it would visit while every verdict is LOW
+and every peel skips, read off the packed rows with `PairSet.upper_rows`,
+with one step-5 pass over the streams' raw output and one step-6 clear.  A
+peel round reads the block of its live vertices with `Graph.block` and moves
+its low pairs out in one packed block operation, and step 7 clears a
+rectangle of packed rows.  Step 9 counts T's triangles and the marked ones,
+those of `hidden & T`, with `triangle_count`; only its sampler, after a hit,
+weighs pairs.  Step 10 lists and counts the hidden edges of E on packed rows.
+Step 2 takes its streams' keys from `rng.child_keys` and the loop its step-5
+keys from `rng.substream_keys`, both derived in blocks; step 7 builds each
+stream on its own.
 """
 
 from __future__ import annotations
@@ -50,7 +45,7 @@ import numpy as np
 from .graphs import Graph, PairSet, common_neighbors, triangle_count
 from .grover import SearchSpace, bill_sure_misses, edge_restricted_triangle_search, safe_grover
 from .oracle import LedgerReport, QueryOracle, StepTag, verify_triangle
-from .rng import child_keys, doubling_blocks, keyed, substream, substreams
+from .rng import BLOCK_CAP, child_keys, doubling_blocks, keyed, lemire_draws, substream, substream_keys
 
 Pair = tuple[int, int]
 Tri = tuple[int, int, int]
@@ -125,9 +120,9 @@ class WorkingGraph(PairSet):
     """Mutable candidate pair set: the pairs still working, in `graphs`' packed
     layout, and `peeled`, the set T that the step-4 peels move them into; every
     other removal only clears pairs.  `floor` is a lower bound on the
-    common-neighbor count of every working pair; a removal of one pair, or of
-    all pairs at one vertex, costs each surviving pair at most one path, and a
-    batch drops the bound to 0.  Indexing is 1-based; row/col 0 are dead."""
+    common-neighbor count of every working pair; a removal of one pair costs
+    each surviving pair at most one path, one of all pairs at k vertices k, and
+    another batch drops the bound to 0.  Indexing is 1-based; row/col 0 are dead."""
 
     __slots__ = ("peeled", "floor")
 
@@ -136,17 +131,16 @@ class WorkingGraph(PairSet):
         self.peeled = PairSet(Graph(gprime.n))
         self.floor = 0
 
-    first_active_vertex = PairSet.first_row  # the step-8 loop's name for the scan
+    first_active_vertex = PairSet.first_row  # the first vertex a one-vertex-per-cycle loop visits
 
     def remove_pair(self, a: int, b: int) -> None:
         """Remove one working pair."""
         self.clear_between([a], [b])
         self.floor -= 1
 
-    def remove_incident(self, v: int) -> None:
-        """Remove every working pair at v; a vertex without one changes nothing."""
-        if self.clear_incident(v):
-            self.floor -= 1
+    def remove_incident(self, vertices: list[int] | np.ndarray) -> None:
+        """Remove every working pair at each of the distinct `vertices`."""
+        self.floor -= self.clear_incident(vertices)
 
     def remove_between(self, a: np.ndarray, b: np.ndarray) -> bool:
         """Remove the working pairs between vertex sets `a` and `b`; say whether one was."""
@@ -378,25 +372,34 @@ def step4_peel(working: WorkingGraph, tau: int) -> np.ndarray:
 
 
 def step5_degree_hypothesis(
-    oracle: QueryOracle, v: int, params: Params, rng: np.random.Generator
-) -> Hypothesis:
-    """Classify v's hidden degree by round-sampling random pair candidates.
+    oracle: QueryOracle, vertices: np.ndarray, params: Params, keys: np.ndarray
+) -> list[Hypothesis]:
+    """Classify the hidden degree of each of `vertices` in turn, vertex i on
+    the fresh stream `rng.keyed(keys[i])`, through the first HIGH verdict.
 
     Runs ceil(c0 * ln n) rounds of ceil(n^delta) sampled candidates each and
-    accepts LOW when fewer than half the rounds saw an edge.  Always issues
-    exactly rounds * per_round queries, drawn and billed as one batch: the
-    draws are the same numbers, and leave the generator in the same state,
-    as one `rng.choice` per round over every vertex but v.
+    accepts LOW when fewer than half the rounds saw an edge.  Returns the
+    verdicts of the vertices classified, and bills exactly rounds * per_round
+    queries for each in one `query_rows` read.  A vertex's draws are those of
+    one `rng.choice` per round over every vertex but it: `rng.lemire_draws`
+    decodes them for every stream at once, and a stream it cannot settle
+    draws them with `integers`.
     """
     n = oracle.n
     rounds = math.ceil(params.c0 * math.log(n))
     per_round = math.ceil(n**params.delta)
+    draws, exact = lemire_draws(keys, n - 1, rounds * per_round)
+    picks = draws.astype(np.int64)
+    for i in np.flatnonzero(~exact).tolist():
+        picks[i] = keyed(keys[i]).integers(0, n - 1, size=rounds * per_round)
     # index i of the ascending vertices other than v is vertex i + 1, or i + 2 from v on
-    picks = rng.integers(0, n - 1, size=rounds * per_round)
-    picks += 1 + (picks + 1 >= v)
-    seen = oracle.query_row(v, picks, StepTag.STEP5).reshape(rounds, per_round)
-    hits = int(seen.any(axis=1).sum())
-    return Hypothesis.LOW if hits < rounds / 2 else Hypothesis.HIGH
+    picks += 1 + (picks + 1 >= np.asarray(vertices)[:, None])
+
+    def high(seen: np.ndarray) -> np.ndarray:
+        return seen.reshape(len(seen), rounds, per_round).any(axis=2).sum(axis=1) >= rounds / 2
+
+    seen = oracle.query_rows(vertices, picks, StepTag.STEP5, stop=high)
+    return [Hypothesis.HIGH if flag else Hypothesis.LOW for flag in high(seen).tolist()]
 
 
 def degree_gap(n: int, delta: float) -> tuple[float, float]:
@@ -413,9 +416,9 @@ def hypothesis_mismatch(n: int, delta: float, true_degree: int, verdict: Hypothe
     return verdict is Hypothesis.HIGH and true_degree < low
 
 
-def step6_low_degree(working: WorkingGraph, v: int) -> None:
-    """Move every candidate pair incident to v from the working set to E."""
-    working.remove_incident(v)
+def step6_low_degree(working: WorkingGraph, vertices: np.ndarray) -> None:
+    """Move every candidate pair at one of `vertices` from the working set to E."""
+    working.remove_incident(vertices)
 
 
 def step7_high_degree(
@@ -442,7 +445,7 @@ def step7_high_degree(
 
     if working.remove_between(hood, np.flatnonzero(working.rows([v])[0])):
         return None, missed, False
-    working.remove_incident(v)
+    working.remove_incident([v])
     return None, missed, True
 
 
@@ -457,27 +460,42 @@ def step8_loop(
     Every cycle strictly shrinks the working set, so the loop terminates.
     Returns (triangle, events).  The step-4 peels move pairs to T,
     `working.peeled`; the other candidate pairs that leave go to E.
+
+    A batch is the vertices that the loop would visit while every verdict is
+    LOW: the rows below the last vertex visited, v, are empty, so these are
+    the rows from v on that hold a pair (u, w) with w > u (`upper_rows`).  Each LOW removal lowers `floor` by
+    one, so a batch holds at most floor - tau + 1 of them, whose peels would
+    return without counting, and at most BLOCK_CAP.  Step 5 stops at the first
+    HIGH verdict, step 6 clears the LOW vertices before it in one pass, and
+    step 7 runs at it.  Visit i draws from `substream(seed, "step5", i)` and
+    `substream(seed, "step7", i)`, as a loop of one vertex per cycle would.
     """
     n = oracle.n
     tau = peel_threshold(n, params.epsilon_prime)
     events: set[str] = set()
-    step5_streams = substreams(seed, "step5")  # one per invocation, in order
+    key_blocks = substream_keys(seed, "step5")  # one key per invocation (vertex visit), in order
+    keys = np.empty((0, 2), dtype=np.uint64)
     degrees = oracle.hidden.degrees()  # the true degrees, for the mismatch check
     invocation = 0
     v = 1
     while True:
         step4_peel(working, tau)
-        v = working.first_active_vertex(v)  # rows below the last v are empty
-        if v is None:
+        batch = working.upper_rows(v, min(max(working.floor - tau + 1, 1), BLOCK_CAP))
+        if not len(batch):
             break
-        verdict = step5_degree_hypothesis(oracle, v, params, next(step5_streams))
-        if hypothesis_mismatch(n, params.delta, int(degrees[v]), verdict):
+        while len(keys) < len(batch):
+            keys = np.concatenate([keys, next(key_blocks)])
+        verdicts = step5_degree_hypothesis(oracle, batch, params, keys[: len(batch)])
+        keys, invocation = keys[len(verdicts) :], invocation + len(verdicts)
+        if any(hypothesis_mismatch(n, params.delta, int(degrees[u]), h) for u, h in zip(batch, verdicts)):
             events.add("hypothesis_mismatch")
-        if verdict is Hypothesis.LOW:
-            step6_low_degree(working, v)
-        else:
+        low = len(verdicts) - (verdicts[-1] is Hypothesis.HIGH)
+        if low:
+            step6_low_degree(working, batch[:low])
+        v = int(batch[len(verdicts) - 1])
+        if low < len(verdicts):  # step 7 at the last visit, number invocation - 1
             tri, missed, stalled = step7_high_degree(
-                oracle, working, v, params, substream(seed, "step7", invocation)
+                oracle, working, v, params, substream(seed, "step7", invocation - 1)
             )
             if missed:
                 events.add("safe_grover_miss")
@@ -485,7 +503,6 @@ def step8_loop(
                 events.add("step7_no_progress")
             if tri is not None:
                 return tri, events
-        invocation += 1
     return None, events
 
 

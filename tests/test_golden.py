@@ -103,6 +103,12 @@ CASES = {
     "host2048_step10_yes": (
         lambda: bipartite_host(2048, 3, 0, triangle=(1, 3, 5)), Params(), 0,
     ),
+    # default Params: the loop classifies a long run of low vertices below the
+    # hub, vertex 2048, whose high verdict then runs step 7 in the middle of the
+    # run that the loop reads in one batch
+    "host4096_hub2048_step7_no": (
+        lambda: bipartite_host(4096, 3, 0, hub=0.5, hub_at=2048), Params(), 0,
+    ),
 }
 
 

@@ -207,7 +207,7 @@ def test_block_matches_the_unpacked_rows(n):
     for density in (0.02, 0.3, 0.9):
         g = Graph.from_adjacency(symmetric_pairs(rng, n, density))
         pairs = PairSet(g)
-        pairs.clear_incident(int(rng.integers(1, n + 1)))
+        pairs.clear_incident([int(rng.integers(1, n + 1))])
         pairs.clear_between(np.arange(1, n // 2), np.arange(n // 3, n + 1))
         picks = (rng.permutation(np.arange(1, n + 1)), rng.integers(1, n + 1, size=2 * n),
                  np.array([n, 1, n, 1]), np.array([], dtype=np.intp), [], [n - 1, 2, n - 1])
@@ -228,12 +228,13 @@ def test_pair_set_matches_a_boolean_reference(n, density, seed, data):
     start = symmetric_pairs(rng, n, density)
     ref, ref_into = start.copy(), np.zeros_like(start)
     pairs, into = PairSet(Graph.from_adjacency(start)), PairSet(Graph(n))
-    ops = ["incident", "between", "move", "degrees", "first_row", "rows"]
+    ops = ["incident", "between", "move", "degrees", "first_row", "upper_rows", "rows"]
     for op in data.draw(st.lists(st.sampled_from(ops), max_size=12), label="ops"):
-        if op == "incident":
-            v = data.draw(st.integers(1, n), label="v")
-            assert pairs.clear_incident(v) is bool(ref[v].any())
-            ref[v] = ref[:, v] = False
+        if op == "incident":  # distinct vertices, unsorted, possibly none
+            vs = unique_vertices(data, n, "vs")
+            assert pairs.clear_incident(vs) == int(ref[vs].any(axis=1).sum())
+            ref[vs] = False
+            ref[:, vs] = False
         elif op == "between":  # two vertex sets that may overlap
             a, b = unique_vertices(data, n, "a"), unique_vertices(data, n, "b")
             rect = np.zeros_like(ref)
@@ -256,6 +257,12 @@ def test_pair_set_matches_a_boolean_reference(n, density, seed, data):
             begin = data.draw(st.integers(1, n), label="start")
             held = np.flatnonzero(ref[begin:].any(axis=1))
             assert pairs.first_row(begin) == (begin + int(held[0]) if len(held) else None)
+        elif op == "upper_rows":
+            begin = data.draw(st.integers(1, n), label="start")
+            limit = data.draw(st.integers(1, n + 1), label="limit")
+            upper = np.triu(ref, 1)
+            held = [u for u in range(begin, n + 1) if upper[u].any()]
+            assert pairs.upper_rows(begin, limit).tolist() == held[:limit]
         else:
             vertices = unique_vertices(data, n, "rows")
             assert np.array_equal(pairs.rows(vertices), ref[vertices])
@@ -279,6 +286,23 @@ def test_first_row_stops_at_a_single_bit_byte(n, bit):
         assert pairs.first_row(v + 1) == u
         if u < n:
             assert pairs.first_row(u + 1) is None
+
+
+@pytest.mark.parametrize("n", PAIR_SET_SIZES + [1000])
+def test_upper_rows_find_upper_pairs_across_word_boundaries(n):
+    # a pair (v, u), v < u, puts v and not u among the upper rows, wherever the
+    # two columns fall against a word boundary; the scan's blocks double from `limit`
+    for v, u in [(1, 2), (62, 63), (63, 64), (64, 65), (1, n), (n - 1, n)]:
+        if u > n:
+            continue
+        pairs = PairSet(Graph(n, [(v, u)]))
+        for limit in (1, 2, n):
+            assert pairs.upper_rows(1, limit).tolist() == [v]
+            assert pairs.upper_rows(v, limit).tolist() == [v]
+            assert pairs.upper_rows(v + 1, limit).tolist() == []
+    chain = PairSet(Graph(n, [(v, v + 1) for v in range(1, n, 3)]))
+    assert chain.upper_rows(1, n).tolist() == list(range(1, n, 3))
+    assert chain.upper_rows(2, 5).tolist() == list(range(4, n, 3))[:5]
 
 
 @pytest.mark.parametrize("n", [3, (1 << 15) - 1, 1 << 15, MAX_VERTICES])
@@ -311,6 +335,9 @@ def test_packed_counts_match_the_unpacked_rows(kind, n, p):
         for v in (1, n // 2 + 1, n):
             bits = g.row_bits(v, a)
             assert bits.dtype == bool and np.array_equal(bits, adj[v][a] > 0)
+        owners, columns = rng.integers(1, n + 1, size=3), rng.integers(1, n + 1, size=(3, size))
+        bits = g.row_bits(owners, columns)  # one row of columns per owner
+        assert bits.shape == (3, size) and np.array_equal(bits, adj[owners[:, None], columns] > 0)
     assert g.common_counts([], []).tolist() == []
 
 
@@ -466,6 +493,9 @@ def test_rows_reject_bad_vertices():
     for columns in ([0], [4], [2, -1], [[1, 2]]):
         with pytest.raises(ValueError):
             K3.row_bits(1, columns)
+    for vs, columns in (([1, 2], [[2]]), ([1], [2, 3]), ([0], [[1]]), ([1], [[4]]), ([[1]], [[2]])):
+        with pytest.raises(ValueError):
+            K3.row_bits(vs, columns)
     # a float label must not be truncated to a vertex, nor fail as a bad index
     for read in (K3.rows, pairs.rows, K3.block, pairs.block, lambda v: K3.row_bits(1, v),
                  lambda v: K3.common_counts([1] * len(v), v)):

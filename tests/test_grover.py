@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+import qtri.rng
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,9 +26,8 @@ from qtri.grover import (
     bill_sure_misses,
     iteration_cap,
     mean_success_prob,
-    miss_iterations,
 )
-from qtri.rng import keyed, seed_keys, substream
+from qtri.rng import keyed, lemire_draws, seed_keys, substream
 
 DUMMY = Graph(8)
 
@@ -281,14 +281,15 @@ def test_sure_misses_match_the_per_attempt_reference(size, q_test, c, budget_sha
 
 
 @pytest.mark.parametrize("kind", ["philox", "philox, half cached", "pcg64"])
-def test_miss_iterations_equal_the_per_attempt_draws(kind):
-    # the kernel reads any 64-bit stream's raw output as the per-attempt draws
-    # do, once a half output the stream has cached is spent
+def test_miss_iterations_equal_the_per_attempt_draws(monkeypatch, kind):
+    # `lemire_draws` reads each key's stream through `rng.keyed`; handed a
+    # stream of each kind there, it decodes any 64-bit stream's raw output,
+    # every third output as `bill_sure_misses` reads it, as the per-attempt
+    # draws do, once a half output the stream has cached is spent
     exact_rows = inexact_rows = 0
     for size in MISS_SIZES:
         cap = iteration_cap(size)
         for reps in (0, 1, 2, 3, 30, 31):
-            words = 3 * (reps // 2) + reps % 2
             streams, twins = [], []
             for seed in range(40):
                 rng, twin = miss_stream(kind, seed), miss_stream(kind, seed)
@@ -296,10 +297,13 @@ def test_miss_iterations_equal_the_per_attempt_draws(kind):
                     assert rng.integers(5) == twin.integers(5)
                 streams.append(rng)
                 twins.append(twin)
-            raw = np.stack([rng.bit_generator.random_raw(words) for rng in streams])
-            counts, exact = miss_iterations(raw, cap, reps)
+            handed = iter(streams)
+            with monkeypatch.context() as patch:
+                patch.setattr(qtri.rng, "keyed", lambda key: next(handed))
+                counts, exact = lemire_draws(sure_miss_keys(40), cap, reps, stride=3)
+            assert next(handed, None) is None  # one stream read per key
             assert counts.shape == (40, reps) and exact.shape == (40,)
-            for rng, twin, row, ok in zip(streams, twins, counts.tolist(), exact.tolist()):
+            for twin, row, ok in zip(twins, counts.tolist(), exact.tolist()):
                 want = []
                 for _ in range(reps):
                     want.append(int(twin.integers(cap)))
@@ -309,14 +313,11 @@ def test_miss_iterations_equal_the_per_attempt_draws(kind):
                     continue
                 exact_rows += 1
                 assert row == want
-                if reps % 2 == 0:  # the raw pass leaves the stream where the draws do
-                    assert next_draws(rng) == next_draws(twin)
     assert exact_rows > 1000 and inexact_rows > 50  # MISS_SIZES' largest caps reject often
 
 
 def test_miss_iterations_leave_caps_beyond_32_bits_to_the_per_attempt_draws():
-    raw = substream(0, "miss").bit_generator.random_raw(6)[None]
-    assert not miss_iterations(raw, 1 << 32, 4)[1].any()
+    assert not lemire_draws(sure_miss_keys(3), 1 << 32, 4, stride=3)[1].any()
 
 
 # A run of sure misses as step 2 meets them: sizes 0 and 1, even reps (2, 30),
@@ -401,10 +402,10 @@ def test_a_budget_crossed_inside_a_run_of_sure_misses_bills_as_per_search_calls(
 def test_a_search_that_lemire_may_reject_runs_on_its_own(monkeypatch, forced):
     # the check fails on row 1 of every pass, or on every row: those searches run
     # as their own `safe_grover` calls, which draw attempt by attempt
-    kernel, fallbacks = grover.miss_iterations, []
+    kernel, fallbacks = grover.lemire_draws, []
 
-    def failing(raw, cap, reps):
-        counts, exact = kernel(raw, cap, reps)
+    def failing(keys, cap, reps, stride):
+        counts, exact = kernel(keys, cap, reps, stride=stride)
         exact[slice(1, 2) if forced == "row 1" else slice(None)] = False
         return counts, exact
 
@@ -412,7 +413,7 @@ def test_a_search_that_lemire_may_reject_runs_on_its_own(monkeypatch, forced):
         fallbacks.append(space.size)
         return safe_grover(space, *args)
 
-    monkeypatch.setattr(grover, "miss_iterations", failing)
+    monkeypatch.setattr(grover, "lemire_draws", failing)
     monkeypatch.setattr(grover, "safe_grover", counted)
     searches = [(size, 0) for size in MISS_RUN]
     block_ledger, block_charges, ledger, charges = both_ledgers(searches)

@@ -127,7 +127,7 @@ def test_report_json_shape():
 
 
 # ---------------------------------------------------------------------------
-# query_row: bulk billed reads
+# query_rows: bulk billed reads, one row of targets per vertex
 
 
 def test_graph_row_matches_has_edge():
@@ -147,26 +147,32 @@ def test_query_row_matches_per_probe_queries():
     g = generate("erdos_renyi", 40, seed=2, p=0.5)
     bulk, single = QueryOracle(g), QueryOracle(g)
     targets = [3, 40, 1, 3, 17, 2, 39, 3]
-    bits = bulk.query_row(5, targets, StepTag.STEP5)
-    assert bits.dtype == bool
-    assert bits.tolist() == [bool(single.query(5, u, StepTag.STEP5)) for u in targets]
+    bits = bulk.query_rows([5], [targets], StepTag.STEP5)
+    assert bits.dtype == bool and bits.shape == (1, 8)
+    assert bits[0].tolist() == [bool(single.query(5, u, StepTag.STEP5)) for u in targets]
+    assert bulk.report() == single.report()
+    # several rows, a vertex repeated, bill as their probes in row-major order
+    vertices, rows = [7, 1, 7], [[1, 2, 40, 2], [3, 3, 5, 40], [40, 39, 38, 8]]
+    bits = bulk.query_rows(np.array(vertices), np.array(rows), StepTag.STEP7)
+    assert bits.tolist() == [[bool(single.query(v, u, StepTag.STEP7)) for u in row]
+                             for v, row in zip(vertices, rows)]
     assert bulk.report() == single.report()
 
 
 def test_query_row_bills_every_target_including_duplicates():
     o = QueryOracle(generate("erdos_renyi", 20, seed=1, p=0.5))
     o.query(1, 2, StepTag.STEP7)
-    o.query_row(4, np.array([1, 1, 1, 2, 20]), StepTag.STEP7)
+    o.query_rows([4, 4], np.array([[1, 1, 1, 2, 20], [1, 1, 1, 1, 1]]), StepTag.STEP7)
     rep = o.report()
-    assert rep.classical == 6
-    assert rep.per_step["Step7"] == 6
+    assert rep.classical == 11
+    assert rep.per_step["Step7"] == 11
     assert rep.total == rep.classical + rep.charged == sum(rep.per_step.values())
 
 
 def test_query_row_empty_targets_bill_nothing():
     o = QueryOracle(K3)
-    bits = o.query_row(2, [], StepTag.STEP1)
-    assert bits.shape == (0,)
+    assert o.query_rows([2], [[]], StepTag.STEP1).shape == (1, 0)
+    assert o.query_rows([], np.empty((0, 3), dtype=int), StepTag.STEP1).shape == (0, 3)
     assert o.report().total == 0
 
 
@@ -177,7 +183,10 @@ def test_query_row_empty_targets_bill_nothing():
 def test_query_row_rejects_loops_and_range_before_billing(v, targets):
     o = QueryOracle(K3)
     with pytest.raises(ValueError):
-        o.query_row(v, targets, StepTag.STEP1)
+        o.query_rows([v], [targets], StepTag.STEP1)
+    # a bad row after a good one, even past a stop, bills nothing either
+    with pytest.raises(ValueError):
+        o.query_rows([3, v], [[1] * len(targets), targets], StepTag.STEP1, stop=lambda bits: [True, True])
     assert o.report().total == 0
 
 
@@ -185,9 +194,9 @@ def test_query_row_budget_crossing_matches_per_probe_billing():
     g = Graph(8, [(1, 2), (1, 5)])
     bulk, single = QueryOracle(g, budget=10), QueryOracle(g, budget=10)
     for o in (bulk, single):
-        o.query_row(1, [2, 3, 4], StepTag.STEP1)
+        o.query_rows([1], [[2, 3, 4]], StepTag.STEP1)
     with pytest.raises(BudgetExceededError) as bulk_err:
-        bulk.query_row(1, [2, 3, 4, 5, 6, 7, 8, 2, 3], StepTag.STEP1)
+        bulk.query_rows([1], [[2, 3, 4, 5, 6, 7, 8, 2, 3]], StepTag.STEP1)
     with pytest.raises(BudgetExceededError) as single_err:
         for u in [2, 3, 4, 5, 6, 7, 8, 2, 3]:
             single.query(1, u, StepTag.STEP1)
@@ -203,11 +212,61 @@ def test_query_row_over_an_exceeded_budget_bills_one_probe():
         with pytest.raises(BudgetExceededError):
             o.charge(5, StepTag.STEP9)
     with pytest.raises(BudgetExceededError) as bulk_err:
-        bulk.query_row(1, [2, 3, 4], StepTag.STEP9)
+        bulk.query_rows([1, 2], [[2, 3, 4], [1, 3, 4]], StepTag.STEP9)
     with pytest.raises(BudgetExceededError) as single_err:
         single.query(1, 2, StepTag.STEP9)
     assert str(bulk_err.value) == str(single_err.value)
     assert bulk.report() == single.report()
+
+
+@pytest.mark.parametrize("stop_at", [0, 1, 3, 4, None])
+def test_query_rows_bill_through_the_first_stopped_row(stop_at):
+    g = generate("erdos_renyi", 30, seed=6, p=0.5)
+    o = QueryOracle(g)
+    vertices = np.array([3, 9, 1, 30, 17])
+    targets = np.array([[u for u in range(1, 31) if u != v][:7] for v in vertices])
+    seen = []
+
+    def stop(bits):
+        seen.append(bits.copy())
+        flags = np.zeros(len(bits), dtype=bool)
+        flags[stop_at:] = stop_at is not None
+        return flags
+
+    bits = o.query_rows(vertices, targets, StepTag.STEP5, stop=stop)
+    rows = len(vertices) if stop_at is None else stop_at + 1
+    assert bits.shape == (rows, 7) and o.report().classical == rows * 7
+    assert o.report().per_step["Step5"] == rows * 7
+    # the predicate saw every row's bits, and the read returns the billed ones
+    assert np.array_equal(seen[0], g.rows(vertices)[np.arange(5)[:, None], targets])
+    assert np.array_equal(bits, seen[0][:rows])
+
+
+@pytest.mark.parametrize("budget", [0, 6, 7, 8, 13, 20, 21, 34, 35])
+@pytest.mark.parametrize("stop_at", [2, None])
+def test_query_rows_budget_crossing_inside_a_row_matches_per_probe_billing(budget, stop_at):
+    # five rows of seven: a budget below 35 runs out inside a row of the batch,
+    # unless a stop at row 2 ends the read first
+    g = generate("erdos_renyi", 12, seed=2, p=0.5)
+    vertices = [1, 12, 5, 5, 8]
+    targets = [[u for u in range(1, 13) if u != v][:7] for v in vertices]
+    bulk, single = QueryOracle(g, budget=budget), QueryOracle(g, budget=budget)
+    billed = 5 if stop_at is None else stop_at + 1
+    errors = []
+    try:
+        bulk.query_rows(vertices, targets, StepTag.STEP5,
+                        stop=lambda bits: np.arange(len(bits)) == stop_at)
+    except BudgetExceededError as err:
+        errors.append(str(err))
+    try:
+        for v, row in list(zip(vertices, targets))[:billed]:
+            for u in row:
+                single.query(v, u, StepTag.STEP5)
+    except BudgetExceededError as err:
+        errors.append(str(err))
+    assert len(errors) == (2 if budget < 7 * billed else 0) and len(set(errors)) <= 1
+    assert bulk.report() == single.report()
+    assert bulk.report().classical == min(budget + 1, 7 * billed)
 
 
 # ---------------------------------------------------------------------------
@@ -245,9 +304,10 @@ def test_reads_reject_non_integer_labels_before_billing():
         lambda: o.query(1.5, 2, StepTag.STEP1),
         lambda: o.query(1, 2.0, StepTag.STEP1),
         lambda: o.query(True, 2, StepTag.STEP1),
-        lambda: o.query_row(1, [2.9, 3.2], StepTag.STEP5),
-        lambda: o.query_row(1, np.array([True, False]), StepTag.STEP5),
-        lambda: o.query_row(1.0, [2, 3], StepTag.STEP5),
+        lambda: o.query_rows([1], [[2.9, 3.2]], StepTag.STEP5),
+        lambda: o.query_rows([1], np.array([[True, False]]), StepTag.STEP5),
+        lambda: o.query_rows([1.0], [[2, 3]], StepTag.STEP5),
+        lambda: o.query_rows(np.array([True]), [[2, 3]], StepTag.STEP5),
         lambda: o.read_rows([2.5], StepTag.STEP1),
         lambda: o.read_rows(np.array([True]), StepTag.STEP1),
     ]
@@ -255,7 +315,7 @@ def test_reads_reject_non_integer_labels_before_billing():
         with pytest.raises(ValueError, match="vertex labels must be integers"):
             read()
     assert o.report().total == 0
-    assert o.query_row(1, np.array([], dtype=float), StepTag.STEP5).shape == (0,)
+    assert o.query_rows([1], np.array([[]], dtype=float), StepTag.STEP5).shape == (1, 0)
     assert o.read_rows([], StepTag.STEP1).shape == (0, 7)
     assert o.report().total == 0
 
@@ -274,8 +334,8 @@ def test_read_rows_budget_crossing_matches_per_row_reads(budget, spent):
     bulk, single = QueryOracle(g, budget=budget), QueryOracle(g, budget=budget)
     errors = []
     for o, read in ((bulk, lambda o, vs: o.read_rows(vs, StepTag.STEP1)),
-                    (single, lambda o, vs: [o.query_row(v, [u for u in range(1, 9) if u != v],
-                                                        StepTag.STEP1) for v in vs])):
+                    (single, lambda o, vs: [o.query_rows([v], [[u for u in range(1, 9) if u != v]],
+                                                         StepTag.STEP1) for v in vs])):
         spend(o, spent)
         try:
             read(o, [1, 2, 3, 4])
@@ -329,7 +389,7 @@ def test_empty_batches_on_an_exceeded_budget_bill_nothing_and_raise_nothing():
     o = QueryOracle(Graph(8), budget=3)
     spend(o, 5)
     rep = o.report()
-    assert o.query_row(1, [], StepTag.STEP5).shape == (0,)
+    assert o.query_rows([1], [[]], StepTag.STEP5).shape == (1, 0)
     assert o.read_rows([], StepTag.STEP7).shape == (0, 9)
     o.charge_batch([], StepTag.STEP9)
     assert o.report() == rep

@@ -13,9 +13,10 @@ from qtri.rng import (
     child_keys,
     doubling_blocks,
     keyed,
+    lemire_draws,
     seed_keys,
     substream,
-    substreams,
+    substream_keys,
 )
 
 STREAMS = 600  # past the blocks of 1, 2, 4, ..., 256 rows and into the second of BLOCK_CAP
@@ -75,9 +76,27 @@ def test_substream_matches_seed_sequence_construction():
 
 def test_block_keyed_loop_streams_match_per_call_streams():
     for seed in (0, 3, 2**33 + 1):
-        streams = substreams(seed, "step5")
+        blocks = substream_keys(seed, "step5")
+        keys = np.concatenate([next(blocks) for _ in range(10)])  # 1 + 2 + ... + 256 + 256 + 256
+        assert keys.shape == (STREAMS + 167, 2) and keys.dtype == np.uint64
         for i in range(STREAMS):
-            assert same_draws(next(streams), reference_substream(seed, "step5", i))
+            assert same_draws(keyed(keys[i]), reference_substream(seed, "step5", i))
+            assert same_draws(keyed(keys[i]), substream(seed, "step5", i))
+
+
+@pytest.mark.parametrize("bound", [2, 7, 63, 511, 4095, 65535, 2**31 + 11, 2**32 - 1])
+@pytest.mark.parametrize("count", [0, 1, 2, 7, 132, 133])
+def test_lemire_draws_equal_the_bounded_integers(bound, count):
+    # stride 1 is `integers(bound, size=count)`, as `integers(0, bound, ...)` also
+    # draws it, wherever Lemire's method may not reject; the largest bounds reject often
+    keys = seed_keys([[bound, count, i] for i in range(64)])
+    draws, exact = lemire_draws(keys, bound, count)
+    assert draws.shape == (64, count) and draws.dtype == np.uint64 and exact.shape == (64,)
+    for key, row, ok in zip(keys, draws, exact.tolist()):
+        want = keyed(key).integers(0, bound, size=count)
+        assert not ok or np.array_equal(row, want)
+    # a half may be rejected only when its leftover falls below `bound`
+    assert exact.all() if count == 0 else not exact.all() or bound < 2**30
 
 
 def test_block_keyed_children_match_per_call_children():
@@ -113,7 +132,7 @@ def test_a_keyed_stream_serves_only_its_key():
 
 
 def test_a_keyed_stream_pickles_and_resumes():
-    stream = next(substreams(1, "step5"))
+    stream = keyed(next(substream_keys(1, "step5"))[0])
     stream.random()
     copy = pickle.loads(pickle.dumps(stream))
     assert same_draws(copy, stream)

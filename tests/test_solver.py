@@ -1,5 +1,6 @@
 """Step-by-step and end-to-end solver tests."""
 
+import itertools
 import json
 import math
 from unittest import mock
@@ -14,7 +15,7 @@ from qtri.analysis import cost_terms
 from qtri.graphs import canon_pair, common_neighbors
 from qtri.grover import grover_success_prob
 from qtri.oracle import StepTag
-from qtri.rng import child_keys, keyed, substream
+from qtri.rng import BLOCK_CAP, child_keys, keyed, seed_keys, substream
 from qtri.solver import (
     MIN_N,
     Hypothesis,
@@ -362,13 +363,13 @@ def test_peel_counts_only_when_the_floor_allows_a_low_pair(monkeypatch):
     working = complete_working(4)  # K4: degrees 3 over L = 4, so every pair keeps 2 * 3 - 4 = 2
     assert len(step4_peel(working, tau=1)) == 0
     assert not counted and working.floor == 2  # the bound, taken without a count
-    working.remove_incident(4)  # K3: the floor falls to 1 = tau
+    working.remove_incident([4])  # K3: the floor falls to 1 = tau
     assert len(step4_peel(working, tau=1)) == 0
     assert not counted and working.floor == 1  # the floor alone rules a low pair out
     working.floor = 0
     assert len(step4_peel(working, tau=1)) == 0
     assert not counted and working.floor == 1  # K3's bound: 2 * 2 - 3
-    working.remove_incident(3)  # one pair: 2 * 1 - 2 = 0 < tau
+    working.remove_incident([3])  # one pair: 2 * 1 - 2 = 0 < tau
     assert step4_peel(working, tau=1).tolist() == [[1, 2]]
     assert len(counted) == 1  # the round that moves (1, 2); the next has no live vertex
     assert working.floor == 4
@@ -405,7 +406,7 @@ def test_removals_keep_counts_consistent(data):
         removed = []  # the pairs the removal must clear, and no other
         if op == "incident":
             v = data.draw(st.integers(1, working.n), label="v")
-            working.remove_incident(v)
+            working.remove_incident([v])
             removed = [pair for pair in live if v in pair]
         elif live and op == "pair":
             removed = [data.draw(st.sampled_from(live), label="pair")]
@@ -425,7 +426,7 @@ def test_removals_keep_counts_consistent(data):
 def test_first_active_vertex_is_the_smallest_with_a_live_pair(data):
     working = random_working(data)
     for _ in range(data.draw(st.integers(0, 4), label="clears")):
-        working.remove_incident(data.draw(st.integers(1, working.n), label="v"))
+        working.remove_incident([data.draw(st.integers(1, working.n), label="v")])
     live = live_pairs(working)
     expected = min((a for a, _ in live), default=None)
     assert working.first_active_vertex() == expected
@@ -433,7 +434,7 @@ def test_first_active_vertex_is_the_smallest_with_a_live_pair(data):
     for start in range(1, (working.n if expected is None else expected) + 1):
         assert working.first_active_vertex(start) == expected
     for v in range(1, working.n + 1):
-        working.remove_incident(v)
+        working.remove_incident([v])
     for start in range(1, working.n + 1):
         assert working.first_active_vertex(start) is None
 
@@ -530,7 +531,7 @@ def test_peel_with_its_shortcuts_matches_a_peel_that_always_counts(data):
         assert np.array_equal(working_adj(working), reference)
         assert_counts_consistent(working)
         v = data.draw(st.integers(1, working.n), label="v")
-        working.remove_incident(v)
+        working.remove_incident([v])
         reference[v, :] = reference[:, v] = False
 
 
@@ -593,26 +594,180 @@ def test_step8_gives_every_candidate_one_fate(
     assert_counts_consistent(working)
 
 
+def step5_one_vertex(oracle, v, params, rng):
+    """Step 5 at one vertex as one `integers` draw and one billed row."""
+    n = oracle.n
+    rounds = math.ceil(params.c0 * math.log(n))
+    per_round = math.ceil(n**params.delta)
+    picks = rng.integers(0, n - 1, size=rounds * per_round)
+    picks += 1 + (picks + 1 >= v)
+    seen = oracle.query_rows([v], [picks], StepTag.STEP5).reshape(rounds, per_round)
+    return Hypothesis.LOW if seen.any(axis=1).sum() < rounds / 2 else Hypothesis.HIGH
+
+
+def step8_reference(oracle, working, params, seed):
+    """The step-8 loop one vertex per cycle: a peel, the first active vertex,
+    its verdict on `substream(seed, "step5", i)`, then step 6 or step 7."""
+    n = oracle.n
+    tau = peel_threshold(n, params.epsilon_prime)
+    events = set()
+    degrees = oracle.hidden.degrees()
+    invocation, v = 0, 1
+    while True:
+        step4_peel(working, tau)
+        v = working.first_active_vertex(v)
+        if v is None:
+            return None, events
+        verdict = step5_one_vertex(oracle, v, params, substream(seed, "step5", invocation))
+        if hypothesis_mismatch(n, params.delta, int(degrees[v]), verdict):
+            events.add("hypothesis_mismatch")
+        if verdict is Hypothesis.LOW:
+            working.remove_incident([v])
+        else:
+            tri, missed, stalled = step7_high_degree(
+                oracle, working, v, params, substream(seed, "step7", invocation))
+            if missed:
+                events.add("safe_grover_miss")
+            if stalled:
+                events.add("step7_no_progress")
+            if tri is not None:
+                return tri, events
+        invocation += 1
+
+
+def sparse_host(n, degree, seed, hubs=0, triangle=()):
+    """A random bipartite graph with mean degree `degree`, plus `hubs` vertices
+    joined to half the other side, and optionally one triangle."""
+    rng = np.random.default_rng(seed)
+    side = rng.random(n + 1) < 0.5
+    p = np.where(side[:, None] != side[None, :], degree / (n / 2), 0.0)
+    for hub in rng.choice(np.arange(1, n + 1), size=hubs, replace=False):
+        p[hub] = p[:, hub] = np.where(side != side[hub], 0.5, 0.0)
+    adj = np.triu(rng.random((n + 1, n + 1)) < p, 1)
+    adj[0] = False
+    pairs = list(zip(*(side.tolist() for side in np.nonzero(adj))))
+    return Graph(n, pairs + ([tuple(sorted(pair)) for pair in itertools.combinations(triangle, 2)]
+                             if triangle else []))
+
+
+def solve_with_loop(loop, hidden, params, seed, budget=None):
+    """`solve` with `loop` as the step-8 loop: the report's JSON, or the budget
+    error and the ledger when the run is cut."""
+    oracle = QueryOracle(hidden, budget)
+    with mock.patch.object(solver, "step8_loop", loop):
+        try:
+            return json.dumps(solve(oracle, params, seed=seed).to_json(), sort_keys=True)
+        except BudgetExceededError as err:
+            return str(err), oracle.report()
+
+
+LOOP_PARAMS = [Params(), Params(epsilon_prime=0.3, delta=0.4), Params(epsilon=0.1, delta=0.5)]
+
+
+@pytest.mark.parametrize("n", [63, 64, 65, 127, 128, 129, 300])
+def test_batched_loop_reports_match_the_one_vertex_loop(n):
+    """Byte-identical reports on sparse hosts with and without hubs: runs of
+    low verdicts, high verdicts inside a batch and step-7 stalls."""
+    loop = solver.step8_loop
+    reached = set()
+    for graph_seed, hubs in [(0, 0), (1, 1), (2, 3)]:
+        hidden = sparse_host(n, 3, graph_seed, hubs=hubs)
+        for params in LOOP_PARAMS:
+            for seed in range(2):
+                ours = solve_with_loop(loop, hidden, params, seed)
+                assert ours == solve_with_loop(step8_reference, hidden, params, seed)
+                report = json.loads(ours)
+                reached |= {step for step, count in report["cost"]["per_step"].items() if count}
+    assert {"Step5", "Step7"} <= reached
+
+
+@pytest.mark.parametrize("n", [129, 300])
+def test_a_budget_crossed_inside_a_batch_bills_as_the_one_vertex_loop(n):
+    hidden = sparse_host(n, 3, 1, hubs=1)
+    params = LOOP_PARAMS[2]
+    batches = []
+    with mock.patch.object(solver, "step5_degree_hypothesis",
+                           lambda *args: batches.append(step5_degree_hypothesis(*args)) or batches[-1]):
+        full = json.loads(solve_with_loop(solver.step8_loop, hidden, params, 0))["cost"]["per_step"]
+    # the first batch bills five low rows or more, then stops at a high verdict
+    assert len(batches[0]) > 5 and batches[0][-1] is Hypothesis.HIGH
+    row = math.ceil(params.c0 * math.log(n)) * math.ceil(n**params.delta)
+    before = full["Step1"] + full["Step2"]
+    for budget in [before + row // 2, before + row, before + 3 * row + 1, before + 5 * row - 1,
+                   before + full["Step5"] + full["Step7"] // 2]:
+        ours = solve_with_loop(solver.step8_loop, hidden, params, 0, budget)
+        assert ours[1].total == budget + 1  # cut by the budget
+        assert ours == solve_with_loop(step8_reference, hidden, params, 0, budget)
+
+
+@pytest.mark.parametrize("n", [65, 300])
+def test_streams_that_lemire_may_reject_leave_the_loop_reports_unchanged(n, monkeypatch):
+    every_row_inexact(monkeypatch)
+    for hubs in (0, 2):
+        hidden = sparse_host(n, 3, 4, hubs=hubs)
+        for params in LOOP_PARAMS[:2]:
+            ours = solve_with_loop(solver.step8_loop, hidden, params, 1)
+            assert ours == solve_with_loop(step8_reference, hidden, params, 1)
+
+
+def test_batched_loop_on_a_yes_instance_finds_the_same_triangle():
+    for n, hubs in [(64, 1), (128, 2)]:
+        hidden = sparse_host(n, 3, 5, hubs=hubs, triangle=(3, n // 2, n - 1))
+        for params in [Params(epsilon=0.1, epsilon_prime=0.3, delta=0.4), Params(epsilon=0.1)]:
+            for seed in range(3):
+                assert solve_with_loop(solver.step8_loop, hidden, params, seed) == \
+                    solve_with_loop(step8_reference, hidden, params, seed)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_upper_rows_are_the_vertices_a_run_of_low_verdicts_visits(data):
+    """From a start below which every row is empty, the first `limit` vertices
+    that repeated `first_active_vertex` calls visit, each cleared in turn, are
+    `upper_rows`; clearing them in one pass leaves the same pairs and floor."""
+    working = random_working(data)
+    n = working.n
+    start = data.draw(st.integers(1, n), label="start")
+    working.remove_incident(np.arange(1, start))
+    working.floor = data.draw(st.integers(0, n), label="floor")
+    limit = data.draw(st.integers(1, BLOCK_CAP), label="limit")
+    reference = WorkingGraph(working.graph())
+    reference.floor = working.floor
+    visited, v = [], start
+    while len(visited) < limit and (v := reference.first_active_vertex(v)) is not None:
+        visited.append(v)
+        reference.remove_incident([v])
+    run = working.upper_rows(start, limit)
+    assert run.tolist() == visited
+    step6_low_degree(working, run)
+    assert np.array_equal(working_adj(working), working_adj(reference))
+    assert working.floor == reference.floor
+
+
+def step5_keys(count, *path):
+    """`count` Philox keys; `keyed(key)` builds each stream."""
+    return seed_keys([[i, *path] for i in range(count)])
+
+
 def test_step5_zero_degree_is_low():
     oracle = QueryOracle(Graph(64))
-    for seed in range(20):
-        verdict = step5_degree_hypothesis(oracle, 5, DEFAULTS, substream(seed, "s5"))
-        assert verdict is Hypothesis.LOW
+    keys = step5_keys(20, 5)
+    assert step5_degree_hypothesis(oracle, np.full(20, 5), DEFAULTS, keys) == [Hypothesis.LOW] * 20
+    for key in keys:
+        assert step5_degree_hypothesis(oracle, [5], DEFAULTS, key[None]) == [Hypothesis.LOW]
 
 
 def test_step5_full_degree_is_high():
     g = generate("complete", 64, seed=0)
     oracle = QueryOracle(g, budget=10**9)
-    highs = 0
     trials = 10_000
-    for seed in range(trials):
-        if step5_degree_hypothesis(oracle, 1, DEFAULTS, substream(seed, "s5")) is Hypothesis.HIGH:
-            highs += 1
+    highs = sum(step5_degree_hypothesis(oracle, [1], DEFAULTS, key[None]) == [Hypothesis.HIGH]
+                for key in step5_keys(trials, 1))
     assert highs / trials >= 0.999
 
 
 def step5_reference(oracle, v, params, rng):
-    """Step 5 as one draw and one billed read per round."""
+    """Step 5 at one vertex as one draw and one billed read per round."""
     n = oracle.n
     rounds = math.ceil(params.c0 * math.log(n))
     per_round = math.ceil(n**params.delta)
@@ -620,8 +775,19 @@ def step5_reference(oracle, v, params, rng):
     hits = 0
     for _ in range(rounds):
         picks = rng.choice(others, size=per_round, replace=True)
-        hits += int(oracle.query_row(v, picks, StepTag.STEP5).any())
+        hits += int(oracle.query_rows([v], [picks], StepTag.STEP5).any())
     return Hypothesis.LOW if hits < rounds / 2 else Hypothesis.HIGH
+
+
+def step5_batch_reference(oracle, vertices, params, keys):
+    """`step5_reference` vertex by vertex, each on its own stream, through the
+    first HIGH verdict."""
+    verdicts = []
+    for v, key in zip(vertices, keys):
+        verdicts.append(step5_reference(oracle, int(v), params, keyed(key)))
+        if verdicts[-1] is Hypothesis.HIGH:
+            break
+    return verdicts
 
 
 def star(n, v, degree, seed):
@@ -630,60 +796,90 @@ def star(n, v, degree, seed):
     return Graph(n, [(v, int(u)) for u in rng.choice(others, size=degree, replace=False)])
 
 
+def every_row_inexact(monkeypatch):
+    """Make `lemire_draws` report every row inexact, so step 5 draws each
+    stream with `integers`."""
+    kernel = solver.lemire_draws
+
+    def inexact(*args, **kwargs):
+        draws, exact = kernel(*args, **kwargs)
+        return draws, np.zeros_like(exact)
+
+    monkeypatch.setattr(solver, "lemire_draws", inexact)
+
+
 def test_step5_batch_matches_the_per_round_reference():
+    check_step5_against_the_reference()
+
+
+def test_step5_streams_that_lemire_may_reject_match_the_per_round_reference(monkeypatch):
+    every_row_inexact(monkeypatch)
+    check_step5_against_the_reference()
+
+
+def check_step5_against_the_reference():
     for n in (64, 200):
         v = n // 3
+        rounds = math.ceil(DEFAULTS.c0 * math.log(n))
+        per_round = math.ceil(n**DEFAULTS.delta)
         for degree in (0, round(n ** (6 / 7)), n - 1):
             hidden = star(n, v, degree, seed=degree)
-            for seed in range(8):
-                fast, slow = substream(seed, "s5"), substream(seed, "s5")
-                ours, ref = QueryOracle(hidden, budget=10**9), QueryOracle(hidden, budget=10**9)
-                verdict = step5_degree_hypothesis(ours, v, DEFAULTS, fast)
-                assert verdict is step5_reference(ref, v, DEFAULTS, slow)
-                assert ours.report().per_step["Step5"] == ref.report().per_step["Step5"]
-                assert repr(fast.bit_generator.state) == repr(slow.bit_generator.state)
-            # a budget that runs out inside a round, part way through the batch
-            rounds = math.ceil(DEFAULTS.c0 * math.log(n))
-            per_round = math.ceil(n**DEFAULTS.delta)
-            budget = rounds // 2 * per_round + per_round // 2
-            totals = []
-            for step5 in (step5_degree_hypothesis, step5_reference):
-                oracle = QueryOracle(hidden, budget=budget)
-                with pytest.raises(BudgetExceededError):
-                    step5(oracle, v, DEFAULTS, substream(0, "s5"))
-                totals.append(oracle.report().total)
-            assert totals == [budget + 1, budget + 1]
+            # one row; v among low vertices; v near a batch's end; distinct vertices up to BLOCK_CAP
+            for vertices in ([v], [1, 2, v, n], list(range(v - 9, v + 1)) + [n], list(range(1, n + 1))):
+                for seed in range(3):
+                    keys = step5_keys(len(vertices), seed, n)
+                    ours, ref = QueryOracle(hidden, budget=10**9), QueryOracle(hidden, budget=10**9)
+                    verdicts = step5_degree_hypothesis(ours, np.array(vertices), DEFAULTS, keys)
+                    assert verdicts == step5_batch_reference(ref, vertices, DEFAULTS, keys)
+                    assert ours.report() == ref.report()
+                    assert ours.report().per_step["Step5"] == len(verdicts) * rounds * per_round
+            # a budget that runs out inside a round, part way through a row of the batch
+            vertices = [1, 2, v, n]
+            for budget in (rounds // 2 * per_round + per_round // 2,
+                           rounds * per_round + 1, 3 * rounds * per_round - 2):
+                results = []
+                for step5 in (step5_degree_hypothesis, step5_batch_reference):
+                    oracle = QueryOracle(hidden, budget=budget)
+                    try:
+                        results.append(step5(oracle, vertices, DEFAULTS, step5_keys(4, n)))
+                    except BudgetExceededError as err:
+                        results.append(str(err))
+                    results.append(oracle.report())
+                assert results[:2] == results[2:]
 
 
 @pytest.mark.parametrize("n, v", [(8, 1), (8, 4), (8, 8), (9, 2), (64, 1), (64, 32), (64, 63),
                                   (64, 64), (513, 1), (513, 257), (513, 513)])
 def test_step5_draws_are_a_choice_over_the_other_vertices(n, v, monkeypatch):
     drawn = []
-    real_query_row = QueryOracle.query_row
+    real_query_rows = QueryOracle.query_rows
 
-    def recording(self, u, targets, tag):
+    def recording(self, vertices, targets, tag, stop=None):
         drawn.append(np.array(targets))
-        return real_query_row(self, u, targets, tag)
+        return real_query_rows(self, vertices, targets, tag, stop)
 
-    monkeypatch.setattr(QueryOracle, "query_row", recording)
+    monkeypatch.setattr(QueryOracle, "query_rows", recording)
     size = math.ceil(DEFAULTS.c0 * math.log(n)) * math.ceil(n**DEFAULTS.delta)
-    others = np.array([u for u in range(1, n + 1) if u != v])
+    vertices = [v, n + 1 - v, v]  # no edge, so every row is low and billed
     for seed in range(5):
-        ours, ref = substream(seed, "s5", n, v), substream(seed, "s5", n, v)
+        keys = step5_keys(3, seed, n, v)
         drawn.clear()
-        step5_degree_hypothesis(QueryOracle(Graph(n), budget=10**9), v, DEFAULTS, ours)
-        expected = ref.choice(others, size=size, replace=True)
-        assert len(drawn) == 1 and np.array_equal(drawn[0], expected)
-        assert repr(ours.bit_generator.state) == repr(ref.bit_generator.state)
+        step5_degree_hypothesis(QueryOracle(Graph(n), budget=10**9), vertices, DEFAULTS, keys)
+        assert len(drawn) == 1 and drawn[0].shape == (3, size)
+        for u, key, row in zip(vertices, keys, drawn[0]):
+            others = np.array([w for w in range(1, n + 1) if w != u])
+            assert np.array_equal(row, keyed(key).choice(others, size=size, replace=True))
 
 
 def test_step5_charges_exactly():
     n = 64
     oracle = QueryOracle(Graph(n))
-    step5_degree_hypothesis(oracle, 1, DEFAULTS, substream(0, "s5"))
     rounds = math.ceil(DEFAULTS.c0 * math.log(n))
     per_round = math.ceil(n**DEFAULTS.delta)
+    step5_degree_hypothesis(oracle, [1], DEFAULTS, step5_keys(1))
     assert oracle.report().per_step["Step5"] == rounds * per_round
+    step5_degree_hypothesis(oracle, [1, 9, 64], DEFAULTS, step5_keys(3))
+    assert oracle.report().per_step["Step5"] == 4 * rounds * per_round
 
 
 def test_hypothesis_mismatch_logic():
@@ -695,13 +891,18 @@ def test_hypothesis_mismatch_logic():
 
 
 def test_step6_moves_incident_pairs():
-    pairs = [(1, 2), (1, 3), (1, 7), (2, 3)]
+    pairs = [(1, 2), (1, 3), (1, 7), (2, 3), (4, 5), (5, 8), (6, 8)]
     working = working_from_pairs(8, pairs)
-    step6_low_degree(working, 1)
+    working.floor = 9
+    step6_low_degree(working, [1])
     assert left_pairs(pairs, working) == [(1, 2), (1, 3), (1, 7)]
-    held, floor = working_adj(working), working.floor
-    step6_low_degree(working, 1)  # a second removal changes neither the pairs nor floor
-    assert np.array_equal(working_adj(working), held) and working.floor == floor
+    held = working_adj(working)
+    step6_low_degree(working, [1])  # a second removal changes neither the pairs nor floor
+    assert np.array_equal(working_adj(working), held) and working.floor == 8
+    # one pass over a batch: 4 and 5 hold pairs, 1 no longer does
+    step6_low_degree(working, np.array([1, 4, 5]))
+    assert left_pairs(pairs, working) == [(1, 2), (1, 3), (1, 7), (4, 5), (5, 8)]
+    assert working.floor == 6
 
 
 def test_step7_k4_finds_triangle():
