@@ -7,11 +7,12 @@ matrix whose rows are padded to whole uint64 words, and this module is the
 only one that knows that layout: every other module reads a graph through
 `has_edge`, `degrees`, `edges` and its index arrays `pairs`, `rows` (with
 its wrapper `adjacency`), the boolean `block` among chosen vertices, the
-packed bit read `row_bits`, the intersection `&` of two graphs, itself a
-`Graph`, and the packed count `common_counts`, which return Python values or
-numpy arrays.  The packed reads AND and popcount whole uint64 words.  A
-`PairSet` is a mutable pair set in the same layout, which clears, moves and
-scans pairs on the packed words and hands them back as a `Graph`.
+packed bit read `row_bits`, the intersection `&` of two graphs and the
+difference `graph(*minus)`, each itself a `Graph`, and the packed count
+`common_counts`, which return Python values or numpy arrays.  The packed
+reads AND and popcount whole uint64 words.  A `PairSet` is a mutable pair
+set in the same layout, which clears, moves and scans pairs on the packed
+words and hands them back as a `Graph`.
 """
 
 from __future__ import annotations
@@ -211,6 +212,14 @@ class Graph:
             count[part] = np.einsum("ij->i", np.bitwise_count(block), dtype=np.uint16)
         return count
 
+    def graph(self, *minus: "Graph | PairSet") -> "Graph":
+        """The pairs that none of the sets `minus` holds, as a `Graph` on one
+        copy of the packed rows."""
+        bits = self._bits.copy()
+        for other in minus:
+            bits &= ~other._bits
+        return Graph.__new__(Graph)._set(self.n, bits)
+
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={self._edge_count})"
 
@@ -226,7 +235,8 @@ class PairSet:
         self._bits = graph._bits.copy()
         self._words = self._bits.view(np.uint64)
 
-    degrees, rows, block, _vertices = Graph.degrees, Graph.rows, Graph.block, Graph._vertices
+    degrees, rows, block, graph = Graph.degrees, Graph.rows, Graph.block, Graph.graph
+    _vertices = Graph._vertices
 
     def first_row(self, start: int = 1) -> int | None:
         """The smallest row from `start` on that holds a pair, or None."""
@@ -282,13 +292,6 @@ class PairSet:
         moved = _packed(rows).view(np.uint64)
         self._words[live[hit]] &= ~moved
         into._words[live[hit]] |= moved
-
-    def graph(self, *minus: "PairSet") -> Graph:
-        """The pairs that none of the sets `minus` holds, as a `Graph` copy."""
-        bits = self._bits.copy()
-        for other in minus:
-            bits &= ~other._bits
-        return Graph.__new__(Graph)._set(self.n, bits)
 
 
 def _row_bytes(columns: int) -> int:

@@ -10,9 +10,8 @@ attempts through the one loop `_attempt_loop`, which stops at the first hit
 and bills them all in one `charge_batch` call.  A sure miss, a search with
 nothing marked, has a known outcome and only random charges.
 `bill_sure_misses` bills a whole run of sure misses on fresh keyed streams,
-step 2's searches, with their iteration counts from one pass over the
-streams' raw Philox output, `rng.lemire_draws`, per distinct size, not attempt
-by attempt, and one `charge_batch` call.
+step 2's searches, with their iteration counts from one `rng.lemire_draws`
+call per distinct size, not attempt by attempt, and one `charge_batch` call.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ import numpy as np
 
 from .graphs import Graph
 from .oracle import QueryOracle, StepTag, verify_triangle
-from .rng import keyed, lemire_draws
+from .rng import lemire_draws
 
 # Multiplier pinning the billing cap of edge_restricted_triangle_search:
 # charged <= AA_COST_CONSTANT * (sqrt(|pool|) + sqrt(n*max(1,g))) * ln(n).
@@ -184,15 +183,13 @@ def bill_sure_misses(
     is crossed where billing search by search would cross it.  An empty space
     bills nothing and a one-item space one test.  Every other size takes its
     cap and repetition count once, and the iteration counts of all its
-    searches from one `rng.lemire_draws` pass over their streams' raw output.
-    The streams are read, not left where `safe_grover` leaves them, so the
-    caller must drop them.  A search whose counts that pass cannot settle
-    runs as its own `safe_grover` call on a fresh copy of its stream, in its
-    turn.
+    searches from one `rng.lemire_draws` call on their streams.  The streams
+    are read, not left where `safe_grover` leaves them, so the caller must
+    drop them.
     """
     if c < 1:
         raise ValueError("c must be >= 1")
-    rows: list[list[int] | None] = [[] for _ in sizes]
+    rows: list[list[int]] = [[] for _ in sizes]
     groups: dict[int, list[int]] = {}
     for i, size in enumerate(sizes):
         groups.setdefault(size, []).append(i)
@@ -202,21 +199,11 @@ def bill_sure_misses(
                 rows[i] = [q_test]
         elif size > 1:
             cap, reps = iteration_cap(size), math.ceil(c * math.log2(size))
-            # attempts 2j and 2j + 1 read their k off the low and high halves of
-            # raw output 3j, and their `random()` off outputs 3j + 1 and 3j + 2
-            counts, exact = lemire_draws(keys[members], cap, reps, stride=3)
-            charges = ((counts + 1) * q_test).tolist()
-            for i, row, ok in zip(members, charges, exact.tolist()):
-                rows[i] = row if ok else None
-    charges = []
-    for i, row in enumerate(rows):
-        if row is None:
-            oracle.charge_batch(charges, tag)
-            charges = []
-            safe_grover(SearchSpace(sizes[i], 0, q_test), c, oracle, tag, keyed(keys[i]))
-        else:
-            charges += row
-    oracle.charge_batch(charges, tag)
+            # attempt j draws its k with `integers(cap)`, then its `random()`, one whole output
+            counts = lemire_draws(keys[members], cap, reps, stride=3)
+            for i, row in zip(members, ((counts + 1) * q_test).tolist()):
+                rows[i] = row
+    oracle.charge_batch([charge for row in rows for charge in row], tag)
 
 
 def edge_restricted_triangle_search(

@@ -7,13 +7,13 @@ trial of a batch) can be replayed in isolation on any platform.
 A Philox stream is fixed by its 128-bit key, which numpy derives as
 `SeedSequence(entropy).generate_state(2, np.uint64)`.  Where a run needs
 hundreds of streams (step 2's searches, the step-8 loop's step-5 calls), the
-keys are derived in the blocks of `doubling_blocks`, which double in length
-up to `BLOCK_CAP` rows: `seed_keys` applies numpy's entropy mix to a whole
-block at once, and `keyed` builds each generator from its precomputed key.
-Step 2 takes its searches' keys a block at a time, `child_keys`, and the
-loop its step-5 keys, `substream_keys`; `lemire_draws` decodes a block of
-streams' bounded draws from their raw output at once.  Every stream draws
-exactly the bits that per-call `SeedSequence` construction would give it.
+caller asks for a block of keys of the size it needs: `seed_keys` applies
+numpy's entropy mix to the whole block at once, and `keyed` builds each
+generator from its precomputed key.  Step 2 takes its searches' keys from
+`child_keys` and the loop its step-5 keys from `substream_keys`;
+`lemire_draws` turns a block of fresh streams into their bounded draws,
+decoded from their raw output at once.  Every stream draws exactly the bits
+that per-call `SeedSequence` construction would give it.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import numpy as np
 
 _MASK64 = (1 << 64) - 1
 _MASK32 = 0xFFFFFFFF
-BLOCK_CAP = 256  # the longest block of keys derived at once
+BLOCK_CAP = 256  # the longest block of keyed streams a caller takes at once
 # Smaller groups go through numpy's own SeedSequence, one row at a time: the
 # vectorised mix costs about as much as four rows of it, whatever the block size.
 _MIX_MIN_ROWS = 4
@@ -183,43 +183,51 @@ def doubling_blocks() -> Iterator[tuple[int, int]]:
         start, size = start + size, min(2 * size, BLOCK_CAP)
 
 
-def child_keys(rng: np.random.Generator) -> Iterator[np.ndarray]:
-    """The Philox keys of children i = 0, 1, 2, ..., one (size, 2) block per
-    block of `doubling_blocks`: child i is keyed by
-    `[rng.integers(0, 2**63 - 1), i]`, and `keyed` builds its stream.
+def child_keys(rng: np.random.Generator, start: int, count: int) -> np.ndarray:
+    """The Philox keys of children start .. start + count - 1, as a (count, 2)
+    matrix: child i is keyed by `[rng.integers(0, 2**63 - 1), i]`, drawing
+    from `rng` in turn from child `start` on, and `keyed` builds its stream.
 
-    A block draws its keys from `rng` in one `integers` call, which gives the
-    same numbers as one call per child, so only the draws past the last child
-    taken differ from drawing per child; those leave `rng` further on."""
-    for start, size in doubling_blocks():
-        draws = rng.integers(0, 2**63 - 1, size=size).tolist()
-        yield seed_keys([[key, start + j] for j, key in enumerate(draws)])
+    The keys are drawn in one `integers` call, which gives the same numbers
+    as one call per child, so consecutive blocks give the per-child keys."""
+    draws = rng.integers(0, 2**63 - 1, size=count).tolist()
+    return seed_keys([[key, start + j] for j, key in enumerate(draws)])
 
 
-def substream_keys(seed: int, *path: object) -> Iterator[np.ndarray]:
-    """The Philox keys of `substream(seed, *path, i)` for i = 0, 1, 2, ..., one
-    (size, 2) block per block of `doubling_blocks`: `keyed(key)` builds each
-    stream."""
+def substream_keys(seed: int, *path: object, start: int, count: int) -> np.ndarray:
+    """The Philox keys of `substream(seed, *path, i)` for i = start .. start +
+    count - 1, as a (count, 2) matrix: `keyed(key)` builds each stream."""
     head = _entropy(seed, path)
-    for start, size in doubling_blocks():
-        yield seed_keys([head + [_token(i)] for i in range(start, start + size)])
+    return seed_keys([head + [_token(i)] for i in range(start, start + count)])
 
 
-def lemire_draws(keys: np.ndarray, bound: int, count: int, stride: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """`count` draws below `bound` per key, as a (keys, count) uint64 matrix,
-    and whether each row is exact.  Row i decodes the 32-bit halves, low then
-    high, of raw outputs 0, stride, 2 * stride, ... of the fresh stream
-    `keyed(keys[i])` by Lemire's method, as numpy's bounded draws do: half x
-    gives (x * bound) >> 32, so stride 1 gives `integers(bound, size=count)`.
-    A row is inexact where the method may reject a half (its leftover falls
-    below `bound`) and for a `bound` of 2**32 or more, which reads whole outputs."""
-    words = stride * ((count - 1) // 2) + 1 if count else 0
-    raw = np.array([keyed(key).bit_generator.random_raw(words) for key in keys]).reshape(len(keys), words)
-    if bound >= 1 << 32:
-        return np.zeros((len(keys), count), dtype=np.uint64), np.zeros(len(keys), dtype=bool)
-    # each read output as its low, then high 32-bit half, on any byte order
-    scaled = raw[:, ::stride].astype("<u8").view("<u4")[:, :count] * np.uint64(bound)
-    return scaled >> 32, (scaled.astype(np.uint32) >= bound).all(axis=1)
+def lemire_draws(keys: np.ndarray, bound: int, count: int, stride: int = 1) -> np.ndarray:
+    """`count` draws below `bound` per key, as a (keys, count) uint64 matrix:
+    row i is what `count` calls of `integers(bound)` on the fresh stream
+    `keyed(keys[i])` give, each call followed by `stride // 2` whole outputs,
+    for an odd `stride`.
+
+    Those calls read the 32-bit halves, low then high, of raw outputs 0,
+    stride, 2 * stride, ..., and every row is decoded from them at once by
+    Lemire's method, as numpy's bounded draws do: half x gives
+    (x * bound) >> 32.  A row where the method may reject a half (its leftover
+    falls below `bound`) is drawn again call by call, and so is every row for a
+    `bound` of 2**32 or more, which reads whole outputs."""
+    draws = np.zeros((len(keys), count), dtype=np.uint64)
+    redraw: Sequence[int] = range(len(keys))
+    if bound < 1 << 32:
+        words = stride * ((count - 1) // 2) + 1 if count else 0
+        raw = np.array([keyed(key).bit_generator.random_raw(words) for key in keys]).reshape(len(keys), words)
+        # each read output as its low, then high 32-bit half, on any byte order
+        scaled = raw[:, ::stride].astype("<u8").view("<u4")[:, :count] * np.uint64(bound)
+        draws = scaled >> 32
+        redraw = np.flatnonzero((scaled.astype(np.uint32) < bound).any(axis=1)).tolist()
+    for i in redraw:
+        rng = keyed(keys[i])
+        for j in range(count):
+            draws[i, j] = rng.integers(bound)
+            rng.bit_generator.random_raw(stride // 2)
+    return draws
 
 
 def derive_seed(seed: int, *path: object) -> int:

@@ -30,8 +30,8 @@ rectangle of packed rows.  Step 9 counts T's triangles and the marked ones,
 those of `hidden & T`, with `triangle_count`; only its sampler, after a hit,
 weighs pairs.  Step 10 lists and counts the hidden edges of E on packed rows.
 Step 2 takes its streams' keys from `rng.child_keys` and the loop its step-5
-keys from `rng.substream_keys`, both derived in blocks; step 7 builds each
-stream on its own.
+keys from `rng.substream_keys`, one key per search or visit, a block at a
+time; step 7 builds each stream on its own.
 """
 
 from __future__ import annotations
@@ -264,8 +264,8 @@ def step2_build_gprime(
     `hoods` is step 1's matrix: row i is the neighborhood of sample[i].  The
     third return value flags a safety failure: some search missed a
     genuinely nonempty target.  Search i draws from child i of `rng`, keyed
-    by `child_keys` in the blocks of `rng.doubling_blocks`, so `rng` may end
-    past the last key a search used.  Each block's marked counts come from
+    by `child_keys` a block of `rng.doubling_blocks` at a time, so `rng` may
+    end past the last key a search used.  Each block's marked counts come from
     one `Graph.common_counts` call, which pairs every sampled neighbor with
     its sample, so a search that hits early leaves the later blocks
     uncounted.  A search with nothing marked is a sure miss:
@@ -274,25 +274,24 @@ def step2_build_gprime(
     in its turn.
     """
     missed = False
-    key_blocks = child_keys(rng)
     sampled = np.asarray(sample)
     for start, size in doubling_blocks():
         block = hoods[start : start + size]
         if not len(block):
             break
-        keys = next(key_blocks)
+        keys = child_keys(rng, start, len(block))
         owner, member = np.nonzero(block)  # row-major: each row's members ascend
         count = oracle.hidden.common_counts(sampled[start : start + size][owner], member)
         # row i's members are member[bounds[i]:bounds[i + 1]]; a row is marked
         # when one of its members has a hidden neighbor in the row's square
         bounds = np.searchsorted(owner, np.arange(len(block) + 1))
+        lengths = np.diff(bounds)
+        sizes = (lengths * (lengths - 1) // 2).tolist()
         marked = np.flatnonzero(np.bincount(owner[count > 0], minlength=len(block)))
         i = 0
         for j in marked.tolist() + [len(block)]:
-            if i < j:  # the sure misses before the next marked search
-                lengths = np.diff(bounds[i : j + 1])
-                sizes = (lengths * (lengths - 1) // 2).tolist()
-                bill_sure_misses(sizes, keys[i:j], 1, params.c_safe, oracle, StepTag.STEP2)
+            # the sure misses before the next marked search
+            bill_sure_misses(sizes[i:j], keys[i:j], 1, params.c_safe, oracle, StepTag.STEP2)
             if j == len(block):
                 break
             lo, hi = bounds[j], bounds[j + 1]
@@ -381,17 +380,13 @@ def step5_degree_hypothesis(
     accepts LOW when fewer than half the rounds saw an edge.  Returns the
     verdicts of the vertices classified, and bills exactly rounds * per_round
     queries for each in one `query_rows` read.  A vertex's draws are those of
-    one `rng.choice` per round over every vertex but it: `rng.lemire_draws`
-    decodes them for every stream at once, and a stream it cannot settle
-    draws them with `integers`.
+    one `rng.choice` per round over every vertex but it, which are one
+    `rng.lemire_draws` call for every stream at once.
     """
     n = oracle.n
     rounds = math.ceil(params.c0 * math.log(n))
     per_round = math.ceil(n**params.delta)
-    draws, exact = lemire_draws(keys, n - 1, rounds * per_round)
-    picks = draws.astype(np.int64)
-    for i in np.flatnonzero(~exact).tolist():
-        picks[i] = keyed(keys[i]).integers(0, n - 1, size=rounds * per_round)
+    picks = lemire_draws(keys, n - 1, rounds * per_round).astype(np.int64)
     # index i of the ascending vertices other than v is vertex i + 1, or i + 2 from v on
     picks += 1 + (picks + 1 >= np.asarray(vertices)[:, None])
 
@@ -473,8 +468,6 @@ def step8_loop(
     n = oracle.n
     tau = peel_threshold(n, params.epsilon_prime)
     events: set[str] = set()
-    key_blocks = substream_keys(seed, "step5")  # one key per invocation (vertex visit), in order
-    keys = np.empty((0, 2), dtype=np.uint64)
     degrees = oracle.hidden.degrees()  # the true degrees, for the mismatch check
     invocation = 0
     v = 1
@@ -483,10 +476,10 @@ def step8_loop(
         batch = working.upper_rows(v, min(max(working.floor - tau + 1, 1), BLOCK_CAP))
         if not len(batch):
             break
-        while len(keys) < len(batch):
-            keys = np.concatenate([keys, next(key_blocks)])
-        verdicts = step5_degree_hypothesis(oracle, batch, params, keys[: len(batch)])
-        keys, invocation = keys[len(verdicts) :], invocation + len(verdicts)
+        # one key per invocation (vertex visit); those past a HIGH verdict are derived again
+        keys = substream_keys(seed, "step5", start=invocation, count=len(batch))
+        verdicts = step5_degree_hypothesis(oracle, batch, params, keys)
+        invocation += len(verdicts)
         if any(hypothesis_mismatch(n, params.delta, int(degrees[u]), h) for u, h in zip(batch, verdicts)):
             events.add("hypothesis_mismatch")
         low = len(verdicts) - (verdicts[-1] is Hypothesis.HIGH)
@@ -569,7 +562,7 @@ def solve(oracle: QueryOracle, params: Params | None = None, seed: int = 0) -> R
     tri, loop_events = step8_loop(oracle, working, params, seed)
     events |= loop_events
     # E is the rest of G' but T and the pairs still working, which only a step-7 triangle leaves
-    t_pool, e_pool = working.peeled.graph(), PairSet(gprime).graph(working.peeled, working)
+    t_pool, e_pool = working.peeled.graph(), gprime.graph(working.peeled, working)
     del working, gprime  # free the packed sets the final searches do not read
     measured["T_size"], measured["E_size"] = t_pool.edge_count, e_pool.edge_count
     measured["G_cap_E"] = (oracle.hidden & e_pool).edge_count

@@ -101,7 +101,9 @@ def test_criterion_02_completeness(completeness_reports):
 def test_criterion_03_peeled_triangle_bound(completeness_reports):
     violations = 0
     for n, rep in completeness_reports:
-        bound = (n * (n - 1) // 2) * peel_threshold(n, DEFAULTS.epsilon_prime)
+        # each triangle of T is charged to its first-peeled pair, which then had
+        # fewer than tau common neighbors among the working pairs
+        bound = rep.measured["T_size"] * (peel_threshold(n, DEFAULTS.epsilon_prime) - 1)
         if rep.measured["t_of_T"] > bound:
             violations += 1
     ok = violations == 0

@@ -135,6 +135,16 @@ def test_report_is_byte_identical(golden, name):
     assert canonical(run_case(name)) == canonical(golden[name])
 
 
+def test_peeled_triangles_stay_below_the_peel_threshold_per_pair(golden):
+    """Criterion 3's bound t(T) <= |T| * (tau - 1) on every frozen report: each
+    triangle of T is charged to its first-peeled pair, which then had fewer
+    than tau common neighbors among the working pairs."""
+    for report in golden.values():
+        tau = solver.peel_threshold(report["n"], report["params"]["epsilon_prime"])
+        assert report["measured"]["t_of_T"] <= report["measured"]["T_size"] * (tau - 1)
+    assert max(r["measured"]["t_of_T"] for r in golden.values()) > 10**8  # the hub host at n = 4096
+
+
 def test_cases_reach_the_late_steps(golden):
     """The fixture keeps exercising steps 5, 7, 9 and 10 and the verifier, and
     at default Params steps 9 and 10 each find a triangle."""

@@ -267,8 +267,11 @@ def test_pair_set_matches_a_boolean_reference(n, density, seed, data):
             vertices = unique_vertices(data, n, "rows")
             assert np.array_equal(pairs.rows(vertices), ref[vertices])
     # the packed rows, padding included, hold exactly the reference pairs
+    # E's form: a graph less two pair sets, taken on a `Graph` or on a `PairSet`
+    rest = start & ~ref & ~ref_into
     for got, want in ((pairs.graph(), ref), (into.graph(), ref_into),
-                      (PairSet(Graph.from_adjacency(start)).graph(pairs, into), start & ~ref & ~ref_into)):
+                      (Graph.from_adjacency(start).graph(pairs, into), rest),
+                      (PairSet(Graph.from_adjacency(start)).graph(pairs, into), rest)):
         assert np.array_equal(got.adjacency(), want)
         assert got.edge_count == int(want.sum()) // 2
 

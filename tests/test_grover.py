@@ -1,6 +1,7 @@
 """Search-model tests: exact probabilities against a state-vector oracle,
 `safe_grover`'s success rate against its analytic value, and billing caps."""
 
+import copy
 import math
 
 import numpy as np
@@ -280,44 +281,54 @@ def test_sure_misses_match_the_per_attempt_reference(size, q_test, c, budget_sha
     assert results[0] == results[1]
 
 
+def spent_stream(kind, seed):
+    """`miss_stream` with any half output it cached spent, as a fresh stream
+    has none."""
+    rng = miss_stream(kind, seed)
+    while rng.bit_generator.state["has_uint32"]:
+        rng.integers(5)
+    return rng
+
+
+def per_attempt_iterations(rng, cap, reps):
+    """The iteration counts of `reps` missed attempts, drawn as `safe_grover` draws them."""
+    counts = []
+    for _ in range(reps):
+        counts.append(int(rng.integers(cap)))
+        rng.random()
+    return counts
+
+
 @pytest.mark.parametrize("kind", ["philox", "philox, half cached", "pcg64"])
 def test_miss_iterations_equal_the_per_attempt_draws(monkeypatch, kind):
-    # `lemire_draws` reads each key's stream through `rng.keyed`; handed a
+    # `lemire_draws` builds each key's stream through `rng.keyed`; handed a
     # stream of each kind there, it decodes any 64-bit stream's raw output,
     # every third output as `bill_sure_misses` reads it, as the per-attempt
-    # draws do, once a half output the stream has cached is spent
-    exact_rows = inexact_rows = 0
+    # draws do, and draws a row it cannot settle again on a fresh copy
+    keys = sure_miss_keys(40)
+    streams = {tuple(key.tolist()): spent_stream(kind, seed) for seed, key in enumerate(keys)}
+    built = []
+    monkeypatch.setattr(qtri.rng, "keyed",
+                        lambda key: built.append(key) or copy.deepcopy(streams[tuple(key.tolist())]))
+    redrawn = 0
     for size in MISS_SIZES:
         cap = iteration_cap(size)
         for reps in (0, 1, 2, 3, 30, 31):
-            streams, twins = [], []
-            for seed in range(40):
-                rng, twin = miss_stream(kind, seed), miss_stream(kind, seed)
-                while rng.bit_generator.state["has_uint32"]:
-                    assert rng.integers(5) == twin.integers(5)
-                streams.append(rng)
-                twins.append(twin)
-            handed = iter(streams)
-            with monkeypatch.context() as patch:
-                patch.setattr(qtri.rng, "keyed", lambda key: next(handed))
-                counts, exact = lemire_draws(sure_miss_keys(40), cap, reps, stride=3)
-            assert next(handed, None) is None  # one stream read per key
-            assert counts.shape == (40, reps) and exact.shape == (40,)
-            for twin, row, ok in zip(twins, counts.tolist(), exact.tolist()):
-                want = []
-                for _ in range(reps):
-                    want.append(int(twin.integers(cap)))
-                    twin.random()
-                if not ok:  # a half that Lemire's method may reject
-                    inexact_rows += 1
-                    continue
-                exact_rows += 1
-                assert row == want
-    assert exact_rows > 1000 and inexact_rows > 50  # MISS_SIZES' largest caps reject often
+            built.clear()
+            counts = lemire_draws(keys, cap, reps, stride=3)
+            assert counts.shape == (40, reps)
+            redrawn += len(built) - 40  # one read per key, then one per row drawn again
+            for key, row in zip(keys, counts.tolist()):
+                assert row == per_attempt_iterations(copy.deepcopy(streams[tuple(key.tolist())]), cap, reps)
+    assert redrawn > 50  # MISS_SIZES' largest caps reject often
 
 
 def test_miss_iterations_leave_caps_beyond_32_bits_to_the_per_attempt_draws():
-    assert not lemire_draws(sure_miss_keys(3), 1 << 32, 4, stride=3)[1].any()
+    # a cap of 2**32 or more reads whole outputs, so every row is drawn attempt by attempt
+    keys = sure_miss_keys(3)
+    for cap in (1 << 32, (1 << 40) + 5):
+        for key, row in zip(keys, lemire_draws(keys, cap, 4, stride=3).tolist()):
+            assert row == per_attempt_iterations(keyed(key), cap, 4)
 
 
 # A run of sure misses as step 2 meets them: sizes 0 and 1, even reps (2, 30),
@@ -398,28 +409,15 @@ def test_a_budget_crossed_inside_a_run_of_sure_misses_bills_as_per_search_calls(
         assert (block[0] == "raised") == (budget < total)
 
 
-@pytest.mark.parametrize("forced", ["row 1", "every row"])
-def test_a_search_that_lemire_may_reject_runs_on_its_own(monkeypatch, forced):
-    # the check fails on row 1 of every pass, or on every row: those searches run
-    # as their own `safe_grover` calls, which draw attempt by attempt
-    kernel, fallbacks = grover.lemire_draws, []
-
-    def failing(keys, cap, reps, stride):
-        counts, exact = kernel(keys, cap, reps, stride=stride)
-        exact[slice(1, 2) if forced == "row 1" else slice(None)] = False
-        return counts, exact
-
-    def counted(space, *args):
-        fallbacks.append(space.size)
-        return safe_grover(space, *args)
-
-    monkeypatch.setattr(grover, "lemire_draws", failing)
-    monkeypatch.setattr(grover, "safe_grover", counted)
-    searches = [(size, 0) for size in MISS_RUN]
-    block_ledger, block_charges, ledger, charges = both_ledgers(searches)
-    assert block_ledger == ledger and block_charges == charges
-    repeated = sorted(size for size in set(MISS_RUN) if MISS_RUN.count(size) > 1 and size > 1)
-    assert sorted(fallbacks) == (repeated if forced == "row 1" else sorted(s for s in MISS_RUN if s > 1))
+def test_runs_whose_halves_lemire_may_reject_bill_as_per_search_calls(monkeypatch):
+    # caps near 2**31 reject about every other half, so nearly every row of these
+    # sizes is drawn again inside `lemire_draws`; no search falls back to `safe_grover`
+    monkeypatch.setattr(grover, "safe_grover", None)
+    searches = [(size, 0) for size in [10**18, 2, 7 * 10**18, 10**18, 32640]]
+    block_ledger, block_charges, ledger, charges = both_ledgers(searches, budget=10**15)
+    assert block_ledger == ledger and block_charges == charges and block_ledger[0] == "billed"
+    block, _, reference, _ = both_ledgers(searches, budget=10**9)  # crossed inside the run
+    assert block == reference and block[0] == "raised"
 
 
 def test_edge_restricted_empty_pool_is_free():

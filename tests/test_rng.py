@@ -1,5 +1,6 @@
 """Random substreams: block-keyed streams draw exactly what per-call
-`SeedSequence` construction gives."""
+`SeedSequence` construction gives, and `lemire_draws` exactly what their
+`integers` calls give."""
 
 import hashlib
 import itertools
@@ -7,6 +8,7 @@ import pickle
 
 import numpy as np
 import pytest
+import qtri.rng
 
 from qtri.rng import (
     BLOCK_CAP,
@@ -20,6 +22,8 @@ from qtri.rng import (
 )
 
 STREAMS = 600  # past the blocks of 1, 2, 4, ..., 256 rows and into the second of BLOCK_CAP
+# bounds whose halves Lemire's method may reject (from 2**31) and that read whole outputs (from 2**32)
+BOUNDS = [2, 7, 63, 511, 4095, 65535, 2**31 + 11, 2**32 - 1, 2**32, 2**40 + 5]
 
 
 def reference_substream(seed, *path):
@@ -75,37 +79,63 @@ def test_substream_matches_seed_sequence_construction():
 
 
 def test_block_keyed_loop_streams_match_per_call_streams():
+    # 1 and 3 rows go through numpy's SeedSequence, 7 and 300 through the vectorised mix
     for seed in (0, 3, 2**33 + 1):
-        blocks = substream_keys(seed, "step5")
-        keys = np.concatenate([next(blocks) for _ in range(10)])  # 1 + 2 + ... + 256 + 256 + 256
-        assert keys.shape == (STREAMS + 167, 2) and keys.dtype == np.uint64
-        for i in range(STREAMS):
-            assert same_draws(keyed(keys[i]), reference_substream(seed, "step5", i))
-            assert same_draws(keyed(keys[i]), substream(seed, "step5", i))
+        for start, count in [*itertools.product([0, 1, 255, 256, STREAMS], [0, 1, 3, 7]), (1, 300)]:
+            keys = substream_keys(seed, "step5", start=start, count=count)
+            assert keys.shape == (count, 2) and keys.dtype == np.uint64
+            for i, key in enumerate(keys, start):
+                assert same_draws(keyed(key), reference_substream(seed, "step5", i))
+                assert same_draws(keyed(key), substream(seed, "step5", i))
 
 
-@pytest.mark.parametrize("bound", [2, 7, 63, 511, 4095, 65535, 2**31 + 11, 2**32 - 1])
+def bounded_reference(entropy, bound, count, stride):
+    """`count` calls of `integers(bound)`, each followed by `stride // 2` whole
+    outputs, on a stream numpy builds from `entropy` itself."""
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
+    if stride == 1:
+        return rng.integers(0, bound, size=count).tolist()
+    out = []
+    for _ in range(count):
+        out.append(int(rng.integers(bound)))
+        rng.bit_generator.random_raw(stride // 2)
+    return out
+
+
+@pytest.mark.parametrize("bound", BOUNDS)
 @pytest.mark.parametrize("count", [0, 1, 2, 7, 132, 133])
-def test_lemire_draws_equal_the_bounded_integers(bound, count):
-    # stride 1 is `integers(bound, size=count)`, as `integers(0, bound, ...)` also
-    # draws it, wherever Lemire's method may not reject; the largest bounds reject often
-    keys = seed_keys([[bound, count, i] for i in range(64)])
-    draws, exact = lemire_draws(keys, bound, count)
-    assert draws.shape == (64, count) and draws.dtype == np.uint64 and exact.shape == (64,)
-    for key, row, ok in zip(keys, draws, exact.tolist()):
-        want = keyed(key).integers(0, bound, size=count)
-        assert not ok or np.array_equal(row, want)
-    # a half may be rejected only when its leftover falls below `bound`
-    assert exact.all() if count == 0 else not exact.all() or bound < 2**30
+def test_lemire_draws_equal_the_bounded_integers(monkeypatch, bound, count):
+    # stride 3 is `safe_grover`'s pattern: each attempt's k, then its `random()`
+    entropies = [[bound, count, i] for i in range(64)]
+    for stride in (1, 3):
+        built = []
+        with monkeypatch.context() as patch:
+            patch.setattr(qtri.rng, "keyed", lambda key: built.append(key) or keyed(key))
+            draws = lemire_draws(seed_keys(entropies), bound, count, stride)
+        assert draws.shape == (64, count) and draws.dtype == np.uint64
+        for entropy, row in zip(entropies, draws.tolist()):
+            assert row == bounded_reference(entropy, bound, count, stride)
+        # every stream is read once, and a redrawn row once more: below 2**32 the rows
+        # where a half may be rejected, from 2**32 on every row, read only call by call
+        redrawn = len(built) - 64 if bound < 2**32 else len(built)
+        if count and bound >= 2**31:
+            assert redrawn > 0
+        if bound < 2**12:  # a half is rejected with odds below bound / 2**32
+            assert redrawn == 0
 
 
 def test_block_keyed_children_match_per_call_children():
     parent, ref_parent = substream(4, "step2"), substream(4, "step2")
-    children = (keyed(key) for keys in child_keys(parent) for key in keys)
-    for i in range(STREAMS):
-        key = int(ref_parent.integers(0, 2**63 - 1))
-        ref = np.random.Generator(np.random.Philox(np.random.SeedSequence([key, i])))
-        assert same_draws(next(children), ref)
+    blocks, start = [], 0
+    for count in (1, 2, 4, 0, 7, BLOCK_CAP, STREAMS - 270):
+        blocks.append(child_keys(parent, start, count))
+        assert blocks[-1].shape == (count, 2)
+        start += count
+    for i, key in enumerate(np.concatenate(blocks)):
+        ref_key = int(ref_parent.integers(0, 2**63 - 1))
+        ref = np.random.Generator(np.random.Philox(np.random.SeedSequence([ref_key, i])))
+        assert same_draws(keyed(key), ref)
+    assert parent.integers(2**40) == ref_parent.integers(2**40)  # one draw per child
 
 
 def test_doubling_blocks_tile_the_indices():
@@ -132,7 +162,7 @@ def test_a_keyed_stream_serves_only_its_key():
 
 
 def test_a_keyed_stream_pickles_and_resumes():
-    stream = keyed(next(substream_keys(1, "step5"))[0])
+    stream = keyed(substream_keys(1, "step5", start=0, count=1)[0])
     stream.random()
     copy = pickle.loads(pickle.dumps(stream))
     assert same_draws(copy, stream)

@@ -217,7 +217,7 @@ def step2_per_vertex(oracle, sample, hoods, params, rng):
     """Step 2 as one `_search` per sampled vertex, weighted from the unpacked
     rows: the reference for the block walk."""
     adj = oracle.hidden.adjacency().astype(np.int64)
-    children = (keyed(key) for keys in child_keys(rng) for key in keys)
+    children = (keyed(key) for key in child_keys(rng, 0, len(sample)))
     for v, hood, child in zip(sample, hoods, children):
         members = np.flatnonzero(hood)
         space = _induced_pair_space(oracle.hidden, members, adj[members][:, members].sum(axis=1))
@@ -700,14 +700,30 @@ def test_a_budget_crossed_inside_a_batch_bills_as_the_one_vertex_loop(n):
         assert ours == solve_with_loop(step8_reference, hidden, params, 0, budget)
 
 
-@pytest.mark.parametrize("n", [65, 300])
-def test_streams_that_lemire_may_reject_leave_the_loop_reports_unchanged(n, monkeypatch):
-    every_row_inexact(monkeypatch)
-    for hubs in (0, 2):
-        hidden = sparse_host(n, 3, 4, hubs=hubs)
-        for params in LOOP_PARAMS[:2]:
-            ours = solve_with_loop(solver.step8_loop, hidden, params, 1)
-            assert ours == solve_with_loop(step8_reference, hidden, params, 1)
+def test_the_loop_derives_one_step5_key_per_batch_member(monkeypatch):
+    """Each batch's keys are those of its visits, derived in one call: a key
+    past a HIGH verdict is derived again, as the first of the next batch."""
+    derived, batches = [], []
+    real_keys, real_step5 = solver.substream_keys, solver.step5_degree_hypothesis
+
+    def keys(seed, *path, start, count):
+        derived.append((path, start, count))
+        return real_keys(seed, *path, start=start, count=count)
+
+    def step5(oracle, vertices, params, keys):
+        verdicts = real_step5(oracle, vertices, params, keys)
+        batches.append((len(vertices), len(keys), len(verdicts)))
+        return verdicts
+
+    monkeypatch.setattr(solver, "substream_keys", keys)
+    monkeypatch.setattr(solver, "step5_degree_hypothesis", step5)
+    solve(QueryOracle(sparse_host(300, 3, 1, hubs=1)), LOOP_PARAMS[2], seed=0)
+    assert len(derived) == len(batches) > 1
+    invocation = 0
+    for (path, start, count), (members, taken, visited) in zip(derived, batches):
+        assert path == ("step5",) and start == invocation and count == members == taken
+        invocation += visited
+    assert any(visited < members for members, _, visited in batches)  # a HIGH verdict ended a batch
 
 
 def test_batched_loop_on_a_yes_instance_finds_the_same_triangle():
@@ -796,28 +812,7 @@ def star(n, v, degree, seed):
     return Graph(n, [(v, int(u)) for u in rng.choice(others, size=degree, replace=False)])
 
 
-def every_row_inexact(monkeypatch):
-    """Make `lemire_draws` report every row inexact, so step 5 draws each
-    stream with `integers`."""
-    kernel = solver.lemire_draws
-
-    def inexact(*args, **kwargs):
-        draws, exact = kernel(*args, **kwargs)
-        return draws, np.zeros_like(exact)
-
-    monkeypatch.setattr(solver, "lemire_draws", inexact)
-
-
 def test_step5_batch_matches_the_per_round_reference():
-    check_step5_against_the_reference()
-
-
-def test_step5_streams_that_lemire_may_reject_match_the_per_round_reference(monkeypatch):
-    every_row_inexact(monkeypatch)
-    check_step5_against_the_reference()
-
-
-def check_step5_against_the_reference():
     for n in (64, 200):
         v = n // 3
         rounds = math.ceil(DEFAULTS.c0 * math.log(n))
@@ -1258,7 +1253,7 @@ def test_partition_and_peeled_triangle_bound():
             assert m["T_size"] + m["E_size"] == m["gprime_size"]
         n = g.n
         tau = peel_threshold(n, DEFAULTS.epsilon_prime)
-        assert m["t_of_T"] <= (n * (n - 1) // 2) * tau
+        assert m["t_of_T"] <= m["T_size"] * (tau - 1)
 
 
 def test_ledger_step1_exact_in_solve():
