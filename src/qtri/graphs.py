@@ -12,11 +12,16 @@ difference `graph(*minus)`, each itself a `Graph`, and the packed count
 `common_counts`, which return Python values or numpy arrays.  The packed
 reads AND and popcount whole uint64 words.  A `PairSet` is a mutable pair
 set in the same layout, which clears, moves and scans pairs on the packed
-words and hands them back as a `Graph`.
+words and hands them back as a `Graph`.  `generate` writes every instance
+straight into the packed rows; its random kinds draw raw Philox words a chunk
+of rows at a time, so no instance ever passes through an (n+1)^2 matrix and
+the memory stays near the packed graph's up to MAX_VERTICES.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -26,6 +31,7 @@ from .rng import substream
 GENERATOR_KINDS = (
     "erdos_renyi",
     "planted_triangle",
+    "random_bipartite",
     "complete",
     "bipartite_blowup",
     "triangle_free_dense",
@@ -38,6 +44,10 @@ MAX_VERTICES = 1 << 16
 # Pairs that `Graph.common_counts` gathers at once: its memory stays bounded
 # however many pairs it counts.
 GATHER_ROWS = 4096
+# Cells of the pair block that a random `generate` kind fills at once, each cell
+# at most one raw Philox word (a chunk of 8 rows may hold more): its memory
+# stays bounded however large n is.
+CHUNK_CELLS = 1 << 16
 # Bit i of a packed byte holds column 8j + i (little bit order)
 _BIT_MASKS = np.array([1 << i for i in range(8)], dtype=np.uint8)
 
@@ -89,7 +99,7 @@ class Graph:
         # bits are set in place: a dense (n+1)^2 matrix would not fit for large sparse n
         bits = np.zeros((n + 1, _row_bytes(n + 1)), dtype=np.uint8)
         for row, col in ((lo, hi), (hi, lo)):
-            np.bitwise_or.at(bits, (row, col >> 3), np.left_shift(1, (col & 7).astype(np.uint8)))
+            _set_bits(bits, row, col)
         self._set(n, bits)
 
     def _set(self, n: int, bits: np.ndarray) -> "Graph":
@@ -106,10 +116,9 @@ class Graph:
         """Build from a symmetric boolean matrix indexed 1..n, packed as it is,
         neither copied nor written; its row/col 0 and diagonal are ignored."""
         bits = _packed(np.asarray(adj, dtype=bool))
-        diagonal = np.arange(len(bits))
         bits[0] = 0
         bits[:, 0] &= ~_BIT_MASKS[0]
-        bits[diagonal, diagonal >> 3] &= ~_BIT_MASKS[diagonal & 7]
+        _clear_diagonal(bits)
         return cls.__new__(cls)._set(len(bits) - 1, bits)
 
     @property
@@ -306,6 +315,17 @@ def _packed(rows: np.ndarray) -> np.ndarray:
     return bits
 
 
+def _set_bits(bits: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> None:
+    """Set bit cols[i] of packed row rows[i] for every i, repeats included."""
+    np.bitwise_or.at(bits, (rows, cols >> 3), _BIT_MASKS[cols & 7])
+
+
+def _clear_diagonal(bits: np.ndarray) -> None:
+    """Clear bit v of packed row v for every row v."""
+    diagonal = np.arange(len(bits))
+    bits[diagonal, diagonal >> 3] &= ~_BIT_MASKS[diagonal & 7]
+
+
 def _unpacked(bits: np.ndarray, n: int) -> np.ndarray:
     """Packed rows as a boolean matrix with columns 0..n."""
     return np.unpackbits(bits, axis=1, count=n + 1, bitorder="little").view(bool)
@@ -350,9 +370,21 @@ def generate(kind: str, n: int, seed: int, p: float | None = None) -> Graph:
 
     erdos_renyi(p)       independent edges with probability p
     planted_triangle(p)  erdos_renyi(p) plus one guaranteed random triangle
+    random_bipartite(p)  two balanced sides, chosen by a random permutation, and
+                         independent cross edges with probability p (triangle free)
     complete             every pair
     bipartite_blowup     balanced complete bipartite graph (triangle free)
     triangle_free_dense  balanced 5-cycle blowup (triangle free, dense)
+
+    Every kind writes its bits straight into the packed layout: no kind holds
+    an (n+1)^2 boolean matrix.  The random kinds draw one raw Philox word per
+    candidate pair u < w, in row-major order, a chunk of rows at a time (see
+    `_draw_pairs`).  The pair is an edge when `(raw >> 11) < ceil(p * 2**53)`,
+    which is exactly `random() < p`: numpy's `random()` is `(raw >> 11) *
+    2**-53`, and both that product and `p * 2**53` are exact (a power-of-two
+    scaling of a double in [0, 1]), so the two compare alike, p = 0 and p = 1
+    included.  So each graph equals, bit for bit, the one drawn by a single
+    `rng.random(count) < p` over its candidate pairs in row-major order.
     """
     if kind not in GENERATOR_KINDS:
         raise ValueError(f"unknown generator kind {kind!r}")
@@ -360,27 +392,81 @@ def generate(kind: str, n: int, seed: int, p: float | None = None) -> Graph:
         raise ValueError(f"n must be >= {MIN_GRAPH_N}")
     if n > MAX_VERTICES:
         raise ValueError(f"n must be <= {MAX_VERTICES}")
-    needs_p = kind in ("erdos_renyi", "planted_triangle")
+    needs_p = kind in ("erdos_renyi", "planted_triangle", "random_bipartite")
     if needs_p:
         if p is None or not 0.0 <= p <= 1.0:
             raise ValueError("p must be in [0, 1]")
     rng = substream(seed, "graph", kind, n, None if p is None else float(p))
-    adj = np.zeros((n + 1, n + 1), dtype=bool)
+    bits = np.zeros((n + 1, _row_bytes(n + 1)), dtype=np.uint8)
 
-    if needs_p:
-        # one draw per pair i < j, in row-major order over the strict upper triangle
-        adj[1:, 1:][~np.tri(n, dtype=bool)] = rng.random(n * (n - 1) // 2) < p
+    if kind == "random_bipartite":
+        side = np.zeros(n + 1, dtype=bool)
+        side[rng.permutation(n)[n // 2 :] + 1] = True
+        _draw_pairs(bits, rng, p, side)
+    elif needs_p:
+        _draw_pairs(bits, rng, p)
         if kind == "planted_triangle":
             a, b, c = (int(v) + 1 for v in rng.choice(n, size=3, replace=False))
-            adj[[a, b, a], [b, c, c]] = True
-    elif kind == "complete":
-        adj[1:, 1:] = True
-    else:  # balanced blowup of a 2-cycle (complete bipartite) or of a 5-cycle
-        blocks = np.array_split(np.arange(1, n + 1), 2 if kind == "bipartite_blowup" else 5)
-        for a, b in zip(blocks, blocks[1:] + blocks[:1]):
-            adj[np.ix_(a, b)] = True
-    adj |= adj.T
-    return Graph.from_adjacency(adj)
+            _set_bits(bits, np.array([a, b, a, b, c, c]), np.array([b, a, c, c, a, b]))
+    else:  # balanced blowup of a 1-cycle (complete, once its diagonal is cleared), 2-cycle or 5-cycle
+        parts = {"complete": 1, "bipartite_blowup": 2, "triangle_free_dense": 5}[kind]
+        # the contiguous blocks of np.array_split(range(1, n + 1), parts)
+        bounds = [1 + i * (n // parts) + min(i, n % parts) for i in range(parts + 1)]
+        member = np.zeros((parts, n + 1), dtype=bool)
+        for i in range(parts):
+            member[i, bounds[i] : bounds[i + 1]] = True
+        own = _packed(member)
+        near = np.roll(own, 1, axis=0) | np.roll(own, -1, axis=0)
+        for i in range(parts):
+            bits[bounds[i] : bounds[i + 1]] = near[i]
+        _clear_diagonal(bits)
+    return Graph.__new__(Graph)._set(n, bits)
+
+
+def _draw_pairs(bits: np.ndarray, rng: np.random.Generator, p: float, side: np.ndarray | None = None) -> None:
+    """OR into the packed rows `bits` each pair u < w (with side[u] != side[w],
+    given a boolean `side`) with probability p, one raw word of `rng` per pair
+    in row-major order.
+
+    A chunk is the rows r0..r1-1 from a multiple r0 of 8: as many whole 8-row
+    groups as keep its block, those rows over the columns r0..n, within
+    CHUNK_CELLS cells (one group at least).  It ORs the block's packed rows into
+    its rows and the block's packed transpose into the byte columns of r0..r1-1,
+    which no other chunk touches.  Its draw count comes from the rows' pair
+    counts, not from counting the block."""
+    n = len(bits) - 1
+    above = n - np.arange(n + 1)  # the pairs (u, w > u) of row u
+    if side is not None:  # those with w on the other side
+        ahead = np.cumsum(side[::-1])[::-1] - side  # the side's vertices above u
+        above = np.where(side, above - ahead, ahead)
+    above[0] = 0
+    # draws before each 8-row group, then all of them
+    before = [0, *itertools.accumulate(np.add.reduceat(above, np.arange(0, n + 1, 8)).tolist())]
+    threshold = np.uint64(math.ceil(p * 2.0**53))
+    r0 = 0
+    while r0 <= n:
+        width = n + 1 - r0
+        r1 = min(r0 + 8 * max(1, CHUNK_CELLS // (8 * width)), n + 1)
+        height = (r1 - r0 + 7) & ~7  # whole 8-row groups
+        # row k of the strict upper block is True from column k + 1 on, so the last
+        # chunk's rows past n are clear: one ramp, read a byte further back per row
+        ramp = np.arange(height + width - 1) >= height
+        block = np.ndarray((height, width), bool, ramp, height - 1, (-1, 1)).copy()
+        if r0 == 0:
+            block[0] = False  # vertex 0 has no pairs
+        if side is not None:
+            block[: r1 - r0] &= side[r0:] != side[r0:r1, None]
+        raw = rng.bit_generator.random_raw(before[(r0 + height) // 8] - before[r0 // 8])
+        raw >>= 11
+        block[block] = raw < threshold
+        del raw
+        byte = r0 >> 3
+        rows = np.packbits(block[: r1 - r0], axis=1, bitorder="little")
+        bits[r0:r1, byte : byte + rows.shape[1]] |= rows
+        # the transpose, packed: byte (g, c) holds block[8g + k, c] at bit k
+        cols = np.einsum("gkc,k->gc", block.reshape(-1, 8, width).view(np.uint8), _BIT_MASKS)
+        bits[r0:, byte : byte + len(cols)] |= cols.T
+        r0 = r1
 
 
 # ---------------------------------------------------------------------------

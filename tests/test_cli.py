@@ -38,6 +38,18 @@ def test_gen_graph_bipartite_blowup(tmp_path):
     assert triangle_count(g) == 0
 
 
+def test_gen_graph_random_bipartite(tmp_path):
+    out = tmp_path / "host.txt"
+    args = ["--n", "512", "--p", "0.01171875", "--seed", "4"]  # the host of mean degree 3
+    assert run(["gen-graph", "--kind", "random_bipartite", *args, "--out", str(out)]) == 0
+    g = load_graph(str(out))
+    assert list(g.edges()) == list(qtri.graphs.generate("random_bipartite", 512, 4, p=0.01171875).edges())
+    assert triangle_count(g) == 0
+    report = tmp_path / "report.json"
+    assert run(["solve", "--gen", "random_bipartite", *args, "--out", str(report)]) == 0
+    assert json.loads(report.read_text())["outcome"]["type"] == "no"
+
+
 def test_gen_graph_deterministic(tmp_path):
     a, b = tmp_path / "a.txt", tmp_path / "b.txt"
     for out in (a, b):

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from qtri.graphs import (
     canon_pair,
     common_neighbors,
 )
-from qtri.rng import substream
+from qtri.rng import keyed, substream
 
 K3 = Graph(3, [(1, 2), (2, 3), (1, 3)])
 K4 = Graph(4, list(itertools.combinations(range(1, 5), 2)))
@@ -411,9 +412,13 @@ def test_generate_deterministic():
     assert list(a.edges()) != list(c.edges())
 
 
+RANDOM_KINDS = ("erdos_renyi", "planted_triangle", "random_bipartite")
+
+
 def reference_adjacency(kind, n, seed, p):
-    """The generators as first written, over `np.triu_indices` and explicit
-    vertex blocks: the reference that `generate` must reproduce."""
+    """The generators as first written, as one dense matrix over `np.triu_indices`
+    and explicit vertex blocks, with one `random()` float per candidate pair:
+    the reference that `generate` must reproduce."""
     rng = substream(seed, "graph", kind, n, None if p is None else float(p))
     adj = np.zeros((n + 1, n + 1), dtype=bool)
 
@@ -427,8 +432,13 @@ def reference_adjacency(kind, n, seed, p):
             start += s
         return out
 
-    if kind in ("erdos_renyi", "planted_triangle"):
+    if kind in RANDOM_KINDS:
         iu = np.triu_indices(n, k=1)
+        if kind == "random_bipartite":
+            side = np.zeros(n + 1, dtype=bool)
+            side[rng.permutation(n)[n // 2 :] + 1] = True
+            cross = side[iu[0] + 1] != side[iu[1] + 1]
+            iu = (iu[0][cross], iu[1][cross])
         hits = rng.random(len(iu[0])) < p
         adj[iu[0] + 1, iu[1] + 1] = hits
         adj |= adj.T
@@ -453,13 +463,147 @@ def reference_adjacency(kind, n, seed, p):
     return adj
 
 
+class RawStream:
+    """A generator that records the sizes of its raw draws and refuses float
+    draws; every other call goes to the generator it wraps."""
+
+    def __init__(self, rng):
+        self.rng, self.raw_sizes = rng, []
+
+    @property
+    def bit_generator(self):
+        return self
+
+    def random_raw(self, size):
+        self.raw_sizes.append(size)
+        return self.rng.bit_generator.random_raw(size)
+
+    def random(self, *args, **kwargs):
+        raise AssertionError("generate drew floats")
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
 @pytest.mark.parametrize("kind", GENERATOR_KINDS)
-def test_generate_matches_the_reference_generator(kind):
+def test_generate_matches_the_reference_generator(kind, monkeypatch):
+    random = kind in RANDOM_KINDS
     for n in range(3, 70):
         for seed in range(3):
-            p = 0.3 if kind in ("erdos_renyi", "planted_triangle") else None
+            p = 0.3 if random else None
             want = reference_adjacency(kind, n, seed, p)
             assert np.array_equal(generate(kind, n, seed, p=p).adjacency(), want), (n, seed)
+    # n + 1 just below, on and just above 64 and 128 bits; p at both ends and one
+    # double away from them
+    for n in (5, 62, 63, 64, 126, 127, 128):
+        for seed in range(2):
+            for p in (0.0, 2**-60, 0.3, 1 - 2**-53, 1.0) if random else (None,):
+                want = reference_adjacency(kind, n, seed, p)
+                # chunks of one 8-row group (CHUNK_CELLS = 0, the smallest), chunks
+                # that open with 8, 24 and 40 rows (24 and 40 divide none of these
+                # n + 1), and the default
+                for cells in (0, 8 * (n + 1), 24 * (n + 1), 40 * (n + 1), graphs.CHUNK_CELLS):
+                    monkeypatch.setattr(graphs, "CHUNK_CELLS", cells)
+                    got = generate(kind, n, seed, p=p)
+                    assert np.array_equal(got.adjacency(), want), (n, seed, p, cells)
+                monkeypatch.undo()
+
+
+def test_generate_draws_raw_words_a_chunk_at_a_time(monkeypatch):
+    streams = []
+    monkeypatch.setattr(graphs, "substream", lambda *path: streams.append(RawStream(substream(*path))) or streams[-1])
+    monkeypatch.setattr(Graph, "from_adjacency", None)  # the dense build is gone
+    monkeypatch.setattr(graphs, "CHUNK_CELLS", 0)  # one 8-row group per chunk
+    n = 128
+    pairs = {"erdos_renyi": n * (n - 1) // 2, "planted_triangle": n * (n - 1) // 2,
+             "random_bipartite": (n // 2) * (n - n // 2)}
+    for kind in GENERATOR_KINDS:
+        p = 0.3 if kind in RANDOM_KINDS else None
+        got = generate(kind, n, 1, p=p)
+        assert np.array_equal(got.adjacency(), reference_adjacency(kind, n, 1, p)), kind
+        sizes = streams[-1].raw_sizes
+        if kind in RANDOM_KINDS:
+            # each chunk draws exactly its block's pairs, so the stream carries over from
+            # chunk to chunk, and the planted triangle's choice reads on after all of them
+            assert len(sizes) == math.ceil((n + 1) / 8) and sum(sizes) == pairs[kind], kind
+        else:
+            assert sizes == [], kind
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    p=st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 2**-60, 2**-53, 0.5, 1 - 2**-53, 1.0])),
+    key=st.tuples(st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1)),
+)
+def test_raw_word_threshold_is_the_float_comparison(p, key):
+    """(raw >> 11) < ceil(p * 2**53) exactly when random() < p: numpy's random() is
+    (raw >> 11) * 2**-53, and that product and p * 2**53 are both exact."""
+    key = np.array(key, dtype=np.uint64)
+    floats = keyed(key).random(256)
+    raw = keyed(key).bit_generator.random_raw(256) >> 11
+    assert np.array_equal(floats, raw * 2.0**-53)
+    # p, and each drawn value and the doubles next to it, where the comparison flips
+    for q in (p, floats[0], np.nextafter(floats[0], 0.0), np.nextafter(floats[0], 1.0)):
+        assert np.array_equal(raw < np.uint64(math.ceil(q * 2.0**53)), floats < q), q
+
+
+@pytest.mark.parametrize("p", [2**-60, 0.3, 0.5, 1 - 2**-53])
+def test_generate_threshold_is_exact_at_the_boundary(p, monkeypatch):
+    """Raw words whose top 53 bits sit just below and on ceil(p * 2**53), with
+    their low 11 bits set, decide each pair as random() < p does."""
+    t = math.ceil(p * 2.0**53)
+    values = np.array([0, t - 1, t, 2**53 - 1], dtype=np.uint64)  # of raw >> 11
+    words = values << np.uint64(11) | np.uint64(2**11 - 1)
+
+    class Crafted:  # a stream whose raw words cycle through `words`
+        drawn = 0
+        bit_generator = property(lambda self: self)
+
+        def random_raw(self, size):
+            out = words[(self.drawn + np.arange(size)) % len(words)]
+            self.drawn += size
+            return out
+
+    monkeypatch.setattr(graphs, "substream", lambda *path: Crafted())
+    monkeypatch.setattr(graphs, "CHUNK_CELLS", 0)  # several chunks, so the cycle carries over
+    n = 40
+    iu = np.triu_indices(n, k=1)
+    want = values[np.arange(len(iu[0])) % len(values)] * 2.0**-53 < p
+    got = generate("erdos_renyi", n, 0, p=p).adjacency()[iu[0] + 1, iu[1] + 1]
+    assert np.array_equal(got, want)
+    assert want.any() and not want.all()
+
+
+def test_random_bipartite_host():
+    for n in (3, 4, 9, 64, 129):  # at p = 1 it is complete bipartite on sides of n // 2 and the rest
+        degrees = generate("random_bipartite", n, 2, p=1.0).degrees()[1:]
+        assert sorted(degrees) == sorted([n - n // 2] * (n // 2) + [n // 2] * (n - n // 2)), n
+    n, p = 512, 0.01171875  # the host of mean degree 3
+    pairs = (n // 2) * (n - n // 2)
+    for seed in range(4):
+        g = generate("random_bipartite", n, seed, p=p)
+        assert triangle_count(g) == 0
+        assert abs(g.edge_count - p * pairs) <= 5 * math.sqrt(pairs * p * (1 - p))
+        side = np.zeros(n + 1, dtype=bool)
+        side[substream(seed, "graph", "random_bipartite", n, p).permutation(n)[n // 2 :] + 1] = True
+        a, b = g.pairs()
+        assert np.all(side[a] != side[b])
+
+
+@pytest.mark.parametrize("kind", GENERATOR_KINDS)
+def test_generate_memory_stays_within_twice_the_packed_graph(kind):
+    n = 4096
+    tracemalloc.start()
+    try:
+        graph = generate(kind, n, 0, p=0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a chunk's own buffers: per cell of its block 1 byte of block and 1 of side
+    # comparison, and per draw (at most one a cell) an 8-byte raw word and 1 byte
+    # of comparison; at n = 4096 one 8-row group holds fewer than CHUNK_CELLS cells
+    assert 8 * (n + 1) <= graphs.CHUNK_CELLS
+    assert peak <= 2 * graph._bits.nbytes + 11 * graphs.CHUNK_CELLS, (peak, graph._bits.nbytes)
 
 
 def test_generate_validates(monkeypatch):
