@@ -19,7 +19,7 @@ from .graphs import Graph, generate, triangle_count
 from .grover import GroverOutcome, SearchSpace, safe_grover
 from .oracle import QueryOracle, StepTag
 from .rng import derive_seed, substream
-from .solver import MIN_N, Params, containment_violated, solve, step1_sample, uncovered_pairs
+from .solver import MIN_N, Params, containment_violated, solve, step1_sample
 
 
 @dataclass(frozen=True)
@@ -197,7 +197,7 @@ def threshold_violation_rate(
     for trial in range(trials):
         graph = generate(kind, n, seed=derive_seed(seed, "containment", trial), p=p)
         _, hoods = step1_sample(QueryOracle(graph), params, substream(seed, "containment", trial))
-        violations += containment_violated(graph, uncovered_pairs(hoods), epsilon)
+        violations += containment_violated(graph, Graph.uncovered(hoods), epsilon)
     return violations / trials
 
 

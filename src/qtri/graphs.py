@@ -10,8 +10,10 @@ its wrapper `adjacency`), the boolean `block` among chosen vertices, the
 packed bit read `row_bits`, the intersection `&` of two graphs and the
 difference `graph(*minus)`, each itself a `Graph`, and the packed count
 `common_counts`, which return Python values or numpy arrays.  The packed
-reads AND and popcount whole uint64 words.  A `PairSet` is a mutable pair
-set in the same layout, which clears, moves and scans pairs on the packed
+reads AND and popcount whole uint64 words, and no way into a `Graph` passes
+through an (n+1)^2 matrix: `Graph.uncovered` builds step 2's G' from the
+ORs of the packed sampled rows.  A `PairSet` is a mutable pair set in the
+same layout, which clears, moves and scans pairs on the packed
 words and hands them back as a `Graph`.  `generate` writes every instance
 straight into the packed rows; its random kinds draw raw Philox words a chunk
 of rows at a time, so no instance ever passes through an (n+1)^2 matrix and
@@ -108,18 +110,32 @@ class Graph:
         self.n = n
         self._bits = bits
         self._words = bits.view(np.uint64)
-        self._edge_count = int(self.degrees().sum()) // 2
+        # GATHER_ROWS rows of popcounts at a time: a whole uint8 count matrix is an eighth of the bits
+        rows = range(0, n + 1, GATHER_ROWS)
+        self._edge_count = sum(int(np.bitwise_count(self._words[r : r + GATHER_ROWS]).sum()) for r in rows) // 2
         return self
 
     @classmethod
-    def from_adjacency(cls, adj: np.ndarray) -> "Graph":
-        """Build from a symmetric boolean matrix indexed 1..n, packed as it is,
-        neither copied nor written; its row/col 0 and diagonal are ignored."""
-        bits = _packed(np.asarray(adj, dtype=bool))
-        bits[0] = 0
-        bits[:, 0] &= ~_BIT_MASKS[0]
-        _clear_diagonal(bits)
-        return cls.__new__(cls)._set(len(bits) - 1, bits)
+    def uncovered(cls, hoods: np.ndarray) -> "Graph":
+        """Step 2's G' from the boolean k x (n+1) sampled rows `hoods`: the pairs
+        that no row holds both ends of.  The covered row of u is the OR of the
+        packed rows that hold u, gathered GATHER_ROWS (u, row) pairs at a time
+        (a u whose pairs span two chunks ORs into its row twice), and G' is its
+        complement, less row 0, column 0, the diagonal and the padding."""
+        n = hoods.shape[1] - 1
+        sampled = _packed(hoods).view(np.uint64)
+        user, owner = np.nonzero(hoods.T)  # u ascending
+        words = np.zeros((n + 1, sampled.shape[1]), dtype=np.uint64)
+        for start in range(0, len(user), GATHER_ROWS):
+            part = slice(start, start + GATHER_ROWS)
+            heads = np.flatnonzero(np.diff(user[part], prepend=-1))  # each u's first pair in the chunk
+            ors = np.bitwise_or.reduceat(np.take(sampled, owner[part], axis=0), heads, axis=0)
+            words[user[part][heads]] |= ors  # a statement of its own, so the gathered rows are freed first
+        np.invert(words, out=words)
+        words &= _packed(np.arange(n + 1)[None] > 0).view(np.uint64)  # column 0 and the padding
+        words[0] = 0
+        _clear_diagonal(words.view(np.uint8))
+        return cls.__new__(cls)._set(n, words.view(np.uint8))
 
     @property
     def edge_count(self) -> int:

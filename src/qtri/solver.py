@@ -7,9 +7,9 @@ one classical unit per probed pair: steps 1 and 7 read whole rows with one
 each of a batch of vertices with `QueryOracle.query_rows`, and verification
 probes single pairs with `QueryOracle.query`.  Step 1 hands step 2 the
 k x (n+1) boolean matrix of the sampled rows, which step 2 searches row by
-row and then turns into its candidate set, G', a `Graph`, in one
-`graphs.common_neighbors` product.  The pair bookkeeping is classical, free
-once built, and stays in `graphs`' packed layout: the loop works on a
+row and then turns into its candidate set, G', from those billed rows alone
+on packed words with `Graph.uncovered`.  The pair bookkeeping is classical,
+free once built, and stays in `graphs`' packed layout: the loop works on a
 `WorkingGraph`, a `graphs.PairSet` of the pairs still working, whose step-4
 peels move pairs into T, another `PairSet`; E is the rest of G'.
 Between peels `WorkingGraph.floor` keeps a lower bound on the common-neighbor
@@ -147,13 +147,6 @@ class WorkingGraph(PairSet):
         if cleared := self.clear_between(a, b):
             self.floor = 0
         return cleared
-
-
-def uncovered_pairs(hoods: np.ndarray) -> Graph:
-    """The graph of the vertex pairs that share no sampled neighborhood, from
-    the k x (n+1) boolean matrix of the sampled rows: one `common_neighbors`
-    product."""
-    return Graph.from_adjacency(common_neighbors(hoods.T) == 0)
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +294,7 @@ def step2_build_gprime(
                 return tri, None, missed
             missed |= miss
             i = j + 1
-    return None, uncovered_pairs(hoods), missed
+    return None, Graph.uncovered(hoods), missed
 
 
 def containment_violated(hidden: Graph, candidate: Graph, epsilon: float) -> bool:

@@ -25,7 +25,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from qtri import Graph, Params, QueryOracle, generate, solve, solver
+from qtri import Graph, Params, QueryOracle, generate, graphs, solve, solver
 
 FIXTURE = Path(__file__).with_name("golden_reports.json")
 
@@ -195,13 +195,13 @@ LATE_CASES = ["host128_step10_yes", "host96_step10_yes", "host2048_step9_yes", "
 
 @pytest.mark.parametrize("name", LATE_CASES)
 def test_no_whole_boolean_matrix_after_step2(golden, name, monkeypatch):
-    """From step 2 on, a solve holds its pair sets packed: `from_adjacency`
-    runs once, for step 2's G', and `adjacency` only inside step 9's
-    `triangle_count`."""
+    """A solve holds its pair sets packed: step 2 builds G' on packed words, so
+    no step before step 9 multiplies n + 1 rows in `common_neighbors`, and
+    `adjacency` runs only inside step 9's `triangle_count`."""
     assert {"Step9", "Step10"} & {step for step, count in golden[name]["cost"]["per_step"].items() if count}
     build, params, seed = CASES[name]
     hidden = build()
-    where, calls = [], []  # the traced steps open at each moment; (call, steps) per unpack
+    where, calls = [], []  # the traced steps open at each moment; (call, steps) per whole-matrix call
 
     def traced(label, fn):
         def run(*args, **kwargs):
@@ -214,15 +214,19 @@ def test_no_whole_boolean_matrix_after_step2(golden, name, monkeypatch):
 
     for label in ("step2_build_gprime", "step9_search_T", "triangle_count"):
         monkeypatch.setattr(solver, label, traced(label, getattr(solver, label)))
-    from_adjacency, adjacency = Graph.from_adjacency.__func__, Graph.adjacency
-    monkeypatch.setattr(Graph, "from_adjacency", classmethod(
-        lambda cls, adj: calls.append(("from_adjacency", tuple(where))) or from_adjacency(cls, adj)))
+    common_neighbors, adjacency = graphs.common_neighbors, Graph.adjacency
+
+    def counted(rows):
+        if len(rows) == hidden.n + 1:
+            calls.append(("common_neighbors", tuple(where)))
+        return common_neighbors(rows)
+
+    for owner in (graphs, solver):
+        monkeypatch.setattr(owner, "common_neighbors", counted)
     monkeypatch.setattr(Graph, "adjacency",
                         lambda self: calls.append(("adjacency", tuple(where))) or adjacency(self))
     solve(QueryOracle(hidden), params, seed=seed)
-    assert calls.count(("from_adjacency", ("step2_build_gprime",))) == 1
-    assert all(call == ("from_adjacency", ("step2_build_gprime",)) or
-               call == ("adjacency", ("step9_search_T", "triangle_count")) for call in calls)
+    assert all(steps == ("step9_search_T", "triangle_count") for _, steps in calls), calls
 
 
 def last_billed_step(report):

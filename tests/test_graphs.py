@@ -165,20 +165,6 @@ def test_graph_agrees_with_a_set_of_pairs(case, data):
     assert int(degrees.sum()) // 2 == sum(
         canon_pair(a, b) in ref for a, b in itertools.combinations(members.tolist(), 2)
     )
-    back = Graph.from_adjacency(adj)
-    assert back.edge_count == g.edge_count
-    assert list(back.edges()) == list(g.edges())
-    assert np.array_equal(back.adjacency(), adj)
-    # set bits in row 0, column 0 and on the diagonal are dropped, and the
-    # caller's matrix, here read-only, is neither written nor changed
-    dirty = adj.copy()
-    dirty[0] = dirty[:, 0] = True
-    np.fill_diagonal(dirty, True)
-    kept = dirty.copy()
-    dirty.flags.writeable = False
-    back = Graph.from_adjacency(dirty)
-    assert np.array_equal(dirty, kept)
-    assert back.edge_count == g.edge_count and np.array_equal(back.adjacency(), adj)
     assert triangle_count(g) == len(brute_triangles(g))
     for rows in (adj, np.triu(adj, 1)):
         brute = (rows[:, None, :] & rows[None, :, :]).sum(axis=2, dtype=np.int64)
@@ -191,6 +177,11 @@ def symmetric_pairs(rng, n, density):
     upper = np.triu(rng.random((n + 1, n + 1)) < density, 1)
     upper[0] = False
     return upper | upper.T
+
+
+def graph_of(adj):
+    """The `Graph` of a symmetric boolean matrix indexed 0..n, from the edges of its upper triangle."""
+    return Graph(len(adj) - 1, zip(*np.nonzero(np.triu(adj, 1))))
 
 
 def unique_vertices(data, n, label):
@@ -206,7 +197,7 @@ def test_block_matches_the_unpacked_rows(n):
     # PairSet with pairs cleared, for vertex arrays unsorted, repeated or empty
     rng = np.random.default_rng(n)
     for density in (0.02, 0.3, 0.9):
-        g = Graph.from_adjacency(symmetric_pairs(rng, n, density))
+        g = graph_of(symmetric_pairs(rng, n, density))
         pairs = PairSet(g)
         pairs.clear_incident([int(rng.integers(1, n + 1))])
         pairs.clear_between(np.arange(1, n // 2), np.arange(n // 3, n + 1))
@@ -228,7 +219,7 @@ def test_pair_set_matches_a_boolean_reference(n, density, seed, data):
     rng = np.random.default_rng(seed)
     start = symmetric_pairs(rng, n, density)
     ref, ref_into = start.copy(), np.zeros_like(start)
-    pairs, into = PairSet(Graph.from_adjacency(start)), PairSet(Graph(n))
+    pairs, into = PairSet(graph_of(start)), PairSet(Graph(n))
     ops = ["incident", "between", "move", "degrees", "first_row", "upper_rows", "rows"]
     for op in data.draw(st.lists(st.sampled_from(ops), max_size=12), label="ops"):
         if op == "incident":  # distinct vertices, unsorted, possibly none
@@ -271,8 +262,8 @@ def test_pair_set_matches_a_boolean_reference(n, density, seed, data):
     # E's form: a graph less two pair sets, taken on a `Graph` or on a `PairSet`
     rest = start & ~ref & ~ref_into
     for got, want in ((pairs.graph(), ref), (into.graph(), ref_into),
-                      (Graph.from_adjacency(start).graph(pairs, into), rest),
-                      (PairSet(Graph.from_adjacency(start)).graph(pairs, into), rest)):
+                      (graph_of(start).graph(pairs, into), rest),
+                      (PairSet(graph_of(start)).graph(pairs, into), rest)):
         assert np.array_equal(got.adjacency(), want)
         assert got.edge_count == int(want.sum()) // 2
 
@@ -307,6 +298,60 @@ def test_upper_rows_find_upper_pairs_across_word_boundaries(n):
     chain = PairSet(Graph(n, [(v, v + 1) for v in range(1, n, 3)]))
     assert chain.upper_rows(1, n).tolist() == list(range(1, n, 3))
     assert chain.upper_rows(2, 5).tolist() == list(range(4, n, 3))[:5]
+
+
+def uncovered_reference(hoods):
+    """Step 2's G' by the dense product: the pairs that no sampled row holds
+    both ends of, off row 0, column 0 and the diagonal."""
+    free = common_neighbors(hoods.T) == 0
+    free[0] = free[:, 0] = False
+    np.fill_diagonal(free, False)
+    return free
+
+
+@pytest.mark.parametrize("n", PAIR_SET_SIZES)
+@pytest.mark.parametrize("gather", [1, 7, graphs.GATHER_ROWS])
+def test_uncovered_equals_the_product_of_the_sampled_rows(n, gather, monkeypatch):
+    # n + 1 just below, on and just above 64 and 128 bits; one (u, row) pair a chunk,
+    # chunks of 7 that split most u's pairs, and the default; vertex 1 has no neighbor,
+    # so no sampled row covers it, and k = 0 leaves G' complete
+    monkeypatch.setattr(graphs, "GATHER_ROWS", gather)
+    rng = np.random.default_rng(n)
+    for density in (0.02, 0.3, 0.9):
+        adj = symmetric_pairs(rng, n, density)
+        adj[1] = adj[:, 1] = False
+        g = graph_of(adj)
+        for k in (0, 1, n // 3, n):
+            hoods = g.rows(np.sort(rng.choice(np.arange(1, n + 1), k, replace=False)))
+            got, want = Graph.uncovered(hoods), uncovered_reference(hoods)
+            assert got.n == n and np.array_equal(got.adjacency(), want), (density, k)
+            # the count popcounts every word, so it also sees a stray padding bit
+            assert got.edge_count == int(want.sum()) // 2
+            assert got.degrees()[1] == n - 1
+    assert density == 0.9 and k == n and np.bincount(np.nonzero(hoods.T)[0]).max() > 7  # a u's pairs span chunks
+    empty = Graph.uncovered(np.zeros((0, n + 1), dtype=bool))
+    assert empty.edge_count == n * (n - 1) // 2
+
+
+def test_uncovered_memory_stays_within_the_packed_graph_and_one_chunk():
+    # a sparse sample as step 1 reads it at n = 4096: 1,176 rows of a mean-degree-3 host
+    n, k = 4096, 1176
+    g = generate("random_bipartite", n, 0, p=3 / 2048)
+    hoods = g.rows(np.sort(np.random.default_rng(0).choice(np.arange(1, n + 1), k, replace=False)))
+    pairs = int(np.count_nonzero(hoods))
+    tracemalloc.start()
+    try:
+        gprime = Graph.uncovered(hoods)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    row_bytes = gprime._bits.shape[1]
+    # G' itself, the packed sample, the (u, row) index pairs, and one chunk: its
+    # gathered rows and their ORs per u, each at most GATHER_ROWS rows (numpy
+    # copies an overlapping `out`, so the ORs cannot overwrite the gathered rows)
+    bound = gprime._bits.nbytes + k * row_bytes + 2 * pairs * 8 + 2 * graphs.GATHER_ROWS * row_bytes
+    assert peak <= bound, (peak, bound)
+    assert bound < 8 << 20  # the (n+1)^2 float32 product alone is 67 MB
 
 
 @pytest.mark.parametrize("n", [3, (1 << 15) - 1, 1 << 15, MAX_VERTICES])
@@ -512,7 +557,6 @@ def test_generate_matches_the_reference_generator(kind, monkeypatch):
 def test_generate_draws_raw_words_a_chunk_at_a_time(monkeypatch):
     streams = []
     monkeypatch.setattr(graphs, "substream", lambda *path: streams.append(RawStream(substream(*path))) or streams[-1])
-    monkeypatch.setattr(Graph, "from_adjacency", None)  # the dense build is gone
     monkeypatch.setattr(graphs, "CHUNK_CELLS", 0)  # one 8-row group per chunk
     n = 128
     pairs = {"erdos_renyi": n * (n - 1) // 2, "planted_triangle": n * (n - 1) // 2,

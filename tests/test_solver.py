@@ -36,7 +36,6 @@ from qtri.solver import (
     step8_loop,
     step9_search_T,
     step10_search_E,
-    uncovered_pairs,
 )
 
 DEFAULTS = Params()
@@ -208,7 +207,7 @@ def test_uncovered_pairs_is_the_complement_of_the_sampled_squares(n, density, gr
     hoods = [np.flatnonzero(row).tolist() for row in g.rows(sample)]
     covered = {(a, b) for hood in hoods for a in hood for b in hood}
     expected = {(a, b) for a in range(1, n + 1) for b in range(1, n + 1) if a != b} - covered
-    free = uncovered_pairs(g.adjacency()[sample])
+    free = Graph.uncovered(g.adjacency()[sample])
     assert free.n == n
     assert set(map(tuple, np.argwhere(free.adjacency()).tolist())) == expected
 
@@ -228,9 +227,7 @@ def step2_per_vertex(oracle, sample, hoods, params, rng):
 
 
 def blowup_with_pair(n, a, b):
-    adj = generate("bipartite_blowup", n, seed=0).adjacency()
-    adj[a, b] = adj[b, a] = True
-    return Graph.from_adjacency(adj)
+    return Graph(n, [*generate("bipartite_blowup", n, seed=0).edges(), (a, b)])
 
 
 @pytest.mark.parametrize("graph, hit", [
