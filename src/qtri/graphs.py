@@ -5,19 +5,19 @@ Vertices are the integers 1..n and unordered pairs are canonicalised to
 (min, max).  A `Graph` keeps its adjacency as one read-only packed bit
 matrix whose rows are padded to whole uint64 words, and this module is the
 only one that knows that layout: every other module reads a graph through
-`has_edge`, `degrees`, `edges` and its index arrays `pairs`, `rows` (with
-its wrapper `adjacency`), the boolean `block` among chosen vertices, the
-packed bit read `row_bits`, the intersection `&` of two graphs and the
-difference `graph(*minus)`, each itself a `Graph`, and the packed count
-`common_counts`, which return Python values or numpy arrays.  The packed
-reads AND and popcount whole uint64 words, and no way into a `Graph` passes
-through an (n+1)^2 matrix: `Graph.uncovered` builds step 2's G' from the
-ORs of the packed sampled rows.  A `PairSet` is a mutable pair set in the
-same layout, which clears, moves and scans pairs on the packed
+`has_edge`, `degrees`, `edges`, the index arrays `pairs`, the packed rows of
+chosen vertices `rows`, a `Rows` reader with its own `pairs`, bit reads `at`
+and boolean form `dense` (`adjacency` is every row's), the boolean `block`
+among chosen vertices, the intersection `&` of two graphs and the difference
+`graph(*minus)`, each itself a `Graph`, and the packed count `common_counts`.
+The packed reads AND and popcount whole uint64 words, and no way into a
+`Graph` passes through an (n+1)^2 matrix: `Graph.uncovered` builds step 2's
+G' from the ORs of the packed sampled rows.  A `PairSet` is a mutable pair
+set in the same layout, which clears, moves and scans pairs on the packed
 words and hands them back as a `Graph`.  `generate` writes every instance
-straight into the packed rows; its random kinds draw raw Philox words a chunk
-of rows at a time, so no instance ever passes through an (n+1)^2 matrix and
-the memory stays near the packed graph's up to MAX_VERTICES.
+straight into the packed rows; its random kinds draw raw Philox words a
+chunk of rows at a time, so the memory stays near the packed graph's up to
+MAX_VERTICES.
 """
 
 from __future__ import annotations
@@ -116,21 +116,21 @@ class Graph:
         return self
 
     @classmethod
-    def uncovered(cls, hoods: np.ndarray) -> "Graph":
-        """Step 2's G' from the boolean k x (n+1) sampled rows `hoods`: the pairs
-        that no row holds both ends of.  The covered row of u is the OR of the
-        packed rows that hold u, gathered GATHER_ROWS (u, row) pairs at a time
-        (a u whose pairs span two chunks ORs into its row twice), and G' is its
-        complement, less row 0, column 0, the diagonal and the padding."""
-        n = hoods.shape[1] - 1
-        sampled = _packed(hoods).view(np.uint64)
-        user, owner = np.nonzero(hoods.T)  # u ascending
+    def uncovered(cls, hoods: "Rows") -> "Graph":
+        """Step 2's G' from the packed sampled `Rows` `hoods`: the pairs that no
+        row holds both ends of.  The covered row of u is the OR of the rows that
+        hold u, gathered GATHER_ROWS (u, row) pairs at a time, u-major off one
+        brief unpack (a u whose pairs span two chunks ORs into its row twice),
+        and G' is its complement, less row 0, column 0, the diagonal and padding."""
+        n, sampled = hoods.n, hoods._bits.view(np.uint64)
+        user, owner = np.nonzero(hoods.dense().T)  # u ascending
         words = np.zeros((n + 1, sampled.shape[1]), dtype=np.uint64)
         for start in range(0, len(user), GATHER_ROWS):
             part = slice(start, start + GATHER_ROWS)
             heads = np.flatnonzero(np.diff(user[part], prepend=-1))  # each u's first pair in the chunk
             ors = np.bitwise_or.reduceat(np.take(sampled, owner[part], axis=0), heads, axis=0)
             words[user[part][heads]] |= ors  # a statement of its own, so the gathered rows are freed first
+            del ors  # nor kept alive through the next chunk's gather
         np.invert(words, out=words)
         words &= _packed(np.arange(n + 1)[None] > 0).view(np.uint64)  # column 0 and the padding
         words[0] = 0
@@ -158,9 +158,7 @@ class Graph:
     def pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """Every edge once as two index arrays (a, b), a < b, in ascending
         row-major order; only the nonzero bytes of the packed rows are unpacked."""
-        rows, byte = np.nonzero(self._bits)
-        hit, shift = np.nonzero(np.unpackbits(self._bits[rows, byte][:, None], axis=1, bitorder="little"))
-        a, b = rows[hit], byte[hit] * 8 + shift
+        a, b = self.rows().pairs()
         upper = a < b
         return a[upper], b[upper]
 
@@ -184,13 +182,10 @@ class Graph:
             _check_vertex(vertices.max(), self.n)
         return vertices.astype(np.intp, copy=False)
 
-    def rows(self, vertices: Sequence[int] | np.ndarray | None = None) -> np.ndarray:
-        """The adjacency rows of `vertices`, in order and duplicates included,
-        as a boolean matrix with columns indexed 0..n (column 0 unused); with
-        no argument, every row 0..n (row 0 unused).  Only the packed rows
-        asked for are unpacked."""
-        bits = self._bits if vertices is None else self._bits[self._vertices(vertices)]
-        return _unpacked(bits, self.n)
+    def rows(self, vertices: Sequence[int] | np.ndarray | None = None) -> "Rows":
+        """The packed rows of `vertices`, in order and duplicates included, as a
+        `Rows` reader; with no argument, every row 0..n (row 0 unused)."""
+        return Rows(self.n, self._bits if vertices is None else self._bits[self._vertices(vertices)])
 
     def block(self, vertices: Sequence[int] | np.ndarray) -> np.ndarray:
         """The boolean block among `vertices`, rows and columns in their order,
@@ -202,23 +197,9 @@ class Graph:
         # symmetric, so the transpose of the column-major gather is the block in C order
         return np.not_equal(cells.T, 0)
 
-    def row_bits(self, v: int | np.ndarray, columns: Sequence[int] | np.ndarray) -> np.ndarray:
-        """v's adjacency bits at `columns`, in order and duplicates included, as
-        a boolean array read off v's packed row; every column must lie in 1..n.
-        For an array `v`, row i of the 2-D `columns` is read off v[i]'s row."""
-        if np.ndim(v):
-            v, columns = self._vertices(v)[:, None], np.asarray(columns)
-            if columns.ndim != 2 or len(columns) != len(v):
-                raise ValueError(f"columns of shape {columns.shape} do not give one row per vertex")
-            columns = self._vertices(columns.reshape(-1)).reshape(columns.shape)
-        else:
-            _check_vertex(v, self.n)
-            columns = self._vertices(columns)
-        return (self._bits[v, columns >> 3] & _BIT_MASKS[columns & 7]).astype(bool)
-
     def adjacency(self) -> np.ndarray:
         """Boolean adjacency matrix indexed 1..n (row/col 0 unused)."""
-        return self.rows()
+        return self.rows().dense()
 
     def common_counts(self, a: Sequence[int] | np.ndarray, b: Sequence[int] | np.ndarray) -> np.ndarray:
         """int64 counts[i] of the common neighbors of a[i] and b[i], for two
@@ -249,6 +230,41 @@ class Graph:
         return f"Graph(n={self.n}, edges={self._edge_count})"
 
 
+class Rows:
+    """The packed adjacency rows of chosen vertices, in `Graph`'s layout."""
+
+    __slots__ = ("n", "_bits")
+    _vertices = Graph._vertices
+
+    def __init__(self, n: int, bits: np.ndarray) -> None:
+        self.n, self._bits = n, bits
+
+    def __len__(self) -> int:
+        return len(self._bits)
+
+    def pairs(self, start: int = 0, stop: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """The (row, column) index pairs of the set bits of rows start..stop-1,
+        rows counted from `start`, row-major, unpacking only nonzero bytes."""
+        bits = self._bits[start:stop]
+        rows, byte = np.nonzero(bits)
+        flat = np.flatnonzero(np.unpackbits(bits[rows, byte], bitorder="little"))  # bit 8h + i: bit i of byte h
+        hit = flat >> 3
+        return rows[hit], byte[hit] * 8 + (flat & 7)
+
+    def at(self, columns: Sequence[Sequence[int]] | np.ndarray) -> np.ndarray:
+        """Row i's bits at row i of the 2-D `columns`, in order and duplicates
+        included, as a boolean array; every column must lie in 1..n."""
+        columns = np.asarray(columns)
+        if columns.ndim != 2 or len(columns) != len(self):
+            raise ValueError(f"columns of shape {columns.shape} do not give one row per vertex")
+        columns = self._vertices(columns.reshape(-1)).reshape(columns.shape)
+        return (self._bits[np.arange(len(self))[:, None], columns >> 3] & _BIT_MASKS[columns & 7]).astype(bool)
+
+    def dense(self) -> np.ndarray:
+        """The rows as a boolean matrix with columns 0..n (column 0 unused)."""
+        return np.unpackbits(self._bits, axis=1, count=self.n + 1, bitorder="little").view(bool)
+
+
 class PairSet:
     """Mutable symmetric pair set on {1..n} in `Graph`'s packed layout, starting
     as a graph's edges; pairs only leave it, except those `move_block` moves in."""
@@ -262,12 +278,6 @@ class PairSet:
 
     degrees, rows, block, graph = Graph.degrees, Graph.rows, Graph.block, Graph.graph
     _vertices = Graph._vertices
-
-    def first_row(self, start: int = 1) -> int | None:
-        """The smallest row from `start` on that holds a pair, or None."""
-        cells = self._bits[start:].reshape(-1)  # a view: the rows are contiguous
-        i = int(cells.view(bool).argmax())  # returns at the first nonzero byte, a True
-        return start + i // self._bits.shape[1] if cells[i] else None
 
     def upper_rows(self, start: int, limit: int) -> np.ndarray:
         """Up to `limit` rows u from `start` on, ascending, that hold a pair
@@ -340,11 +350,6 @@ def _clear_diagonal(bits: np.ndarray) -> None:
     """Clear bit v of packed row v for every row v."""
     diagonal = np.arange(len(bits))
     bits[diagonal, diagonal >> 3] &= ~_BIT_MASKS[diagonal & 7]
-
-
-def _unpacked(bits: np.ndarray, n: int) -> np.ndarray:
-    """Packed rows as a boolean matrix with columns 0..n."""
-    return np.unpackbits(bits, axis=1, count=n + 1, bitorder="little").view(bool)
 
 
 def common_neighbors(rows: np.ndarray) -> np.ndarray:

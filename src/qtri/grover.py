@@ -264,7 +264,7 @@ def edge_restricted_triangle_search(
     cum = np.cumsum(np.asarray(per_edge))
     pick = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
     a, b = int(good_rows[pick]), int(good_cols[pick])
-    row_a, row_b = oracle.hidden.rows([a, b])
+    row_a, row_b = oracle.hidden.rows([a, b]).dense()
     apexes = np.flatnonzero(row_a & row_b)
     tri = tuple(sorted((a, b, int(apexes[rng.integers(len(apexes))]))))
     verify_triangle(oracle, tri)  # type: ignore[arg-type]

@@ -5,10 +5,11 @@ Algorithm code reads adjacency only through `QueryOracle.query` (one probe),
 `QueryOracle.query_rows` (the probes (v, u) for a batch of u per vertex v,
 in one vectorised read of the packed rows, billed through the first row that
 a caller's predicate stops at) or `QueryOracle.read_rows` (the whole rows of
-a batch of vertices in one block read); each bills one classical unit per
-probed pair, duplicates included.  Modeled quantum subroutines bill their
-iteration counts via `charge`, or via `charge_batch` for all the attempts of
-one search in one call.  Reads and charges share one crossing rule: a batch that crosses the
+a batch of vertices in one block read, handed back still packed as a
+`graphs.Rows`); each bills one classical unit per probed pair, duplicates
+included.  Modeled quantum subroutines bill their iteration counts via
+`charge`, or via `charge_batch` for all the attempts of one search in one
+call.  Reads and charges share one crossing rule: a batch that crosses the
 budget bills and raises exactly as its items billed one at a time would, and
 an empty batch bills nothing.  Simulator-privileged reads of the hidden
 graph (used to sample subroutine outcomes) never touch the counters.
@@ -25,7 +26,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .graphs import Graph
+from .graphs import Graph, Rows
 
 
 class StepTag(Enum):
@@ -140,7 +141,7 @@ class QueryOracle:
         returns the rows through the first flagged one.  A loop or a label
         that is no integer in 1..n raises ValueError before anything is billed.
         """
-        bits = self.hidden.row_bits(np.asarray(vertices), targets)  # checks every label and range
+        bits = self.hidden.rows(vertices).at(targets)  # checks every label and range
         if (np.asarray(targets) == np.asarray(vertices)[:, None]).any():
             raise ValueError("loops are not allowed")
         if stop is not None and len(flagged := np.flatnonzero(stop(bits))):
@@ -148,14 +149,13 @@ class QueryOracle:
         self._bill(range(1, bits.size + 1), tag, charged=False)
         return bits
 
-    def read_rows(self, vertices: Sequence[int] | np.ndarray, tag: StepTag) -> np.ndarray:
+    def read_rows(self, vertices: Sequence[int] | np.ndarray, tag: StepTag) -> Rows:
         """Billed block read of the whole rows of `vertices`, in order.
 
         Bills n - 1 units per entry of `vertices`, duplicates included, so it
         is the same cost as reading each row with `query_rows`; a label that
         is no integer in 1..n raises ValueError before anything is billed.
-        Returns the len(vertices) x (n+1) boolean matrix of the rows, columns
-        indexed 0..n (column 0 unused).
+        Returns the rows still packed, as the `graphs.Rows` reader.
         """
         rows = self.hidden.rows(vertices)
         self._bill(range(1, len(rows) * (self.n - 1) + 1), tag, charged=False)

@@ -6,9 +6,9 @@ one classical unit per probed pair: steps 1 and 7 read whole rows with one
 `QueryOracle.read_rows` block read, step 5 reads a batch of pairs (v, u) for
 each of a batch of vertices with `QueryOracle.query_rows`, and verification
 probes single pairs with `QueryOracle.query`.  Step 1 hands step 2 the
-k x (n+1) boolean matrix of the sampled rows, which step 2 searches row by
-row and then turns into its candidate set, G', from those billed rows alone
-on packed words with `Graph.uncovered`.  The pair bookkeeping is classical,
+sampled rows still packed, a `graphs.Rows`: step 2 reads their (row, member)
+pairs a block at a time, and `Graph.uncovered` turns those billed rows alone
+into the candidate set G' on packed words.  The pair bookkeeping is classical,
 free once built, and stays in `graphs`' packed layout: the loop works on a
 `WorkingGraph`, a `graphs.PairSet` of the pairs still working, whose step-4
 peels move pairs into T, another `PairSet`; E is the rest of G'.
@@ -16,7 +16,7 @@ Between peels `WorkingGraph.floor` keeps a lower bound on the common-neighbor
 counts, so a peel that cannot find a pair skips its count, and so does a
 round whose degree bound, 2 * min deg - L over the L live vertices, reaches
 the threshold.  The search-space builders read the hidden graph unbilled, as
-simulator privilege, through `Graph.rows`, `Graph.row_bits`, `hidden & pool`
+simulator privilege, through the `Graph.rows` reader, `hidden & pool`
 and the packed `Graph.common_counts`, a block of rows at a time in the blocks
 of `rng.doubling_blocks`.  A step-2 search with nothing marked is a sure miss
 whose charges alone are random, so step 2 bills each run of them in a block
@@ -42,7 +42,7 @@ from enum import Enum
 
 import numpy as np
 
-from .graphs import Graph, PairSet, common_neighbors, triangle_count
+from .graphs import Graph, PairSet, Rows, common_neighbors, triangle_count
 from .grover import SearchSpace, bill_sure_misses, edge_restricted_triangle_search, safe_grover
 from .oracle import LedgerReport, QueryOracle, StepTag, verify_triangle
 from .rng import BLOCK_CAP, child_keys, doubling_blocks, keyed, lemire_draws, substream, substream_keys
@@ -131,7 +131,10 @@ class WorkingGraph(PairSet):
         self.peeled = PairSet(Graph(gprime.n))
         self.floor = 0
 
-    first_active_vertex = PairSet.first_row  # the first vertex a one-vertex-per-cycle loop visits
+    def first_active_vertex(self, start: int = 1) -> int | None:
+        """The smallest vertex from `start` on with a working pair, or None."""
+        held = np.flatnonzero(self.degrees()[start:])
+        return start + int(held[0]) if len(held) else None
 
     def remove_pair(self, a: int, b: int) -> None:
         """Remove one working pair."""
@@ -169,7 +172,7 @@ def _induced_pair_space(hidden: Graph, members: np.ndarray, weights: np.ndarray)
     def draw(rng: np.random.Generator) -> Pair:
         pick = int(np.searchsorted(cum, rng.integers(cum[-1]), side="right"))
         v = int(members[pick])
-        hood = members[hidden.row_bits(v, members)]
+        hood = members[hidden.rows([v]).at(members[None])[0]]
         w = int(hood[rng.integers(len(hood))])
         return (min(v, w), max(v, w))
 
@@ -234,10 +237,10 @@ def _search(
 
 def step1_sample(
     oracle: QueryOracle, params: Params, rng: np.random.Generator
-) -> tuple[list[int], np.ndarray]:
+) -> tuple[list[int], Rows]:
     """Sample start vertices, ascending, and read their full neighborhoods
-    classically in one block read: row i of the returned k x (n+1) boolean
-    matrix is the hidden row of sample[i]."""
+    classically in one block read: row i of the returned packed `Rows` is
+    the hidden row of sample[i]."""
     n = oracle.n
     k = sample_count(n, params.epsilon)
     sample = (np.sort(rng.choice(n, size=k, replace=False)) + 1).tolist()
@@ -247,14 +250,14 @@ def step1_sample(
 def step2_build_gprime(
     oracle: QueryOracle,
     sample: list[int],
-    hoods: np.ndarray,
+    hoods: Rows,
     params: Params,
     rng: np.random.Generator,
 ) -> tuple[Tri | None, Graph | None, bool]:
     """Search each sampled neighborhood square for an edge; on a miss for all,
     return the complement of their union as the candidate set G'.
 
-    `hoods` is step 1's matrix: row i is the neighborhood of sample[i].  The
+    `hoods` is step 1's packed rows: row i is the neighborhood of sample[i].  The
     third return value flags a safety failure: some search missed a
     genuinely nonempty target.  Search i draws from child i of `rng`, keyed
     by `child_keys` a block of `rng.doubling_blocks` at a time, so `rng` may
@@ -269,23 +272,23 @@ def step2_build_gprime(
     missed = False
     sampled = np.asarray(sample)
     for start, size in doubling_blocks():
-        block = hoods[start : start + size]
-        if not len(block):
+        size = min(size, len(hoods) - start)
+        if size <= 0:
             break
-        keys = child_keys(rng, start, len(block))
-        owner, member = np.nonzero(block)  # row-major: each row's members ascend
+        keys = child_keys(rng, start, size)
+        owner, member = hoods.pairs(start, start + size)  # row-major: each row's members ascend
         count = oracle.hidden.common_counts(sampled[start : start + size][owner], member)
         # row i's members are member[bounds[i]:bounds[i + 1]]; a row is marked
         # when one of its members has a hidden neighbor in the row's square
-        bounds = np.searchsorted(owner, np.arange(len(block) + 1))
+        bounds = np.searchsorted(owner, np.arange(size + 1))
         lengths = np.diff(bounds)
         sizes = (lengths * (lengths - 1) // 2).tolist()
-        marked = np.flatnonzero(np.bincount(owner[count > 0], minlength=len(block)))
+        marked = np.flatnonzero(np.bincount(owner[count > 0], minlength=size))
         i = 0
-        for j in marked.tolist() + [len(block)]:
+        for j in marked.tolist() + [size]:
             # the sure misses before the next marked search
             bill_sure_misses(sizes[i:j], keys[i:j], 1, params.c_safe, oracle, StepTag.STEP2)
-            if j == len(block):
+            if j == size:
                 break
             lo, hi = bounds[j], bounds[j + 1]
             space = _induced_pair_space(oracle.hidden, member[lo:hi], count[lo:hi])
@@ -309,7 +312,7 @@ def containment_violated(hidden: Graph, candidate: Graph, epsilon: float) -> boo
     heavy = np.flatnonzero(hidden.degrees() > thr)
     if not len(heavy):
         return False
-    common = common_neighbors(hidden.rows(heavy))
+    common = common_neighbors(hidden.rows(heavy).dense())
     return bool((common[candidate.block(heavy)] > thr).any())
 
 
@@ -424,14 +427,14 @@ def step7_high_degree(
     moved instead; after a completed peel that situation implies none of them
     is a hidden edge, so the move costs the later intersection search nothing.
     """
-    hood = np.flatnonzero(oracle.read_rows([v], StepTag.STEP7)[0])
+    _, hood = oracle.read_rows([v], StepTag.STEP7).pairs()
     weights = oracle.hidden.common_counts(np.full_like(hood, v), hood)
     space = _induced_pair_space(oracle.hidden, hood, weights)
     tri, missed = _search(oracle, space, params, StepTag.STEP7, rng, v)
     if tri is not None:
         return tri, False, False
 
-    if working.remove_between(hood, np.flatnonzero(working.rows([v])[0])):
+    if working.remove_between(hood, working.rows([v]).pairs()[1]):
         return None, missed, False
     working.remove_incident([v])
     return None, missed, True

@@ -281,3 +281,25 @@ def test_criterion_10_decomposition_diagnostic():
         f"pairing {out['pairing_lhs']:.6f}>={out['pairing_rhs']:.6f}",
     )
     assert ok
+
+
+def test_criterion_11_completeness_where_the_late_steps_decide():
+    # criterion 2's rate on triangles that step 2 cannot see: each run's host is the
+    # sparse bipartite host plus one triangle on unsampled vertices, no two of which
+    # share a sampled neighbour, so the peel, the classification and the searches
+    # over T and E must find it (default Params, n = 256, k = 239)
+    from test_solver import deciding_step, host_with_unseen_triangle
+
+    n, seeds = 256, 200
+    found, steps = 0, []
+    for seed in range(seeds):
+        g, tri = host_with_unseen_triangle(n, DEFAULTS, graph_seed=seed, seed=seed)
+        rep = solve(QueryOracle(g), DEFAULTS, seed=seed)
+        assert rep.outcome in (None, tri) and rep.measured["gprime_size"] > 0
+        found += rep.outcome is not None
+        steps.append(deciding_step(rep.cost).removeprefix("Step") + ("" if rep.outcome else "(missed)"))
+    ok = found / seeds >= 2 / 3
+    counts = ", ".join(f"Step{step}: {steps.count(step)}" for step in sorted(set(steps)))
+    report_line(11, "completeness where the late steps decide", ok, f"{found}/{seeds} found; {counts}")
+    print("  deciding step per seed:", " ".join(steps))
+    assert ok

@@ -19,6 +19,7 @@ from qtri.graphs import (
     common_neighbors,
 )
 from qtri.rng import keyed, substream
+from qtri.solver import WorkingGraph
 
 K3 = Graph(3, [(1, 2), (2, 3), (1, 3)])
 K4 = Graph(4, list(itertools.combinations(range(1, 5), 2)))
@@ -120,7 +121,7 @@ def test_handshake_identity():
     # summing common-neighbor counts over the edges triple-counts triangles
     for seed in range(10):
         g = generate("erdos_renyi", 24, seed=seed, p=0.3)
-        acc = sum(int(np.count_nonzero(np.logical_and(*g.rows([a, b])))) for a, b in g.edges())
+        acc = sum(int(np.count_nonzero(np.logical_and(*g.rows([a, b]).dense()))) for a, b in g.edges())
         assert acc == 3 * triangle_count(g) == 3 * len(brute_triangles(g))
 
 
@@ -145,7 +146,7 @@ def test_graph_agrees_with_a_set_of_pairs(case, data):
     assert list(g.edges()) == sorted(ref)
     for v in range(1, n + 1):
         hood = {u for u in range(1, n + 1) if u != v and canon_pair(u, v) in ref}
-        [row] = g.rows([v])
+        [row] = g.rows([v]).dense()
         assert set(np.flatnonzero(row).tolist()) == hood
         assert g.degrees()[v] == len(hood)
         assert np.array_equal(adj[v], row)
@@ -154,7 +155,7 @@ def test_graph_agrees_with_a_set_of_pairs(case, data):
                 assert g.has_edge(u, v) == (canon_pair(u, v) in ref)
     assert not adj[0].any() and not adj[:, 0].any()
     picks = data.draw(st.lists(st.integers(1, n), max_size=2 * n), label="rows")
-    rows = g.rows(picks)
+    rows = g.rows(picks).dense()
     assert rows.shape == (len(picks), n + 1) and rows.dtype == bool
     assert np.array_equal(rows, adj[picks])
     # each neighbor's degree inside v's neighborhood, as steps 2 and 7 weigh it
@@ -206,10 +207,36 @@ def test_block_matches_the_unpacked_rows(n):
         for owner in (g, pairs):
             for vertices in picks:
                 block = owner.block(vertices)
-                want = owner.rows(vertices)[:, np.asarray(vertices, dtype=np.intp)]
+                want = owner.rows(vertices).dense()[:, np.asarray(vertices, dtype=np.intp)]
                 assert block.dtype == bool and block.shape == want.shape
                 # every cell a canonical 0 or 1, not a masked byte read as True
                 assert np.array_equal(block.view(np.uint8), want.view(np.uint8))
+
+
+@pytest.mark.parametrize("n", PAIR_SET_SIZES)
+def test_rows_reader_matches_the_unpacked_rows(n):
+    # n + 1 just below, on and just above 64 and 128 bits, and k = 0, 1 and more
+    # rows, repeats included: `pairs(start, stop)` is the row-major nonzero of the
+    # unpacked rows start..stop-1, and `at` reads row i's bits at row i of a
+    # column array, duplicate columns included
+    rng = np.random.default_rng(n)
+    for density in (0.02, 0.3, 0.9):
+        adj = symmetric_pairs(rng, n, density)
+        g = graph_of(adj)
+        for k in (0, 1, 2, n // 3, 2 * n):
+            vertices = rng.integers(1, n + 1, size=k)
+            rows = g.rows(vertices)
+            dense = rows.dense()
+            assert len(rows) == k and dense.dtype == bool and np.array_equal(dense, adj[vertices])
+            for start, stop in ((0, None), (0, k), (1, 3), (k // 2, k), (max(k - 1, 0), k + 5), (k + 1, None)):
+                got, want = rows.pairs(start, stop), np.nonzero(dense[start:stop])
+                assert len(got) == 2 and all(a.dtype == np.intp for a in got)
+                assert all(np.array_equal(a, b) for a, b in zip(got, want)), (k, start, stop)
+            columns = rng.integers(1, n + 1, size=(k, 2 * n))  # every row repeats columns
+            bits = rows.at(columns)
+            assert bits.dtype == bool and np.array_equal(bits, adj[vertices[:, None], columns])
+            assert rows.at(np.empty((k, 0), dtype=np.intp)).shape == (k, 0)
+    assert g.rows([n]).pairs()[1].tolist() == np.flatnonzero(adj[n]).tolist()
 
 
 @settings(max_examples=60, deadline=None)
@@ -220,7 +247,7 @@ def test_pair_set_matches_a_boolean_reference(n, density, seed, data):
     start = symmetric_pairs(rng, n, density)
     ref, ref_into = start.copy(), np.zeros_like(start)
     pairs, into = PairSet(graph_of(start)), PairSet(Graph(n))
-    ops = ["incident", "between", "move", "degrees", "first_row", "upper_rows", "rows"]
+    ops = ["incident", "between", "move", "degrees", "upper_rows", "rows"]
     for op in data.draw(st.lists(st.sampled_from(ops), max_size=12), label="ops"):
         if op == "incident":  # distinct vertices, unsorted, possibly none
             vs = unique_vertices(data, n, "vs")
@@ -245,10 +272,6 @@ def test_pair_set_matches_a_boolean_reference(n, density, seed, data):
             ref_into |= moved
         elif op == "degrees":
             assert pairs.degrees().tolist() == ref.sum(axis=1).tolist()
-        elif op == "first_row":
-            begin = data.draw(st.integers(1, n), label="start")
-            held = np.flatnonzero(ref[begin:].any(axis=1))
-            assert pairs.first_row(begin) == (begin + int(held[0]) if len(held) else None)
         elif op == "upper_rows":
             begin = data.draw(st.integers(1, n), label="start")
             limit = data.draw(st.integers(1, n + 1), label="limit")
@@ -257,7 +280,7 @@ def test_pair_set_matches_a_boolean_reference(n, density, seed, data):
             assert pairs.upper_rows(begin, limit).tolist() == held[:limit]
         else:
             vertices = unique_vertices(data, n, "rows")
-            assert np.array_equal(pairs.rows(vertices), ref[vertices])
+            assert np.array_equal(pairs.rows(vertices).dense(), ref[vertices])
     # the packed rows, padding included, hold exactly the reference pairs
     # E's form: a graph less two pair sets, taken on a `Graph` or on a `PairSet`
     rest = start & ~ref & ~ref_into
@@ -272,15 +295,16 @@ def test_pair_set_matches_a_boolean_reference(n, density, seed, data):
 @pytest.mark.parametrize("bit", range(8))
 def test_first_row_stops_at_a_single_bit_byte(n, bit):
     # a pair (v, u), v < u, leaves row v one set byte, holding the single bit
-    # value 1 << (u & 7), near the row's start, middle or end
+    # value 1 << (u & 7), near the row's start, middle or end: the first active
+    # vertex from each start is the first row that holds a bit
     far = n - (n - bit) % 8  # the largest u <= n with u & 7 == bit
     for v, u in [(v, v + 1 + (bit - v - 1) % 8) for v in (1, n // 2, n - 8)] + [(1, far)]:
         assert u & 7 == bit
-        pairs = PairSet(Graph(n, [(v, u)]))
-        assert pairs.first_row() == pairs.first_row(v) == v
-        assert pairs.first_row(v + 1) == u
+        pairs = WorkingGraph(Graph(n, [(v, u)]))
+        assert pairs.first_active_vertex() == pairs.first_active_vertex(v) == v
+        assert pairs.first_active_vertex(v + 1) == u
         if u < n:
-            assert pairs.first_row(u + 1) is None
+            assert pairs.first_active_vertex(u + 1) is None
 
 
 @pytest.mark.parametrize("n", PAIR_SET_SIZES + [1000])
@@ -303,7 +327,7 @@ def test_upper_rows_find_upper_pairs_across_word_boundaries(n):
 def uncovered_reference(hoods):
     """Step 2's G' by the dense product: the pairs that no sampled row holds
     both ends of, off row 0, column 0 and the diagonal."""
-    free = common_neighbors(hoods.T) == 0
+    free = common_neighbors(hoods.dense().T) == 0
     free[0] = free[:, 0] = False
     np.fill_diagonal(free, False)
     return free
@@ -328,8 +352,8 @@ def test_uncovered_equals_the_product_of_the_sampled_rows(n, gather, monkeypatch
             # the count popcounts every word, so it also sees a stray padding bit
             assert got.edge_count == int(want.sum()) // 2
             assert got.degrees()[1] == n - 1
-    assert density == 0.9 and k == n and np.bincount(np.nonzero(hoods.T)[0]).max() > 7  # a u's pairs span chunks
-    empty = Graph.uncovered(np.zeros((0, n + 1), dtype=bool))
+    assert density == 0.9 and k == n and np.bincount(hoods.pairs()[1]).max() > 7  # a u's pairs span chunks
+    empty = Graph.uncovered(g.rows([]))
     assert empty.edge_count == n * (n - 1) // 2
 
 
@@ -338,7 +362,7 @@ def test_uncovered_memory_stays_within_the_packed_graph_and_one_chunk():
     n, k = 4096, 1176
     g = generate("random_bipartite", n, 0, p=3 / 2048)
     hoods = g.rows(np.sort(np.random.default_rng(0).choice(np.arange(1, n + 1), k, replace=False)))
-    pairs = int(np.count_nonzero(hoods))
+    pairs = len(hoods.pairs()[0])
     tracemalloc.start()
     try:
         gprime = Graph.uncovered(hoods)
@@ -346,10 +370,13 @@ def test_uncovered_memory_stays_within_the_packed_graph_and_one_chunk():
     finally:
         tracemalloc.stop()
     row_bytes = gprime._bits.shape[1]
-    # G' itself, the packed sample, the (u, row) index pairs, and one chunk: its
+    # the (u, row) index pairs, and then either the brief k x (n+1) unpack they
+    # are read off, freed before G' is written, or G' itself and one chunk: its
     # gathered rows and their ORs per u, each at most GATHER_ROWS rows (numpy
-    # copies an overlapping `out`, so the ORs cannot overwrite the gathered rows)
-    bound = gprime._bits.nbytes + k * row_bytes + 2 * pairs * 8 + 2 * graphs.GATHER_ROWS * row_bytes
+    # copies an overlapping `out`, so the ORs cannot overwrite the gathered rows);
+    # the packed sample is the caller's
+    kernel = max(k * (n + 1), gprime._bits.nbytes + 2 * graphs.GATHER_ROWS * row_bytes)
+    bound = 2 * pairs * 8 + kernel
     assert peak <= bound, (peak, bound)
     assert bound < 8 << 20  # the (n+1)^2 float32 product alone is 67 MB
 
@@ -382,10 +409,10 @@ def test_packed_counts_match_the_unpacked_rows(kind, n, p):
         assert counts.dtype == np.int64 and counts.shape == (size,)
         assert np.array_equal(counts, (adj[a] & adj[b]).sum(axis=1))
         for v in (1, n // 2 + 1, n):
-            bits = g.row_bits(v, a)
+            [bits] = g.rows([v]).at([a])
             assert bits.dtype == bool and np.array_equal(bits, adj[v][a] > 0)
         owners, columns = rng.integers(1, n + 1, size=3), rng.integers(1, n + 1, size=(3, size))
-        bits = g.row_bits(owners, columns)  # one row of columns per owner
+        bits = g.rows(owners).at(columns)  # one row of columns per owner
         assert bits.shape == (3, size) and np.array_equal(bits, adj[owners[:, None], columns] > 0)
     assert g.common_counts([], []).tolist() == []
 
@@ -680,26 +707,26 @@ def test_rows_reject_bad_vertices():
             K4.common_counts(a, b)
     for v in (0, 4):
         with pytest.raises(ValueError):
-            K3.row_bits(v, [1])
+            K3.rows([v]).at([[1]])
     for columns in ([0], [4], [2, -1], [[1, 2]]):
         with pytest.raises(ValueError):
-            K3.row_bits(1, columns)
+            K3.rows([1]).at([columns])
     for vs, columns in (([1, 2], [[2]]), ([1], [2, 3]), ([0], [[1]]), ([1], [[4]]), ([[1]], [[2]])):
         with pytest.raises(ValueError):
-            K3.row_bits(vs, columns)
+            K3.rows(vs).at(columns)
     # a float label must not be truncated to a vertex, nor fail as a bad index
-    for read in (K3.rows, pairs.rows, K3.block, pairs.block, lambda v: K3.row_bits(1, v),
+    for read in (K3.rows, pairs.rows, K3.block, pairs.block, lambda v: K3.rows([1]).at([v])[0],
                  lambda v: K3.common_counts([1] * len(v), v)):
         for labels in ([1.7], [2.0, 3.0], np.array([True]), ["1"], [1, None]):
             with pytest.raises(ValueError, match="vertex labels must be integers"):
                 read(labels)
-        assert read(np.array([], dtype=float)).shape[0] == 0
+        assert len(read(np.array([], dtype=float))) == 0
     for v in (1.5, 2.0, True, np.True_, "1"):
-        for read in (lambda v: K3.has_edge(v, 3), lambda v: K3.row_bits(v, [2])):
+        for read in (lambda v: K3.has_edge(v, 3), lambda v: K3.rows([v]).at([[2]])):
             with pytest.raises(ValueError, match="vertex labels must be integers"):
                 read(v)
     assert K3.has_edge(np.int32(1), np.uint64(3))
-    assert K3.rows(np.array([3], dtype=np.uint8)).shape == (1, 4)
+    assert K3.rows(np.array([3], dtype=np.uint8)).dense().shape == (1, 4)
 
 
 def test_graph_rejects_loops_and_bad_vertices():

@@ -133,7 +133,7 @@ def test_report_json_shape():
 def test_graph_row_matches_has_edge():
     g = generate("erdos_renyi", 37, seed=4, p=0.4)
     for v in (1, 9, 37):
-        [row] = g.rows([v])
+        [row] = g.rows([v]).dense()
         assert row.dtype == bool and row.shape == (38,)
         assert not row[0] and not row[v]
         assert [u for u in range(1, 38) if row[u]] == [
@@ -190,6 +190,20 @@ def test_query_row_rejects_loops_and_range_before_billing(v, targets):
     assert o.report().total == 0
 
 
+@pytest.mark.parametrize(
+    "vertices, targets",
+    [([1, 2], [[3]]), ([1], [2, 3]), ([1], [[[2]]]), ([], [[1]]), ([1, 2], [[3], [3], [1]])],
+)
+def test_query_rows_reject_bad_shapes_before_billing(vertices, targets):
+    # one row of targets per vertex, two-dimensional: the packed read checks the
+    # shape before the loop check, the predicate and the bill
+    o = QueryOracle(K3)
+    seen = []
+    with pytest.raises(ValueError, match="do not give one row per vertex"):
+        o.query_rows(vertices, targets, StepTag.STEP5, stop=lambda bits: seen.append(bits) or [True])
+    assert not seen and o.report().total == 0
+
+
 def test_query_row_budget_crossing_matches_per_probe_billing():
     g = Graph(8, [(1, 2), (1, 5)])
     bulk, single = QueryOracle(g, budget=10), QueryOracle(g, budget=10)
@@ -238,7 +252,7 @@ def test_query_rows_bill_through_the_first_stopped_row(stop_at):
     assert bits.shape == (rows, 7) and o.report().classical == rows * 7
     assert o.report().per_step["Step5"] == rows * 7
     # the predicate saw every row's bits, and the read returns the billed ones
-    assert np.array_equal(seen[0], g.rows(vertices)[np.arange(5)[:, None], targets])
+    assert np.array_equal(seen[0], g.rows(vertices).dense()[np.arange(5)[:, None], targets])
     assert np.array_equal(bits, seen[0][:rows])
 
 
@@ -278,14 +292,14 @@ def test_read_rows_matches_graph_row_and_bills_every_row():
     o = QueryOracle(g)
     o.query(1, 2, StepTag.STEP7)
     vertices = [5, 30, 1, 5, 12]  # unsorted, with a duplicate
-    rows = o.read_rows(vertices, StepTag.STEP1)
+    rows = o.read_rows(vertices, StepTag.STEP1).dense()
     assert rows.dtype == bool and rows.shape == (5, 31)
     for v, row in zip(vertices, rows):
-        assert row.tolist() == g.rows([v])[0].tolist()
+        assert row.tolist() == g.rows([v]).dense()[0].tolist()
     rep = o.report()
     assert rep.per_step["Step1"] == 5 * 29  # duplicates billed
     assert rep.classical == 5 * 29 + 1
-    assert o.read_rows([], StepTag.STEP1).shape == (0, 31)
+    assert o.read_rows([], StepTag.STEP1).dense().shape == (0, 31)
     assert o.report() == rep
 
 
@@ -316,7 +330,7 @@ def test_reads_reject_non_integer_labels_before_billing():
             read()
     assert o.report().total == 0
     assert o.query_rows([1], np.array([[]], dtype=float), StepTag.STEP5).shape == (1, 0)
-    assert o.read_rows([], StepTag.STEP1).shape == (0, 7)
+    assert o.read_rows([], StepTag.STEP1).dense().shape == (0, 7)
     assert o.report().total == 0
 
 
@@ -390,7 +404,7 @@ def test_empty_batches_on_an_exceeded_budget_bill_nothing_and_raise_nothing():
     spend(o, 5)
     rep = o.report()
     assert o.query_rows([1], [[]], StepTag.STEP5).shape == (1, 0)
-    assert o.read_rows([], StepTag.STEP7).shape == (0, 9)
+    assert o.read_rows([], StepTag.STEP7).dense().shape == (0, 9)
     o.charge_batch([], StepTag.STEP9)
     assert o.report() == rep
 

@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qtri import BudgetExceededError, Graph, Params, QueryOracle, generate, solve, solver, triangle_count
+from qtri import BudgetExceededError, Graph, Params, QueryOracle, generate, graphs, solve, solver, triangle_count
 from qtri.analysis import cost_terms
 from qtri.graphs import canon_pair, common_neighbors
 from qtri.grover import grover_success_prob
@@ -87,7 +88,7 @@ def member_pair_space(hidden, members):
     of hidden neighbors among them; the solver's members are a neighborhood
     N(s), whose weights `Graph.common_counts` of (s, member) gives."""
     members = np.asarray(members, dtype=np.intp)
-    weights = hidden.rows(members)[:, members].sum(axis=1, dtype=np.int64)
+    weights = hidden.rows(members).dense()[:, members].sum(axis=1, dtype=np.int64)
     return _induced_pair_space(hidden, members, weights)
 
 
@@ -149,14 +150,6 @@ def test_sample_count_values():
     assert sample_count(16, 3 / 7) == 16
 
 
-def neighborhood_matrix(n, hoods):
-    """The k x (n+1) boolean matrix whose row i marks the vertices of hoods[i]."""
-    rows = np.zeros((len(hoods), n + 1), dtype=bool)
-    for i, hood in enumerate(hoods):
-        rows[i, list(hood)] = True
-    return rows
-
-
 def test_step1_charges_exactly():
     oracle = QueryOracle(generate("erdos_renyi", 64, seed=1, p=0.5))
     sample, hoods = step1_sample(oracle, DEFAULTS, substream(0, "s1"))
@@ -165,8 +158,8 @@ def test_step1_charges_exactly():
     assert sample == sorted(sample)
     assert oracle.report().per_step["Step1"] == k * 63
     assert oracle.report().total == k * 63
-    assert hoods.dtype == bool and hoods.shape == (k, 65)
-    for v, hood in zip(sample, hoods):
+    assert len(hoods) == k and hoods.dense().shape == (k, 65)
+    for v, hood in zip(sample, hoods.dense()):
         assert set(np.flatnonzero(hood).tolist()) == {
             u for u in range(1, 65) if u != v and oracle.hidden.has_edge(u, v)
         }
@@ -177,10 +170,7 @@ def test_step2_c5_all_vertices():
     g = Graph(5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)])
     oracle = QueryOracle(g, budget=10**6)
     sample = [1, 2, 3, 4, 5]
-    hoods = neighborhood_matrix(
-        5, [{u for u in range(1, 6) if u != v and g.has_edge(u, v)} for v in sample]
-    )
-    tri, gprime, _ = step2_build_gprime(oracle, sample, hoods, DEFAULTS, substream(0, "s2"))
+    tri, gprime, _ = step2_build_gprime(oracle, sample, g.rows(sample), DEFAULTS, substream(0, "s2"))
     assert tri is None
     kept = set(gprime.edges())
     diagonals = {(2, 5), (1, 3), (2, 4), (3, 5), (1, 4)}
@@ -192,8 +182,7 @@ def test_step2_empty_graph_keeps_everything():
     g = Graph(8)
     oracle = QueryOracle(g)
     sample = list(range(1, 9))
-    hoods = neighborhood_matrix(8, [[] for _ in sample])
-    tri, gprime, missed = step2_build_gprime(oracle, sample, hoods, DEFAULTS, substream(1, "s2"))
+    tri, gprime, missed = step2_build_gprime(oracle, sample, g.rows(sample), DEFAULTS, substream(1, "s2"))
     assert tri is None and not missed
     assert gprime.edge_count == 28
 
@@ -204,10 +193,10 @@ def test_step2_empty_graph_keeps_everything():
 def test_uncovered_pairs_is_the_complement_of_the_sampled_squares(n, density, graph_seed, data):
     g = generate("erdos_renyi", n, seed=graph_seed, p=density)
     sample = data.draw(st.lists(st.integers(1, n), unique=True, max_size=n), label="sample")
-    hoods = [np.flatnonzero(row).tolist() for row in g.rows(sample)]
+    hoods = [np.flatnonzero(row).tolist() for row in g.rows(sample).dense()]
     covered = {(a, b) for hood in hoods for a in hood for b in hood}
     expected = {(a, b) for a in range(1, n + 1) for b in range(1, n + 1) if a != b} - covered
-    free = Graph.uncovered(g.adjacency()[sample])
+    free = Graph.uncovered(g.rows(sample))
     assert free.n == n
     assert set(map(tuple, np.argwhere(free.adjacency()).tolist())) == expected
 
@@ -217,7 +206,7 @@ def step2_per_vertex(oracle, sample, hoods, params, rng):
     rows: the reference for the block walk."""
     adj = oracle.hidden.adjacency().astype(np.int64)
     children = (keyed(key) for key in child_keys(rng, 0, len(sample)))
-    for v, hood, child in zip(sample, hoods, children):
+    for v, hood, child in zip(sample, hoods.dense(), children):
         members = np.flatnonzero(hood)
         space = _induced_pair_space(oracle.hidden, members, adj[members][:, members].sum(axis=1))
         tri, _ = solver._search(oracle, space, params, StepTag.STEP2, child, v)
@@ -274,13 +263,49 @@ def test_step2_block_walk_matches_a_per_vertex_reference(monkeypatch, graph, hit
         assert searched == searches[hit:]
 
 
+def test_a_solve_that_step_2_decides_never_unpacks_a_sampled_row(monkeypatch):
+    # step 1 hands step 2 its rows packed; step 2 reads their pairs and bits and,
+    # on ER p = 0.5, hits in its first marked search, so no row is ever unpacked
+    dense, calls = graphs.Rows.dense, []
+    monkeypatch.setattr(graphs.Rows, "dense", lambda rows: calls.append(len(rows)) or dense(rows))
+    for seed in range(3):
+        report = solve(QueryOracle(generate("erdos_renyi", 256, seed, p=0.5)), DEFAULTS, seed=seed)
+        assert report.outcome is not None and deciding_step(report.cost) == "Step2"
+    assert calls == []
+    Graph.uncovered(Graph(8).rows([1, 2]))  # the one unpack of the sample, G' takes
+    assert calls == [2]
+
+
+def test_steps_1_and_2_keep_the_sample_packed():
+    # the sparse host as step 1 samples it at n = 4096, k = 1,176 rows; step 2 misses
+    # everywhere and builds G'.  From step 1 through step 2 the traced peak stays
+    # within the packed sample, the (u, row) index pairs, and then either their
+    # brief k x (n+1) unpack or G' and one chunk of gathered rows and their ORs: a
+    # boolean sample held through step 2 would add the unpack to G' and the chunk
+    n = 4096
+    oracle = QueryOracle(generate("random_bipartite", n, 0, p=3 / 2048))
+    tracemalloc.start()
+    try:
+        sample, hoods = step1_sample(oracle, DEFAULTS, substream(0, "step1"))
+        tri, gprime, _ = step2_build_gprime(oracle, sample, hoods, DEFAULTS, substream(0, "step2"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tri is None and len(hoods) == sample_count(n, DEFAULTS.epsilon) == 1176
+    row_bytes = gprime._bits.shape[1]
+    kernel = max(len(hoods) * (n + 1), gprime._bits.nbytes + 2 * graphs.GATHER_ROWS * row_bytes)
+    bound = len(hoods) * row_bytes + 16 * len(hoods.pairs()[0]) + kernel
+    assert peak <= bound, (peak, bound)
+
+
 def test_step2_dense_finds_triangle():
     wins = 0
     for seed in range(120):
         g = generate("erdos_renyi", 10, seed=seed, p=1.0)
         oracle = QueryOracle(g, budget=10**6)
         sample = [1]
-        hoods = neighborhood_matrix(10, [range(2, 11)])
+        hoods = g.rows(sample)
+        assert hoods.pairs()[1].tolist() == list(range(2, 11))
         tri, _, _ = step2_build_gprime(oracle, sample, hoods, DEFAULTS, substream(seed, "s2"))
         if tri is not None:
             a, b, c = tri
@@ -1206,7 +1231,7 @@ def host_with_unseen_triangle(n, params, graph_seed, seed):
     unseen = np.setdiff1d(np.arange(1, n + 1), sample)
     while True:  # no two triangle vertices may share a host neighbour
         tri = tuple(sorted(int(x) for x in rng.choice(unseen, size=3, replace=False)))
-        hoods = [set(np.flatnonzero(row).tolist()) for row in host.rows(tri)]
+        hoods = [set(np.flatnonzero(row).tolist()) for row in host.rows(tri).dense()]
         if not (hoods[0] & hoods[1] or hoods[0] & hoods[2] or hoods[1] & hoods[2]):
             a, b, c = tri
             return Graph(n, pairs + [(a, b), (b, c), (a, c)]), tri
