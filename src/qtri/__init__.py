@@ -43,14 +43,13 @@ from .oracle import (
     verify_triangle,
 )
 from .rng import derive_seed, substream
-from .solver import Hypothesis, Params, RunReport, solve
+from .solver import Params, RunReport, solve
 
 __all__ = [
     "BudgetExceededError",
     "CostTerms",
     "Graph",
     "GroverOutcome",
-    "Hypothesis",
     "LedgerReport",
     "Params",
     "PartialBooleanFunction",

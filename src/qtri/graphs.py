@@ -119,18 +119,22 @@ class Graph:
     def uncovered(cls, hoods: "Rows") -> "Graph":
         """Step 2's G' from the packed sampled `Rows` `hoods`: the pairs that no
         row holds both ends of.  The covered row of u is the OR of the rows that
-        hold u, gathered GATHER_ROWS (u, row) pairs at a time, u-major off one
-        brief unpack (a u whose pairs span two chunks ORs into its row twice),
-        and G' is its complement, less row 0, column 0, the diagonal and padding."""
+        hold u.  Blocks of rows of at most GATHER_ROWS << 6 cells are unpacked in
+        turn, and each block's (u, row) pairs, u-major, are gathered GATHER_ROWS
+        at a time (a u whose pairs span two chunks or blocks ORs into its row
+        again); G' is the complement, less row 0, column 0, the diagonal and padding."""
         n, sampled = hoods.n, hoods._bits.view(np.uint64)
-        user, owner = np.nonzero(hoods.dense().T)  # u ascending
         words = np.zeros((n + 1, sampled.shape[1]), dtype=np.uint64)
-        for start in range(0, len(user), GATHER_ROWS):
-            part = slice(start, start + GATHER_ROWS)
-            heads = np.flatnonzero(np.diff(user[part], prepend=-1))  # each u's first pair in the chunk
-            ors = np.bitwise_or.reduceat(np.take(sampled, owner[part], axis=0), heads, axis=0)
-            words[user[part][heads]] |= ors  # a statement of its own, so the gathered rows are freed first
-            del ors  # nor kept alive through the next chunk's gather
+        size = max((GATHER_ROWS << 6) // (n + 1), 1)
+        for first in range(0, len(hoods), size):
+            block = sampled[first : first + size]
+            user, owner = np.nonzero(Rows(n, block.view(np.uint8)).dense().T)  # u ascending
+            for start in range(0, len(user), GATHER_ROWS):
+                part = slice(start, start + GATHER_ROWS)
+                heads = np.flatnonzero(np.diff(user[part], prepend=-1))  # each u's first pair in the chunk
+                ors = np.bitwise_or.reduceat(np.take(block, owner[part], axis=0), heads, axis=0)
+                words[user[part][heads]] |= ors  # a statement of its own, so the gathered rows are freed first
+                del ors  # nor kept alive through the next chunk's gather
         np.invert(words, out=words)
         words &= _packed(np.arange(n + 1)[None] > 0).view(np.uint64)  # column 0 and the padding
         words[0] = 0

@@ -28,8 +28,8 @@ _MASK64 = (1 << 64) - 1
 _MASK32 = 0xFFFFFFFF
 BLOCK_CAP = 256  # the longest block of keyed streams a caller takes at once
 # Smaller groups go through numpy's own SeedSequence, one row at a time: the
-# vectorised mix costs about as much as four rows of it, whatever the block size.
-_MIX_MIN_ROWS = 4
+# vectorised mix costs about as much as six rows of it, whatever the block size.
+_MIX_MIN_ROWS = 7
 _COUNTER = np.zeros(4, dtype=np.uint64)  # Philox's initial counter: an array skips its int conversion
 
 # numpy's SeedSequence constants (numpy/random/bit_generator.pyx): a 4-word

@@ -31,14 +31,15 @@ those of `hidden & T`, with `triangle_count`; only its sampler, after a hit,
 weighs pairs.  Step 10 lists and counts the hidden edges of E on packed rows.
 Step 2 takes its streams' keys from `rng.child_keys` and the loop its step-5
 keys from `rng.substream_keys`, one key per search or visit, a block at a
-time; step 7 builds each stream on its own.
+time; step 7 builds each stream on its own.  `solve` passes one `events` set
+down, and each event is added where it is detected: in `_search`, step 7, the
+loop's step-5 check and `solve`'s containment check.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -73,11 +74,6 @@ class Params:
 
     def to_json(self) -> dict:
         return asdict(self)
-
-
-class Hypothesis(Enum):
-    LOW = "low"
-    HIGH = "high"
 
 
 @dataclass(frozen=True)
@@ -162,8 +158,6 @@ def _induced_pair_space(hidden: Graph, members: np.ndarray, weights: np.ndarray)
     members.  The sampler reads its pick's hidden bits at the members off the
     packed row.  Each membership test is one pair query."""
     size = len(members) * (len(members) - 1) // 2
-    if size == 0:
-        return SearchSpace(0, 0, 1)
     marked = int(weights.sum()) // 2
     if marked == 0:
         return SearchSpace(size, 0, 1)
@@ -217,18 +211,21 @@ def _search(
     params: Params,
     tag: StepTag,
     rng: np.random.Generator,
+    events: set[str],
     *apex: int,
-) -> tuple[Tri | None, bool]:
+) -> Tri | None:
     """One `safe_grover` search of `space`.  A found item, with the `apex`
     vertex added when the space holds pairs, is sorted into a triangle and
-    verified.  Returns (triangle, missed flag): a miss counts only when the
-    space had marked items."""
+    verified; a miss of a space with marked items adds `safe_grover_miss`
+    to `events`."""
     out = safe_grover(space, params.c_safe, oracle, tag, rng)
     if out.found is None:
-        return None, space.marked_count > 0
+        if space.marked_count:
+            events.add("safe_grover_miss")
+        return None
     a, b, c = sorted((*apex, *out.found))
     verify_triangle(oracle, (a, b, c))
-    return (a, b, c), False
+    return a, b, c
 
 
 # ---------------------------------------------------------------------------
@@ -253,23 +250,22 @@ def step2_build_gprime(
     hoods: Rows,
     params: Params,
     rng: np.random.Generator,
-) -> tuple[Tri | None, Graph | None, bool]:
+    events: set[str],
+) -> tuple[Tri | None, Graph | None]:
     """Search each sampled neighborhood square for an edge; on a miss for all,
     return the complement of their union as the candidate set G'.
 
-    `hoods` is step 1's packed rows: row i is the neighborhood of sample[i].  The
-    third return value flags a safety failure: some search missed a
-    genuinely nonempty target.  Search i draws from child i of `rng`, keyed
-    by `child_keys` a block of `rng.doubling_blocks` at a time, so `rng` may
-    end past the last key a search used.  Each block's marked counts come from
-    one `Graph.common_counts` call, which pairs every sampled neighbor with
-    its sample, so a search that hits early leaves the later blocks
-    uncounted.  A search with nothing marked is a sure miss:
-    each run of them between two marked searches is billed in one
-    `bill_sure_misses` call, and each marked search runs through `_search`
-    in its turn.
+    `hoods` is step 1's packed rows: row i is the neighborhood of sample[i].
+    Returns (triangle, G'), G' None after a hit; `_search` adds the misses
+    to `events`.  Search i draws from child i of `rng`, keyed by `child_keys`
+    a block of `rng.doubling_blocks` at a time, so `rng` may end past the
+    last key a search used.  Each block's marked counts come from one
+    `Graph.common_counts` call, which pairs every sampled neighbor with its
+    sample, so a search that hits early leaves the later blocks uncounted.
+    A search with nothing marked is a sure miss: each run of them between
+    two marked searches is billed in one `bill_sure_misses` call, and each
+    marked search runs through `_search` in its turn.
     """
-    missed = False
     sampled = np.asarray(sample)
     for start, size in doubling_blocks():
         size = min(size, len(hoods) - start)
@@ -292,12 +288,11 @@ def step2_build_gprime(
                 break
             lo, hi = bounds[j], bounds[j + 1]
             space = _induced_pair_space(oracle.hidden, member[lo:hi], count[lo:hi])
-            tri, miss = _search(oracle, space, params, StepTag.STEP2, keyed(keys[j]), sample[start + j])
+            tri = _search(oracle, space, params, StepTag.STEP2, keyed(keys[j]), events, sample[start + j])
             if tri is not None:
-                return tri, None, missed
-            missed |= miss
+                return tri, None
             i = j + 1
-    return None, Graph.uncovered(hoods), missed
+    return None, Graph.uncovered(hoods)
 
 
 def containment_violated(hidden: Graph, candidate: Graph, epsilon: float) -> bool:
@@ -333,8 +328,6 @@ def step4_peel(working: WorkingGraph, tau: int) -> np.ndarray:
     leave, so any removal order ends at the same set, the largest subset in
     which every pair keeps at least tau common neighbors.  Costs no queries.
     """
-    if working.floor >= tau:
-        return np.empty((0, 2), dtype=np.intp)
     n = working.n
     batches = [np.empty((0, 2), dtype=np.intp)]
     while working.floor < tau:
@@ -368,16 +361,17 @@ def step4_peel(working: WorkingGraph, tau: int) -> np.ndarray:
 
 def step5_degree_hypothesis(
     oracle: QueryOracle, vertices: np.ndarray, params: Params, keys: np.ndarray
-) -> list[Hypothesis]:
+) -> np.ndarray:
     """Classify the hidden degree of each of `vertices` in turn, vertex i on
     the fresh stream `rng.keyed(keys[i])`, through the first HIGH verdict.
 
     Runs ceil(c0 * ln n) rounds of ceil(n^delta) sampled candidates each and
     accepts LOW when fewer than half the rounds saw an edge.  Returns the
-    verdicts of the vertices classified, and bills exactly rounds * per_round
-    queries for each in one `query_rows` read.  A vertex's draws are those of
-    one `rng.choice` per round over every vertex but it, which are one
-    `rng.lemire_draws` call for every stream at once.
+    verdicts of the vertices classified as a boolean array, True for HIGH,
+    and bills exactly rounds * per_round queries for each in one
+    `query_rows` read.  A vertex's draws are those of one `rng.choice` per
+    round over every vertex but it, which are one `rng.lemire_draws` call
+    for every stream at once.
     """
     n = oracle.n
     rounds = math.ceil(params.c0 * math.log(n))
@@ -389,8 +383,7 @@ def step5_degree_hypothesis(
     def high(seen: np.ndarray) -> np.ndarray:
         return seen.reshape(len(seen), rounds, per_round).any(axis=2).sum(axis=1) >= rounds / 2
 
-    seen = oracle.query_rows(vertices, picks, StepTag.STEP5, stop=high)
-    return [Hypothesis.HIGH if flag else Hypothesis.LOW for flag in high(seen).tolist()]
+    return high(oracle.query_rows(vertices, picks, StepTag.STEP5, stop=high))
 
 
 def degree_gap(n: int, delta: float) -> tuple[float, float]:
@@ -399,12 +392,11 @@ def degree_gap(n: int, delta: float) -> tuple[float, float]:
     return 0.1 * base, 10.0 * base
 
 
-def hypothesis_mismatch(n: int, delta: float, true_degree: int, verdict: Hypothesis) -> bool:
-    """True when the verdict is wrong for a degree outside the tolerated gap."""
-    low, high = degree_gap(n, delta)
-    if verdict is Hypothesis.LOW and true_degree > high:
-        return True
-    return verdict is Hypothesis.HIGH and true_degree < low
+def hypothesis_mismatch(n: int, delta: float, true_degrees: np.ndarray, high: np.ndarray) -> bool:
+    """True when a verdict, True for HIGH, is wrong for its vertex's true
+    degree outside the tolerated gap: HIGH below it, or LOW above it."""
+    low, top = degree_gap(n, delta)
+    return bool(np.where(high, true_degrees < low, true_degrees > top).any())
 
 
 def step6_low_degree(working: WorkingGraph, vertices: np.ndarray) -> None:
@@ -418,26 +410,25 @@ def step7_high_degree(
     v: int,
     params: Params,
     rng: np.random.Generator,
-) -> tuple[Tri | None, bool, bool]:
+    events: set[str],
+) -> Tri | None:
     """Reveal v's hidden neighborhood, search it for an edge, else move the
     working pairs between it and v's candidate neighbors to E.
 
-    Returns (triangle, search-missed flag, no-progress flag).  When no pair
-    lies between the two neighborhoods the candidate pairs incident to v are
-    moved instead; after a completed peel that situation implies none of them
-    is a hidden edge, so the move costs the later intersection search nothing.
+    Returns the triangle found, or None.  When no pair lies between the two
+    neighborhoods the candidate pairs incident to v are moved instead, and
+    `step7_no_progress` is added to `events`; after a completed peel that
+    situation implies none of them is a hidden edge, so the move costs the
+    later intersection search nothing.
     """
     _, hood = oracle.read_rows([v], StepTag.STEP7).pairs()
     weights = oracle.hidden.common_counts(np.full_like(hood, v), hood)
     space = _induced_pair_space(oracle.hidden, hood, weights)
-    tri, missed = _search(oracle, space, params, StepTag.STEP7, rng, v)
-    if tri is not None:
-        return tri, False, False
-
-    if working.remove_between(hood, working.rows([v]).pairs()[1]):
-        return None, missed, False
-    working.remove_incident([v])
-    return None, missed, True
+    tri = _search(oracle, space, params, StepTag.STEP7, rng, events, v)
+    if tri is None and not working.remove_between(hood, working.rows([v]).pairs()[1]):
+        working.remove_incident([v])
+        events.add("step7_no_progress")
+    return tri
 
 
 def step8_loop(
@@ -445,28 +436,30 @@ def step8_loop(
     working: WorkingGraph,
     params: Params,
     seed: int,
-) -> tuple[Tri | None, set[str]]:
+    events: set[str],
+) -> Tri | None:
     """Alternate peeling and degree classification until no candidate remains.
 
     Every cycle strictly shrinks the working set, so the loop terminates.
-    Returns (triangle, events).  The step-4 peels move pairs to T,
-    `working.peeled`; the other candidate pairs that leave go to E.
+    Returns the triangle step 7 found, or None, and adds
+    `hypothesis_mismatch` to `events` when a verdict falls outside the
+    degree gap.  The step-4 peels move pairs to T, `working.peeled`; the
+    other candidate pairs that leave go to E.
 
     A batch is the vertices that the loop would visit while every verdict is
     LOW: the rows below the last vertex visited, v, are empty, so these are
-    the rows from v on that hold a pair (u, w) with w > u (`upper_rows`).  Each LOW removal lowers `floor` by
-    one, so a batch holds at most floor - tau + 1 of them, whose peels would
-    return without counting, and at most BLOCK_CAP.  Step 5 stops at the first
-    HIGH verdict, step 6 clears the LOW vertices before it in one pass, and
-    step 7 runs at it.  Visit i draws from `substream(seed, "step5", i)` and
-    `substream(seed, "step7", i)`, as a loop of one vertex per cycle would.
+    the rows from v on that hold a pair (u, w) with w > u (`upper_rows`).
+    Each LOW removal lowers `floor` by one, so a batch holds at most
+    floor - tau + 1 of them, whose peels would return without counting, and
+    at most BLOCK_CAP.  Step 5 stops at the first HIGH verdict, step 6 clears
+    the LOW vertices before it in one pass, and step 7 runs at it.  Visit i
+    draws from `substream(seed, "step5", i)` and `substream(seed, "step7", i)`,
+    as a loop of one vertex per cycle would.
     """
     n = oracle.n
     tau = peel_threshold(n, params.epsilon_prime)
-    events: set[str] = set()
     degrees = oracle.hidden.degrees()  # the true degrees, for the mismatch check
-    invocation = 0
-    v = 1
+    invocation, v = 0, 1
     while True:
         step4_peel(working, tau)
         batch = working.upper_rows(v, min(max(working.floor - tau + 1, 1), BLOCK_CAP))
@@ -474,25 +467,19 @@ def step8_loop(
             break
         # one key per invocation (vertex visit); those past a HIGH verdict are derived again
         keys = substream_keys(seed, "step5", start=invocation, count=len(batch))
-        verdicts = step5_degree_hypothesis(oracle, batch, params, keys)
-        invocation += len(verdicts)
-        if any(hypothesis_mismatch(n, params.delta, int(degrees[u]), h) for u, h in zip(batch, verdicts)):
+        high = step5_degree_hypothesis(oracle, batch, params, keys)
+        invocation += len(high)
+        if hypothesis_mismatch(n, params.delta, degrees[batch[: len(high)]], high):
             events.add("hypothesis_mismatch")
-        low = len(verdicts) - (verdicts[-1] is Hypothesis.HIGH)
+        low = len(high) - int(high[-1])
         if low:
             step6_low_degree(working, batch[:low])
-        v = int(batch[len(verdicts) - 1])
-        if low < len(verdicts):  # step 7 at the last visit, number invocation - 1
-            tri, missed, stalled = step7_high_degree(
-                oracle, working, v, params, substream(seed, "step7", invocation - 1)
-            )
-            if missed:
-                events.add("safe_grover_miss")
-            if stalled:
-                events.add("step7_no_progress")
+        v = int(batch[len(high) - 1])
+        if low < len(high):  # step 7 at the last visit, number invocation - 1
+            tri = step7_high_degree(oracle, working, v, params, substream(seed, "step7", invocation - 1), events)
             if tri is not None:
-                return tri, events
-    return None, events
+                return tri
+    return None
 
 
 def step9_search_T(
@@ -500,14 +487,12 @@ def step9_search_T(
     pool: Graph,
     params: Params,
     rng: np.random.Generator,
-) -> tuple[Tri | None, int, bool]:
-    """Search the triangles spanned by the peeled pair set `pool`.
-
-    Returns (triangle, number of spanned triangles, search-missed flag).
-    """
+    events: set[str],
+) -> tuple[Tri | None, int]:
+    """Search the triangles spanned by the peeled pair set `pool`; return the
+    triangle found, or None, and the number of spanned triangles."""
     space = _triangle_space(oracle.hidden, pool)
-    tri, missed = _search(oracle, space, params, StepTag.STEP9, rng)
-    return tri, space.size, missed
+    return _search(oracle, space, params, StepTag.STEP9, rng, events), space.size
 
 
 def step10_search_E(oracle: QueryOracle, pool: Graph, rng: np.random.Generator) -> Tri | None:
@@ -530,23 +515,12 @@ def solve(oracle: QueryOracle, params: Params | None = None, seed: int = 0) -> R
     measured = {"gprime_size": 0, "T_size": 0, "E_size": 0, "G_cap_E": 0, "t_of_T": 0}
 
     def report(outcome: Tri | None) -> RunReport:
-        return RunReport(
-            n=n,
-            seed=seed,
-            params=params,
-            outcome=outcome,
-            cost=oracle.report(),
-            events=tuple(sorted(events)),
-            measured=measured,
-        )
+        return RunReport(n=n, seed=seed, params=params, outcome=outcome, cost=oracle.report(),
+                         events=tuple(sorted(events)), measured=measured)
 
     sample, hoods = step1_sample(oracle, params, substream(seed, "step1"))
-    tri, gprime, missed = step2_build_gprime(
-        oracle, sample, hoods, params, substream(seed, "step2")
-    )
+    tri, gprime = step2_build_gprime(oracle, sample, hoods, params, substream(seed, "step2"), events)
     del hoods  # the sampled rows are not needed past step 2; free them before step 8
-    if missed:
-        events.add("safe_grover_miss")
     if tri is not None:
         return report(tri)
     assert gprime is not None
@@ -555,8 +529,7 @@ def solve(oracle: QueryOracle, params: Params | None = None, seed: int = 0) -> R
         events.add("gprime_violation")
 
     working = WorkingGraph(gprime)
-    tri, loop_events = step8_loop(oracle, working, params, seed)
-    events |= loop_events
+    tri = step8_loop(oracle, working, params, seed, events)
     # E is the rest of G' but T and the pairs still working, which only a step-7 triangle leaves
     t_pool, e_pool = working.peeled.graph(), gprime.graph(working.peeled, working)
     del working, gprime  # free the packed sets the final searches do not read
@@ -565,10 +538,7 @@ def solve(oracle: QueryOracle, params: Params | None = None, seed: int = 0) -> R
     if tri is not None:
         return report(tri)
 
-    tri, t_of_t, missed9 = step9_search_T(oracle, t_pool, params, substream(seed, "step9"))
-    measured["t_of_T"] = t_of_t
-    if missed9:
-        events.add("safe_grover_miss")
+    tri, measured["t_of_T"] = step9_search_T(oracle, t_pool, params, substream(seed, "step9"), events)
     if tri is not None:
         return report(tri)
 

@@ -303,3 +303,26 @@ def test_criterion_11_completeness_where_the_late_steps_decide():
     report_line(11, "completeness where the late steps decide", ok, f"{found}/{seeds} found; {counts}")
     print("  deciding step per seed:", " ".join(steps))
     assert ok
+
+
+def test_criterion_12_completeness_where_step_7_decides():
+    # criterion 11's host with its one triangle hung off a hub: the hub is the smallest
+    # unsampled label, joined to half the other side, and the triangle's other two
+    # vertices keep no host pair, so no sampled vertex sees two of its vertices; the
+    # hub's high verdict runs step 7, whose search of its neighbourhood can find it
+    # (default Params, n = 256, k = 239)
+    from test_solver import deciding_step, host_with_unseen_hub_triangle
+
+    n, seeds = 256, 60
+    found, steps = 0, []
+    for seed in range(seeds):
+        g, tri = host_with_unseen_hub_triangle(n, DEFAULTS, graph_seed=seed, seed=seed)
+        rep = solve(QueryOracle(g), DEFAULTS, seed=seed)
+        assert rep.outcome in (None, tri) and rep.measured["gprime_size"] > 0
+        found += rep.outcome is not None
+        steps.append(deciding_step(rep.cost).removeprefix("Step") + ("" if rep.outcome else "(missed)"))
+    ok = found / seeds >= 2 / 3 and "7" in steps
+    counts = ", ".join(f"Step{step}: {steps.count(step)}" for step in sorted(set(steps)))
+    report_line(12, "completeness where step 7 decides", ok, f"{found}/{seeds} found; {counts}")
+    print("  deciding step per seed:", " ".join(steps))
+    assert ok

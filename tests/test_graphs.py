@@ -357,28 +357,40 @@ def test_uncovered_equals_the_product_of_the_sampled_rows(n, gather, monkeypatch
     assert empty.edge_count == n * (n - 1) // 2
 
 
-def test_uncovered_memory_stays_within_the_packed_graph_and_one_chunk():
-    # a sparse sample as step 1 reads it at n = 4096: 1,176 rows of a mean-degree-3 host
-    n, k = 4096, 1176
-    g = generate("random_bipartite", n, 0, p=3 / 2048)
+def uncovered_peak_and_bound(g, k):
+    """`Graph.uncovered`'s tracemalloc peak on k sampled rows of `g`, as step 1
+    reads them, and the bound its buffers give: G', one block of sampled rows
+    unpacked and its (u, row) index pairs, and one chunk of those pairs'
+    gathered rows and their ORs per u (numpy copies an overlapping `out`, so
+    the ORs cannot overwrite the gathered rows); the packed sample is the caller's."""
+    n = g.n
     hoods = g.rows(np.sort(np.random.default_rng(0).choice(np.arange(1, n + 1), k, replace=False)))
-    pairs = len(hoods.pairs()[0])
+    block = max((graphs.GATHER_ROWS << 6) // (n + 1), 1)  # rows unpacked at once
+    most = int(np.bincount(hoods.pairs()[0] // block).max())  # the (u, row) pairs of the fullest block
     tracemalloc.start()
     try:
         gprime = Graph.uncovered(hoods)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    row_bytes = gprime._bits.shape[1]
-    # the (u, row) index pairs, and then either the brief k x (n+1) unpack they
-    # are read off, freed before G' is written, or G' itself and one chunk: its
-    # gathered rows and their ORs per u, each at most GATHER_ROWS rows (numpy
-    # copies an overlapping `out`, so the ORs cannot overwrite the gathered rows);
-    # the packed sample is the caller's
-    kernel = max(k * (n + 1), gprime._bits.nbytes + 2 * graphs.GATHER_ROWS * row_bytes)
-    bound = 2 * pairs * 8 + kernel
+    chunk = min(most, graphs.GATHER_ROWS) * gprime._bits.shape[1]
+    return peak, gprime._bits.nbytes + block * (n + 1) + 16 * most + 2 * chunk
+
+
+def test_uncovered_memory_stays_within_the_packed_graph_and_one_chunk():
+    # a sparse sample as step 1 reads it at n = 4096: 1,176 rows of a mean-degree-3
+    # host; a whole 1,176 x 4,097 unpack (4.8 MB) would not fit
+    peak, bound = uncovered_peak_and_bound(generate("random_bipartite", 4096, 0, p=3 / 2048), 1176)
     assert peak <= bound, (peak, bound)
-    assert bound < 8 << 20  # the (n+1)^2 float32 product alone is 67 MB
+    assert bound < 3 << 20  # the (n+1)^2 float32 product alone is 67 MB
+
+
+def test_uncovered_memory_on_a_dense_sample_stays_within_one_block():
+    # 1,176 rows of the blowup at n = 4096 hold 2,408,448 (u, row) pairs, 36.8 MB
+    # of index pairs if listed whole, for a 2.1 MB G'
+    peak, bound = uncovered_peak_and_bound(generate("bipartite_blowup", 4096, 0), 1176)
+    assert peak <= bound, (peak, bound)
+    assert bound < 9 << 20
 
 
 @pytest.mark.parametrize("n", [3, (1 << 15) - 1, 1 << 15, MAX_VERTICES])

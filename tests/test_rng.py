@@ -45,13 +45,20 @@ def numpy_key(entropy):
 
 
 @pytest.mark.parametrize("words", range(0, 9))
-def test_block_keys_match_seed_sequence(words):
+def test_block_keys_match_seed_sequence(words, monkeypatch):
     rng = np.random.default_rng(words)
-    # 40 rows of one word count go through the vectorised mix, one row through numpy
-    for rows in (40, 1):
+    mixed = []
+    mix = qtri.rng._mix_keys
+    monkeypatch.setattr(qtri.rng, "_mix_keys", lambda block: mixed.append(block.shape[1]) or mix(block))
+    # 40 rows of one word count go through the vectorised mix, one row through numpy,
+    # and the rows either side of the switch through numpy and then the mix
+    switch = qtri.rng._MIX_MIN_ROWS
+    for rows in (40, 1, switch - 1, switch):
+        mixed.clear()
         entropies = rng.integers(0, 2**32, size=(rows, words)).tolist()
         keys = seed_keys(entropies)
         assert keys.shape == (rows, 2) and keys.dtype == np.uint64
+        assert mixed == ([rows] if rows >= switch else [])
         for entropy, key in zip(entropies, keys):
             assert np.array_equal(key, numpy_key(entropy))
 

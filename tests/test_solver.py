@@ -1,5 +1,6 @@
 """Step-by-step and end-to-end solver tests."""
 
+import contextlib
 import itertools
 import json
 import math
@@ -19,7 +20,6 @@ from qtri.oracle import StepTag
 from qtri.rng import BLOCK_CAP, child_keys, keyed, seed_keys, substream
 from qtri.solver import (
     MIN_N,
-    Hypothesis,
     WorkingGraph,
     _induced_pair_space,
     _triangle_space,
@@ -38,6 +38,8 @@ from qtri.solver import (
     step9_search_T,
     step10_search_E,
 )
+
+import test_golden
 
 DEFAULTS = Params()
 
@@ -170,7 +172,7 @@ def test_step2_c5_all_vertices():
     g = Graph(5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)])
     oracle = QueryOracle(g, budget=10**6)
     sample = [1, 2, 3, 4, 5]
-    tri, gprime, _ = step2_build_gprime(oracle, sample, g.rows(sample), DEFAULTS, substream(0, "s2"))
+    tri, gprime = step2_build_gprime(oracle, sample, g.rows(sample), DEFAULTS, substream(0, "s2"), set())
     assert tri is None
     kept = set(gprime.edges())
     diagonals = {(2, 5), (1, 3), (2, 4), (3, 5), (1, 4)}
@@ -182,8 +184,9 @@ def test_step2_empty_graph_keeps_everything():
     g = Graph(8)
     oracle = QueryOracle(g)
     sample = list(range(1, 9))
-    tri, gprime, missed = step2_build_gprime(oracle, sample, g.rows(sample), DEFAULTS, substream(1, "s2"))
-    assert tri is None and not missed
+    events = set()
+    tri, gprime = step2_build_gprime(oracle, sample, g.rows(sample), DEFAULTS, substream(1, "s2"), events)
+    assert tri is None and not events
     assert gprime.edge_count == 28
 
 
@@ -201,7 +204,7 @@ def test_uncovered_pairs_is_the_complement_of_the_sampled_squares(n, density, gr
     assert set(map(tuple, np.argwhere(free.adjacency()).tolist())) == expected
 
 
-def step2_per_vertex(oracle, sample, hoods, params, rng):
+def step2_per_vertex(oracle, sample, hoods, params, rng, events):
     """Step 2 as one `_search` per sampled vertex, weighted from the unpacked
     rows: the reference for the block walk."""
     adj = oracle.hidden.adjacency().astype(np.int64)
@@ -209,7 +212,7 @@ def step2_per_vertex(oracle, sample, hoods, params, rng):
     for v, hood, child in zip(sample, hoods.dense(), children):
         members = np.flatnonzero(hood)
         space = _induced_pair_space(oracle.hidden, members, adj[members][:, members].sum(axis=1))
-        tri, _ = solver._search(oracle, space, params, StepTag.STEP2, child, v)
+        tri = solver._search(oracle, space, params, StepTag.STEP2, child, events, v)
         if tri is not None:
             return tri
     return None
@@ -233,9 +236,9 @@ def test_step2_block_walk_matches_a_per_vertex_reference(monkeypatch, graph, hit
     seen, charges = [], []
     search, charge_batch = solver._search, QueryOracle.charge_batch
 
-    def spy(oracle, space, params, tag, rng, v):
+    def spy(oracle, space, params, tag, rng, events, v):
         seen.append((v, space.size, space.marked_count))
-        return search(oracle, space, params, tag, rng, v)
+        return search(oracle, space, params, tag, rng, events, v)
 
     def recording(oracle, amounts, tag):
         charges.extend(amounts)
@@ -247,7 +250,7 @@ def test_step2_block_walk_matches_a_per_vertex_reference(monkeypatch, graph, hit
     for walk in (step2_build_gprime, step2_per_vertex):
         oracle = QueryOracle(graph)
         sample, hoods = step1_sample(oracle, DEFAULTS, substream(0, "step1"))
-        out = walk(oracle, sample, hoods, DEFAULTS, substream(0, "step2"))
+        out = walk(oracle, sample, hoods, DEFAULTS, substream(0, "step2"), set())
         runs.append((out[0] if walk is step2_build_gprime else out, seen[:], charges[:], oracle.report()))
         seen.clear()
         charges.clear()
@@ -287,7 +290,7 @@ def test_steps_1_and_2_keep_the_sample_packed():
     tracemalloc.start()
     try:
         sample, hoods = step1_sample(oracle, DEFAULTS, substream(0, "step1"))
-        tri, gprime, _ = step2_build_gprime(oracle, sample, hoods, DEFAULTS, substream(0, "step2"))
+        tri, gprime = step2_build_gprime(oracle, sample, hoods, DEFAULTS, substream(0, "step2"), set())
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -306,7 +309,7 @@ def test_step2_dense_finds_triangle():
         sample = [1]
         hoods = g.rows(sample)
         assert hoods.pairs()[1].tolist() == list(range(2, 11))
-        tri, _, _ = step2_build_gprime(oracle, sample, hoods, DEFAULTS, substream(seed, "s2"))
+        tri, _ = step2_build_gprime(oracle, sample, hoods, DEFAULTS, substream(seed, "s2"), set())
         if tri is not None:
             a, b, c = tri
             assert g.has_edge(a, b) and g.has_edge(b, c) and g.has_edge(a, c)
@@ -595,12 +598,13 @@ def test_step8_gives_every_candidate_one_fate(
         returned.append(moved)
         return moved
 
+    expected_events, events = set(), set()
     with mock.patch("qtri.solver.step4_peel", always_scanning):
-        expected = step8_loop(QueryOracle(hidden, budget=10**9), scanning, params, seed)
+        expected = step8_loop(QueryOracle(hidden, budget=10**9), scanning, params, seed, expected_events)
     with mock.patch("qtri.solver.step4_peel", recording):
-        tri, events = step8_loop(QueryOracle(hidden, budget=10**9), working, params, seed)
+        tri = step8_loop(QueryOracle(hidden, budget=10**9), working, params, seed, events)
     # a peel that skips its count when `floor` rules out a low pair changes nothing
-    assert (tri, events) == expected and peeled_pairs(working) == peeled_pairs(scanning)
+    assert (tri, events) == (expected, expected_events) and peeled_pairs(working) == peeled_pairs(scanning)
     assert np.array_equal(working_adj(working), working_adj(scanning))
     t = [tuple(pair) for pair in np.concatenate(returned).tolist()]
     assert all(a < b for a, b in t) and len(set(t)) == len(t)
@@ -617,43 +621,38 @@ def test_step8_gives_every_candidate_one_fate(
 
 
 def step5_one_vertex(oracle, v, params, rng):
-    """Step 5 at one vertex as one `integers` draw and one billed row."""
+    """Step 5 at one vertex as one `integers` draw and one billed row: True for HIGH."""
     n = oracle.n
     rounds = math.ceil(params.c0 * math.log(n))
     per_round = math.ceil(n**params.delta)
     picks = rng.integers(0, n - 1, size=rounds * per_round)
     picks += 1 + (picks + 1 >= v)
     seen = oracle.query_rows([v], [picks], StepTag.STEP5).reshape(rounds, per_round)
-    return Hypothesis.LOW if seen.any(axis=1).sum() < rounds / 2 else Hypothesis.HIGH
+    return bool(seen.any(axis=1).sum() >= rounds / 2)
 
 
-def step8_reference(oracle, working, params, seed):
+def step8_reference(oracle, working, params, seed, events):
     """The step-8 loop one vertex per cycle: a peel, the first active vertex,
     its verdict on `substream(seed, "step5", i)`, then step 6 or step 7."""
     n = oracle.n
     tau = peel_threshold(n, params.epsilon_prime)
-    events = set()
+    low, high = degree_gap(n, params.delta)
     degrees = oracle.hidden.degrees()
     invocation, v = 0, 1
     while True:
         step4_peel(working, tau)
         v = working.first_active_vertex(v)
         if v is None:
-            return None, events
+            return None
         verdict = step5_one_vertex(oracle, v, params, substream(seed, "step5", invocation))
-        if hypothesis_mismatch(n, params.delta, int(degrees[v]), verdict):
+        if (degrees[v] < low) if verdict else (degrees[v] > high):
             events.add("hypothesis_mismatch")
-        if verdict is Hypothesis.LOW:
+        if not verdict:
             working.remove_incident([v])
         else:
-            tri, missed, stalled = step7_high_degree(
-                oracle, working, v, params, substream(seed, "step7", invocation))
-            if missed:
-                events.add("safe_grover_miss")
-            if stalled:
-                events.add("step7_no_progress")
+            tri = step7_high_degree(oracle, working, v, params, substream(seed, "step7", invocation), events)
             if tri is not None:
-                return tri, events
+                return tri
         invocation += 1
 
 
@@ -712,7 +711,7 @@ def test_a_budget_crossed_inside_a_batch_bills_as_the_one_vertex_loop(n):
                            lambda *args: batches.append(step5_degree_hypothesis(*args)) or batches[-1]):
         full = json.loads(solve_with_loop(solver.step8_loop, hidden, params, 0))["cost"]["per_step"]
     # the first batch bills five low rows or more, then stops at a high verdict
-    assert len(batches[0]) > 5 and batches[0][-1] is Hypothesis.HIGH
+    assert len(batches[0]) > 5 and batches[0].tolist() == [False] * (len(batches[0]) - 1) + [True]
     row = math.ceil(params.c0 * math.log(n)) * math.ceil(n**params.delta)
     before = full["Step1"] + full["Step2"]
     for budget in [before + row // 2, before + row, before + 3 * row + 1, before + 5 * row - 1,
@@ -790,22 +789,23 @@ def step5_keys(count, *path):
 def test_step5_zero_degree_is_low():
     oracle = QueryOracle(Graph(64))
     keys = step5_keys(20, 5)
-    assert step5_degree_hypothesis(oracle, np.full(20, 5), DEFAULTS, keys) == [Hypothesis.LOW] * 20
+    verdicts = step5_degree_hypothesis(oracle, np.full(20, 5), DEFAULTS, keys)
+    assert verdicts.dtype == bool and verdicts.tolist() == [False] * 20  # True is HIGH
     for key in keys:
-        assert step5_degree_hypothesis(oracle, [5], DEFAULTS, key[None]) == [Hypothesis.LOW]
+        assert step5_degree_hypothesis(oracle, [5], DEFAULTS, key[None]).tolist() == [False]
 
 
 def test_step5_full_degree_is_high():
     g = generate("complete", 64, seed=0)
     oracle = QueryOracle(g, budget=10**9)
     trials = 10_000
-    highs = sum(step5_degree_hypothesis(oracle, [1], DEFAULTS, key[None]) == [Hypothesis.HIGH]
+    highs = sum(step5_degree_hypothesis(oracle, [1], DEFAULTS, key[None]).tolist() == [True]
                 for key in step5_keys(trials, 1))
     assert highs / trials >= 0.999
 
 
 def step5_reference(oracle, v, params, rng):
-    """Step 5 at one vertex as one draw and one billed read per round."""
+    """Step 5 at one vertex as one draw and one billed read per round: True for HIGH."""
     n = oracle.n
     rounds = math.ceil(params.c0 * math.log(n))
     per_round = math.ceil(n**params.delta)
@@ -814,7 +814,7 @@ def step5_reference(oracle, v, params, rng):
     for _ in range(rounds):
         picks = rng.choice(others, size=per_round, replace=True)
         hits += int(oracle.query_rows([v], [picks], StepTag.STEP5).any())
-    return Hypothesis.LOW if hits < rounds / 2 else Hypothesis.HIGH
+    return hits >= rounds / 2
 
 
 def step5_batch_reference(oracle, vertices, params, keys):
@@ -823,9 +823,9 @@ def step5_batch_reference(oracle, vertices, params, keys):
     verdicts = []
     for v, key in zip(vertices, keys):
         verdicts.append(step5_reference(oracle, int(v), params, keyed(key)))
-        if verdicts[-1] is Hypothesis.HIGH:
+        if verdicts[-1]:
             break
-    return verdicts
+    return np.array(verdicts, dtype=bool)
 
 
 def star(n, v, degree, seed):
@@ -847,7 +847,8 @@ def test_step5_batch_matches_the_per_round_reference():
                     keys = step5_keys(len(vertices), seed, n)
                     ours, ref = QueryOracle(hidden, budget=10**9), QueryOracle(hidden, budget=10**9)
                     verdicts = step5_degree_hypothesis(ours, np.array(vertices), DEFAULTS, keys)
-                    assert verdicts == step5_batch_reference(ref, vertices, DEFAULTS, keys)
+                    assert verdicts.dtype == bool
+                    assert np.array_equal(verdicts, step5_batch_reference(ref, vertices, DEFAULTS, keys))
                     assert ours.report() == ref.report()
                     assert ours.report().per_step["Step5"] == len(verdicts) * rounds * per_round
             # a budget that runs out inside a round, part way through a row of the batch
@@ -858,7 +859,7 @@ def test_step5_batch_matches_the_per_round_reference():
                 for step5 in (step5_degree_hypothesis, step5_batch_reference):
                     oracle = QueryOracle(hidden, budget=budget)
                     try:
-                        results.append(step5(oracle, vertices, DEFAULTS, step5_keys(4, n)))
+                        results.append(step5(oracle, vertices, DEFAULTS, step5_keys(4, n)).tolist())
                     except BudgetExceededError as err:
                         results.append(str(err))
                     results.append(oracle.report())
@@ -900,11 +901,21 @@ def test_step5_charges_exactly():
 
 
 def test_hypothesis_mismatch_logic():
+    # verdicts are True for HIGH; a batch mismatches when one of them is wrong
+    # for a degree outside the gap, and the gap's own ends are inside it
     low, high = degree_gap(64, 1 / 7)
-    assert hypothesis_mismatch(64, 1 / 7, int(high) + 5, Hypothesis.LOW)
-    assert hypothesis_mismatch(64, 1 / 7, 0, Hypothesis.HIGH)
-    assert not hypothesis_mismatch(64, 1 / 7, int((low + high) / 2), Hypothesis.LOW)
-    assert not hypothesis_mismatch(64, 1 / 7, int((low + high) / 2), Hypothesis.HIGH)
+    mid = int((low + high) / 2)
+
+    def mismatch(degrees, verdicts):
+        return hypothesis_mismatch(64, 1 / 7, np.array(degrees), np.array(verdicts, dtype=bool))
+
+    assert mismatch([int(high) + 5], [False])
+    assert mismatch([0], [True])
+    assert not mismatch([mid, mid], [False, True])
+    assert not mismatch([math.floor(high), math.ceil(low)], [False, True])
+    assert mismatch([mid, 0, mid], [False, True, True])
+    assert mismatch([mid, mid, int(high) + 1], [True, True, False])
+    assert not mismatch([], [])
 
 
 def test_step6_moves_incident_pairs():
@@ -928,7 +939,7 @@ def test_step7_k4_finds_triangle():
         g = generate("complete", 4, seed=0)
         oracle = QueryOracle(g, budget=10**6)
         working = complete_working(4)
-        tri, _, _ = step7_high_degree(oracle, working, 1, DEFAULTS, substream(seed, "s7"))
+        tri = step7_high_degree(oracle, working, 1, DEFAULTS, substream(seed, "s7"), set())
         if tri is not None:  # nothing moves when a triangle is found
             assert np.array_equal(working_adj(working), working_adj(complete_working(4)))
             wins += 1
@@ -942,8 +953,9 @@ def test_step7_bipartite_classifies():
     oracle = QueryOracle(g, budget=10**6)
     pairs = [(1, 5), (2, 5), (2, 3)]
     working = working_from_pairs(8, pairs)
-    tri, missed, stalled = step7_high_degree(oracle, working, 1, DEFAULTS, substream(0, "s7"))
-    assert tri is None and not missed and not stalled
+    events = set()
+    tri = step7_high_degree(oracle, working, 1, DEFAULTS, substream(0, "s7"), events)
+    assert tri is None and not events
     assert left_pairs(pairs, working) == [(2, 5)]
     assert working_adj(working)[1, 5] and working_adj(working)[2, 3]
 
@@ -958,8 +970,9 @@ def test_step7_overlapping_neighborhoods_move_each_pair_once():
     working = working_from_pairs(8, pairs)
     with mock.patch.object(WorkingGraph, "remove_between", autospec=True,
                            side_effect=WorkingGraph.remove_between) as spy:
-        tri, missed, stalled = step7_high_degree(oracle, working, 1, DEFAULTS, substream(0, "s7"))
-    assert tri is None and not missed and not stalled
+        events = set()
+        tri = step7_high_degree(oracle, working, 1, DEFAULTS, substream(0, "s7"), events)
+    assert tri is None and not events
     (_, hood, nbrs), = [call.args for call in spy.call_args_list]
     assert hood.tolist() == [2, 3, 4] and nbrs.tolist() == [2, 3, 4, 5]
     # the rectangle is cleared both ways round: (2, 3) lies between the sets as
@@ -974,7 +987,7 @@ def test_step7_query_accounting():
     g = Graph(8, [(a, b) for a in (1, 2, 3, 4) for b in (5, 6, 7, 8)])
     oracle = QueryOracle(g, budget=10**6)
     working = working_from_pairs(8, list(g.edges()))
-    step7_high_degree(oracle, working, 1, DEFAULTS, substream(0, "s7"))
+    step7_high_degree(oracle, working, 1, DEFAULTS, substream(0, "s7"), set())
     rep = oracle.report()
     assert rep.per_step["Step7"] >= 7  # the classical neighborhood reveal
     cap = math.ceil(2.0 * math.log2(6)) * math.ceil(math.pi / 4 * math.sqrt(6))
@@ -988,8 +1001,9 @@ def test_step7_no_progress_fallback():
     g = Graph(6, [(1, 2), (1, 3)])
     oracle = QueryOracle(g, budget=10**6)
     working = working_from_pairs(6, [(1, 5), (1, 6)])
-    tri, _, stalled = step7_high_degree(oracle, working, 1, DEFAULTS, substream(0, "s7"))
-    assert tri is None and stalled
+    events = set()
+    tri = step7_high_degree(oracle, working, 1, DEFAULTS, substream(0, "s7"), events)
+    assert tri is None and events == {"step7_no_progress"}
     moved = left_pairs([(1, 5), (1, 6)], working)
     assert moved == [(1, 5), (1, 6)]
     assert all(not g.has_edge(a, b) for a, b in moved)
@@ -998,7 +1012,7 @@ def test_step7_no_progress_fallback():
 
 def test_step9_trivial_cases():
     oracle = QueryOracle(Graph(8))
-    tri, count, _ = step9_search_T(oracle, Graph(8, [(1, 2), (3, 4)]), DEFAULTS, substream(0, "s9"))
+    tri, count = step9_search_T(oracle, Graph(8, [(1, 2), (3, 4)]), DEFAULTS, substream(0, "s9"), set())
     assert tri is None and count == 0
     assert oracle.report().total == 0
 
@@ -1008,8 +1022,8 @@ def test_step9_finds_spanned_triangle():
     wins = 0
     for seed in range(100):
         oracle = QueryOracle(g, budget=10**6)
-        tri, count, _ = step9_search_T(
-            oracle, Graph(8, [(1, 2), (2, 3), (1, 3), (4, 5)]), DEFAULTS, substream(seed, "s9")
+        tri, count = step9_search_T(
+            oracle, Graph(8, [(1, 2), (2, 3), (1, 3), (4, 5)]), DEFAULTS, substream(seed, "s9"), set()
         )
         assert count == 1
         if tri == (1, 2, 3):
@@ -1022,7 +1036,7 @@ def test_step9_triangle_free_hidden_graph():
     pool = Graph(8, [(1, 2), (2, 3), (1, 3)])  # spans a triangle, not in the hidden graph
     for seed in range(50):
         oracle = QueryOracle(g, budget=10**6)
-        tri, count, _ = step9_search_T(oracle, pool, DEFAULTS, substream(seed, "s9"))
+        tri, count = step9_search_T(oracle, pool, DEFAULTS, substream(seed, "s9"), set())
         assert tri is None and count == 1
 
 
@@ -1060,13 +1074,14 @@ def test_step9_weighs_no_pair_when_its_search_misses(monkeypatch):
     hidden = Graph(8, [(1, 2), (2, 3), (1, 3), (5, 6), (6, 7), (5, 7)])
     blowup = Graph(8, [(a, b) for a in (1, 2, 3, 4) for b in (5, 6, 7, 8)])
     pool = Graph(8, [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6)])
-    tri, count, missed = step9_search_T(QueryOracle(blowup), pool, DEFAULTS, substream(0, "s9"))
-    assert (tri, count, missed) == (None, 2, False) and calls == []  # nothing marked
+    events = set()
+    tri, count = step9_search_T(QueryOracle(blowup), pool, DEFAULTS, substream(0, "s9"), events)
+    assert (tri, count, events) == (None, 2, set()) and calls == []  # nothing marked
     with monkeypatch.context() as patch:
         patch.setattr("qtri.grover.amplified_prob", lambda base, iterations: 0.0)
-        tri, count, missed = step9_search_T(QueryOracle(hidden), pool, DEFAULTS, substream(0, "s9"))
-    assert (tri, count, missed) == (None, 2, True) and calls == []  # one marked, every attempt missed
-    tri, count, missed = step9_search_T(QueryOracle(hidden), pool, DEFAULTS, substream(0, "s9"))
+        tri, count = step9_search_T(QueryOracle(hidden), pool, DEFAULTS, substream(0, "s9"), events)
+    assert (tri, count, events) == (None, 2, {"safe_grover_miss"}) and calls == []  # one marked, every attempt missed
+    tri, count = step9_search_T(QueryOracle(hidden), pool, DEFAULTS, substream(0, "s9"), set())
     assert tri == (1, 2, 3) and len(calls) == 1
 
 
@@ -1237,6 +1252,25 @@ def host_with_unseen_triangle(n, params, graph_seed, seed):
             return Graph(n, pairs + [(a, b), (b, c), (a, c)]), tri
 
 
+def host_with_unseen_hub_triangle(n, params, graph_seed, seed):
+    """The host of `host_with_unseen_triangle` whose one triangle hangs off a
+    hub: h, the smallest vertex that step 1 of `solve(..., params, seed)` does
+    not sample, is joined to each vertex on the other side with probability
+    1/2, and two more unsampled vertices a and b lose their host pairs and
+    gain (h, a), (h, b) and (a, b).  No sampled vertex is adjacent to two of
+    h, a and b.  Returns the graph and the triangle."""
+    rng = np.random.default_rng(graph_seed)
+    sides = rng.random(n + 1) < 0.5
+    pairs = random_pairs(rng, n, 6 / n, sides=sides)
+    sample, _ = step1_sample(QueryOracle(Graph(n)), params, substream(seed, "step1"))
+    unseen = np.setdiff1d(np.arange(1, n + 1), sample)
+    h = int(unseen[0])
+    pairs += [canon_pair(h, u) for u in range(1, n + 1) if sides[u] != sides[h] and rng.random() < 0.5]
+    a, b = sorted(int(x) for x in rng.choice(unseen[1:], size=2, replace=False))
+    pairs = {pair for pair in pairs if a not in pair and b not in pair}
+    return Graph(n, sorted(pairs | {canon_pair(h, a), canon_pair(h, b), (a, b)})), tuple(sorted((h, a, b)))
+
+
 def deciding_step(cost):
     """The last step before verification that billed anything."""
     return [step for step, count in cost.per_step.items() if count and step != "Verify"][-1]
@@ -1257,6 +1291,45 @@ def test_unseen_planted_triangle_is_found_by_the_late_steps(n):
             assert report.measured["gprime_size"] > 0  # step 2 saw nothing
             late.append(deciding_step(report.cost))
     assert set(late) & {"Step7", "Step9", "Step10"}
+
+
+def test_unseen_hub_triangle_is_the_host_s_only_one():
+    for seed in range(4):
+        g, tri = host_with_unseen_hub_triangle(256, DEFAULTS, graph_seed=seed, seed=seed)
+        sample, _ = step1_sample(QueryOracle(Graph(256)), DEFAULTS, substream(seed, "step1"))
+        assert triangle_count(g) == 1 and all(g.has_edge(*pair) for pair in itertools.combinations(tri, 2))
+        assert not set(tri) & set(sample)
+        assert (g.rows(sample).at(np.repeat([tri], len(sample), axis=0)).sum(axis=1) <= 1).all()
+        assert tri[0] == min(set(range(1, 257)) - set(sample))  # the hub is the smallest unsampled label
+        assert g.degrees()[tri[0]] > 40
+
+
+EVENT_HOSTS = {
+    # every safe search misses, so step 2's marked searches do
+    "safe_grover_miss": (lambda: generate("planted_triangle", 64, 2, p=0.3), Params(),
+                         ("qtri.grover.amplified_prob", lambda base, iterations: 0.0)),
+    # with no sampled row G' keeps every pair of K_64, each with 62 common neighbours
+    "gprime_violation": (lambda: generate("complete", 64, 0), Params(),
+                         ("qtri.solver.step1_sample",
+                          lambda oracle, params, rng: ([], oracle.read_rows([], StepTag.STEP1)))),
+    # an empty gap puts every verdict outside it
+    "hypothesis_mismatch": (test_golden.CASES["host64_no"][0], Params(),
+                            ("qtri.solver.degree_gap", lambda n, delta: (n, -1))),
+    # the golden stall host raises it unpatched
+    "step7_no_progress": (*test_golden.CASES["host128_hub_step7_stall_no"][:2], None),
+}
+
+
+@pytest.mark.parametrize("event", sorted(EVENT_HOSTS))
+def test_every_event_reaches_the_report(event):
+    # each event is detected inside one step and must reach the run's report;
+    # a patched run raises it, and the same run without its patch does not
+    build, params, patch = EVENT_HOSTS[event]
+    hidden = build()
+    if patch is not None:
+        assert event not in solve(QueryOracle(hidden), params, seed=0).events
+    with mock.patch(*patch) if patch else contextlib.nullcontext():
+        assert event in solve(QueryOracle(hidden), params, seed=0).events
 
 
 def test_run_is_deterministic_per_seed():
