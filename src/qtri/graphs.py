@@ -13,8 +13,11 @@ among chosen vertices, the intersection `&` of two graphs and the difference
 The packed reads AND and popcount whole uint64 words, and no way into a
 `Graph` passes through an (n+1)^2 matrix: `Graph.uncovered` builds step 2's
 G' from the ORs of the packed sampled rows.  A `PairSet` is a mutable pair
-set in the same layout, which clears, moves and scans pairs on the packed
-words and hands them back as a `Graph`.  `generate` writes every instance
+set in the same layout, which clears, moves (a band of a block at a time)
+and scans pairs on the packed words and hands them back as a `Graph`.
+`common_bands`, the one matrix product, yields a block's counts as upper
+row bands of at most BAND_CELLS cells, which every caller reduces band by
+band.  `generate` writes every instance
 straight into the packed rows; its random kinds draw raw Philox words a
 chunk of rows at a time, so the memory stays near the packed graph's up to
 MAX_VERTICES.
@@ -50,6 +53,9 @@ GATHER_ROWS = 4096
 # at most one raw Philox word (a chunk of 8 rows may hold more): its memory
 # stays bounded however large n is.
 CHUNK_CELLS = 1 << 16
+# Float32 cells in one band of `common_bands`' counts, about 1,130 rows of a
+# 7,400-vertex block: a caller holds one band of counts, not the whole product.
+BAND_CELLS = 1 << 23
 # Bit i of a packed byte holds column 8j + i (little bit order)
 _BIT_MASKS = np.array([1 << i for i in range(8)], dtype=np.uint8)
 
@@ -322,15 +328,29 @@ class PairSet:
         self._words[b] &= ~in_a
         return had
 
-    def move_block(self, live: np.ndarray, block: np.ndarray, into: "PairSet") -> None:
-        """Move the pairs of a symmetric boolean `block` over the ascending vertices
-        `live` to `into`, in one packed operation over the rows that hold one."""
+    def move_block(self, live: np.ndarray, band: np.ndarray, into: "PairSet") -> None:
+        """Move the pairs of an upper row band of a symmetric boolean block over
+        the ascending vertices `live` to `into`: `band` holds the rows of
+        live[:b] over the columns `live`, and its first b columns, the diagonal
+        tile, are symmetric.  Its rows move, then its transposed part for the
+        later rows, b rows at a time; a band of every row is the whole block."""
+        height = len(band)
+        self._move(live[:height], live, band, into)
+        for start in range(height, len(live), height):
+            self._move(live[start : start + height], live[:height], band[:, start : start + height].T, into)
+
+    def _move(self, rows: np.ndarray, columns: np.ndarray, block: np.ndarray, into: "PairSet") -> None:
+        """Move the pairs of a boolean `block` over the vertices `rows` by the
+        ascending `columns` to `into`, in one packed operation over the rows
+        that hold one and the words from the first column's on."""
         hit = np.flatnonzero(block.any(axis=1))
-        rows = np.zeros((len(hit), self.n + 1), dtype=bool)
-        rows[:, live] = block[hit]
-        moved = _packed(rows).view(np.uint64)
-        self._words[live[hit]] &= ~moved
-        into._words[live[hit]] |= moved
+        first = columns[0] >> 6
+        bits = np.zeros((len(hit), columns[-1] + 1 - (first << 6)), dtype=bool)
+        bits[:, columns - (first << 6)] = block[hit]
+        moved = _packed(bits).view(np.uint64)
+        span = (rows[hit], slice(first, first + moved.shape[1]))
+        self._words[span] &= ~moved
+        into._words[span] |= moved
 
 
 def _row_bytes(columns: int) -> int:
@@ -356,15 +376,26 @@ def _clear_diagonal(bits: np.ndarray) -> None:
     bits[diagonal, diagonal >> 3] &= ~_BIT_MASKS[diagonal & 7]
 
 
-def common_neighbors(rows: np.ndarray) -> np.ndarray:
-    """counts[i, j] = |{k : rows[i, k] and rows[j, k]}| for a boolean (or 0/1
-    float32, which is not copied) matrix, as float32.  This is the one place
-    that multiplies adjacency matrices: a single float32 product `x @ x.T`,
-    which is exact because every partial sum is an integer no larger than the
-    row length, and float32 holds every integer below 2**24 (a dense boolean
-    matrix with rows that long would need terabytes)."""
+def common_bands(rows: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+    """The common-neighbor counts of the rows of an L x m boolean (or 0/1
+    float32, which is not copied) matrix x as upper row bands, (i, x[i:i+b]
+    @ x[i:].T) for i = 0, b, 2b, ..., in float32.  The height b is
+    BAND_CELLS // L (one row at least); one band of b >= L rows is the whole
+    product.  Each band overwrites the last in one buffer, so a caller
+    reduces a band before it asks for the next.  This is the one place that
+    multiplies adjacency matrices: a band's diagonal tile is a symmetric
+    product, which numpy computes with half the work, so the bands cost what
+    the whole symmetric product does.  float32 is exact, since every partial
+    sum is an integer no larger than m < 2**24."""
     x = rows.astype(np.float32, copy=False)
-    return x @ x.T
+    height = max(BAND_CELLS // max(len(x), 1), 1)
+    buffer = np.empty(min(height, len(x)) * len(x), dtype=np.float32)
+    for i in range(0, len(x), height):
+        tile = x[i : i + height]
+        band = buffer[: len(tile) * (len(x) - i)].reshape(len(tile), len(x) - i)
+        np.matmul(tile, tile.T, out=band[:, : len(tile)])
+        np.matmul(tile, x[i + len(tile) :].T, out=band[:, len(tile) :])
+        yield i, band
 
 
 def triangle_count(graph: Graph) -> int:
@@ -373,17 +404,20 @@ def triangle_count(graph: Graph) -> int:
 
     Only the vertices with an edge are multiplied.  Their `Graph.block` is read
     only when that drops a vertex: with none isolated the whole adjacency is
-    cheaper to unpack, and its (n+1)-wide product is the faster shape.  The
-    float32 counts are masked by the block in place and totalled in float64,
-    which is exact: every term is an integer no larger than n, so every
-    partial sum is an integer no larger than n**3, below 2**53 for every
-    n <= MAX_VERTICES."""
+    cheaper to unpack, and its (n+1)-wide product is the faster shape.  Each
+    band of `common_bands` is masked by the block in place; its diagonal tile
+    holds its pairs in both orders and the rest once, so the tile is summed
+    once and the rest twice, in float64.  That is exact: every term is an
+    integer no larger than n, so every partial sum is an integer no larger
+    than n**3, below 2**53 for every n <= MAX_VERTICES."""
     live = np.flatnonzero(graph._bits.any(axis=1))  # row 0 is always empty
     block = graph.adjacency() if len(live) == graph.n else graph.block(live)
     x = block.astype(np.float32)
-    counts = common_neighbors(x)
-    counts *= x
-    return int(counts.sum(dtype=np.float64)) // 6
+    total = 0.0
+    for i, band in common_bands(x):
+        band *= x[i : i + len(band), i:]
+        total += band[:, : len(band)].sum(dtype=np.float64) + 2 * band[:, len(band) :].sum(dtype=np.float64)
+    return int(total) // 6
 
 
 # ---------------------------------------------------------------------------

@@ -24,11 +24,13 @@ with one `grover.bill_sure_misses` call.  The loop classifies a batch of
 vertices at a time: the run that it would visit while every verdict is LOW
 and every peel skips, read off the packed rows with `PairSet.upper_rows`,
 with one step-5 pass over the streams' raw output and one step-6 clear.  A
-peel round reads the block of its live vertices with `Graph.block` and moves
-its low pairs out in one packed block operation, and step 7 clears a
-rectangle of packed rows.  Step 9 counts T's triangles and the marked ones,
-those of `hidden & T`, with `triangle_count`; only its sampler, after a hit,
-weighs pairs.  Step 10 lists and counts the hidden edges of E on packed rows.
+peel round reads the block of its live vertices with `Graph.block`, counts
+it in the upper row bands of `graphs.common_bands` and moves each band's low
+pairs out with one `PairSet.move_block` call, so it holds one band of
+counts at a time, and step 7 clears a rectangle of packed rows.  Step 9
+counts T's triangles and the marked ones, those of `hidden & T`, with
+`triangle_count`; only its sampler, after a hit, weighs pairs, a band at a
+time.  Step 10 lists and counts the hidden edges of E on packed rows.
 Step 2 takes its streams' keys from `rng.child_keys` and the loop its step-5
 keys from `rng.substream_keys`, one key per search or visit, a block at a
 time; step 7 builds each stream on its own.  `solve` passes one `events` set
@@ -43,7 +45,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .graphs import Graph, PairSet, Rows, common_neighbors, triangle_count
+from .graphs import Graph, PairSet, Rows, common_bands, triangle_count
 from .grover import SearchSpace, bill_sure_misses, edge_restricted_triangle_search, safe_grover
 from .oracle import LedgerReport, QueryOracle, StepTag, verify_triangle
 from .rng import BLOCK_CAP, child_keys, doubling_blocks, keyed, lemire_draws, substream, substream_keys
@@ -193,11 +195,16 @@ def _triangle_space(hidden: Graph, pool: Graph) -> SearchSpace:
         # upper[a, c]: (live[a], live[c]) is a pair of both graphs with a < c, so row
         # products count each marked triangle a < b < c once, at its pair (a, b)
         upper = np.triu(both.block(live), 1)
-        common = common_neighbors(upper)
-        rows, cols = np.nonzero(upper & (common > 0))
-        cum = np.cumsum(common[rows, cols].astype(np.int64))
-        pick = int(np.searchsorted(cum, rng.integers(marked), side="right"))
-        a, b = rows[pick], cols[pick]
+        # the pairs (a, b) weighted by their apex counts, row-major, a band at a time
+        target = rng.integers(marked)
+        for i, band in common_bands(upper):
+            pairs = upper[i : i + len(band), i:]
+            weights = band[pairs].astype(np.int64)
+            if target < weights.sum():
+                pick = np.searchsorted(np.cumsum(weights), target, side="right")
+                a, b = (i + side[pick] for side in np.nonzero(pairs))
+                break
+            target -= weights.sum()
         apexes = np.flatnonzero(upper[a] & upper[b])
         c = apexes[rng.integers(len(apexes))]
         return (int(live[a]), int(live[b]), int(live[c]))
@@ -300,15 +307,20 @@ def containment_violated(hidden: Graph, candidate: Graph, epsilon: float) -> boo
     pair whose hidden common-neighbor count exceeds n^(1 - epsilon).
 
     Two vertices share no more neighbors than either has, so only pairs of
-    vertices with hidden degree above the threshold can exceed it.  Counts
-    are integers, so the threshold is taken as its floor: float32 counts
-    compare in float32, which may round n^(1 - epsilon) up to an integer."""
+    vertices with hidden degree above the threshold can exceed it; their
+    counts come a band at a time, and the check stops at the first band with
+    such a pair.  Counts are integers, so the threshold is taken as its
+    floor: float32 counts compare in float32, which may round
+    n^(1 - epsilon) up to an integer."""
     thr = math.floor(hidden.n ** (1.0 - epsilon))
     heavy = np.flatnonzero(hidden.degrees() > thr)
     if not len(heavy):
         return False
-    common = common_neighbors(hidden.rows(heavy).dense())
-    return bool((common[candidate.block(heavy)] > thr).any())
+    for i, band in common_bands(hidden.rows(heavy).dense()):
+        keeps = candidate.rows(heavy[i : i + len(band)]).dense()[:, heavy[i:]]
+        if (band[keeps] > thr).any():
+            return True
+    return False
 
 
 def step4_peel(working: WorkingGraph, tau: int) -> np.ndarray:
@@ -316,8 +328,9 @@ def step4_peel(working: WorkingGraph, tau: int) -> np.ndarray:
     left, and return the moved pairs as (a, b) rows with a < b.
 
     Works in rounds: each round counts common neighbors once, over the block
-    of the live vertices (those with a working pair) only, removes every
-    working pair below tau at once, and the peel stops when a round finds
+    of the live vertices (those with a working pair) only, a band of
+    `common_bands` at a time, removes every working pair below tau, a band
+    at a time from the round's counts, and the peel stops when a round finds
     none, leaving the smallest count it saw (n when no pair is left) in
     `working.floor`.  While that bound is at least tau no pair can be low, so
     the peel returns without counting.  A round also skips its count when the
@@ -343,19 +356,26 @@ def step4_peel(working: WorkingGraph, tau: int) -> np.ndarray:
         # every common neighbor of a working pair holds a working pair itself, so
         # the block of live rows and columns gives the same counts as the whole matrix
         sub = working.block(live)
-        t = common_neighbors(sub)
-        low = t < tau
-        low &= sub
-        # keep a < b on the symmetric mask's flat indices, then divmod: row-major
-        # pairs, and `live` is ascending, so the same order as over the whole matrix
-        flat = np.flatnonzero(low)
-        flat = flat[flat // len(live) < flat % len(live)]
-        if not len(flat):
-            working.floor = int(t.min(where=sub, initial=n))
+        floor, moved = n, False
+        for i, band in common_bands(sub):
+            keeps = sub[i : i + len(band), i:]
+            low = band < tau
+            low &= keeps
+            # keep a < b, band column c being vertex i + c, then divmod: row-major
+            # pairs, and `live` is ascending, so the same order as over the whole block
+            width = low.shape[1]
+            flat = np.flatnonzero(low)
+            flat = flat[flat // width < flat % width]
+            if len(flat):
+                batches.append(live[i + np.stack(np.divmod(flat, width), axis=1)])
+                working.move_block(live[i:], low, working.peeled)
+                moved = True
+            elif not moved:
+                floor = min(floor, int(band.min(where=keeps, initial=n)))
+        del sub, keeps, band, low, flat  # not kept alive through the next round's count
+        if not moved:
+            working.floor = floor
             break
-        batches.append(live[np.stack(np.divmod(flat, len(live)), axis=1)])
-        del t, flat, sub  # not kept alive through the next round's count
-        working.move_block(live, low, working.peeled)
     return np.concatenate(batches)
 
 

@@ -135,6 +135,18 @@ def test_report_is_byte_identical(golden, name):
     assert canonical(run_case(name)) == canonical(golden[name])
 
 
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_report_is_byte_identical_with_blocks_in_several_bands(golden, name, monkeypatch):
+    """The same reports when every block is counted in bands of n^2 / 32
+    cells, so a block of n / 2 vertices spans 16 bands: the peel, the
+    containment check, triangle counts and step 9's sampler reduce their
+    counts a band at a time."""
+    build, params, seed = CASES[name]
+    hidden = build()
+    monkeypatch.setattr(graphs, "BAND_CELLS", hidden.n ** 2 // 32)
+    assert canonical(solve(QueryOracle(hidden), params, seed=seed).to_json()) == canonical(golden[name])
+
+
 def test_peeled_triangles_stay_below_the_peel_threshold_per_pair(golden):
     """Criterion 3's bound t(T) <= |T| * (tau - 1) on every frozen report: each
     triangle of T is charged to its first-peeled pair, which then had fewer
@@ -196,7 +208,7 @@ LATE_CASES = ["host128_step10_yes", "host96_step10_yes", "host2048_step9_yes", "
 @pytest.mark.parametrize("name", LATE_CASES)
 def test_no_whole_boolean_matrix_after_step2(golden, name, monkeypatch):
     """A solve holds its pair sets packed: step 2 builds G' on packed words, so
-    no step before step 9 multiplies n + 1 rows in `common_neighbors`, and
+    no step before step 9 multiplies n + 1 rows in `common_bands`, and
     `adjacency` runs only inside step 9's `triangle_count`."""
     assert {"Step9", "Step10"} & {step for step, count in golden[name]["cost"]["per_step"].items() if count}
     build, params, seed = CASES[name]
@@ -214,15 +226,15 @@ def test_no_whole_boolean_matrix_after_step2(golden, name, monkeypatch):
 
     for label in ("step2_build_gprime", "step9_search_T", "triangle_count"):
         monkeypatch.setattr(solver, label, traced(label, getattr(solver, label)))
-    common_neighbors, adjacency = graphs.common_neighbors, Graph.adjacency
+    common_bands, adjacency = graphs.common_bands, Graph.adjacency
 
     def counted(rows):
         if len(rows) == hidden.n + 1:
-            calls.append(("common_neighbors", tuple(where)))
-        return common_neighbors(rows)
+            calls.append(("common_bands", tuple(where)))
+        return common_bands(rows)
 
     for owner in (graphs, solver):
-        monkeypatch.setattr(owner, "common_neighbors", counted)
+        monkeypatch.setattr(owner, "common_bands", counted)
     monkeypatch.setattr(Graph, "adjacency",
                         lambda self: calls.append(("adjacency", tuple(where))) or adjacency(self))
     solve(QueryOracle(hidden), params, seed=seed)

@@ -3,6 +3,7 @@
 import itertools
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from qtri.graphs import (
     MAX_VERTICES,
     PairSet,
     canon_pair,
-    common_neighbors,
+    common_bands,
 )
 from qtri.rng import keyed, substream
 from qtri.solver import WorkingGraph
@@ -47,12 +48,22 @@ def test_triangle_enumeration_matches_count():
         assert triangle_count(g) == len(brute_triangles(g))
 
 
+# Band cell budgets that split the blocks of small graphs into several bands:
+# one-row bands, so a block of 3 or more vertices spans 3 bands or more, and
+# bands of 2-5 rows on blocks of 8-20 vertices
+SMALL_BANDS = (1, 40)
+
+
 @pytest.mark.parametrize("n, triangles", [(300, 4_455_100), (335, 6_209_895)])
-def test_triangle_count_is_exact_where_a_float32_total_would_round(n, triangles):
+def test_triangle_count_is_exact_where_a_float32_total_would_round(n, triangles, monkeypatch):
     # the masked sum 6 * C(n, 3) is above 2**24 at both sizes; numpy's pairwise
-    # float32 sum of the counts still lands on it at n = 300 but misses it by 2 at n = 335
+    # float32 sum of the counts still lands on it at n = 300 but misses it by 2 at
+    # n = 335; so does the float64 total of one band, of 3-4 bands or of one-row bands
     assert triangles == math.comb(n, 3) and 6 * triangles > 1 << 24
-    assert triangle_count(generate("complete", n, seed=0)) == triangles
+    graph = generate("complete", n, seed=0)
+    for cells in (graphs.BAND_CELLS, (n + 1) * (n // 3), 1):
+        monkeypatch.setattr(graphs, "BAND_CELLS", cells)
+        assert triangle_count(graph) == triangles
 
 
 @pytest.mark.parametrize("graph", [
@@ -63,8 +74,11 @@ def test_triangle_count_is_exact_where_a_float32_total_would_round(n, triangles)
     Graph(12, [(2, 5), (5, 11), (2, 11), (5, 9), (9, 11)]),  # isolated vertices between live ones
     Graph(9, [(7, 8), (8, 9), (7, 9)]),  # vertices 1..6 isolated
 ])
-def test_triangle_count_with_and_without_isolated_vertices(graph):
-    assert triangle_count(graph) == len(brute_triangles(graph))
+def test_triangle_count_with_and_without_isolated_vertices(graph, monkeypatch):
+    want = len(brute_triangles(graph))
+    for cells in (graphs.BAND_CELLS, *SMALL_BANDS):
+        monkeypatch.setattr(graphs, "BAND_CELLS", cells)
+        assert triangle_count(graph) == want
 
 
 @settings(max_examples=80, deadline=None)
@@ -75,7 +89,10 @@ def test_triangle_count_matches_brute_force_with_isolated_vertices(data):
     pairs = list(itertools.combinations(live, 2))
     edges = data.draw(st.lists(st.sampled_from(pairs), unique=True), label="edges") if pairs else []
     g = Graph(n, edges)
-    assert triangle_count(g) == len(brute_triangles(g))
+    want = len(brute_triangles(g))
+    for cells in (graphs.BAND_CELLS, *SMALL_BANDS):
+        with mock.patch.object(graphs, "BAND_CELLS", cells):
+            assert triangle_count(g) == want
 
 
 @pytest.mark.parametrize("n", [3, 7, 8, 9, 63, 64, 65, 200])
@@ -169,8 +186,8 @@ def test_graph_agrees_with_a_set_of_pairs(case, data):
     assert triangle_count(g) == len(brute_triangles(g))
     for rows in (adj, np.triu(adj, 1)):
         brute = (rows[:, None, :] & rows[None, :, :]).sum(axis=2, dtype=np.int64)
-        counts = common_neighbors(rows)
-        assert counts.dtype == np.float32 and np.array_equal(counts, brute)
+        [(start, counts)] = common_bands(rows)  # one band at the default budget
+        assert start == 0 and counts.dtype == np.float32 and np.array_equal(counts, brute)
 
 
 def symmetric_pairs(rng, n, density):
@@ -261,13 +278,19 @@ def test_pair_set_matches_a_boolean_reference(n, density, seed, data):
             rect |= rect.T
             assert pairs.clear_between(a, b) is bool((ref & rect).any())
             ref &= ~rect
-        elif op == "move":  # a symmetric block of pairs among ascending vertices, as a peel moves them
+        elif op == "move":  # an upper row band of a symmetric block of pairs among ascending vertices, as a peel moves it
             live = np.sort(unique_vertices(data, n, "live"))
+            if not len(live):
+                continue
             pick = np.triu(rng.random((len(live), len(live))) < 0.5, 1)
             block = ref[np.ix_(live, live)] & (pick | pick.T)
-            pairs.move_block(live, block, into)
+            first = data.draw(st.integers(0, len(live) - 1), label="band start")
+            height = data.draw(st.integers(1, len(live) - first), label="band height")
+            band = block[first : first + height, first:]
+            pairs.move_block(live[first:], band, into)
             moved = np.zeros_like(ref)
-            moved[np.ix_(live, live)] = block
+            moved[np.ix_(live[first : first + height], live[first:])] = band
+            moved |= moved.T
             ref &= ~moved
             ref_into |= moved
         elif op == "degrees":
@@ -327,7 +350,8 @@ def test_upper_rows_find_upper_pairs_across_word_boundaries(n):
 def uncovered_reference(hoods):
     """Step 2's G' by the dense product: the pairs that no sampled row holds
     both ends of, off row 0, column 0 and the diagonal."""
-    free = common_neighbors(hoods.dense().T) == 0
+    ints = hoods.dense().T.astype(np.int64)
+    free = ints @ ints.T == 0
     free[0] = free[:, 0] = False
     np.fill_diagonal(free, False)
     return free
@@ -357,24 +381,31 @@ def test_uncovered_equals_the_product_of_the_sampled_rows(n, gather, monkeypatch
     assert empty.edge_count == n * (n - 1) // 2
 
 
-def uncovered_peak_and_bound(g, k):
-    """`Graph.uncovered`'s tracemalloc peak on k sampled rows of `g`, as step 1
-    reads them, and the bound its buffers give: G', one block of sampled rows
-    unpacked and its (u, row) index pairs, and one chunk of those pairs'
-    gathered rows and their ORs per u (numpy copies an overlapping `out`, so
-    the ORs cannot overwrite the gathered rows); the packed sample is the caller's."""
-    n = g.n
-    hoods = g.rows(np.sort(np.random.default_rng(0).choice(np.arange(1, n + 1), k, replace=False)))
+def uncovered_buffers(hoods):
+    """The bytes of `Graph.uncovered`'s buffers on the packed sampled rows
+    `hoods`: G', one block of sampled rows unpacked and its (u, row) index
+    pairs, and one chunk of those pairs' gathered rows and their ORs per u
+    (numpy copies an overlapping `out`, so the ORs cannot overwrite the
+    gathered rows); the packed sample is the caller's."""
+    n, row_bytes = hoods.n, hoods._bits.shape[1]
     block = max((graphs.GATHER_ROWS << 6) // (n + 1), 1)  # rows unpacked at once
     most = int(np.bincount(hoods.pairs()[0] // block).max())  # the (u, row) pairs of the fullest block
+    chunk = min(most, graphs.GATHER_ROWS) * row_bytes
+    return (n + 1) * row_bytes + block * (n + 1) + 16 * most + 2 * chunk
+
+
+def uncovered_peak_and_bound(g, k):
+    """`Graph.uncovered`'s tracemalloc peak on k sampled rows of `g`, as step 1
+    reads them, and the bound its buffers give (`uncovered_buffers`)."""
+    n = g.n
+    hoods = g.rows(np.sort(np.random.default_rng(0).choice(np.arange(1, n + 1), k, replace=False)))
     tracemalloc.start()
     try:
-        gprime = Graph.uncovered(hoods)
+        Graph.uncovered(hoods)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    chunk = min(most, graphs.GATHER_ROWS) * gprime._bits.shape[1]
-    return peak, gprime._bits.nbytes + block * (n + 1) + 16 * most + 2 * chunk
+    return peak, uncovered_buffers(hoods)
 
 
 def test_uncovered_memory_stays_within_the_packed_graph_and_one_chunk():
@@ -395,9 +426,41 @@ def test_uncovered_memory_on_a_dense_sample_stays_within_one_block():
 
 @pytest.mark.parametrize("n", [3, (1 << 15) - 1, 1 << 15, MAX_VERTICES])
 def test_common_neighbors_counts_are_exact_float32(n):
-    # a count over rows of length n is at most n, reached by two full rows
-    counts = common_neighbors(np.ones((2, n), dtype=bool))
-    assert counts.dtype == np.float32 and np.array_equal(counts, np.full((2, 2), n))
+    # a count over rows of length n is at most n, reached by two full rows, in
+    # one band or in one-row bands
+    [(start, counts)] = common_bands(np.ones((2, n), dtype=bool))
+    assert start == 0 and counts.dtype == np.float32 and np.array_equal(counts, np.full((2, 2), n))
+    with mock.patch.object(graphs, "BAND_CELLS", 1):
+        bands = [(start, band.dtype, band.tolist()) for start, band in common_bands(np.ones((2, n), dtype=bool))]
+    assert bands == [(0, np.float32, [[n, n]]), (1, np.float32, [[n]])]
+
+
+@pytest.mark.parametrize("rows", [62, 63, 64, 65, 127, 128, 129])
+def test_common_bands_equal_the_whole_product(rows, monkeypatch):
+    # L on and around a uint64 word; bands of one row, of a few rows, and of
+    # heights whose last band is full, one row short or one row long, up to a
+    # single band (height L or more); square blocks and rectangular rows
+    # (n+1)-wide, from boolean or float32 input
+    rng = np.random.default_rng(rows)
+    for width in (rows, 2 * rows + 1):
+        x = rng.random((rows, width)) < 0.4
+        ints = x.astype(np.int64)
+        whole = x.astype(np.float32) @ x.astype(np.float32).T
+        assert np.array_equal(whole, ints @ ints.T)  # the whole float32 product is exact
+        for height in (1, 2, 3, rows // 3, rows // 2, (rows + 1) // 2, rows - 1, rows, rows + 5):
+            monkeypatch.setattr(graphs, "BAND_CELLS", height * rows)
+            for given in (x, x.astype(np.float32)):
+                starts = []
+                for start, band in common_bands(given):  # each band is read before the next overwrites it
+                    starts.append(start)
+                    assert band.dtype == np.float32 and band.shape == (min(height, rows - start), rows - start)
+                    # bit for bit the whole product's upper band
+                    want = np.ascontiguousarray(whole[start : start + len(band), start:])
+                    assert band.tobytes() == want.tobytes()
+                assert starts == list(range(0, rows, height))
+    monkeypatch.setattr(graphs, "BAND_CELLS", 0)  # below one row of cells: one-row bands
+    assert [len(band) for _, band in common_bands(x)] == [1] * rows
+    assert list(common_bands(np.zeros((0, 5), dtype=bool))) == []
 
 
 @pytest.mark.parametrize("kind, n, p", [

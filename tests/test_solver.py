@@ -14,10 +14,10 @@ from hypothesis import strategies as st
 
 from qtri import BudgetExceededError, Graph, Params, QueryOracle, generate, graphs, solve, solver, triangle_count
 from qtri.analysis import cost_terms
-from qtri.graphs import canon_pair, common_neighbors
+from qtri.graphs import canon_pair
 from qtri.grover import grover_success_prob
 from qtri.oracle import StepTag
-from qtri.rng import BLOCK_CAP, child_keys, keyed, seed_keys, substream
+from qtri.rng import BLOCK_CAP, child_keys, doubling_blocks, keyed, seed_keys, substream
 from qtri.solver import (
     MIN_N,
     WorkingGraph,
@@ -40,6 +40,7 @@ from qtri.solver import (
 )
 
 import test_golden
+import test_graphs
 
 DEFAULTS = Params()
 
@@ -282,9 +283,10 @@ def test_a_solve_that_step_2_decides_never_unpacks_a_sampled_row(monkeypatch):
 def test_steps_1_and_2_keep_the_sample_packed():
     # the sparse host as step 1 samples it at n = 4096, k = 1,176 rows; step 2 misses
     # everywhere and builds G'.  From step 1 through step 2 the traced peak stays
-    # within the packed sample, the (u, row) index pairs, and then either their
-    # brief k x (n+1) unpack or G' and one chunk of gathered rows and their ORs: a
-    # boolean sample held through step 2 would add the unpack to G' and the chunk
+    # within the packed sample, step 2's buffers for its fullest block of searches
+    # (the block's (row, member) index pairs, their int64 counts and one
+    # `common_counts` chunk of two gathered rows per pair) and `Graph.uncovered`'s
+    # per-block buffers (`test_graphs.uncovered_buffers`)
     n = 4096
     oracle = QueryOracle(generate("random_bipartite", n, 0, p=3 / 2048))
     tracemalloc.start()
@@ -296,9 +298,14 @@ def test_steps_1_and_2_keep_the_sample_packed():
         tracemalloc.stop()
     assert tri is None and len(hoods) == sample_count(n, DEFAULTS.epsilon) == 1176
     row_bytes = gprime._bits.shape[1]
-    kernel = max(len(hoods) * (n + 1), gprime._bits.nbytes + 2 * graphs.GATHER_ROWS * row_bytes)
-    bound = len(hoods) * row_bytes + 16 * len(hoods.pairs()[0]) + kernel
+    owner = hoods.pairs()[0]
+    blocks = itertools.takewhile(lambda block: block[0] < len(hoods), doubling_blocks())
+    most = max(np.count_nonzero((owner >= start) & (owner < start + size)) for start, size in blocks)
+    search = 24 * most + 2 * min(most, graphs.GATHER_ROWS) * row_bytes
+    bound = len(hoods) * row_bytes + search + test_graphs.uncovered_buffers(hoods)
     assert peak <= bound, (peak, bound)
+    # a whole-sample unpack next to G', as earlier builds made, would not fit
+    assert bound < len(hoods) * row_bytes + gprime._bits.nbytes + len(hoods) * (n + 1)
 
 
 def test_step2_dense_finds_triangle():
@@ -327,9 +334,33 @@ def test_containment_check_matches_the_full_product(
     rng = np.random.default_rng(graph_seed)
     hidden = Graph(n, random_pairs(rng, n, hidden_density))
     candidate = Graph(n, random_pairs(rng, n, candidate_density))
-    common = common_neighbors(hidden.adjacency()).astype(np.int64)  # compare exact counts in float64
+    common = brute_counts(hidden.adjacency())  # compare exact counts in float64
     want = bool((common[candidate.adjacency()] > n ** (1.0 - epsilon)).any())
-    assert containment_violated(hidden, candidate, epsilon) is want
+    for cells in (graphs.BAND_CELLS, *test_graphs.SMALL_BANDS):
+        with mock.patch.object(graphs, "BAND_CELLS", cells):
+            assert containment_violated(hidden, candidate, epsilon) is want
+
+
+def test_containment_check_stops_at_the_first_band_with_a_violation(monkeypatch):
+    # on K12 every vertex is heavy and every pair has 10 common neighbors; in
+    # one-row bands the candidate pair (1, 2) violates in the first band, (11, 12)
+    # only in the eleventh of twelve
+    taken, common_bands = [], solver.common_bands
+
+    def counting(rows):
+        for start, band in common_bands(rows):
+            taken.append(start)
+            yield start, band
+
+    monkeypatch.setattr(solver, "common_bands", counting)
+    monkeypatch.setattr(graphs, "BAND_CELLS", 1)
+    hidden = generate("complete", 12, 0)
+    for pair, bands in (((1, 2), [0]), ((11, 12), list(range(11))), ((5, 9), list(range(5)))):
+        taken.clear()
+        assert containment_violated(hidden, Graph(12, [pair]), 0.5)  # threshold floor(12 ** 0.5) = 3
+        assert taken == bands
+    taken.clear()
+    assert not containment_violated(hidden, Graph(12), 0.5) and taken == list(range(12))
 
 
 def test_containment_check_compares_counts_with_the_unrounded_threshold():
@@ -378,13 +409,13 @@ def test_peel_counts_only_when_the_floor_allows_a_low_pair(monkeypatch):
     low pair out: a working pair keeps at least deg a + deg b - L common
     neighbours, L the live vertex count, so a round counts only when
     2 * min deg - L < tau."""
-    counted = []
+    counted, common_bands = [], solver.common_bands
 
     def counting(*args):
         counted.append(args)
-        return common_neighbors(*args)
+        return common_bands(*args)
 
-    monkeypatch.setattr("qtri.solver.common_neighbors", counting)
+    monkeypatch.setattr(solver, "common_bands", counting)
     working = complete_working(4)  # K4: degrees 3 over L = 4, so every pair keeps 2 * 3 - 4 = 2
     assert len(step4_peel(working, tau=1)) == 0
     assert not counted and working.floor == 2  # the bound, taken without a count
@@ -548,6 +579,19 @@ def test_peel_with_its_shortcuts_matches_a_peel_that_always_counts(data):
     """Peels between vertex removals, as the step-8 loop makes them: the floor
     and the degree bound skip counts, and change no moved row, its order or
     the working set; the floor never exceeds the smallest working count."""
+    assert_peels_match_a_peel_that_always_counts(data)
+
+
+@pytest.mark.parametrize("band_cells", test_graphs.SMALL_BANDS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_peel_over_several_bands_matches_a_peel_that_always_counts(band_cells, data):
+    """The same peels with a block counted and moved a band at a time."""
+    with mock.patch.object(graphs, "BAND_CELLS", band_cells):
+        assert_peels_match_a_peel_that_always_counts(data)
+
+
+def assert_peels_match_a_peel_that_always_counts(data):
     working = random_working(data)
     reference = working_adj(working)
     tau = data.draw(st.integers(1, working.n), label="tau")
@@ -558,6 +602,54 @@ def test_peel_with_its_shortcuts_matches_a_peel_that_always_counts(data):
         v = data.draw(st.integers(1, working.n), label="v")
         working.remove_incident([v])
         reference[v, :] = reference[:, v] = False
+
+
+def test_a_peel_round_holds_one_band_of_counts(monkeypatch):
+    """The first peel that moves a pair in a solve of the sparse host at
+    n = 4096 counts a live block of 1,264 vertices.  With its block cut into
+    eight bands, the traced rise of that peel's first round stays within the
+    boolean block, its float32 copy and one band's buffers: the counts, the
+    low mask, the listing of the band's moved pairs, and the packed scatter of
+    one band of rows.  A whole L x L float32 product alone would not fit."""
+    n = 4096
+    hidden = generate("random_bipartite", n, 0, p=3 / 2048)
+    caught = []  # the working pairs that the loop's first moving peel starts from
+
+    def catching(working, tau):
+        start = working.graph()
+        moved = step4_peel(working, tau)
+        if len(moved) and not caught:
+            caught.append(start)
+        return moved
+
+    with monkeypatch.context() as patch:
+        patch.setattr(solver, "step4_peel", catching)
+        solve(QueryOracle(hidden), DEFAULTS, seed=0)
+    working = WorkingGraph(caught[0])  # floor 0: the round counts
+    size = len(np.flatnonzero(working.degrees()))
+    height = size // 8
+    monkeypatch.setattr(graphs, "BAND_CELLS", height * size)
+    opened, degrees = [], WorkingGraph.degrees
+
+    def opening(self):  # each round opens with the degrees; the peak restarts there
+        opened.append((*tracemalloc.get_traced_memory(), int(self.peeled.degrees().sum()) // 2))
+        tracemalloc.reset_peak()
+        return degrees(self)
+
+    monkeypatch.setattr(WorkingGraph, "degrees", opening)
+    tracemalloc.start()
+    try:
+        step4_peel(working, peel_threshold(n, DEFAULTS.epsilon_prime))
+    finally:
+        tracemalloc.stop()
+    (base, _, _), (_, peak, moved) = opened[:2]
+    assert size == 1264 and 0 < moved < 100  # a round that moves a few pairs; the later ones cascade
+    row_bytes = working._bits.shape[1]
+    band = height * size * (4 + 1)  # float32 counts and the boolean low mask
+    scatter = height * (n + 1) + 3 * height * row_bytes  # the boolean rows, packed, inverted and gathered
+    bound = 5 * size * size + band + scatter + 64 * moved + 16 * (n + 1) + (n + 1) * row_bytes // 8
+    assert peak - base <= bound, (peak - base, bound)
+    assert bound < 9 * size * size  # the block, its copy and a whole float32 product
 
 
 def random_pairs(rng, n, density, sides=None):
@@ -1063,14 +1155,18 @@ def test_triangle_space_counts_marked_triangles_in_the_intersection(seed, monkey
         assert space.marked_count == len(marked)
         assert (space.draw_marked is None) == (not marked)
         for draw in range(20 if marked else 0):
-            assert space.draw_marked(substream(seed, "draw", draw)) in marked
+            tri = space.draw_marked(substream(seed, "draw", draw))
+            assert tri in marked
+            for cells in test_graphs.SMALL_BANDS:  # a band at a time, the same pick from the same draws
+                with monkeypatch.context() as patch:
+                    patch.setattr(graphs, "BAND_CELLS", cells)
+                    assert space.draw_marked(substream(seed, "draw", draw)) == tri
 
 
 def test_step9_weighs_no_pair_when_its_search_misses(monkeypatch):
     # the pair weights are built by the sampler only, which runs after a hit
-    calls = []
-    monkeypatch.setattr("qtri.solver.common_neighbors",
-                        lambda x: calls.append(x.shape) or common_neighbors(x))
+    calls, common_bands = [], solver.common_bands
+    monkeypatch.setattr(solver, "common_bands", lambda x: calls.append(x.shape) or common_bands(x))
     hidden = Graph(8, [(1, 2), (2, 3), (1, 3), (5, 6), (6, 7), (5, 7)])
     blowup = Graph(8, [(a, b) for a in (1, 2, 3, 4) for b in (5, 6, 7, 8)])
     pool = Graph(8, [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6)])
@@ -1128,7 +1224,7 @@ def expected_apex_counts(hidden, pool):
     """Step 10's (pool size, g) and nonzero per-pair counts, from the whole hidden matrix."""
     adj = hidden.adjacency()
     rows, cols = np.nonzero(np.triu(adj & pool.adjacency(), 1))
-    counts = common_neighbors(adj)[rows, cols]
+    counts = brute_counts(adj)[rows, cols]
     return (pool.edge_count, len(rows)), counts[counts > 0].tolist()
 
 
@@ -1137,14 +1233,18 @@ def assert_late_steps_use_global_labels(hidden, pool, seeds):
     space = _triangle_space(hidden, pool)
     assert space.size == triangle_count(pool)
     assert space.marked_count == len(marked)
-    drawn = {space.draw_marked(substream(seed, "draw")) for seed in range(seeds)} if marked else set()
-    assert drawn <= marked
+    drawn = [space.draw_marked(substream(seed, "draw")) for seed in range(seeds)] if marked else []
+    assert set(drawn) <= marked
+    with mock.patch.object(graphs, "BAND_CELLS", 1):  # one-row bands: the same counts and picks
+        assert triangle_count(pool) == space.size
+        if marked:
+            assert [space.draw_marked(substream(seed, "draw")) for seed in range(seeds)] == drawn
     (size, g), counts = expected_apex_counts(hidden, pool)
     if g:  # step 10 runs its edge search only when the pool holds a hidden edge
         first, recorded = step10_apex_counts(hidden, pool)
         assert first == (size, g)
         assert recorded[:len(counts)] == counts
-    return drawn
+    return set(drawn)
 
 
 def test_late_steps_at_high_sparse_labels():
