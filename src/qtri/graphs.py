@@ -6,28 +6,29 @@ Vertices are the integers 1..n and unordered pairs are canonicalised to
 matrix whose rows are padded to whole uint64 words, and this module is the
 only one that knows that layout: every other module reads a graph through
 `has_edge`, `degrees`, `edges`, the index arrays `pairs`, the packed rows of
-chosen vertices `rows`, a `Rows` reader with its own `pairs`, bit reads `at`
-and boolean form `dense` (`adjacency` is every row's), the boolean `block`
-among chosen vertices, the intersection `&` of two graphs and the difference
-`graph(*minus)`, each itself a `Graph`, and the packed count `common_counts`.
-The packed reads AND and popcount whole uint64 words, and no way into a
-`Graph` passes through an (n+1)^2 matrix: `Graph.uncovered` builds step 2's
-G' from the ORs of the packed sampled rows.  A `PairSet` is a mutable pair
-set in the same layout, which clears, moves (a band of a block at a time)
-and scans pairs on the packed words and hands them back as a `Graph`.
-`common_bands`, the one matrix product, yields a block's counts as upper
-row bands of at most BAND_CELLS cells, which every caller reduces band by
-band.  `generate` writes every instance
-straight into the packed rows; its random kinds draw raw Philox words a
-chunk of rows at a time, so the memory stays near the packed graph's up to
-MAX_VERTICES.
+chosen vertices `rows`, a `Rows` reader with its own `pairs`, `degrees`,
+slices, bit reads `at` and boolean form `dense` (`adjacency` is every row's),
+the boolean `block` among chosen vertices, the intersection `&` of two graphs
+and the difference `graph(*minus)`, each itself a `Graph`, and the packed
+counts `common_counts` and `neighbors_in`.  The packed reads AND and popcount
+whole uint64 words, and no way into a `Graph` passes through an (n+1)^2
+matrix: a `Cover` ORs packed rows into the row of each vertex they hold,
+says whether those ORs meet a graph's rows, and hands back its complement,
+step 2's G' (`Graph.uncovered` covers every sampled row).  A `PairSet` is
+a mutable pair set in the same layout, which clears, moves (a band of a
+block at a time) and scans pairs on the packed words and hands them back as
+a `Graph`.  `common_bands`, the one matrix product, yields a block's counts
+as upper row bands of at most BAND_CELLS cells, which every caller reduces
+band by band.  `generate` writes every instance straight into the packed
+rows; its random kinds draw raw Philox words a chunk of rows at a time, so
+the memory stays near the packed graph's up to MAX_VERTICES.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -124,28 +125,10 @@ class Graph:
     @classmethod
     def uncovered(cls, hoods: "Rows") -> "Graph":
         """Step 2's G' from the packed sampled `Rows` `hoods`: the pairs that no
-        row holds both ends of.  The covered row of u is the OR of the rows that
-        hold u.  Blocks of rows of at most GATHER_ROWS << 6 cells are unpacked in
-        turn, and each block's (u, row) pairs, u-major, are gathered GATHER_ROWS
-        at a time (a u whose pairs span two chunks or blocks ORs into its row
-        again); G' is the complement, less row 0, column 0, the diagonal and padding."""
-        n, sampled = hoods.n, hoods._bits.view(np.uint64)
-        words = np.zeros((n + 1, sampled.shape[1]), dtype=np.uint64)
-        size = max((GATHER_ROWS << 6) // (n + 1), 1)
-        for first in range(0, len(hoods), size):
-            block = sampled[first : first + size]
-            user, owner = np.nonzero(Rows(n, block.view(np.uint8)).dense().T)  # u ascending
-            for start in range(0, len(user), GATHER_ROWS):
-                part = slice(start, start + GATHER_ROWS)
-                heads = np.flatnonzero(np.diff(user[part], prepend=-1))  # each u's first pair in the chunk
-                ors = np.bitwise_or.reduceat(np.take(block, owner[part], axis=0), heads, axis=0)
-                words[user[part][heads]] |= ors  # a statement of its own, so the gathered rows are freed first
-                del ors  # nor kept alive through the next chunk's gather
-        np.invert(words, out=words)
-        words &= _packed(np.arange(n + 1)[None] > 0).view(np.uint64)  # column 0 and the padding
-        words[0] = 0
-        _clear_diagonal(words.view(np.uint8))
-        return cls.__new__(cls)._set(n, words.view(np.uint8))
+        row holds both ends of, the complement of the `Cover` of every row."""
+        cover = Cover(hoods.n)
+        cover.add(hoods)
+        return cover.uncovered()
 
     @property
     def edge_count(self) -> int:
@@ -218,11 +201,24 @@ class Graph:
         a, b = self._vertices(a), self._vertices(b)
         if len(a) != len(b):
             raise ValueError(f"vertex arrays of lengths {len(a)} and {len(b)} do not pair up")
+        return self._and_counts(a, lambda part: np.take(self._words, b[part], axis=0))
+
+    def neighbors_in(self, vertices: Sequence[int] | np.ndarray, row: "Rows") -> np.ndarray:
+        """int64 counts[i] of the neighbors of vertices[i] that the one packed
+        row of `row` holds, GATHER_ROWS vertices at a time."""
+        if len(row) != 1:
+            raise ValueError(f"a reader of {len(row)} rows is not one row")
+        words = row._bits.view(np.uint64)
+        return self._and_counts(self._vertices(vertices), lambda part: words)
+
+    def _and_counts(self, a: np.ndarray, other: Callable[[slice], np.ndarray]) -> np.ndarray:
+        """The popcounts of the packed rows of `a` ANDed with the words
+        other(part) for each chunk `part` of GATHER_ROWS of them."""
         count = np.empty(len(a), dtype=np.int64)
         for start in range(0, len(a), GATHER_ROWS):
             part = slice(start, start + GATHER_ROWS)
             block = np.take(self._words, a[part], axis=0)
-            block &= np.take(self._words, b[part], axis=0)
+            block &= other(part)
             # a count is at most n - 1, so 16 bits hold it for every n up to MAX_VERTICES;
             # einsum's row sums beat `sum(axis=1)` over the few words of a row
             count[part] = np.einsum("ij->i", np.bitwise_count(block), dtype=np.uint16)
@@ -252,12 +248,19 @@ class Rows:
     def __len__(self) -> int:
         return len(self._bits)
 
-    def pairs(self, start: int = 0, stop: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """The (row, column) index pairs of the set bits of rows start..stop-1,
-        rows counted from `start`, row-major, unpacking only nonzero bytes."""
-        bits = self._bits[start:stop]
-        rows, byte = np.nonzero(bits)
-        flat = np.flatnonzero(np.unpackbits(bits[rows, byte], bitorder="little"))  # bit 8h + i: bit i of byte h
+    def __getitem__(self, rows: slice) -> "Rows":
+        """The reader of a slice of the rows, on the same memory."""
+        return Rows(self.n, self._bits[rows])
+
+    def degrees(self) -> np.ndarray:
+        """Each row's int64 count of set bits."""
+        return np.bitwise_count(self._bits.view(np.uint64)).sum(axis=1, dtype=np.int64)
+
+    def pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """The (row, column) index pairs of the set bits, row-major, unpacking
+        only nonzero bytes."""
+        rows, byte = np.nonzero(self._bits)
+        flat = np.flatnonzero(np.unpackbits(self._bits[rows, byte], bitorder="little"))  # bit 8h + i: bit i of byte h
         hit = flat >> 3
         return rows[hit], byte[hit] * 8 + (flat & 7)
 
@@ -273,6 +276,63 @@ class Rows:
     def dense(self) -> np.ndarray:
         """The rows as a boolean matrix with columns 0..n (column 0 unused)."""
         return np.unpackbits(self._bits, axis=1, count=self.n + 1, bitorder="little").view(bool)
+
+
+class Cover:
+    """The pairs that the squares of packed adjacency rows cover, in `Graph`'s
+    layout: row u is the OR of the added rows that hold u, so it holds each w
+    that shares an added row with u.  The words are allocated at the first
+    `add`; `uncovered` is the complement, step 2's G'."""
+
+    __slots__ = ("n", "_words")
+
+    def __init__(self, n: int) -> None:
+        self.n, self._words = n, None
+
+    def _cover(self) -> np.ndarray:
+        if self._words is None:
+            self._words = np.zeros((self.n + 1, _row_bytes(self.n + 1) // 8), dtype=np.uint64)
+        return self._words
+
+    def add(self, rows: Rows, hidden: Graph | None = None) -> bool:
+        """OR each of `rows` into the row of every vertex that it holds.  Blocks
+        of rows of at most GATHER_ROWS << 6 cells are unpacked in turn, and each
+        block's (u, row) pairs, u-major, are gathered GATHER_ROWS at a time (a u
+        whose pairs span two chunks or blocks ORs into its row again).  Given a
+        graph `hidden`, say whether some chunk's OR for a u meets u's row of
+        `hidden`: whether a square of `rows` covers an edge of `hidden`, which
+        the rows added before do not sway."""
+        n, words, added = self.n, self._cover(), rows._bits.view(np.uint64)
+        meets = False
+        size = max((GATHER_ROWS << 6) // (n + 1), 1)
+        for first in range(0, len(rows), size):
+            block = added[first : first + size]
+            user, owner = np.nonzero(Rows(n, block.view(np.uint8)).dense().T)  # u ascending
+            for start in range(0, len(user), GATHER_ROWS):
+                part = slice(start, start + GATHER_ROWS)
+                heads = np.flatnonzero(np.diff(user[part], prepend=-1))  # each u's first pair in the chunk
+                users = user[part][heads]
+                ors = np.bitwise_or.reduceat(np.take(block, owner[part], axis=0), heads, axis=0)
+                if hidden is not None and not meets:
+                    met = np.take(hidden._words, users, axis=0)
+                    met &= ors
+                    meets = bool(met.any())
+                    del met
+                words[users] |= ors  # a statement of its own, so the gathered rows are freed first
+                del ors  # nor kept alive through the next chunk's gather
+        return meets
+
+    def uncovered(self) -> Graph:
+        """The pairs that no added row covers, as a `Graph` on the cover's own
+        words, inverted in place, less row 0, column 0, the diagonal and the
+        padding; the cover is spent."""
+        n, words = self.n, self._cover()
+        self._words = None
+        np.invert(words, out=words)
+        words &= _packed(np.arange(n + 1)[None] > 0).view(np.uint64)  # column 0 and the padding
+        words[0] = 0
+        _clear_diagonal(words.view(np.uint8))
+        return Graph.__new__(Graph)._set(n, words.view(np.uint8))
 
 
 class PairSet:
@@ -382,7 +442,8 @@ def common_bands(rows: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
     @ x[i:].T) for i = 0, b, 2b, ..., in float32.  The height b is
     BAND_CELLS // L (one row at least); one band of b >= L rows is the whole
     product.  Each band overwrites the last in one buffer, so a caller
-    reduces a band before it asks for the next.  This is the one place that
+    reduces a band before it asks for the next; the float32 copy of a
+    boolean x is freed before the last band is yielded.  This is the one place that
     multiplies adjacency matrices: a band's diagonal tile is a symmetric
     product, which numpy computes with half the work, so the bands cost what
     the whole symmetric product does.  float32 is exact, since every partial
@@ -395,6 +456,8 @@ def common_bands(rows: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
         band = buffer[: len(tile) * (len(x) - i)].reshape(len(tile), len(x) - i)
         np.matmul(tile, tile.T, out=band[:, : len(tile)])
         np.matmul(tile, x[i + len(tile) :].T, out=band[:, len(tile) :])
+        if len(band) == band.shape[1]:  # the last band is square: free x's float32 copy while it is reduced
+            del x, tile
         yield i, band
 
 

@@ -6,21 +6,24 @@ one classical unit per probed pair: steps 1 and 7 read whole rows with one
 `QueryOracle.read_rows` block read, step 5 reads a batch of pairs (v, u) for
 each of a batch of vertices with `QueryOracle.query_rows`, and verification
 probes single pairs with `QueryOracle.query`.  Step 1 hands step 2 the
-sampled rows still packed, a `graphs.Rows`: step 2 reads their (row, member)
-pairs a block at a time, and `Graph.uncovered` turns those billed rows alone
-into the candidate set G' on packed words.  The pair bookkeeping is classical,
-free once built, and stays in `graphs`' packed layout: the loop works on a
-`WorkingGraph`, a `graphs.PairSet` of the pairs still working, whose step-4
-peels move pairs into T, another `PairSet`; E is the rest of G'.
+sampled rows still packed, a `graphs.Rows`: step 2 ORs them a block at a
+time into a `graphs.Cover`, whose complement is the candidate set G' on
+packed words, built from those billed rows alone.  The pair bookkeeping is
+classical, free once built, and stays in `graphs`' packed layout: the loop
+works on a `WorkingGraph`, a `graphs.PairSet` of the pairs still working,
+whose step-4 peels move pairs into T, another `PairSet`; E is the rest of G'.
 Between peels `WorkingGraph.floor` keeps a lower bound on the common-neighbor
 counts, so a peel that cannot find a pair skips its count, and so does a
 round whose degree bound, 2 * min deg - L over the L live vertices, reaches
 the threshold.  The search-space builders read the hidden graph unbilled, as
 simulator privilege, through the `Graph.rows` reader, `hidden & pool`
-and the packed `Graph.common_counts`, a block of rows at a time in the blocks
-of `rng.doubling_blocks`.  A step-2 search with nothing marked is a sure miss
-whose charges alone are random, so step 2 bills each run of them in a block
-with one `grover.bill_sure_misses` call.  The loop classifies a batch of
+and the packed counts `Graph.common_counts` and `Graph.neighbors_in`.  Step
+2 tests each block of `rng.doubling_blocks` on its cover: a search is marked
+exactly when its square covers a hidden edge, so `Cover.add` says whether a
+block holds a marked search, and only such a block is pair-counted.  A
+search with nothing marked is a sure miss whose charges alone are random,
+so step 2 bills each run of them in a block with one
+`grover.bill_sure_misses` call.  The loop classifies a batch of
 vertices at a time: the run that it would visit while every verdict is LOW
 and every peel skips, read off the packed rows with `PairSet.upper_rows`,
 with one step-5 pass over the streams' raw output and one step-6 clear.  A
@@ -45,7 +48,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .graphs import Graph, PairSet, Rows, common_bands, triangle_count
+from .graphs import Cover, Graph, PairSet, Rows, common_bands, triangle_count
 from .grover import SearchSpace, bill_sure_misses, edge_restricted_triangle_search, safe_grover
 from .oracle import LedgerReport, QueryOracle, StepTag, verify_triangle
 from .rng import BLOCK_CAP, child_keys, doubling_blocks, keyed, lemire_draws, substream, substream_keys
@@ -266,29 +269,44 @@ def step2_build_gprime(
     Returns (triangle, G'), G' None after a hit; `_search` adds the misses
     to `events`.  Search i draws from child i of `rng`, keyed by `child_keys`
     a block of `rng.doubling_blocks` at a time, so `rng` may end past the
-    last key a search used.  Each block's marked counts come from one
-    `Graph.common_counts` call, which pairs every sampled neighbor with its
-    sample, so a search that hits early leaves the later blocks uncounted.
-    A search with nothing marked is a sure miss: each run of them between
-    two marked searches is billed in one `bill_sure_misses` call, and each
-    marked search runs through `_search` in its turn.
+    last key a search used.  A search is marked exactly when its square
+    covers a hidden edge, so each block of rows is tested on the `Cover` that
+    G' needs anyway: `Cover.add` ORs the block's rows into each member's row
+    and says whether one of those ORs meets the member's hidden row.  When
+    none does, every search of the block is a sure miss, billed in one
+    `bill_sure_misses` call with sizes from the rows' popcounts.  Only a
+    block that covers a hidden edge pairs each sampled neighbor with its
+    sample in one `Graph.common_counts` call; each run of sure misses
+    between two marked searches is billed in one call, and each marked
+    search runs through `_search` in its turn.  A one-row block is its own
+    cover at each member, so `Graph.neighbors_in` gives its weights, and its
+    row joins the cover only once its search has missed: a search that hits
+    early leaves the later blocks untested and, at the first block, the
+    cover unallocated.  G' is the complement of the cover.
     """
     sampled = np.asarray(sample)
+    cover = Cover(oracle.n)
     for start, size in doubling_blocks():
         size = min(size, len(hoods) - start)
         if size <= 0:
             break
         keys = child_keys(rng, start, size)
-        owner, member = hoods.pairs(start, start + size)  # row-major: each row's members ascend
-        count = oracle.hidden.common_counts(sampled[start : start + size][owner], member)
-        # row i's members are member[bounds[i]:bounds[i + 1]]; a row is marked
-        # when one of its members has a hidden neighbor in the row's square
-        bounds = np.searchsorted(owner, np.arange(size + 1))
-        lengths = np.diff(bounds)
+        block = hoods[start : start + size]
+        lengths = block.degrees()
         sizes = (lengths * (lengths - 1) // 2).tolist()
-        marked = np.flatnonzero(np.bincount(owner[count > 0], minlength=size))
+        marked = []
+        if size == 1 or cover.add(block, oracle.hidden):
+            owner, member = block.pairs()  # row-major: each row's members ascend
+            if size == 1:
+                count = oracle.hidden.neighbors_in(member, block)
+            else:
+                count = oracle.hidden.common_counts(sampled[start : start + size][owner], member)
+            # row i's members are member[bounds[i]:bounds[i + 1]]; a row is marked
+            # when one of its members has a hidden neighbor in the row's square
+            bounds = np.searchsorted(owner, np.arange(size + 1))
+            marked = np.flatnonzero(np.bincount(owner[count > 0], minlength=size)).tolist()
         i = 0
-        for j in marked.tolist() + [size]:
+        for j in marked + [size]:
             # the sure misses before the next marked search
             bill_sure_misses(sizes[i:j], keys[i:j], 1, params.c_safe, oracle, StepTag.STEP2)
             if j == size:
@@ -299,7 +317,9 @@ def step2_build_gprime(
             if tri is not None:
                 return tri, None
             i = j + 1
-    return None, Graph.uncovered(hoods)
+        if size == 1:
+            cover.add(block)
+    return None, cover.uncovered()
 
 
 def containment_violated(hidden: Graph, candidate: Graph, epsilon: float) -> bool:

@@ -233,9 +233,10 @@ def test_block_matches_the_unpacked_rows(n):
 @pytest.mark.parametrize("n", PAIR_SET_SIZES)
 def test_rows_reader_matches_the_unpacked_rows(n):
     # n + 1 just below, on and just above 64 and 128 bits, and k = 0, 1 and more
-    # rows, repeats included: `pairs(start, stop)` is the row-major nonzero of the
-    # unpacked rows start..stop-1, and `at` reads row i's bits at row i of a
-    # column array, duplicate columns included
+    # rows, repeats included: the `pairs` of the slice [start:stop] is the
+    # row-major nonzero of the unpacked rows start..stop-1 and its `degrees` their
+    # sums, and `at` reads row i's bits at row i of a column array, duplicate
+    # columns included
     rng = np.random.default_rng(n)
     for density in (0.02, 0.3, 0.9):
         adj = symmetric_pairs(rng, n, density)
@@ -246,9 +247,11 @@ def test_rows_reader_matches_the_unpacked_rows(n):
             dense = rows.dense()
             assert len(rows) == k and dense.dtype == bool and np.array_equal(dense, adj[vertices])
             for start, stop in ((0, None), (0, k), (1, 3), (k // 2, k), (max(k - 1, 0), k + 5), (k + 1, None)):
-                got, want = rows.pairs(start, stop), np.nonzero(dense[start:stop])
+                got, want = rows[start:stop].pairs(), np.nonzero(dense[start:stop])
                 assert len(got) == 2 and all(a.dtype == np.intp for a in got)
                 assert all(np.array_equal(a, b) for a, b in zip(got, want)), (k, start, stop)
+                degrees = rows[start:stop].degrees()
+                assert degrees.dtype == np.int64 and degrees.tolist() == dense[start:stop].sum(axis=1).tolist()
             columns = rng.integers(1, n + 1, size=(k, 2 * n))  # every row repeats columns
             bits = rows.at(columns)
             assert bits.dtype == bool and np.array_equal(bits, adj[vertices[:, None], columns])
@@ -381,15 +384,20 @@ def test_uncovered_equals_the_product_of_the_sampled_rows(n, gather, monkeypatch
     assert empty.edge_count == n * (n - 1) // 2
 
 
-def uncovered_buffers(hoods):
-    """The bytes of `Graph.uncovered`'s buffers on the packed sampled rows
-    `hoods`: G', one block of sampled rows unpacked and its (u, row) index
-    pairs, and one chunk of those pairs' gathered rows and their ORs per u
-    (numpy copies an overlapping `out`, so the ORs cannot overwrite the
-    gathered rows); the packed sample is the caller's."""
+def uncovered_buffers(hoods, starts=(0,)):
+    """The bytes of `Cover`'s buffers when the packed sampled rows `hoods` are
+    added in the slices of rows that begin at the ascending `starts` (all at
+    once by default, as `Graph.uncovered` adds them): the cover, which G' is
+    inverted in, one block of rows unpacked and its (u, row) index pairs, and
+    one chunk of those pairs' gathered rows and their ORs per u (numpy copies
+    an overlapping `out`, so the ORs cannot overwrite the gathered rows; the
+    ORs' AND with the hidden rows is taken once the gathered rows are freed);
+    the packed sample is the caller's."""
     n, row_bytes = hoods.n, hoods._bits.shape[1]
     block = max((graphs.GATHER_ROWS << 6) // (n + 1), 1)  # rows unpacked at once
-    most = int(np.bincount(hoods.pairs()[0] // block).max())  # the (u, row) pairs of the fullest block
+    owner, starts = hoods.pairs()[0], np.asarray(starts)
+    which = np.searchsorted(starts, owner, side="right") - 1  # the slice of each pair's row
+    most = int(np.bincount(which * len(hoods) + (owner - starts[which]) // block).max())  # the fullest block
     chunk = min(most, graphs.GATHER_ROWS) * row_bytes
     return (n + 1) * row_bytes + block * (n + 1) + 16 * most + 2 * chunk
 
@@ -422,6 +430,65 @@ def test_uncovered_memory_on_a_dense_sample_stays_within_one_block():
     peak, bound = uncovered_peak_and_bound(generate("bipartite_blowup", 4096, 0), 1176)
     assert peak <= bound, (peak, bound)
     assert bound < 9 << 20
+
+
+def squares_cover_an_edge(hidden, rows):
+    """Whether the square of one of the packed `rows` holds an edge of `hidden`."""
+    adj = hidden.adjacency()
+    return any(adj[np.ix_(members, members)].any() for members in map(np.flatnonzero, rows.dense()))
+
+
+COVER_HOSTS = {  # hosts whose squares cover no edge, a few, or every one
+    "empty": lambda n, seed: generate("erdos_renyi", n, seed, p=0.0),
+    "sparse": lambda n, seed: generate("erdos_renyi", n, seed, p=3 / n),
+    "complete": lambda n, seed: generate("erdos_renyi", n, seed, p=1.0),
+    "bipartite": lambda n, seed: generate("random_bipartite", n, seed, p=0.4),
+    "planted": lambda n, seed: generate("planted_triangle", n, seed, p=1 / n),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(host=st.sampled_from(sorted(COVER_HOSTS)), n=st.sampled_from(PAIR_SET_SIZES),
+       gather=st.sampled_from([2, 7, graphs.GATHER_ROWS]), graph_seed=st.integers(0, 10**6), data=st.data())
+def test_a_cover_meets_a_hidden_edge_exactly_when_a_square_holds_one(host, n, gather, graph_seed, data):
+    # step 2's marked test: two blocks of rows, each a run of vertices that may
+    # straddle a word boundary, added in turn; each answer is its own block's,
+    # whatever the first block added, and the complement is the product's G'.
+    # Two or seven gathered pairs a chunk split a member's rows across chunks
+    # (and two cut blocks of at most 2 << 6 cells, a row or two at these n)
+    hidden = COVER_HOSTS[host](n, graph_seed)
+    starts = [v for v in (1, 2, 60, 62, 63, 64, 65, 100, 126, 127, 128) if v <= n]
+    blocks = []
+    for label in ("first", "second"):
+        start = data.draw(st.sampled_from(starts), label=f"{label} start")
+        size = data.draw(st.integers(1, n + 1 - start), label=f"{label} size")
+        blocks.append(np.arange(start, start + size))
+    with mock.patch.object(graphs, "GATHER_ROWS", gather):
+        cover = graphs.Cover(n)
+        for block in blocks:
+            assert cover.add(hidden.rows(block), hidden) == squares_cover_an_edge(hidden, hidden.rows(block))
+        got, want = cover.uncovered(), uncovered_reference(hidden.rows(np.concatenate(blocks)))
+    assert got.n == n and np.array_equal(got.adjacency(), want)
+    if host in ("empty", "bipartite"):
+        assert not squares_cover_an_edge(hidden, hidden.rows(np.arange(1, n + 1)))
+
+
+def test_a_cover_answers_for_the_rows_of_its_own_add():
+    # vertex 1's row {2, 3} covers the edge (2, 3); vertex 5's row {2} covers no
+    # pair, though the cover's row of 2 then holds 3, a neighbor of 2
+    hidden = Graph(6, [(1, 2), (1, 3), (2, 3), (2, 5)])
+    cover = graphs.Cover(6)
+    assert cover.add(hidden.rows([1]), hidden)
+    assert not cover.add(hidden.rows([5]), hidden)
+    assert cover.add(hidden.rows([5, 1]), hidden)
+
+
+def test_a_cover_allocates_its_words_at_the_first_add():
+    cover = graphs.Cover(8)
+    assert cover._words is None
+    assert cover.uncovered().edge_count == 28  # nothing added: every pair is uncovered
+    cover.add(K3.rows([]))
+    assert cover._words is not None
 
 
 @pytest.mark.parametrize("n", [3, (1 << 15) - 1, 1 << 15, MAX_VERTICES])
@@ -461,6 +528,23 @@ def test_common_bands_equal_the_whole_product(rows, monkeypatch):
     monkeypatch.setattr(graphs, "BAND_CELLS", 0)  # below one row of cells: one-row bands
     assert [len(band) for _, band in common_bands(x)] == [1] * rows
     assert list(common_bands(np.zeros((0, 5), dtype=bool))) == []
+
+
+@pytest.mark.parametrize("height", [100, 300])
+def test_common_bands_free_the_float32_copy_before_the_last_band(height, monkeypatch):
+    # a boolean block of 300 x 2,000 cells has a 2.4 MB float32 copy, which
+    # every band but the last needs; the caller reduces the last band (a peel
+    # moves its pairs) once the copy is freed: three bands, or one
+    monkeypatch.setattr(graphs, "BAND_CELLS", height * 300)
+    x = np.random.default_rng(0).random((300, 2000)) < 0.5
+    copy = x.size * 4
+    tracemalloc.start()
+    try:
+        held = [tracemalloc.get_traced_memory()[0] for _ in common_bands(x)]
+    finally:
+        tracemalloc.stop()
+    assert len(held) == 300 // height
+    assert all(bytes_ > copy for bytes_ in held[:-1]) and held[-1] < copy, held
 
 
 @pytest.mark.parametrize("kind, n, p", [
@@ -515,6 +599,10 @@ def test_mask_degrees_match_the_unpacked_brute_force(n, gather_rows, monkeypatch
             count = graph.common_counts(block[rows], cols)
             brute = [int(np.count_nonzero(adj[m] & adj[block[o]])) for o, m in zip(rows, cols)]
             assert count.dtype == np.int64 and count.tolist() == brute
+            for owner in block[:2]:  # a one-row block of step 2, whose row is its own cover
+                members = np.flatnonzero(adj[owner])
+                inside = graph.neighbors_in(members, graph.rows([owner]))
+                assert inside.dtype == np.int64 and inside.tolist() == adj[members][:, members].sum(axis=1).tolist()
         # any pairs, repeats and a == b included
         for size in (1, 6, 8, 13, 64, 3 * n + 1, 2 * gather_rows + 5):
             a, b = rng.integers(1, n + 1, size=(2, size))
@@ -780,6 +868,9 @@ def test_rows_reject_bad_vertices():
     for a, b in (([1], [2, 3, 4]), ([1], [2, 3, 3]), ([1, 2], []), ([], [3])):
         with pytest.raises(ValueError, match="do not pair up"):  # not broadcast
             K4.common_counts(a, b)
+    for vertices, rows in (([4], K3.rows([1])), ([0], K3.rows([1])), ([1], K3.rows([1, 2])), ([1], K3.rows([]))):
+        with pytest.raises(ValueError):
+            K3.neighbors_in(vertices, rows)
     for v in (0, 4):
         with pytest.raises(ValueError):
             K3.rows([v]).at([[1]])

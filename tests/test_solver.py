@@ -223,6 +223,49 @@ def blowup_with_pair(n, a, b):
     return Graph(n, [*generate("bipartite_blowup", n, seed=0).edges(), (a, b)])
 
 
+def step2_walks(monkeypatch, graph, miss=False):
+    """Step 2's block walk and the per-vertex reference on `graph`, each after
+    its own step 1, with every marked search forced to miss when `miss` is
+    set.  Checks that both bill the same charges in the same order, that the
+    walk hands only the marked searches to `_search`, and that it pair-counts
+    only the blocks of more than one row that hold one; returns the walk's
+    triangle, G', charges and the searches it handed to `_search`, step 1's
+    sample and rows, and every search the reference made as (vertex, size,
+    marked count)."""
+    seen, charges, counted = [], [], []
+    search, charge_batch, common_counts = solver._search, QueryOracle.charge_batch, Graph.common_counts
+
+    def spy(oracle, space, params, tag, rng, events, v):
+        seen.append((v, space.size, space.marked_count))
+        tri = search(oracle, space, params, tag, rng, events, v)
+        return None if miss else tri
+
+    def recording(oracle, amounts, tag):
+        charges.extend(amounts)
+        return charge_batch(oracle, amounts, tag)
+
+    monkeypatch.setattr(solver, "_search", spy)
+    monkeypatch.setattr(QueryOracle, "charge_batch", recording)
+    monkeypatch.setattr(Graph, "common_counts", lambda *args: counted.append(args[1]) or common_counts(*args))
+    runs = []
+    for walk in (step2_build_gprime, step2_per_vertex):
+        oracle = QueryOracle(graph)
+        sample, hoods = step1_sample(oracle, DEFAULTS, substream(0, "step1"))
+        out = walk(oracle, sample, hoods, DEFAULTS, substream(0, "step2"), set())
+        runs.append((out, seen[:], charges[:], oracle.report(), counted[:]))
+        for log in (seen, charges, counted):
+            log.clear()
+    ((tri, gprime), searched, billed, ledger, walked), (ref_tri, searches, ref_billed, ref_ledger, _) = runs
+    assert (tri, billed, ledger) == (ref_tri, ref_billed, ref_ledger)
+    assert searched == [search for search in searches if search[2]]
+    marked = {v for v, _, _ in searched}
+    blocks = [sample[start : start + size] for start, size in itertools.takewhile(
+        lambda block: block[0] < len(searches), doubling_blocks())]
+    assert [sorted(set(a.tolist())) for a in walked] == [
+        block for block in blocks if len(block) > 1 and marked & set(block)]
+    return tri, gprime, billed, searched, sample, hoods, searches
+
+
 @pytest.mark.parametrize("graph, hit", [
     # K_{32,32} plus the pair (6, 7) on one side: k = n samples every vertex,
     # ascending, and the first square that holds a hidden edge is vertex 6's,
@@ -233,38 +276,48 @@ def blowup_with_pair(n, a, b):
 ])
 def test_step2_block_walk_matches_a_per_vertex_reference(monkeypatch, graph, hit):
     # the block walk hands only the marked searches to `_search`, and bills the
-    # sure misses between them in runs: the same charges in the same order
-    seen, charges = [], []
-    search, charge_batch = solver._search, QueryOracle.charge_batch
-
-    def spy(oracle, space, params, tag, rng, events, v):
-        seen.append((v, space.size, space.marked_count))
-        return search(oracle, space, params, tag, rng, events, v)
-
-    def recording(oracle, amounts, tag):
-        charges.extend(amounts)
-        return charge_batch(oracle, amounts, tag)
-
-    monkeypatch.setattr(solver, "_search", spy)
-    monkeypatch.setattr(QueryOracle, "charge_batch", recording)
-    runs = []
-    for walk in (step2_build_gprime, step2_per_vertex):
-        oracle = QueryOracle(graph)
-        sample, hoods = step1_sample(oracle, DEFAULTS, substream(0, "step1"))
-        out = walk(oracle, sample, hoods, DEFAULTS, substream(0, "step2"), set())
-        runs.append((out[0] if walk is step2_build_gprime else out, seen[:], charges[:], oracle.report()))
-        seen.clear()
-        charges.clear()
-    (tri, searched, billed, ledger), (ref_tri, searches, ref_billed, ref_ledger) = runs
-    assert (tri, billed, ledger) == (ref_tri, ref_billed, ref_ledger)
-    assert searched == [search for search in searches if search[2]]
+    # sure misses between them in runs: the same charges in the same order; it
+    # pair-counts only the block of searches 3..6 of the first graph, and no
+    # block of the triangle-free one
+    tri, gprime, billed, searched, sample, hoods, searches = step2_walks(monkeypatch, graph)
     if hit is None:
         assert tri is None and len(searches) == len(sample) < graph.n and not searched
         assert len(billed) == sum(math.ceil(DEFAULTS.c_safe * math.log2(size)) for _, size, _ in searches)
+        assert np.array_equal(gprime._bits, Graph.uncovered(hoods)._bits)
     else:
         assert tri is not None and len(searches) == hit + 1 and sample[hit] == 6
         assert [marked for _, _, marked in searches] == [0] * hit + [32]
         assert searched == searches[hit:]
+
+
+@pytest.mark.parametrize("graph, marked", [
+    # searches 5 and 6 in the block of 3..6, then every search of the other side
+    # (33..64), whose squares all hold (6, 7)
+    (blowup_with_pair(64, 6, 7), [6, 7, *range(33, 65)]),
+    # (1, 2) marks search 0, a one-row block, search 1 in the block of 1..2, and
+    # again every search of the other side
+    (blowup_with_pair(64, 1, 2), [1, 2, *range(33, 65)]),
+])
+def test_step2_block_walk_keeps_the_blocks_whose_marked_searches_miss(monkeypatch, graph, marked):
+    # with every marked search forced to miss, each block still joins the cover,
+    # the one-row block once its search has missed, so G' is `Graph.uncovered`'s
+    tri, gprime, _, searched, sample, hoods, searches = step2_walks(monkeypatch, graph, miss=True)
+    assert tri is None and len(searches) == len(sample) == graph.n
+    assert [v for v, _, _ in searched] == marked
+    assert np.array_equal(gprime._bits, Graph.uncovered(hoods)._bits)
+
+
+def test_step2_pair_counts_no_block_of_the_sparse_host(monkeypatch):
+    # no square of a triangle-free host covers a hidden edge, so every block is
+    # billed off the cover's test and the rows' popcounts, and none is
+    # pair-counted (the blowup at n = 300 is one of the block-walk cases)
+    calls, common_counts = [], Graph.common_counts
+    monkeypatch.setattr(Graph, "common_counts", lambda *args: calls.append(args[1:]) or common_counts(*args))
+    oracle = QueryOracle(generate("random_bipartite", 4096, 0, p=3 / 2048))
+    sample, hoods = step1_sample(oracle, DEFAULTS, substream(0, "step1"))
+    tri, gprime = step2_build_gprime(oracle, sample, hoods, DEFAULTS, substream(0, "step2"), set())
+    assert tri is None and calls == []
+    assert np.array_equal(gprime._bits, Graph.uncovered(hoods)._bits)
 
 
 def test_a_solve_that_step_2_decides_never_unpacks_a_sampled_row(monkeypatch):
@@ -282,11 +335,10 @@ def test_a_solve_that_step_2_decides_never_unpacks_a_sampled_row(monkeypatch):
 
 def test_steps_1_and_2_keep_the_sample_packed():
     # the sparse host as step 1 samples it at n = 4096, k = 1,176 rows; step 2 misses
-    # everywhere and builds G'.  From step 1 through step 2 the traced peak stays
-    # within the packed sample, step 2's buffers for its fullest block of searches
-    # (the block's (row, member) index pairs, their int64 counts and one
-    # `common_counts` chunk of two gathered rows per pair) and `Graph.uncovered`'s
-    # per-block buffers (`test_graphs.uncovered_buffers`)
+    # everywhere and builds G'.  No block is pair-counted, so from step 1 through
+    # step 2 the traced peak stays within the packed sample and the buffers of the
+    # cover that G' is inverted in, its rows added a doubling block at a time
+    # (`test_graphs.uncovered_buffers`)
     n = 4096
     oracle = QueryOracle(generate("random_bipartite", n, 0, p=3 / 2048))
     tracemalloc.start()
@@ -298,11 +350,8 @@ def test_steps_1_and_2_keep_the_sample_packed():
         tracemalloc.stop()
     assert tri is None and len(hoods) == sample_count(n, DEFAULTS.epsilon) == 1176
     row_bytes = gprime._bits.shape[1]
-    owner = hoods.pairs()[0]
-    blocks = itertools.takewhile(lambda block: block[0] < len(hoods), doubling_blocks())
-    most = max(np.count_nonzero((owner >= start) & (owner < start + size)) for start, size in blocks)
-    search = 24 * most + 2 * min(most, graphs.GATHER_ROWS) * row_bytes
-    bound = len(hoods) * row_bytes + search + test_graphs.uncovered_buffers(hoods)
+    starts = [start for start, _ in itertools.takewhile(lambda block: block[0] < len(hoods), doubling_blocks())]
+    bound = len(hoods) * row_bytes + test_graphs.uncovered_buffers(hoods, starts)
     assert peak <= bound, (peak, bound)
     # a whole-sample unpack next to G', as earlier builds made, would not fit
     assert bound < len(hoods) * row_bytes + gprime._bits.nbytes + len(hoods) * (n + 1)
