@@ -19,13 +19,18 @@ a mutable pair set in the same layout, which clears, moves (a band of a
 block at a time) and scans pairs on the packed words and hands them back as
 a `Graph`.  `common_bands`, the one matrix product, yields a block's counts
 as upper row bands of at most BAND_CELLS cells, which every caller reduces
-band by band.  `generate` writes every instance straight into the packed
-rows; its random kinds draw raw Philox words a chunk of rows at a time, so
-the memory stays near the packed graph's up to MAX_VERTICES.
+band by band.  It and `triangle_count` keep a block's float32 copy and its
+band of counts in the module's workspace, two float32 buffers of at most
+2 * BAND_CELLS cells that stay mapped and are reused from call to call;
+qtri uses the workspace from one thread.  `generate` writes every instance
+straight into the packed rows; its random kinds draw raw Philox words a
+chunk of rows at a time, so the memory stays near the packed graph's up to
+MAX_VERTICES.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 from typing import Callable, Iterable, Iterator, Sequence
@@ -57,6 +62,10 @@ CHUNK_CELLS = 1 << 16
 # Float32 cells in one band of `common_bands`' counts, about 1,130 rows of a
 # 7,400-vertex block: a caller holds one band of counts, not the whole product.
 BAND_CELLS = 1 << 23
+# The kernel's workspace: the free float32 buffer of each role, "copy" (a block's
+# float32 copy) and "band" (one band of counts).  A taker pops its role's buffer,
+# so a caller that starts while another holds it gets a new array.
+_SPARE = {role: np.empty(0, dtype=np.float32) for role in ("copy", "band")}
 # Bit i of a packed byte holds column 8j + i (little bit order)
 _BIT_MASKS = np.array([1 << i for i in range(8)], dtype=np.uint8)
 
@@ -436,29 +445,56 @@ def _clear_diagonal(bits: np.ndarray) -> None:
     bits[diagonal, diagonal >> 3] &= ~_BIT_MASKS[diagonal & 7]
 
 
+@contextlib.contextmanager
+def _float32(role: str, shape: tuple[int, ...]) -> Iterator[np.ndarray]:
+    """A float32 array of `shape` in the workspace's `role` buffer, grown to fit,
+    which goes back when the block exits; a new array when the buffer is taken
+    or the array has more than BAND_CELLS cells."""
+    cells = math.prod(shape)
+    spare = _SPARE.pop(role, None) if cells <= BAND_CELLS else None
+    if spare is None:
+        yield np.empty(shape, dtype=np.float32)
+        return
+    if len(spare) < cells:
+        spare = np.empty(cells, dtype=np.float32)
+    try:
+        yield spare[:cells].reshape(shape)
+    finally:
+        _SPARE[role] = spare
+
+
 def common_bands(rows: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
     """The common-neighbor counts of the rows of an L x m boolean (or 0/1
     float32, which is not copied) matrix x as upper row bands, (i, x[i:i+b]
     @ x[i:].T) for i = 0, b, 2b, ..., in float32.  The height b is
     BAND_CELLS // L (one row at least); one band of b >= L rows is the whole
     product.  Each band overwrites the last in one buffer, so a caller
-    reduces a band before it asks for the next; the float32 copy of a
-    boolean x is freed before the last band is yielded.  This is the one place that
+    reduces a band before it asks for the next.  The band buffer and the
+    float32 copy of a boolean x come from the module's workspace, two
+    float32 buffers that stay mapped between calls and hold at most
+    2 * BAND_CELLS cells: the generator takes them on its first band and
+    hands them back when it finishes or is closed, and one started while
+    another holds them allocates its own.  qtri calls it from one thread.
+    A copy of more than BAND_CELLS cells is allocated per call and freed
+    before the last band is yielded.  This is the one place that
     multiplies adjacency matrices: a band's diagonal tile is a symmetric
     product, which numpy computes with half the work, so the bands cost what
     the whole symmetric product does.  float32 is exact, since every partial
     sum is an integer no larger than m < 2**24."""
-    x = rows.astype(np.float32, copy=False)
-    height = max(BAND_CELLS // max(len(x), 1), 1)
-    buffer = np.empty(min(height, len(x)) * len(x), dtype=np.float32)
-    for i in range(0, len(x), height):
-        tile = x[i : i + height]
-        band = buffer[: len(tile) * (len(x) - i)].reshape(len(tile), len(x) - i)
-        np.matmul(tile, tile.T, out=band[:, : len(tile)])
-        np.matmul(tile, x[i + len(tile) :].T, out=band[:, len(tile) :])
-        if len(band) == band.shape[1]:  # the last band is square: free x's float32 copy while it is reduced
-            del x, tile
-        yield i, band
+    copied = rows.dtype != np.float32
+    with _float32("copy", rows.shape) if copied else contextlib.nullcontext(rows) as x:
+        if copied:
+            x[...] = rows
+        height = max(BAND_CELLS // max(len(x), 1), 1)
+        with _float32("band", (min(height, len(x)) * len(x),)) as buffer:
+            for i in range(0, len(x), height):
+                tile = x[i : i + height]
+                band = buffer[: len(tile) * (len(x) - i)].reshape(len(tile), len(x) - i)
+                np.matmul(tile, tile.T, out=band[:, : len(tile)])
+                np.matmul(tile, x[i + len(tile) :].T, out=band[:, len(tile) :])
+                if len(band) == band.shape[1]:  # the last band is square: free a per-call copy while it is reduced
+                    del x, tile
+                yield i, band
 
 
 def triangle_count(graph: Graph) -> int:
@@ -467,19 +503,21 @@ def triangle_count(graph: Graph) -> int:
 
     Only the vertices with an edge are multiplied.  Their `Graph.block` is read
     only when that drops a vertex: with none isolated the whole adjacency is
-    cheaper to unpack, and its (n+1)-wide product is the faster shape.  Each
-    band of `common_bands` is masked by the block in place; its diagonal tile
-    holds its pairs in both orders and the rest once, so the tile is summed
-    once and the rest twice, in float64.  That is exact: every term is an
-    integer no larger than n, so every partial sum is an integer no larger
-    than n**3, below 2**53 for every n <= MAX_VERTICES."""
+    cheaper to unpack, and its (n+1)-wide product is the faster shape.  The
+    block's float32 form is written into the workspace's copy buffer (see
+    `common_bands`).  Each band of `common_bands` is masked by it in place;
+    its diagonal tile holds its pairs in both orders and the rest once, so
+    the tile is summed once and the rest twice, in float64.  That is exact:
+    every term is an integer no larger than n, so every partial sum is an
+    integer no larger than n**3, below 2**53 for every n <= MAX_VERTICES."""
     live = np.flatnonzero(graph._bits.any(axis=1))  # row 0 is always empty
     block = graph.adjacency() if len(live) == graph.n else graph.block(live)
-    x = block.astype(np.float32)
     total = 0.0
-    for i, band in common_bands(x):
-        band *= x[i : i + len(band), i:]
-        total += band[:, : len(band)].sum(dtype=np.float64) + 2 * band[:, len(band) :].sum(dtype=np.float64)
+    with _float32("copy", block.shape) as x:
+        x[...] = block
+        for i, band in common_bands(x):
+            band *= x[i : i + len(band), i:]
+            total += band[:, : len(band)].sum(dtype=np.float64) + 2 * band[:, len(band) :].sum(dtype=np.float64)
     return int(total) // 6
 
 

@@ -136,6 +136,14 @@ def test_report_is_byte_identical(golden, name):
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
+def test_report_is_byte_identical_when_run_twice_in_one_process(golden, name):
+    """The second run's kernels start from the workspace buffers that the
+    first run left mapped, and its report keeps the same bytes."""
+    first, second = canonical(run_case(name)), canonical(run_case(name))
+    assert first == second == canonical(golden[name])
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
 def test_report_is_byte_identical_with_blocks_in_several_bands(golden, name, monkeypatch):
     """The same reports when every block is counted in bands of n^2 / 32
     cells, so a block of n / 2 vertices spans 16 bands: the peel, the

@@ -547,6 +547,100 @@ def test_common_bands_free_the_float32_copy_before_the_last_band(height, monkeyp
     assert all(bytes_ > copy for bytes_ in held[:-1]) and held[-1] < copy, held
 
 
+def traced_peak(call):
+    """The tracemalloc peak of `call()`, counted from zero."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def drain(bands):
+    for _ in bands:
+        pass
+
+
+def test_a_warm_kernel_reuses_its_workspace():
+    # after one call, a second triangle count of a 512-vertex graph and a second
+    # pass over a 512-row boolean block take their float32 copy and their band
+    # from the workspace, which a finished or closed generator hands back: each
+    # allocates less than one float32 copy of its block
+    graph = generate("erdos_renyi", 512, 0, p=0.5)
+    triangle_count(graph)
+    assert traced_peak(lambda: triangle_count(graph)) < (graph.n + 1) ** 2 * 4
+    x = np.random.default_rng(0).random((512, 512)) < 0.5
+    drain(common_bands(x))
+    assert traced_peak(lambda: drain(common_bands(x))) < x.size * 4
+    bands = common_bands(x)
+    next(bands)
+    bands.close()
+    assert traced_peak(lambda: drain(common_bands(x))) < x.size * 4
+
+
+def upper_bands(x):
+    """The upper row bands that `common_bands(x)` yields, from the whole product."""
+    whole = x.astype(np.float32) @ x.astype(np.float32).T
+    height = max(graphs.BAND_CELLS // max(len(x), 1), 1)
+    return [(i, np.ascontiguousarray(whole[i : i + height, i:])) for i in range(0, len(x), height)]
+
+
+def assert_same_band(got, want):
+    (start, band), (want_start, want_band) = got, want
+    assert start == want_start and band.shape == want_band.shape and band.tobytes() == want_band.tobytes()
+
+
+def test_a_small_block_after_a_large_one_reads_no_stale_cells(monkeypatch):
+    # the workspace keeps the large block's copy and bands; the small block's
+    # bands, in one band or in several, are its own product bit for bit
+    rng = np.random.default_rng(7)
+    large, small = rng.random((300, 400)) < 0.5, rng.random((37, 51)) < 0.3
+    for cells in (graphs.BAND_CELLS, 37 * 5):
+        monkeypatch.setattr(graphs, "BAND_CELLS", cells)
+        drain(common_bands(large))
+        for given in (small, small.astype(np.float32)):
+            got = [(start, band.copy()) for start, band in common_bands(given)]
+            want = upper_bands(small)
+            assert len(got) == len(want)
+            for pair in zip(got, want):
+                assert_same_band(*pair)
+
+
+def test_generators_advanced_in_turn_share_no_buffer(monkeypatch):
+    # the second generator starts while the first holds the workspace, so it
+    # allocates its own buffers: each band still holds its own counts after the
+    # other generator has yielded its next band
+    monkeypatch.setattr(graphs, "BAND_CELLS", 600)
+    rng = np.random.default_rng(11)
+    a, b = rng.random((60, 90)) < 0.4, rng.random((50, 70)) < 0.6
+    none = (None, None)
+    turns = itertools.zip_longest(common_bands(a), common_bands(b), fillvalue=none)
+    wants = itertools.zip_longest(upper_bands(a), upper_bands(b), fillvalue=none)
+    count = 0
+    for (got_a, got_b), (want_a, want_b) in itertools.zip_longest(turns, wants):
+        for got, want in ((got_a, want_a), (got_b, want_b)):
+            assert (got is none) == (want is none)
+            if got is not none:
+                assert_same_band(got, want)
+        count += 1
+    assert count == 6  # a in six bands of 10 rows, b in five of 12
+
+
+def test_a_count_inside_a_band_loop_leaves_the_band_intact(monkeypatch):
+    # triangle_count takes the copy and band buffers that the outer loop holds;
+    # it gets its own, so its count is exact and the outer band is untouched
+    graph = generate("erdos_renyi", 40, seed=2, p=0.5)
+    fresh = triangle_count(graph)
+    assert fresh == len(brute_triangles(graph))
+    x = np.random.default_rng(3).random((45, 45)) < 0.5
+    for cells in (graphs.BAND_CELLS, 45 * 10):
+        monkeypatch.setattr(graphs, "BAND_CELLS", cells)
+        for got, want in zip(common_bands(x), upper_bands(x), strict=True):
+            assert triangle_count(graph) == fresh
+            assert_same_band(got, want)
+
+
 @pytest.mark.parametrize("kind, n, p", [
     ("erdos_renyi", 3, 0.5), ("erdos_renyi", 9, 0.4), ("erdos_renyi", 64, 0.2),
     ("erdos_renyi", 511, 0.3), ("erdos_renyi", 512, 0.7), ("erdos_renyi", 513, 0.5),
